@@ -66,12 +66,10 @@ from .model import (
 from .montecarlo import (
     EstimateWithCI,
     JointEstimate,
-    PathRecord,
     estimate_f1_star,
     estimate_f2_star,
     estimate_functional,
     estimate_joint,
-    simulate_path,
 )
 from .series import (
     TruncatedSeries,
@@ -115,7 +113,6 @@ __all__ = [
     "JointEstimate",
     "MAX_THRESHOLD",
     "ObservationLaw",
-    "PathRecord",
     "ProcessModel",
     "RunawaySimulationError",
     "SeriesOrderError",
@@ -165,6 +162,5 @@ __all__ = [
     "resolvent_divided_diff",
     "run_battery",
     "series_from_rational",
-    "simulate_path",
     "survival_curve",
 ]

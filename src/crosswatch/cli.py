@@ -266,11 +266,9 @@ def cmd_functional(ns) -> int:
     which = config.get("which", "G")
     if which not in ("G1", "G2", "G"):
         raise ConfigError(f'which must be one of "G1", "G2", "G", got {which!r}')
-    values = {
-        "G1": fluctuation.g1_star(model, args),
-        "G2": fluctuation.g2_star(model, args),
-        "G": fluctuation.g_star(model, args),
-    }
+    g1 = fluctuation.g1_star(model, args)
+    g2 = fluctuation.g2_star(model, args)
+    values = {"G1": g1, "G2": g2, "G": g1 + g2}
     payload = {
         "schema_version": 1,
         "which": which,

@@ -1,10 +1,14 @@
 """Simulation oracle for the observed threshold-crossing model.
 
 Everything the analytic modules compute has an estimator here built from
-plain path simulation: the crossing records (exit index, straddling
+exact-event path simulation: the crossing records (exit index, straddling
 levels and epochs), the joint level/time law, the windowed transform
 functionals, and the two-window transforms of a single (T, T + Delta)
-pair.  Estimates carry standard errors so agreement tests can use honest
+pair.  A single per-gap step advances a batch of paths across one
+inspection gap.  The window integrals of ``e^{-theta t} y^{A(t)}`` are
+exact: A is constant between arrival epochs and ``e^{-theta t}``
+integrates in closed form, so no time grid or truncation enters.
+Estimates carry standard errors so agreement tests can use honest
 confidence bands.
 
 Reproducibility contract: every estimator splits its workload into
@@ -26,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .closedform import JointDistTable
-from .errors import ConfigError, DomainError, RunawaySimulationError
+from .errors import DomainError, RunawaySimulationError
 from .model import (
     DelayLaw,
     GeneralDiscrete,
@@ -39,10 +43,8 @@ from .model import (
 )
 
 __all__ = [
-    "PathRecord",
     "EstimateWithCI",
     "JointEstimate",
-    "simulate_path",
     "estimate_joint",
     "estimate_functional",
     "estimate_f1_star",
@@ -51,7 +53,6 @@ __all__ = [
 
 _CHUNK = 100_000
 _EPOCH_CAP = 100_000_000
-_TAIL_MASS = 1e-6
 
 
 def _thread_budget() -> int:
@@ -60,24 +61,6 @@ def _thread_budget() -> int:
         return max(1, int(raw))
     except ValueError:
         return 1
-
-
-@dataclass(frozen=True)
-class PathRecord:
-    """One simulated crossing: the exit index and the straddling state.
-
-    ``nu == 0`` means the very first inspection already found the process
-    above the threshold; the pre-crossing state is then the initial one
-    (level 0 at time 0).  ``probes`` holds (t, A(t)) pairs for the
-    requested probe times, with A right-continuous.
-    """
-
-    nu: int
-    a_pre: int
-    a_cross: int
-    tau_pre: float
-    tau_cross: float
-    probes: tuple[tuple[float, int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -107,8 +90,13 @@ class JointEstimate:
     n_paths: int
 
 
+def _estimate(values: np.ndarray) -> EstimateWithCI:
+    se = float(np.std(values, ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
+    return EstimateWithCI(mean=float(np.mean(values)), std_error=se, n_samples=values.size)
+
+
 # ---------------------------------------------------------------------------
-# elementary vectorized draws
+# the exact-event simulator
 
 
 def _compound_sums(marks: MarkLaw, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -133,62 +121,108 @@ def _compound_sums(marks: MarkLaw, counts: np.ndarray, rng: np.random.Generator)
     raise DomainError(f"unknown mark law {type(marks).__name__}")
 
 
-def _crossing_wave_chunk(model: ProcessModel, n: int, rng: np.random.Generator) -> dict:
+def _damped_length(theta: float, start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Integral of e^{-theta t} over [start, start + length), elementwise."""
+    if theta == 0.0:
+        return length
+    return np.exp(-theta * start) * -np.expm1(-theta * length) / theta
+
+
+def _gap_step(
+    model: ProcessModel,
+    law: DelayLaw,
+    level: np.ndarray,
+    start: np.ndarray,
+    rng: np.random.Generator,
+    theta: float | None = None,
+    y: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Advance paths at ``level`` from time ``start`` across one gap drawn from ``law``.
+
+    Returns the gap lengths, the levels at the end of the gap and, unless
+    ``theta`` is None, the integral of e^{-theta t} y^{A(t)} over
+    [start, start + gap).  At y = 1 only the per-gap mark totals are
+    drawn.  Otherwise the gap's arrival epochs and marks are drawn into
+    flat arrays, one run per path in time order, and the integrand,
+    constant between epochs, is integrated segment by segment.
+    """
+    gap = delay_sample(law, rng, level.size)
+    counts = rng.poisson(model.rate * gap)
+    if theta is None or abs(y - 1.0) <= 1e-15:
+        end_level = level + _compound_sums(model.marks, counts, rng)
+        return gap, end_level, None if theta is None else _damped_length(theta, start, gap)
+
+    owner = np.repeat(np.arange(level.size), counts)
+    frac = rng.random(owner.size)
+    frac = frac[np.lexsort((frac, owner))]
+    marks = np.asarray(mark_sample(model.marks, rng, owner.size), dtype=np.int64)
+    first = np.cumsum(counts) - counts
+    running = np.concatenate(([0], np.cumsum(marks)))
+    after = level[owner] + running[1:] - running[first][owner]
+    end_level = level + running[first + counts] - running[first]
+
+    # arrival k holds its level until the next arrival of its path, or the gap's end
+    upto = np.ones(owner.size)
+    upto[:-1] = np.where(owner[1:] == owner[:-1], frac[1:], 1.0)
+    has = counts > 0
+    head = np.ones(level.size)
+    head[has] = frac[first[has]]
+    seg = _damped_length(theta, start[owner] + gap[owner] * frac, gap[owner] * (upto - frac))
+    tail = np.bincount(owner, weights=y ** after.astype(float) * seg, minlength=level.size)
+    integral = y ** level.astype(float) * _damped_length(theta, start, gap * head) + tail
+    return gap, end_level, integral
+
+
+def _crossing_wave_chunk(
+    model: ProcessModel, n: int, rng: np.random.Generator, theta: float | None, y: float
+) -> dict:
     """Simulate n independent crossings, one inspection wave at a time.
 
-    Only the straddling observation state is kept (no arrival times), so
-    a wave is a handful of vectorized draws over the still-active paths.
+    Each wave advances the still-active paths across one gap.  With
+    ``theta`` given, a gap's window integral joins the G1 window
+    (t < tau_pre) of the paths that stay at or below the threshold and is
+    the G2 window (tau_pre <= t < tau_cross) of the paths that cross.
     """
-    lam = model.rate
     m = model.threshold
-    a_pre = np.zeros(n, dtype=np.int64)
-    a_cross = np.zeros(n, dtype=np.int64)
-    tau_pre = np.zeros(n)
-    tau_cross = np.zeros(n)
-    nu = np.zeros(n, dtype=np.int64)
-
-    gap0 = delay_sample(model.observation.initial, rng, n)
-    level = _compound_sums(model.marks, rng.poisson(lam * gap0), rng)
-    tau = gap0.copy()
-    crossed = level > m
-    a_cross[crossed] = level[crossed]
-    tau_cross[crossed] = tau[crossed]
-    active = np.flatnonzero(~crossed)
+    out = {key: np.zeros(n, dtype=np.int64) for key in ("a_pre", "a_cross", "nu")}
+    out.update((key, np.zeros(n)) for key in ("tau_pre", "tau_cross"))
+    if theta is not None:
+        out.update((key, np.zeros(n)) for key in ("window_pre", "window_cross"))
+    level = np.zeros(n, dtype=np.int64)
+    tau = np.zeros(n)
+    active = np.arange(n)
+    law = model.observation.initial
 
     budget = _EPOCH_CAP
     wave = 0
     while active.size:
-        wave += 1
         budget -= active.size
         if budget < 0:
             raise RunawaySimulationError(
                 f"crossing simulation exceeded {_EPOCH_CAP} inspection epochs; "
                 "the threshold may be unreachable for this mark law"
             )
-        gap = delay_sample(model.observation.recurring, rng, active.size)
-        inc = _compound_sums(model.marks, rng.poisson(lam * gap), rng)
-        new_level = level[active] + inc
+        gap, new_level, integral = _gap_step(model, law, level[active], tau[active], rng, theta, y)
         new_tau = tau[active] + gap
         hit = new_level > m
         hit_idx = active[hit]
-        a_pre[hit_idx] = level[hit_idx]
-        tau_pre[hit_idx] = tau[hit_idx]
-        a_cross[hit_idx] = new_level[hit]
-        tau_cross[hit_idx] = new_tau[hit]
-        nu[hit_idx] = wave
+        out["a_pre"][hit_idx] = level[hit_idx]
+        out["tau_pre"][hit_idx] = tau[hit_idx]
+        out["a_cross"][hit_idx] = new_level[hit]
+        out["tau_cross"][hit_idx] = new_tau[hit]
+        out["nu"][hit_idx] = wave
+        if integral is not None:
+            out["window_pre"][active[~hit]] += integral[~hit]
+            out["window_cross"][hit_idx] = integral[hit]
         level[active] = new_level
         tau[active] = new_tau
         active = active[~hit]
-    return {
-        "a_pre": a_pre,
-        "a_cross": a_cross,
-        "tau_pre": tau_pre,
-        "tau_cross": tau_cross,
-        "nu": nu,
-    }
+        law = model.observation.recurring
+        wave += 1
+    return out
 
 
-def _run_chunked(n_total: int, seed: int, worker: Callable[[int, np.random.Generator], dict]) -> list[dict]:
+def _run_chunked(n_total: int, seed: int, worker: Callable[[int, np.random.Generator], object]) -> list:
     """Split n_total into fixed-size chunks with spawned substreams; ordered merge."""
     sizes = [_CHUNK] * (n_total // _CHUNK)
     if n_total % _CHUNK:
@@ -202,89 +236,12 @@ def _run_chunked(n_total: int, seed: int, worker: Callable[[int, np.random.Gener
         return list(pool.map(lambda job: worker(job[0], job[1]), jobs))
 
 
-def _crossing_sample(model: ProcessModel, n_paths: int, seed: int) -> dict:
-    chunks = _run_chunked(n_paths, seed, lambda size, rng: _crossing_wave_chunk(model, size, rng))
+def _crossing_sample(
+    model: ProcessModel, n_paths: int, seed: int, theta: float | None = None, y: float = 1.0
+) -> dict:
+    """Crossing records per path, plus both window integrals when ``theta`` is given."""
+    chunks = _run_chunked(n_paths, seed, lambda size, rng: _crossing_wave_chunk(model, size, rng, theta, y))
     return {key: np.concatenate([c[key] for c in chunks]) for key in chunks[0]}
-
-
-# ---------------------------------------------------------------------------
-# single-path simulation with the arrival stream
-
-
-def simulate_path(
-    model: ProcessModel,
-    probe_times: Sequence[float] = (),
-    rng_seed: int = 0,
-) -> PathRecord:
-    """Simulate one path at arrival resolution and report its crossing record.
-
-    Arrivals are generated gap by gap (uniform order statistics inside
-    each inspection gap) until the crossing inspection; the stream is
-    extended past the crossing only as far as the largest probe time.
-    """
-    probes = np.asarray(sorted(float(t) for t in probe_times))
-    if probes.size and (np.any(probes < 0.0) or np.any(~np.isfinite(probes))):
-        raise DomainError("probe times must be nonnegative and finite")
-    rng = np.random.default_rng(rng_seed)
-    lam = model.rate
-    m = model.threshold
-
-    arrival_times: list[np.ndarray] = []
-    arrival_marks: list[np.ndarray] = []
-    # level 0 at time 0 doubles as the pre-crossing state when nu = 0
-    level = 0
-    tau = 0.0
-    a_prev = 0
-    tau_prev = 0.0
-    nu = -1
-
-    def extend(t_from: float, t_to: float) -> int:
-        count = int(rng.poisson(lam * (t_to - t_from)))
-        if not count:
-            return 0
-        arrival_times.append(np.sort(rng.uniform(t_from, t_to, size=count)))
-        arrival_marks.append(np.asarray(mark_sample(model.marks, rng, count), dtype=np.int64))
-        return int(arrival_marks[-1].sum())
-
-    epoch = 0
-    while True:
-        law: DelayLaw = model.observation.initial if epoch == 0 else model.observation.recurring
-        gap = float(delay_sample(law, rng, 1)[0])
-        a_prev, tau_prev = level, tau
-        level += extend(tau, tau + gap)
-        tau += gap
-        if level > m:
-            nu = epoch
-            break
-        epoch += 1
-        if epoch > _EPOCH_CAP:
-            raise RunawaySimulationError(
-                f"single-path simulation exceeded {_EPOCH_CAP} inspection epochs"
-            )
-
-    if probes.size and probes[-1] > tau:
-        extend(tau, float(probes[-1]))
-
-    if arrival_times:
-        flat_t = np.concatenate(arrival_times)
-        flat_a = np.cumsum(np.concatenate(arrival_marks))
-    else:
-        flat_t = np.empty(0)
-        flat_a = np.empty(0, dtype=np.int64)
-    probe_levels = np.zeros(probes.size, dtype=np.int64)
-    if probes.size and flat_t.size:
-        idx = np.searchsorted(flat_t, probes, side="right")
-        with_mass = idx > 0
-        probe_levels[with_mass] = flat_a[idx[with_mass] - 1]
-
-    return PathRecord(
-        nu=nu,
-        a_pre=int(a_prev),
-        a_cross=int(level),
-        tau_pre=float(tau_prev),
-        tau_cross=float(tau),
-        probes=tuple((float(t), int(a)) for t, a in zip(probes, probe_levels)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -344,261 +301,45 @@ def _real_args(args: TransformArgs) -> tuple[float, float, float, float, float, 
     return theta, u, v, w, x, y
 
 
-def _time_grid(theta: float, t_max: float | None, t_steps: int) -> np.ndarray:
-    if t_steps < 2:
-        raise DomainError(f"need at least 2 grid points, got {t_steps}")
-    if t_max is None:
-        if theta <= 0.0:
-            raise ConfigError("theta = 0 leaves the time window unbounded; pass t_max explicitly")
-        # half the budget keeps exp(-theta * t_max) strictly under the tail mass
-        t_max = -math.log(0.5 * _TAIL_MASS) / theta
-    if not (math.isfinite(t_max) and t_max > 0.0):
-        raise DomainError(f"t_max must be positive and finite, got {t_max}")
-    return np.linspace(0.0, float(t_max), int(t_steps))
-
-
-def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
-    w = np.zeros(grid.size)
-    h = np.diff(grid)
-    w[:-1] += 0.5 * h
-    w[1:] += 0.5 * h
-    return w
-
-
-def _arrival_chunk(model: ProcessModel, n: int, rng: np.random.Generator) -> dict:
-    """Crossing records plus the flat arrival stream (times and levels) per path."""
-    lam = model.rate
-    m = model.threshold
-    out = {
-        "a_pre": np.zeros(n, dtype=np.int64),
-        "a_cross": np.zeros(n, dtype=np.int64),
-        "tau_pre": np.zeros(n),
-        "tau_cross": np.zeros(n),
-        "nu": np.zeros(n, dtype=np.int64),
-    }
-    times: list[np.ndarray] = []
-    levels: list[np.ndarray] = []
-    offsets = np.zeros(n + 1, dtype=np.int64)
-
-    for i in range(n):
-        level = 0
-        tau = 0.0
-        path_t: list[np.ndarray] = []
-        path_m: list[np.ndarray] = []
-        epoch = 0
-        while True:
-            law: DelayLaw = model.observation.initial if epoch == 0 else model.observation.recurring
-            gap = float(delay_sample(law, rng, 1)[0])
-            count = int(rng.poisson(lam * gap))
-            if count:
-                path_t.append(np.sort(rng.uniform(tau, tau + gap, size=count)))
-                path_m.append(np.asarray(mark_sample(model.marks, rng, count), dtype=np.int64))
-            a_prev, tau_prev = level, tau
-            level += int(path_m[-1].sum()) if count else 0
-            tau += gap
-            if level > m:
-                out["a_pre"][i] = a_prev
-                out["tau_pre"][i] = tau_prev
-                out["a_cross"][i] = level
-                out["tau_cross"][i] = tau
-                out["nu"][i] = epoch
-                break
-            epoch += 1
-            if epoch > _EPOCH_CAP:
-                raise RunawaySimulationError("arrival-level simulation exceeded the epoch cap")
-        if path_t:
-            times.append(np.concatenate(path_t))
-            levels.append(np.cumsum(np.concatenate(path_m)))
-            offsets[i + 1] = offsets[i] + times[-1].size
-        else:
-            offsets[i + 1] = offsets[i]
-    out["arr_times"] = np.concatenate(times) if times else np.empty(0)
-    out["arr_levels"] = np.concatenate(levels) if levels else np.empty(0, dtype=np.int64)
-    out["offsets"] = offsets
-    return out
-
-
-def _window_integrals_unit_y(
-    sample: dict, grid: np.ndarray, theta: float, u: float, v: float, w: float, x: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path trapezoid integrals over both windows when y = 1."""
-    node_weight = _trapezoid_weights(grid) * np.exp(-theta * grid)
-    prefix = np.concatenate(([0.0], np.cumsum(node_weight)))
-    k_pre = np.searchsorted(grid, sample["tau_pre"], side="left")
-    k_cross = np.searchsorted(grid, sample["tau_cross"], side="left")
-    base = (
-        u ** sample["a_pre"].astype(float)
-        * v ** sample["a_cross"].astype(float)
-        * np.exp(-w * sample["tau_pre"] - x * (sample["tau_cross"] - sample["tau_pre"]))
-    )
-    return base * prefix[k_pre], base * (prefix[k_cross] - prefix[k_pre])
-
-
-def _window_integrals_general(
-    sample: dict, grid: np.ndarray, theta: float, u: float, v: float, w: float, x: float, y: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path trapezoid integrals with the running-level tag y^A(t)."""
-    node_weight = _trapezoid_weights(grid) * np.exp(-theta * grid)
-    n = sample["tau_pre"].size
-    offsets = sample["offsets"]
-    arr_t = sample["arr_times"]
-    arr_a = sample["arr_levels"]
-    i1 = np.empty(n)
-    i2 = np.empty(n)
-    base = (
-        u ** sample["a_pre"].astype(float)
-        * v ** sample["a_cross"].astype(float)
-        * np.exp(-w * sample["tau_pre"] - x * (sample["tau_cross"] - sample["tau_pre"]))
-    )
-    for p in range(n):
-        lo, hi = offsets[p], offsets[p + 1]
-        t_p = arr_t[lo:hi]
-        a_p = arr_a[lo:hi]
-        k_pre = np.searchsorted(grid, sample["tau_pre"][p], side="left")
-        k_cross = np.searchsorted(grid, sample["tau_cross"][p], side="left")
-        nodes = grid[:k_cross]
-        idx = np.searchsorted(t_p, nodes, side="right")
-        levels = np.where(idx > 0, a_p[np.maximum(idx - 1, 0)], 0) if t_p.size else np.zeros(nodes.size, dtype=np.int64)
-        vals = node_weight[:k_cross] * y ** levels.astype(float)
-        i1[p] = base[p] * vals[:k_pre].sum()
-        i2[p] = base[p] * vals[k_pre:].sum()
-    return i1, i2
-
-
 def estimate_functional(
     model: ProcessModel,
     args: TransformArgs,
     which: str,
-    t_max: float | None = None,
-    t_steps: int = 201,
     n_paths: int = 100_000,
     seed: int = 0,
 ) -> EstimateWithCI:
     """Monte Carlo estimate of a windowed crossing transform (G1, G2, or their sum G).
 
-    Per path, the windowed integrand is evaluated on the time grid and
-    trapezoid-integrated; the estimate averages per-path integrals.  The
-    G value is formed as the sum of the G1 and G2 estimates from the
-    same paths, so the additivity identity holds exactly.
+    Per path, the windowed integrand is integrated exactly, gap by gap;
+    the estimate averages per-path integrals.  The G value is formed as
+    the sum of the G1 and G2 estimates from the same paths, so the
+    additivity identity holds exactly.
     """
     if which not in ("G1", "G2", "G"):
         raise DomainError(f'which must be one of "G1", "G2", "G", got {which!r}')
     theta, u, v, w, x, y = _real_args(args)
     if n_paths < 1:
         raise DomainError("need at least one path")
-    grid = _time_grid(theta, t_max, t_steps)
-
-    unit_y = abs(y - 1.0) <= 1e-15
-    if unit_y:
-        worker = lambda size, rng: _crossing_wave_chunk(model, size, rng)
-    else:
-        worker = lambda size, rng: _arrival_chunk(model, size, rng)
-    chunks = _run_chunked(n_paths, seed, worker)
-
-    i1_parts = []
-    i2_parts = []
-    for chunk in chunks:
-        if unit_y:
-            i1, i2 = _window_integrals_unit_y(chunk, grid, theta, u, v, w, x)
-        else:
-            i1, i2 = _window_integrals_general(chunk, grid, theta, u, v, w, x, y)
-        i1_parts.append(i1)
-        i2_parts.append(i2)
-    i1 = np.concatenate(i1_parts)
-    i2 = np.concatenate(i2_parts)
-
-    def pack(values: np.ndarray) -> EstimateWithCI:
-        mean = float(np.mean(values))
-        se = float(np.std(values, ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
-        return EstimateWithCI(mean=mean, std_error=se, n_samples=values.size)
-
+    sample = _crossing_sample(model, n_paths, seed, theta, y)
+    weight = (
+        u ** sample["a_pre"].astype(float)
+        * v ** sample["a_cross"].astype(float)
+        * np.exp(-w * sample["tau_pre"] - x * (sample["tau_cross"] - sample["tau_pre"]))
+    )
+    i1 = weight * sample["window_pre"]
+    i2 = weight * sample["window_cross"]
     if which == "G1":
-        return pack(i1)
+        return _estimate(i1)
     if which == "G2":
-        return pack(i2)
-    e1, e2 = pack(i1), pack(i2)
-    spread = float(np.std(i1 + i2, ddof=1) / math.sqrt(i1.size)) if i1.size > 1 else 0.0
-    return EstimateWithCI(mean=e1.mean + e2.mean, std_error=spread, n_samples=i1.size)
+        return _estimate(i2)
+    total = _estimate(i1 + i2)
+    return EstimateWithCI(
+        mean=_estimate(i1).mean + _estimate(i2).mean, std_error=total.std_error, n_samples=total.n_samples
+    )
 
 
 # ---------------------------------------------------------------------------
 # two-stage estimator for the single-interval window transforms
-
-
-def _pair_window_chunk(
-    model: ProcessModel,
-    t_law: DelayLaw,
-    delta_law: DelayLaw,
-    grid: np.ndarray,
-    theta: float,
-    u: float,
-    v: float,
-    w: float,
-    x: float,
-    y: float,
-    which: str,
-    n: int,
-    rng: np.random.Generator,
-) -> dict:
-    """Per-sample integrals for one chunk of (T, Delta) pairs.
-
-    The level process is advanced with a per-sample time cursor: each
-    grid node (and each T, T + Delta checkpoint, in order) receives a
-    fresh compound-Poisson increment over the elapsed gap, so all
-    evaluations within one sample are forward-consistent.
-    """
-    lam = model.rate
-    t_val = delay_sample(t_law, rng, n)
-    d_val = delay_sample(delta_law, rng, n)
-    td_val = t_val + d_val
-
-    cursor = np.zeros(n)
-    level = np.zeros(n, dtype=np.int64)
-    a_at_t = np.zeros(n, dtype=np.int64)
-    a_at_td = np.zeros(n, dtype=np.int64)
-    done_t = np.zeros(n, dtype=bool)
-    done_td = np.zeros(n, dtype=bool)
-    window_sum = np.zeros(n)
-    node_weight = _trapezoid_weights(grid) * np.exp(-theta * grid)
-
-    def advance(mask: np.ndarray, target: np.ndarray) -> None:
-        if not np.any(mask):
-            return
-        gaps = target[mask] - cursor[mask]
-        counts = rng.poisson(lam * np.maximum(gaps, 0.0))
-        level[mask] += _compound_sums(model.marks, counts, rng)
-        cursor[mask] = target[mask]
-
-    for k in range(grid.size):
-        t_k = grid[k]
-        hit_t = (~done_t) & (t_val <= t_k)
-        advance(hit_t, t_val)
-        a_at_t[hit_t] = level[hit_t]
-        done_t |= hit_t
-        hit_td = done_t & (~done_td) & (td_val <= t_k)
-        advance(hit_td, td_val)
-        a_at_td[hit_td] = level[hit_td]
-        done_td |= hit_td
-        if which == "f1":
-            active = t_k < t_val
-        else:
-            active = (t_val <= t_k) & (t_k < td_val)
-        advance(active, np.full(n, t_k))
-        window_sum[active] += node_weight[k] * y ** level[active].astype(float)
-
-    advance(~done_t, t_val)
-    a_at_t[~done_t] = level[~done_t]
-    done_t[:] = True
-    advance(~done_td, td_val)
-    a_at_td[~done_td] = level[~done_td]
-
-    integrals = (
-        u ** a_at_t.astype(float)
-        * v ** a_at_td.astype(float)
-        * np.exp(-w * t_val - x * d_val)
-        * window_sum
-    )
-    return {"integrals": integrals}
 
 
 def _estimate_pair_window(
@@ -607,24 +348,19 @@ def _estimate_pair_window(
     delta_law: DelayLaw,
     args: TransformArgs,
     which: str,
-    t_max: float | None,
-    t_steps: int,
     n_samples: int,
     seed: int,
 ) -> EstimateWithCI:
+    """Per sample, one gap T from level 0 and one gap Delta from A(T), each with its window integral."""
     theta, u, v, w, x, y = _real_args(args)
-    grid = _time_grid(theta, t_max, t_steps)
-    chunks = _run_chunked(
-        n_samples,
-        seed,
-        lambda size, rng: _pair_window_chunk(
-            model, t_law, delta_law, grid, theta, u, v, w, x, y, which, size, rng
-        ),
-    )
-    vals = np.concatenate([c["integrals"] for c in chunks])
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
-    return EstimateWithCI(mean=mean, std_error=se, n_samples=vals.size)
+
+    def worker(size: int, rng: np.random.Generator) -> np.ndarray:
+        t_val, a_t, in_t = _gap_step(model, t_law, np.zeros(size, dtype=np.int64), np.zeros(size), rng, theta, y)
+        d_val, a_td, in_d = _gap_step(model, delta_law, a_t, t_val, rng, theta, y)
+        weight = u ** a_t.astype(float) * v ** a_td.astype(float) * np.exp(-w * t_val - x * d_val)
+        return weight * (in_t if which == "f1" else in_d)
+
+    return _estimate(np.concatenate(_run_chunked(n_samples, seed, worker)))
 
 
 def estimate_f1_star(
@@ -632,13 +368,11 @@ def estimate_f1_star(
     t_law: DelayLaw,
     delta_law: DelayLaw,
     args: TransformArgs,
-    t_max: float | None = None,
-    t_steps: int = 201,
     n_samples: int = 1_000_000,
     seed: int = 0,
 ) -> EstimateWithCI:
     """Two-stage estimate of the window transform on {t < T} for an independent (T, Delta)."""
-    return _estimate_pair_window(model, t_law, delta_law, args, "f1", t_max, t_steps, n_samples, seed)
+    return _estimate_pair_window(model, t_law, delta_law, args, "f1", n_samples, seed)
 
 
 def estimate_f2_star(
@@ -646,10 +380,8 @@ def estimate_f2_star(
     t_law: DelayLaw,
     delta_law: DelayLaw,
     args: TransformArgs,
-    t_max: float | None = None,
-    t_steps: int = 201,
     n_samples: int = 1_000_000,
     seed: int = 0,
 ) -> EstimateWithCI:
     """Two-stage estimate of the window transform on {T <= t < T + Delta}."""
-    return _estimate_pair_window(model, t_law, delta_law, args, "f2", t_max, t_steps, n_samples, seed)
+    return _estimate_pair_window(model, t_law, delta_law, args, "f2", n_samples, seed)

@@ -161,9 +161,7 @@ def test_criterion_6_window_transforms_match_two_stage_simulation():
         ("f2", transforms.f2_star, montecarlo.estimate_f2_star),
     ):
         exact = exact_fn(model, t_law, delta_law, args).real
-        estimate = estimate_fn(
-            model, t_law, delta_law, args, t_steps=1001, n_samples=1_000_000, seed=0
-        )
+        estimate = estimate_fn(model, t_law, delta_law, args, n_samples=1_000_000, seed=0)
         lo, hi = estimate.ci()
         rel = abs(estimate.mean - exact) / abs(exact)
         covers = lo <= exact <= hi

@@ -1,8 +1,8 @@
 """Path simulation and the Monte Carlo estimators.
 
-Statistical assertions use 4-standard-error bands at fixed seeds, with
-grids fine enough that trapezoid bias is far below the noise floor
-(measured: sub-1-sigma at 1001 nodes for every estimator here).
+Statistical assertions use 4-standard-error bands at fixed seeds.  The
+window integrals are exact per path, so the estimators carry no bias
+beyond sampling noise.
 """
 
 import math
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from crosswatch import montecarlo as mc
-from crosswatch.errors import ConfigError, DomainError, RunawaySimulationError
+from crosswatch.errors import DomainError, RunawaySimulationError
 from crosswatch.fluctuation import g1_star, g2_star, g_star
 from crosswatch.closedform import SpecialModel, joint_dist
 from crosswatch.model import (
@@ -24,12 +24,11 @@ from crosswatch.model import (
 )
 from crosswatch.montecarlo import (
     EstimateWithCI,
-    PathRecord,
+    _crossing_sample,
     estimate_f1_star,
     estimate_f2_star,
     estimate_functional,
     estimate_joint,
-    simulate_path,
 )
 from crosswatch.transforms import f1_star, f2_star
 
@@ -59,55 +58,32 @@ class TestEstimateWithCI:
 
 
 class TestSimulatePath:
+    """The vectorised crossing simulator behind every estimator."""
+
     def test_deterministic_per_seed(self, std_model):
-        a = simulate_path(std_model, probe_times=(0.5, 1.0), rng_seed=42)
-        b = simulate_path(std_model, probe_times=(0.5, 1.0), rng_seed=42)
-        assert a == b
-        c = simulate_path(std_model, probe_times=(0.5, 1.0), rng_seed=43)
-        assert a != c
+        a = _crossing_sample(std_model, 2_000, 42)
+        b = _crossing_sample(std_model, 2_000, 42)
+        assert all(np.array_equal(a[key], b[key]) for key in a)
+        c = _crossing_sample(std_model, 2_000, 43)
+        assert not np.array_equal(a["tau_cross"], c["tau_cross"])
 
     def test_crossing_invariants(self, std_model):
-        for seed in range(40):
-            rec = simulate_path(std_model, rng_seed=seed)
-            assert rec.nu >= 1  # initial look happens at time zero here
-            assert 0 <= rec.a_pre <= std_model.threshold < rec.a_cross
-            assert 0.0 <= rec.tau_pre <= rec.tau_cross
+        rec = _crossing_sample(std_model, 2_000, 0)
+        assert np.all(rec["nu"] >= 1)  # initial look happens at time zero here
+        assert np.all((0 <= rec["a_pre"]) & (rec["a_pre"] <= std_model.threshold))
+        assert np.all(std_model.threshold < rec["a_cross"])
+        assert np.all((0.0 <= rec["tau_pre"]) & (rec["tau_pre"] <= rec["tau_cross"]))
 
     def test_immediate_crossing_possible_with_delayed_start(self, exp_initial_model):
-        recs = [simulate_path(exp_initial_model, rng_seed=s) for s in range(60)]
-        assert any(r.nu == 0 for r in recs)
-        for r in recs:
-            if r.nu == 0:
-                assert r.a_pre == 0 and r.tau_pre == 0.0
-
-    def test_probe_levels_nondecreasing(self, std_model):
-        times = (0.0, 0.3, 0.8, 1.5, 3.0, 6.0)
-        for seed in range(15):
-            rec = simulate_path(std_model, probe_times=times, rng_seed=seed)
-            levels = [a for _, a in rec.probes]
-            assert levels == sorted(levels)
-            assert all(a >= 0 for a in levels)
-
-    def test_probe_level_consistent_with_crossing(self, std_model):
-        # a probe past the crossing time must see at least the crossing level
-        for seed in range(15):
-            rec = simulate_path(std_model, probe_times=(50.0,), rng_seed=seed)
-            assert rec.probes[-1][1] >= rec.a_cross
-
-    def test_probe_at_zero_with_zero_start(self, std_model):
-        rec = simulate_path(std_model, probe_times=(0.0,), rng_seed=9)
-        assert rec.probes[0] == (0.0, 0)
-
-    def test_probe_validation(self, std_model):
-        with pytest.raises(DomainError):
-            simulate_path(std_model, probe_times=(-1.0,))
-        with pytest.raises(DomainError):
-            simulate_path(std_model, probe_times=(math.inf,))
+        rec = _crossing_sample(exp_initial_model, 2_000, 0)
+        first = rec["nu"] == 0
+        assert np.any(first)
+        assert np.all(rec["a_pre"][first] == 0) and np.all(rec["tau_pre"][first] == 0.0)
 
     def test_epoch_cap(self, monkeypatch):
         monkeypatch.setattr(mc, "_EPOCH_CAP", 3)
         with pytest.raises(RunawaySimulationError):
-            simulate_path(_slow_model(), rng_seed=0)
+            _crossing_sample(_slow_model(), 1_000, 0)
 
 
 class TestEstimateJoint:
@@ -167,7 +143,7 @@ class TestEstimateFunctional:
 
     def test_additivity_is_bitwise(self, std_model):
         args = TransformArgs(theta=0.5, v=0.7)
-        kw = dict(t_steps=201, n_paths=20_000, seed=11)
+        kw = dict(n_paths=20_000, seed=11)
         g1 = estimate_functional(std_model, args, "G1", **kw)
         g2 = estimate_functional(std_model, args, "G2", **kw)
         g = estimate_functional(std_model, args, "G", **kw)
@@ -175,33 +151,39 @@ class TestEstimateFunctional:
 
     def test_deterministic_per_seed(self, std_model):
         args = TransformArgs(theta=0.5, v=0.7)
-        a = estimate_functional(std_model, args, "G1", t_steps=201, n_paths=20_000, seed=2)
-        b = estimate_functional(std_model, args, "G1", t_steps=201, n_paths=20_000, seed=2)
+        a = estimate_functional(std_model, args, "G1", n_paths=20_000, seed=2)
+        b = estimate_functional(std_model, args, "G1", n_paths=20_000, seed=2)
         assert a == b
 
     def test_matches_analytic_unit_tag(self, std_model):
         args = TransformArgs(theta=0.5, v=0.7)
         for which, exact_fn in (("G1", g1_star), ("G2", g2_star), ("G", g_star)):
-            est = estimate_functional(
-                std_model, args, which, t_steps=801, n_paths=100_000, seed=3
-            )
+            est = estimate_functional(std_model, args, which, n_paths=100_000, seed=3)
             exact = exact_fn(std_model, args).real
             assert abs(est.mean - exact) < 4 * est.std_error
 
     def test_matches_analytic_running_tag(self, std_model):
         # y < 1 exercises the arrival-resolution path
         args = TransformArgs(theta=0.5, v=0.7, y=0.8)
-        est = estimate_functional(std_model, args, "G1", t_steps=1001, n_paths=30_000, seed=7)
-        exact = g1_star(std_model, args).real
-        assert abs(est.mean - exact) < 4 * est.std_error
+        for which, exact_fn in (("G1", g1_star), ("G2", g2_star)):
+            est = estimate_functional(std_model, args, which, n_paths=30_000, seed=7)
+            exact = exact_fn(std_model, args).real
+            assert abs(est.mean - exact) < 4 * est.std_error
 
-    def test_unbounded_window_needs_damping(self, std_model):
-        with pytest.raises(ConfigError):
-            estimate_functional(std_model, TransformArgs(theta=0.0), "G1")
-        est = estimate_functional(
-            std_model, TransformArgs(theta=0.0), "G1", t_max=5.0, t_steps=101, n_paths=2_000
-        )
-        assert math.isfinite(est.mean)
+    def test_undamped_window_matches_analytic(self, std_model):
+        # theta = 0 needs no time cut-off: every window ends at a finite crossing
+        for args in (TransformArgs(theta=0.0, v=0.7), TransformArgs(theta=0.0, v=0.7, y=0.9)):
+            est = estimate_functional(std_model, args, "G1", n_paths=50_000, seed=5)
+            exact = g1_star(std_model, args).real
+            assert abs(est.mean - exact) < 4 * est.std_error
+
+    def test_unit_tags_integrate_the_damped_crossing_time(self, std_model):
+        # with u = v = y = 1 and w = x = 0, G integrates e^{-theta t} over [0, tau_cross)
+        theta = 0.7
+        est = estimate_functional(std_model, TransformArgs(theta=theta), "G", n_paths=50_000, seed=4)
+        tau_cross = _crossing_sample(std_model, 50_000, 4)["tau_cross"]
+        closed = float(np.mean(-np.expm1(-theta * tau_cross) / theta))
+        assert abs(est.mean - closed) <= 1e-12 * closed
 
     def test_argument_validation(self, std_model):
         with pytest.raises(DomainError):
@@ -212,15 +194,13 @@ class TestEstimateFunctional:
             estimate_functional(std_model, TransformArgs(theta=-1.0), "G1")
         with pytest.raises(DomainError):
             estimate_functional(std_model, TransformArgs(theta=1.0), "G1", n_paths=0)
-        with pytest.raises(DomainError):
-            estimate_functional(std_model, TransformArgs(theta=1.0), "G1", t_steps=1)
 
 
 class TestPairWindowEstimators:
     def test_match_exact_transforms(self, std_model):
         args = TransformArgs(theta=0.9, u=0.8, v=0.7, w=0.2, x=0.1, y=0.6)
         laws = (Exponential(1.0), Exponential(1.5))
-        kw = dict(t_steps=1001, n_samples=100_000, seed=9)
+        kw = dict(n_samples=100_000, seed=9)
         e1 = estimate_f1_star(std_model, *laws, args, **kw)
         x1 = f1_star(std_model, *laws, args).real
         assert abs(e1.mean - x1) < 4 * e1.std_error
@@ -234,7 +214,7 @@ class TestPairWindowEstimators:
         theta = 0.7
         args = TransformArgs(theta=theta)
         laws = (Exponential(1.0), Exponential(2.0))
-        kw = dict(t_steps=1001, n_samples=50_000, seed=15)
+        kw = dict(n_samples=50_000, seed=15)
         e1 = estimate_f1_star(std_model, *laws, args, **kw)
         e2 = estimate_f2_star(std_model, *laws, args, **kw)
         lt = 1.0 / (1.0 + theta)
@@ -246,6 +226,6 @@ class TestPairWindowEstimators:
     def test_deterministic_per_seed(self, std_model):
         args = TransformArgs(theta=1.0, v=0.5)
         laws = (Exponential(1.0), Exponential(1.0))
-        a = estimate_f1_star(std_model, *laws, args, t_steps=101, n_samples=5_000, seed=4)
-        b = estimate_f1_star(std_model, *laws, args, t_steps=101, n_samples=5_000, seed=4)
+        a = estimate_f1_star(std_model, *laws, args, n_samples=5_000, seed=4)
+        b = estimate_f1_star(std_model, *laws, args, n_samples=5_000, seed=4)
         assert a == b

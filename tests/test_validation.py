@@ -9,6 +9,13 @@ import pytest
 
 from crosswatch import validation
 from crosswatch.errors import DomainError
+from crosswatch.model import (
+    DegenerateZero,
+    Exponential,
+    GeneralDiscrete,
+    ObservationLaw,
+    ProcessModel,
+)
 from crosswatch.validation import ANALYTIC_OPS, CLOSED_FORM_OPS, run_battery
 
 ALL_CHECKS = [
@@ -151,6 +158,18 @@ class TestGeneralModel:
         assert report["all_passed"] is True
         assert report["failed_checks"] == []
         assert report["coverage"]["missing"] == []
+
+    def test_finite_pmf_model_passes_with_full_coverage(self):
+        # no rational series path here, so blocks_at is covered pointwise only
+        model = ProcessModel(
+            rate=1.0,
+            marks=GeneralDiscrete([0.0, 0.5, 0.3, 0.2]),
+            observation=ObservationLaw(initial=DegenerateZero(), recurring=Exponential(1.0)),
+            threshold=3,
+        )
+        report = run_battery(model, seed=0, n_paths=20_000)
+        assert report["coverage"]["missing"] == []
+        assert report["all_passed"] is True
 
 
 class TestRegistry:
