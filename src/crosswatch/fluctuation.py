@@ -13,12 +13,12 @@ coefficient sum, at order M, of an explicit function of the level-tagging
 variable s built from three resolvent blocks (B1, B2, B3) and two
 difference blocks (Gamma0, Gamma).
 
-Two evaluation paths produce the s-coefficients:
+The s-coefficients come from one of two routes, chosen by the gap laws:
 
-* an exact rational-series path when marks are geometric and gaps are
-  exponential (every factor is ``(1 - F s)``-type, so truncated series
-  arithmetic is exact);
-* a sampling path for general laws: the integrand is evaluated on a
+* exact series when both gap laws are exponential or zero, for any mark
+  law: every block is then rational in s (see the engine notes below), so
+  truncated expansion and products give the coefficients exactly;
+* FFT sampling when a gap law is general: the integrand is evaluated on a
   circle well inside the unit disk (where per-epoch contraction always
   holds) and coefficients are read off by FFT.  All removable
   singularities are crossed via divided differences, never raw division.
@@ -26,9 +26,9 @@ Two evaluation paths produce the s-coefficients:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Callable
 
 import numpy as np
@@ -37,9 +37,9 @@ from .errors import DivergenceError, DomainError
 from .model import (
     DegenerateZero,
     Exponential,
-    Geometric,
     ProcessModel,
     TransformArgs,
+    _mark_pgf_rational,
     delay_lst,
     mark_pgf,
 )
@@ -60,11 +60,6 @@ __all__ = [
     "lst_tau_pre",
     "lst_tau_cross",
 ]
-
-# Fall back to the sampling path when an exact-path pole factor would
-# amplify truncated-series cancellation beyond ~1e-6 of headroom.
-_ROOT_AMPLIFICATION_CAP = 1e6
-
 
 # ---------------------------------------------------------------------------
 # pointwise block evaluation
@@ -190,155 +185,130 @@ def _coeffs_by_sampling(f: Callable[[complex], complex], order: int) -> Truncate
 
 
 # ---------------------------------------------------------------------------
-# coefficient extraction: exact rational path (geometric marks, exponential gaps)
+# coefficient extraction: exact series for exponential and zero gaps
+#
+# For an Exp(r) gap, L(kappa + lam(1 - g(c s))) = r R(r + kappa + lam, c)
+# with R(alpha, c) = 1 / (alpha - lam g(c s)), and the divided difference
+# of L between two such arguments is r R(.) R(.): the two R denominators
+# differ by exactly the vanishing denominator.  For admissible arguments
+# Re alpha >= lam and |c| <= 1, so every R has bounded coefficients.
+# gamma(v, x) - gamma(v s, x) in G1 and Gamma0, Gamma in G2 have the form
+# F(1) - F(s) = (1 - s) T(s) with T the tail sums of F; the partial sum at
+# order M of (1 - s) X is X_M, one coefficient of a product, so no value
+# is formed by cancelling F(1) against a partial sum of F.
 
 
-def _exact_path_applicable(model: ProcessModel) -> bool:
-    return (
-        isinstance(model.marks, Geometric)
-        and isinstance(model.observation.recurring, Exponential)
-        and isinstance(model.observation.initial, (DegenerateZero, Exponential))
-    )
-
-
-def _pole_factor(model: ProcessModel, q: complex, zpre: complex) -> complex:
-    """F with gamma(zpre*s, q) = const * (1 - b*zpre*s) / (1 - F s) for exp gaps."""
-    lam, b = model.rate, model.marks.b
-    return zpre * (b * q + lam) / (q + lam)
-
-
-def _pole_pair(model: ProcessModel, theta: complex, zpre: complex, y: complex):
-    """Roots (r1, r2) with theta*(1-r1 s)(1-r2 s) equal to the block denominator
-
-    theta*(1 - b*zpre*s)(1 - b*zpre*y*s) + lam*a*zpre*(1-y)*s.  Requires
-    theta != 0.
-    """
-    lam = model.rate
-    a, b = model.marks.a, model.marks.b
-    alpha = -b * zpre * (1.0 + y) + lam * a * zpre * (1.0 - y) / theta
-    beta = b * b * zpre * zpre * y
-    sq = cmath.sqrt(alpha * alpha - 4.0 * beta)
-    r1 = (-alpha + sq) / 2.0 if abs(-alpha + sq) >= abs(-alpha - sq) else (-alpha - sq) / 2.0
-    r2 = beta / r1 if abs(r1) > 0.0 else 0.0 + 0.0j
-    return r1, r2
-
-
-def _roots_tame(roots, order: int) -> bool:
-    worst = max((abs(r) for r in roots), default=0.0)
-    return worst ** max(order, 1) <= _ROOT_AMPLIFICATION_CAP
-
-
-def _resolvent_series(model: ProcessModel, zpre: complex, damp: complex, order: int) -> TruncatedSeries:
-    """Series of gamma0(zpre*s, damp) / (1 - gamma(zpre*s, damp))."""
-    lam, b = model.rate, model.marks.b
-    mu = model.observation.recurring.rate
-    scale = (mu + damp + lam) / (damp + lam)
-    numer = np.array([1.0, -_pole_factor(model, mu + damp, zpre)], dtype=complex)
-    roots = [_pole_factor(model, damp, zpre)]
-    initial = model.observation.initial
-    if isinstance(initial, Exponential):
-        rho = initial.rate
-        scale *= rho / (rho + damp + lam)
-        numer = np.convolve(numer, np.array([1.0, -b * zpre], dtype=complex))
-        roots.append(_pole_factor(model, rho + damp, zpre))
-    return series_from_rational(scale * numer, roots, order)
-
-
-class _ExactPathUnavailable(Exception):
-    """Internal: this argument combination needs the sampling path."""
-
-
-def _series_g1_exact(model: ProcessModel, args: TransformArgs, order: int) -> TruncatedSeries:
-    lam, a, b = model.rate, model.marks.a, model.marks.b
-    mu = model.observation.recurring.rate
-    u, v, y = complex(args.u), complex(args.v), complex(args.y)
-    w, x, theta = complex(args.w), complex(args.x), complex(args.theta)
-    if abs(theta) < 1e-6:
-        raise _ExactPathUnavailable
-    uv = u * v
-    r1, r2 = _pole_pair(model, theta, uv, y)
-    if not _roots_tame([r1, r2, _pole_factor(model, mu + x, v)], order):
-        raise _ExactPathUnavailable
-
-    # (gamma(v, x) - gamma(v*s, x)) as P(s) / (1 - F(mu+x, v) s)
-    c0 = _gamma_rec(model, v, x)
-    f_mx = _pole_factor(model, mu + x, v)
-    scale_vx = mu / (mu + x + lam)
-    p1 = np.array([c0 - scale_vx, -c0 * f_mx + scale_vx * b * v], dtype=complex)
-
-    numer = np.convolve(p1, np.convolve(np.array([1.0, -b * uv]), np.array([1.0, -b * uv * y])))
-    b1 = series_from_rational(numer / theta, [f_mx, r1, r2], order)
-    b2 = _resolvent_series(model, uv, w, order)
-    b3 = _resolvent_series(model, uv * y, theta + w, order)
-    return b1 * (b2 - b3)
-
-
-def _gamma_diff_series(
-    model: ProcessModel, m_rate: complex, args: TransformArgs, r1: complex, r2: complex, order: int
-) -> TruncatedSeries:
-    """Series of [gamma(v s, x) - gamma(v y s, theta + x)] / D(s) for an
-    exponential gap law of rate ``m_rate``, D from the (v, vy) pole pair."""
-    lam, b = model.rate, model.marks.b
-    v, y = complex(args.v), complex(args.y)
-    x, theta = complex(args.x), complex(args.theta)
-    f_mx = _pole_factor(model, m_rate + x, v)
-    f_mtx = _pole_factor(model, m_rate + theta + x, v * y)
-    s1 = m_rate / (m_rate + x + lam)
-    s2 = m_rate / (m_rate + theta + x + lam)
-    n2 = s1 * np.convolve(np.array([1.0, -b * v]), np.array([1.0, -f_mtx])) - s2 * np.convolve(
-        np.array([1.0, -b * v * y]), np.array([1.0, -f_mx])
-    )
-    numer = np.convolve(n2, np.convolve(np.array([1.0, -b * v]), np.array([1.0, -b * v * y])))
-    return series_from_rational(numer / theta, [f_mx, f_mtx, r1, r2], order)
-
-
-def _series_g2_exact(model: ProcessModel, args: TransformArgs, order: int) -> TruncatedSeries:
-    lam = model.rate
-    mu = model.observation.recurring.rate
-    u, v, y = complex(args.u), complex(args.v), complex(args.y)
-    w, x, theta = complex(args.w), complex(args.x), complex(args.theta)
-    if abs(theta) < 1e-6:
-        raise _ExactPathUnavailable
-    r1, r2 = _pole_pair(model, theta, v, y)
-    if not _roots_tame([r1, r2], order):
-        raise _ExactPathUnavailable
-    g = lambda z: mark_pgf(model.marks, z)
+def _exp_gaps(model: ProcessModel) -> bool:
     obs = model.observation
+    return all(isinstance(law, (DegenerateZero, Exponential)) for law in (obs.initial, obs.recurring))
 
-    zeta1 = x + lam * (1.0 - g(v))
-    d1 = theta + lam * (g(v) - g(v * y))
-    gam = TruncatedSeries.constant(lst_divided_diff(obs.recurring, zeta1, d1), order) - _gamma_diff_series(
-        model, mu, args, r1, r2, order
-    )
-    if isinstance(obs.initial, DegenerateZero):
-        gam0 = TruncatedSeries.constant(0.0, order)
-    else:
-        rho = obs.initial.rate
-        gam0 = TruncatedSeries.constant(lst_divided_diff(obs.initial, zeta1, d1), order) - _gamma_diff_series(
-            model, rho, args, r1, r2, order
-        )
 
-    b3 = _resolvent_series(model, u * v * y, theta + w, order)
-    return gam0 + gam * b3
+def _r_series(model: ProcessModel, alpha: complex, c: complex, order: int, tail: bool = False):
+    """Coefficients of R(alpha, c) through ``order``; with ``tail``, (R, R(1), T).
+
+    With g = N/D, R = 1/alpha + (lam/alpha) N / (alpha D - lam N) at c s,
+    which keeps the small pole-zero gap of a large alpha that D / (alpha D
+    - lam N) loses to rounding.  T = (R(1) - R(s)) / (1 - s) uses
+    R(1) - R(s) = lam (g(c) - g(c s)) R(1) R(s), where the mark difference
+    over 1 - s has tail-sum coefficients over D(c) D(c s).
+    """
+    lam, c = model.rate, complex(c)
+    num, den = _mark_pgf_rational(model.marks)
+    n_s = [p * c**k for k, p in enumerate(num)]
+    d_s = [q * c**k for k, q in enumerate(den)]
+    bottom = [alpha * q - lam * p for p, q in zip_longest(n_s, d_s, fillvalue=0.0)]
+    if abs(bottom[0]) < SINGULARITY_TOL:
+        raise DivergenceError("resolvent 1/(alpha - lam*g(c s)) has a pole at s = 0")
+    if not tail:
+        r = series_from_rational([lam / alpha * p for p in n_s], bottom, order).coeffs.copy()
+        r[0] += 1.0 / alpha
+        return r
+    inv = series_from_rational([1.0], bottom, order).coeffs
+    r = (lam / alpha) * _mul(n_s, inv, order)
+    r[0] += 1.0 / alpha
+    n_1, d_1 = sum(n_s), sum(d_s)
+    # n_1 D(c s) - d_1 N(c s) is zero at s = 1; its quotient by 1 - s has minus its tail sums
+    diff = [n_1 * q - d_1 * p for p, q in zip_longest(n_s, d_s, fillvalue=0.0)]
+    quotient = -np.cumsum([0.0] + diff[:0:-1])[::-1]
+    total = sum(bottom)
+    return r, d_1 / total, (lam / total) * _mul(quotient, inv, order)
+
+
+def _mul(a, b, order: int) -> np.ndarray:
+    return np.convolve(a, b)[: order + 1]
+
+
+def _exp_gap_factors(model: ProcessModel, args: TransformArgs, which: str, order: int) -> list:
+    """Arrays (left, right, head) per window part of ``which``: "g1", "g2" or "g".
+
+    A part's integrand is (1 - s)(head + left * right); head is None when it vanishes.
+    """
+    lam, obs = model.rate, model.observation
+    mu = obs.recurring.rate
+    u, v, y = complex(args.u), complex(args.v), complex(args.y)
+    w, x, theta = complex(args.w), complex(args.x), complex(args.theta)
+    uv, uvy = u * v, u * v * y
+    rho = None if isinstance(obs.initial, DegenerateZero) else obs.initial.rate
+    # K = 1 / (1 - L) = 1 + mu / eta at eta3 = theta + w + lam(1 - g(uvys))
+    r3 = _r_series(model, lam + theta + w, uvy, order)
+    k3 = mu * r3
+    k3[0] += 1.0
+    # gamma(v s, x) = mu R(mu + lam + x, v), also the first factor of Gamma
+    recurring_a = _r_series(model, mu + lam + x, v, order, tail=True)
+
+    def gamma_tail(rate: float, a_terms: tuple | None = None) -> np.ndarray:
+        # Gamma of an Exp(rate) gap is F(1) - F(s) with F = rate R_a R_b
+        _, ra_1, ta = a_terms or _r_series(model, rate + lam + x, v, order, tail=True)
+        rb, _, tb = _r_series(model, rate + lam + theta + x, v * y, order, tail=True)
+        return rate * (ra_1 * tb + _mul(ta, rb, order))
+
+    parts = []
+    if which != "g2":
+        # H = L0 K divided between eta2 and eta3 by the product rule
+        h_dd = mu * _mul(_r_series(model, lam + w, uv, order), r3, order)
+        if rho is not None:
+            p2 = rho * _r_series(model, rho + lam + w, uv, order)
+            p3 = _r_series(model, rho + lam + theta + w, uvy, order)
+            h_dd = _mul(p2, h_dd + _mul(p3, k3, order), order)
+        parts.append((mu * recurring_a[2], h_dd, None))
+    if which != "g1":
+        gamma = gamma_tail(mu, recurring_a)
+        if rho is None:
+            parts.append((gamma, k3, None))
+        else:
+            b3 = _mul(rho * _r_series(model, rho + lam + theta + w, uvy, order), k3, order)
+            parts.append((gamma, b3, gamma_tail(rho)))
+    return parts
 
 
 # ---------------------------------------------------------------------------
 # public transforms
 
 
-def _crossing_series(model: ProcessModel, args: TransformArgs, which: str) -> TruncatedSeries:
+def _crossing_series(model: ProcessModel, args: TransformArgs, which: str, order: int) -> TruncatedSeries:
+    """Coefficients 0..order of the G1 (``"g1"``) or G2 (``"g2"``) integrand in s."""
     args.validate()
+    if not _exp_gaps(model):
+        integrand = _g1_integrand if which == "g1" else _g2_integrand
+        return _coeffs_by_sampling(lambda s: integrand(model, args, s), order)
+    [(left, right, head)] = _exp_gap_factors(model, args, which, order)
+    out = _mul(left, right, order) + (0.0 if head is None else head)
+    out[1:] = np.diff(out)
+    return TruncatedSeries(out)
+
+
+def _crossing_sums(model: ProcessModel, args: TransformArgs, which: str) -> list[complex]:
+    """Partial sums at the threshold order, one per window part of ``which``."""
     order = model.threshold
-    if which == "g1":
-        exact, pointwise = _series_g1_exact, _g1_integrand
-    else:
-        exact, pointwise = _series_g2_exact, _g2_integrand
-    if _exact_path_applicable(model):
-        try:
-            return exact(model, args, order)
-        except _ExactPathUnavailable:
-            pass
-    return _coeffs_by_sampling(lambda s: pointwise(model, args, s), order)
+    if not _exp_gaps(model):
+        parts = ("g1", "g2") if which == "g" else (which,)
+        return [d_inverse(_crossing_series(model, args, p, order), order) for p in parts]
+    args.validate()
+    # the partial sum of (1 - s) X at the order is X_order
+    return [
+        complex(left @ right[::-1] + (0.0 if head is None else head[order]))
+        for left, right, head in _exp_gap_factors(model, args, which, order)
+    ]
 
 
 def g1_star(model: ProcessModel, args: TransformArgs) -> complex:
@@ -347,7 +317,7 @@ def g1_star(model: ProcessModel, args: TransformArgs) -> complex:
     Partial coefficient sum, at the threshold order, of
     ``b1 * (b2 - b3)`` in the level-tagging variable.
     """
-    return d_inverse(_crossing_series(model, args, "g1"), model.threshold)
+    return _crossing_sums(model, args, "g1")[0]
 
 
 def g2_star(model: ProcessModel, args: TransformArgs) -> complex:
@@ -355,12 +325,13 @@ def g2_star(model: ProcessModel, args: TransformArgs) -> complex:
 
     Partial coefficient sum of ``gamma0 + gamma * b3``.
     """
-    return d_inverse(_crossing_series(model, args, "g2"), model.threshold)
+    return _crossing_sums(model, args, "g2")[0]
 
 
 def g_star(model: ProcessModel, args: TransformArgs) -> complex:
     """Transform on the full pre-crossing window t < tau_cross (sum of the two parts)."""
-    return g1_star(model, args) + g2_star(model, args)
+    g1, g2 = _crossing_sums(model, args, "g")
+    return g1 + g2
 
 
 def lst_tau_pre(model: ProcessModel, theta: complex) -> complex:

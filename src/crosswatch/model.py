@@ -9,8 +9,7 @@ exit index ``nu`` is the first inspection ``n`` with ``A(tau_n) > M``.
 
 This module holds the value types and the elementary transforms attached to
 them: probability generating function of the mark law and Laplace-Stieltjes
-transform of each delay law (plus the LST derivatives the analytic layers
-need for removable-singularity limits).
+transform of each delay law.
 """
 
 from __future__ import annotations
@@ -117,6 +116,15 @@ def mark_pgf(law: MarkLaw, z: complex) -> complex:
     raise UnsupportedLawError(f"unknown mark law {type(law).__name__}")
 
 
+def _mark_pgf_rational(law: MarkLaw) -> tuple[list[float], list[float]]:
+    """The mark PGF as (numerator, denominator) coefficients, ascending in z."""
+    if isinstance(law, Geometric):
+        return [0.0, law.a], [1.0, -law.b]
+    if isinstance(law, GeneralDiscrete):
+        return law.pmf.tolist(), [1.0]
+    raise UnsupportedLawError(f"unknown mark law {type(law).__name__}")
+
+
 def mark_mean(law: MarkLaw) -> float:
     """Mean mark size."""
     if isinstance(law, Geometric):
@@ -183,31 +191,6 @@ def delay_lst(law: DelayLaw, z: complex) -> complex:
         return law.rate / denom
     if isinstance(law, GeneralNonneg):
         return complex(law.lst(z))
-    raise UnsupportedLawError(f"unknown delay law {type(law).__name__}")
-
-
-def _delay_lst_derivs(law: DelayLaw, z: complex, order: int) -> list[complex]:
-    """Derivatives d/dz^k of the LST at z for k = 1..order (order <= 3).
-
-    Exact for the closed-form laws; central finite differences otherwise.
-    """
-    z = complex(z)
-    if isinstance(law, DegenerateZero):
-        return [0.0 + 0.0j] * order
-    if isinstance(law, Exponential):
-        m = law.rate
-        out = [-m / (m + z) ** 2, 2.0 * m / (m + z) ** 3, -6.0 * m / (m + z) ** 4]
-        return out[:order]
-    if isinstance(law, GeneralNonneg):
-        h = 1e-5 * (1.0 + abs(z))
-        f = law.lst
-        d1 = (complex(f(z + h)) - complex(f(z - h))) / (2.0 * h)
-        out = [d1]
-        if order >= 2:
-            out.append((complex(f(z + h)) - 2.0 * complex(f(z)) + complex(f(z - h))) / h**2)
-        if order >= 3:
-            out.append(0.0 + 0.0j)  # third derivative is only a Taylor refinement
-        return out
     raise UnsupportedLawError(f"unknown delay law {type(law).__name__}")
 
 

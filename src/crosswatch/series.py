@@ -7,8 +7,8 @@ transform ``(1-s) * sum_p s^p f(p)``; recovering ``f(k)`` from a transform
 extraction helpers the analytic layers rely on:
 
 * :class:`TruncatedSeries` with exact truncated Cauchy arithmetic, and
-  expansion of rational functions whose denominators factor into
-  ``(1 - F s)`` terms (the only shape the closed-form models produce);
+  expansion of rational functions ``P(s) / Q(s)`` with ``Q(0) != 0`` (the
+  only shape the exponential-gap models produce);
 * :func:`d_inverse`, the partial-coefficient-sum inverse, plus a closed
   double-geometric variant used heavily by the explicit formulas.
 """
@@ -103,25 +103,34 @@ class TruncatedSeries:
 
 
 def series_from_rational(
-    numer: Sequence[complex], denom_roots: Sequence[complex], order: int
+    numer: Sequence[complex], denom: Sequence[complex], order: int
 ) -> TruncatedSeries:
-    """Expand ``P(s) / prod_i (1 - F_i s)`` to the requested order.
+    """Expand ``P(s) / Q(s)`` to the requested order.
 
-    ``numer`` lists the polynomial coefficients of P (ascending powers);
-    ``denom_roots`` lists the factors' ``F_i`` values.  Each division by
-    ``(1 - F s)`` is the exact recurrence ``d_j = c_j + F * d_{j-1}``.
+    ``numer`` and ``denom`` list the coefficients of P and Q in ascending
+    powers; Q(0) must be nonzero.  A first-order Q expands as one geometric
+    progression; a longer one uses the exact recurrence
+    ``c_k = (p_k - sum_j q_j c_{k-j}) / q_0`` over its nonzero ``q_j``.
     """
     if order < 0:
         raise DomainError(f"order must be >= 0, got {order}")
-    c = np.zeros(order + 1, dtype=complex)
-    src = np.asarray(numer, dtype=complex)
-    n = min(src.size, order + 1)
-    c[:n] = src[:n]
-    for F in denom_roots:
-        F = complex(F)
-        for j in range(1, order + 1):
-            c[j] = c[j] + F * c[j - 1]
-    return TruncatedSeries(c)
+    q = np.asarray(denom, dtype=complex).reshape(-1)
+    if q.size == 0 or q[0] == 0:
+        raise DomainError("the denominator needs a nonzero constant term")
+    p = np.asarray(numer, dtype=complex).reshape(-1)[: order + 1] / q[0]
+    if q.size <= 2 or not q[2:].any():
+        powers = np.empty(order + 1, dtype=complex)
+        powers[0] = 1.0
+        powers[1:] = -q[1] / q[0] if q.size > 1 else 0.0
+        return TruncatedSeries(np.convolve(p, powers.cumprod())[: order + 1])
+    lags = q[1:].nonzero()[0] + 1
+    terms = list(zip(lags.tolist(), (q[lags] / q[0]).tolist()))
+    pad = terms[-1][0]
+    c = [0j] * pad + p.tolist() + [0j] * (order + 1 - p.size)
+    for k in range(pad + 1, pad + order + 1):
+        for lag, weight in terms:
+            c[k] -= weight * c[k - lag]
+    return TruncatedSeries(c[pad:])
 
 
 def d_op_indicator(a_prev: int, a_next: int, s: complex) -> complex:

@@ -23,10 +23,11 @@ from dataclasses import dataclass
 
 from .errors import DivergenceError, DomainError
 from .model import (
+    DegenerateZero,
     DelayLaw,
+    Exponential,
     ProcessModel,
     TransformArgs,
-    _delay_lst_derivs,
     delay_lst,
     mark_pgf,
 )
@@ -145,15 +146,22 @@ def gamma_is_contractive(model: ProcessModel, z: complex, theta: complex) -> boo
 def lst_divided_diff(law: DelayLaw, zeta: complex, d: complex) -> complex:
     """(L(zeta) - L(zeta + d)) / d for a delay LST L, finite at d = 0.
 
-    Near coincidence the quotient is evaluated from the Taylor expansion
-    ``-L'(zeta) - L''(zeta) d/2 - L'''(zeta) d^2/6`` instead of the
-    cancellation-prone direct difference.
+    Exact for the closed-form laws: ``r / ((r + zeta)(r + zeta + d))`` for
+    an Exp(r) gap and 0 for a zero gap.  For a general law the quotient is
+    evaluated near coincidence from the Taylor expansion
+    ``-L'(zeta) - L''(zeta) d/2``, with central-difference derivatives,
+    instead of the cancellation-prone direct difference.
     """
     zeta, d = complex(zeta), complex(d)
-    if abs(d) < _TAYLOR_BRANCH * (1.0 + abs(zeta)):
-        d1, d2, d3 = _delay_lst_derivs(law, zeta, 3)
-        return -(d1 + d2 * d / 2.0 + d3 * d * d / 6.0)
-    return (delay_lst(law, zeta) - delay_lst(law, zeta + d)) / d
+    if isinstance(law, Exponential):
+        return law.rate / ((law.rate + zeta) * (law.rate + zeta + d))
+    if isinstance(law, DegenerateZero):
+        return 0.0 + 0.0j
+    if abs(d) >= _TAYLOR_BRANCH * (1.0 + abs(zeta)):
+        return (delay_lst(law, zeta) - delay_lst(law, zeta + d)) / d
+    h = 1e-5 * (1.0 + abs(zeta))
+    lo, mid, hi = (delay_lst(law, zeta + k * h) for k in (-1.0, 0.0, 1.0))
+    return -((hi - lo) / (2.0 * h) + (hi - 2.0 * mid + lo) / h**2 * d / 2.0)
 
 
 def resolvent_divided_diff(model: ProcessModel, eta: complex, d: complex) -> complex:
@@ -161,37 +169,25 @@ def resolvent_divided_diff(model: ProcessModel, eta: complex, d: complex) -> com
 
     L0 is the initial-gap LST and L the recurring-gap LST.  This is the
     quantity through which the resolvent difference of two geometric sums
-    stays finite when their arguments coincide.  Raises
+    stays finite when their arguments coincide.  It is taken by the product
+    rule from divided differences of L0 and L, since the difference of
+    1 / (1 - L) is the product of its two values times that of L.  Raises
     :class:`DivergenceError` if either resolvent denominator vanishes.
     """
     eta, d = complex(eta), complex(d)
     obs = model.observation
 
-    def H(e: complex) -> complex:
+    def resolvent(e: complex) -> complex:
         denom = 1.0 - delay_lst(obs.recurring, e)
         if abs(denom) < SINGULARITY_TOL:
             raise DivergenceError("resolvent 1/(1 - L) evaluated at L = 1")
-        return delay_lst(obs.initial, e) / denom
+        return 1.0 / denom
 
-    if abs(d) >= _TAYLOR_BRANCH * (1.0 + abs(eta)):
-        return (H(eta) - H(eta + d)) / d
-
-    # Taylor branch: derivatives of H = L0 * G with G = (1 - L)^{-1}.
-    L = delay_lst(obs.recurring, eta)
-    denom = 1.0 - L
-    if abs(denom) < SINGULARITY_TOL:
-        raise DivergenceError("resolvent 1/(1 - L) evaluated at L = 1")
-    G = 1.0 / denom
-    Lp, Lpp, Lppp = _delay_lst_derivs(obs.recurring, eta, 3)
-    Gp = Lp * G * G
-    Gpp = Lpp * G * G + 2.0 * Lp * Lp * G**3
-    Gppp = Lppp * G * G + 6.0 * Lp * Lpp * G**3 + 6.0 * Lp**3 * G**4
-    L0 = delay_lst(obs.initial, eta)
-    L0p, L0pp, L0ppp = _delay_lst_derivs(obs.initial, eta, 3)
-    H1 = L0p * G + L0 * Gp
-    H2 = L0pp * G + 2.0 * L0p * Gp + L0 * Gpp
-    H3 = L0ppp * G + 3.0 * L0pp * Gp + 3.0 * L0p * Gpp + L0 * Gppp
-    return -(H1 + H2 * d / 2.0 + H3 * d * d / 6.0)
+    lo, hi = resolvent(eta), resolvent(eta + d)
+    return (
+        delay_lst(obs.initial, eta) * lo * hi * lst_divided_diff(obs.recurring, eta, d)
+        + lst_divided_diff(obs.initial, eta, d) * hi
+    )
 
 
 # ---------------------------------------------------------------------------

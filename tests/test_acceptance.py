@@ -211,7 +211,7 @@ def test_criterion_8_damping_operator_round_trips_exactly():
         G = rng.uniform(0.05, 0.9) * np.exp(2j * np.pi * rng.uniform())
         k = int(rng.integers(0, 25))
         direct = d_inverse_double_geometric(complex(F), complex(G), k)
-        extracted = d_inverse(series_from_rational([1.0], [complex(F), complex(G)], k + 1), k)
+        extracted = d_inverse(series_from_rational([1.0], np.poly([complex(F), complex(G)]), k + 1), k)
         worst = max(worst, abs(direct - extracted) / max(abs(extracted), 1e-30))
 
     passed = exact and worst <= 1e-13

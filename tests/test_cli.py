@@ -376,6 +376,15 @@ class TestFailureExitCodes:
         assert code == 4
         assert "divergence" in err
 
+    def test_degenerate_marks_map_to_4(self, capsys, tmp_path):
+        # all marks are zero, so the level never crosses and G1 diverges
+        model = {**SPECIAL_MODEL, "marks": {"pmf": [1.0]}}
+        cfg = _config(tmp_path, model=model, args={"theta": 1.0})
+        code, out, err = _run(capsys, ["functional", "--config", cfg])
+        assert code == 4
+        assert out == ""
+        assert "divergence" in err
+
     def test_runaway_simulation_maps_to_4(self, capsys, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
             raise RunawaySimulationError("epoch cap exceeded")

@@ -3,7 +3,7 @@ and the marginal LSTs of the straddling inspection epochs.
 
 Oracles: a from-scratch re-implementation of the block formulas, hand
 renewal computations for threshold 0, the closed-form special model, and
-path simulation.  The exact rational path and the circle-sampling path
+path simulation.  The exact series route and the circle-sampling route
 are also played against each other; they share no coefficient code.
 """
 
@@ -24,13 +24,14 @@ from crosswatch.fluctuation import (
 from crosswatch.model import (
     DegenerateZero,
     Exponential,
+    GeneralDiscrete,
     GeneralNonneg,
     Geometric,
     ObservationLaw,
     ProcessModel,
     TransformArgs,
 )
-from crosswatch.montecarlo import _crossing_sample
+from crosswatch.montecarlo import _crossing_sample, estimate_functional
 from crosswatch.series import d_inverse
 
 
@@ -56,6 +57,15 @@ def _std_opaque(threshold=3):
         rate=1.0,
         marks=Geometric(0.5),
         observation=ObservationLaw(DegenerateZero(), _wrapped_exp(1.0)),
+        threshold=threshold,
+    )
+
+
+def _pmf(pmf=(0.0, 0.5, 0.3, 0.2), threshold=3, initial=None, recurring=None):
+    return ProcessModel(
+        rate=1.0,
+        marks=GeneralDiscrete(pmf),
+        observation=ObservationLaw(initial or DegenerateZero(), recurring or Exponential(1.0)),
         threshold=threshold,
     )
 
@@ -265,14 +275,13 @@ class TestMarginalLsts:
 
 class TestSeriesOrder:
     def test_exact_path_truncation_is_exact(self):
-        model = _std()
         args = TransformArgs(theta=0.9, u=0.95, v=0.55, w=0.05, x=0.1, y=0.8)
-        lo = fl._series_g1_exact(model, args, model.threshold)
-        hi = fl._series_g1_exact(model, args, model.threshold + 5)
-        assert abs(d_inverse(lo, model.threshold) - d_inverse(hi, model.threshold)) < 1e-12
-        lo2 = fl._series_g2_exact(model, args, model.threshold)
-        hi2 = fl._series_g2_exact(model, args, model.threshold + 5)
-        assert abs(d_inverse(lo2, model.threshold) - d_inverse(hi2, model.threshold)) < 1e-12
+        for model in (_std(), _pmf()):
+            m = model.threshold
+            for which in ("g1", "g2"):
+                lo = fl._crossing_series(model, args, which, m)
+                hi = fl._crossing_series(model, args, which, m + 5)
+                assert abs(d_inverse(lo, m) - d_inverse(hi, m)) < 1e-12
 
     def test_sampling_path_truncation_is_exact(self):
         model = _std()
@@ -281,3 +290,61 @@ class TestSeriesOrder:
         lo = fl._coeffs_by_sampling(f, model.threshold)
         hi = fl._coeffs_by_sampling(f, model.threshold + 5)
         assert abs(d_inverse(lo, model.threshold) - d_inverse(hi, model.threshold)) < 1e-12
+
+
+class TestExactSeriesEngine:
+    """The exact series route at large thresholds, on finite-pmf marks and at theta = 0."""
+
+    def test_matches_special_model_at_large_thresholds(self):
+        for m in (100, 300, 1000):
+            model = _std(threshold=m)
+            special = SpecialModel(1.0, 0.5, 1.0, m)
+            for theta in (0.5 / m, 2.0 / m, 0.5):
+                for v in (1.0, 1.0 - 1.0 / (m + 1)):
+                    got = g1_star(model, TransformArgs(theta=theta, v=v))
+                    want = g1_star_special(special, theta, v)
+                    assert abs(got - want) / abs(want) < 1e-10, (m, theta, v)
+
+    def test_truncated_geometric_pmf_reproduces_geometric_marks(self):
+        # 80 terms of the geometric(1/2) law miss a mass of 2**-80
+        pmf = np.zeros(81)
+        pmf[1:] = 0.5 ** np.arange(1, 81)
+        for m in (60, 300):
+            geometric = _std(threshold=m)
+            truncated = _pmf(pmf / pmf.sum(), threshold=m)
+            for args in (
+                TransformArgs(theta=1.0 / m, u=0.99, v=0.995, w=0.001, x=0.2),
+                TransformArgs(theta=0.3 / m, v=1.0 - 1.0 / (m + 1), y=0.9),
+            ):
+                for f in (g1_star, g2_star):
+                    want = f(geometric, args)
+                    assert abs(f(truncated, args) - want) / abs(want) < 1e-10, (m, f.__name__)
+
+    def test_undamped_tagged_window_matches_simulation(self):
+        model = _std(threshold=50)
+        args = TransformArgs(theta=0.0, y=0.9)
+        for which, f in (("G1", g1_star), ("G2", g2_star)):
+            est = estimate_functional(model, args, which, n_paths=20_000, seed=3)
+            assert abs(f(model, args).real - est.mean) < 5 * est.std_error, which
+
+    def test_exp_initial_pmf_matches_sampling_route(self):
+        marks = [0.0, 0.5, 0.3, 0.2]
+        exact = _pmf(marks, initial=Exponential(2.0))
+        opaque = _pmf(marks, initial=_wrapped_exp(2.0), recurring=_wrapped_exp(1.0))
+        for args in (
+            TransformArgs(theta=0.9, u=0.95, v=0.55, w=0.05, x=0.1, y=0.8),
+            TransformArgs(theta=0.5),
+        ):
+            for f in (g1_star, g2_star):
+                e, s = f(exact, args), f(opaque, args)
+                assert abs(e - s) <= 1e-12 * max(abs(e), 1.0), f.__name__
+
+    def test_pmf_crossing_lst_is_real_and_in_unit_interval(self):
+        value = lst_tau_cross(_pmf(threshold=60), 1.0)
+        assert value.imag == 0.0
+        assert 0.0 < value.real <= 1.0
+
+    def test_degenerate_marks_diverge(self):
+        # all marks are zero, so the level never moves and the window is unbounded
+        with pytest.raises(DivergenceError):
+            g1_star(_pmf([1.0]), TransformArgs(theta=1.0))

@@ -21,10 +21,14 @@ from crosswatch.series import (
 
 
 def _division_oracle(numer, roots, order):
-    """c_k = (n_k - sum_j d_j c_{k-j}) / d_0 against the full denominator."""
     denom = np.array([1.0 + 0.0j])
     for F in roots:
         denom = np.convolve(denom, np.array([1.0, -complex(F)]))
+    return _division_oracle_denom(numer, denom, order)
+
+
+def _division_oracle_denom(numer, denom, order):
+    """c_k = (n_k - sum_j d_j c_{k-j}) / d_0 against the full denominator."""
     n = np.zeros(order + 1, dtype=complex)
     src = np.asarray(numer, dtype=complex)
     n[: min(src.size, order + 1)] = src[: order + 1]
@@ -97,7 +101,7 @@ class TestTruncatedSeries:
 class TestSeriesFromRational:
     def test_single_root_is_geometric(self):
         for F in (0.5, -0.25, 0.3 + 0.2j):
-            ts = series_from_rational([1.0], [F], 3)
+            ts = series_from_rational([1.0], np.poly([F]), 3)
             expected = np.array([1, F, F**2, F**3], dtype=complex)
             assert np.allclose(ts.coeffs, expected, rtol=0, atol=1e-15)
 
@@ -105,21 +109,40 @@ class TestSeriesFromRational:
         rng = np.random.default_rng(7)
         for _ in range(100):
             b, c = rng.uniform(-1, 1, size=2)
-            ts = series_from_rational([1.0, -b], [c], 2)
+            ts = series_from_rational([1.0, -b], np.poly([c]), 2)
             expected = np.array([1.0, c - b, c * (c - b)], dtype=complex)
             assert np.allclose(ts.coeffs, expected, rtol=0, atol=1e-14)
 
     def test_no_roots_is_the_numerator(self):
-        ts = series_from_rational([1.0], [], 2)
+        ts = series_from_rational([1.0], [1.0], 2)
         assert np.array_equal(ts.coeffs, np.array([1, 0, 0], dtype=complex))
 
     def test_numerator_longer_than_order(self):
-        ts = series_from_rational([1.0, 2.0, 3.0, 4.0], [], 1)
+        ts = series_from_rational([1.0, 2.0, 3.0, 4.0], [1.0], 1)
         assert np.array_equal(ts.coeffs, np.array([1, 2], dtype=complex))
 
     def test_negative_order_rejected(self):
         with pytest.raises(DomainError):
-            series_from_rational([1.0], [0.5], -1)
+            series_from_rational([1.0], [1.0, -0.5], -1)
+
+    def test_denominator_without_constant_term_rejected(self):
+        for denom in ([0.0, 1.0], [], [0.0]):
+            with pytest.raises(DomainError):
+                series_from_rational([1.0], denom, 3)
+
+    def test_sparse_long_denominator_against_long_division(self):
+        # the recurrence runs over the nonzero lags only
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            denom = np.zeros(int(rng.integers(3, 9)), dtype=complex)
+            denom[0] = 1.0
+            lags = rng.choice(np.arange(1, denom.size), size=2, replace=False)
+            denom[lags] = 0.3 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+            numer = rng.standard_normal(3)
+            order = int(rng.integers(0, 20))
+            got = series_from_rational(numer, denom, order).coeffs
+            want = _division_oracle_denom(numer, denom, order)
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
 
     def test_against_long_division(self):
         rng = np.random.default_rng(11)
@@ -129,7 +152,7 @@ class TestSeriesFromRational:
             n_roots = int(rng.integers(0, 4))
             roots = rng.uniform(-0.9, 0.9, n_roots) + 1j * rng.uniform(-0.9, 0.9, n_roots)
             order = int(rng.integers(0, 12))
-            got = series_from_rational(numer, roots, order).coeffs
+            got = series_from_rational(numer, np.poly(roots), order).coeffs
             want = _division_oracle(numer, roots, order)
             assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
 
@@ -168,7 +191,7 @@ class TestDInverse:
     def test_geometric_partial_sum(self):
         F = 0.65
         m = 4
-        ts = series_from_rational([1.0], [F], m - 1)
+        ts = series_from_rational([1.0], np.poly([F]), m - 1)
         want = sum(F**j for j in range(m))
         assert abs(d_inverse(ts, m - 1) - want) < 1e-14
 
@@ -234,6 +257,6 @@ class TestDoubleGeometric:
             G = rng.uniform(-0.95, 0.95) + 1j * rng.uniform(-0.5, 0.5)
             k = int(rng.integers(0, 21))
             closed = d_inverse_double_geometric(F, G, k)
-            series = d_inverse(series_from_rational([1.0], [F, G], k), k)
+            series = d_inverse(series_from_rational([1.0], np.poly([F, G]), k), k)
             scale = max(abs(series), 1.0)
             assert abs(closed - series) / scale < 1e-13

@@ -7,6 +7,7 @@ with scipy; the module under test never touches a quadrature routine.
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from crosswatch.transforms import (
     f2_star,
     gamma,
     gamma_is_contractive,
+    lst_divided_diff,
     phi,
     psi,
 )
@@ -246,6 +248,20 @@ class TestWindowFunctionals:
             vals[i] = np.mean(head * mid * tail * live) * math.exp(-0.9 * t)
         mc = np.trapezoid(vals, grid)
         assert abs(mc - exact.real) / abs(exact.real) < 0.02
+
+
+class TestLstDividedDiff:
+    def test_exponential_matches_exact_rational_arithmetic(self):
+        # just above the Taylor-branch switch, where a direct difference quotient cancels
+        for rate, zeta in ((1.0, 0.3), (2.5, 1.7), (0.5, 0.0), (1.0, 4.0)):
+            d = 1.01e-6 * (1.0 + zeta)
+            r, z, dd = Fraction(rate), Fraction(zeta), Fraction(d)
+            want = float((r / (r + z) - r / (r + z + dd)) / dd)
+            got = lst_divided_diff(Exponential(rate), zeta, d)
+            assert abs(got - want) <= 1e-14 * want, (rate, zeta)
+
+    def test_zero_gap_has_no_difference(self):
+        assert lst_divided_diff(DegenerateZero(), 0.4, 1e-3) == 0
 
 
 def _compound(rng, model, lengths):

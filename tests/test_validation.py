@@ -13,6 +13,7 @@ from crosswatch.model import (
     DegenerateZero,
     Exponential,
     GeneralDiscrete,
+    Geometric,
     ObservationLaw,
     ProcessModel,
 )
@@ -160,7 +161,6 @@ class TestGeneralModel:
         assert report["coverage"]["missing"] == []
 
     def test_finite_pmf_model_passes_with_full_coverage(self):
-        # no rational series path here, so blocks_at is covered pointwise only
         model = ProcessModel(
             rate=1.0,
             marks=GeneralDiscrete([0.0, 0.5, 0.3, 0.2]),
@@ -170,6 +170,24 @@ class TestGeneralModel:
         report = run_battery(model, seed=0, n_paths=20_000)
         assert report["coverage"]["missing"] == []
         assert report["all_passed"] is True
+
+
+class TestSeriesPathCheck:
+    @pytest.mark.parametrize(
+        "marks, threshold",
+        [(Geometric(0.5), 50), (GeneralDiscrete([0.0, 0.5, 0.3, 0.2]), 60)],
+    )
+    def test_passes_beyond_the_sampling_floor(self, marks, threshold):
+        model = ProcessModel(
+            rate=1.0,
+            marks=marks,
+            observation=ObservationLaw(initial=DegenerateZero(), recurring=Exponential(1.0)),
+            threshold=threshold,
+        )
+        ctx = validation._Context(model=model, special=None, seed=0, n_paths=1_000)
+        result = validation._check_series_paths(ctx)
+        assert result.passed, result.observed
+        assert result.covers == ("fluctuation.blocks_at", "fluctuation.g1_star", "fluctuation.g2_star")
 
 
 class TestRegistry:
