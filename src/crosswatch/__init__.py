@@ -44,7 +44,7 @@ from .fluctuation import (
     lst_tau_cross,
     lst_tau_pre,
 )
-from .laplace import InversionConfig, invert, survival_curve
+from .laplace import invert, survival_curve
 from .model import (
     DegenerateZero,
     Exponential,
@@ -107,7 +107,6 @@ __all__ = [
     "GeneralDiscrete",
     "GeneralNonneg",
     "Geometric",
-    "InversionConfig",
     "InversionError",
     "JointDistTable",
     "JointEstimate",

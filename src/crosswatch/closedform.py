@@ -207,7 +207,7 @@ def g1_star_special(model: SpecialModel, theta: complex, v: complex) -> complex:
     v = complex(v)
     # Rational in theta with poles on the negative real axis, so the only
     # genuine requirement is the contraction region: Re theta > 0 or |v| < 1.
-    # Complex theta left of the axis is fine (Talbot contours live there).
+    # Complex theta left of the axis is fine.
     if theta.real <= 0.0 and abs(v) >= 1.0 - 1e-12:
         raise DivergenceError("need Re theta > 0 or |v| < 1 for the window integral")
     if abs(theta) < 1e-7:

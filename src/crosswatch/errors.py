@@ -33,7 +33,7 @@ class SeriesOrderError(CrosswatchError, ValueError):
 
 
 class InversionError(CrosswatchError, ArithmeticError):
-    """Numerical Laplace inversion failed its self-consistency check."""
+    """Numerical Laplace inversion missed its error tolerance or returned a non-finite value."""
 
 
 class TableInvariantError(CrosswatchError, AssertionError):

@@ -1,164 +1,65 @@
-"""Numerical inversion of Laplace transforms of smooth time laws.
+"""Numerical inversion of Laplace transforms of time laws.
 
-Two classical algorithms, used for cross-validating transform-domain
-formulas against time-domain ones and for turning LSTs into survival
-curves:
+One algorithm, the Euler-summed Bromwich trapezoid sum of Abate & Whitt,
+"Numerical inversion of Laplace transforms of probability distributions"
+(ORSA J. Comput. 1995).  The trapezoid rule on the Bromwich line
+Re theta = A/2t gives the alternating series
 
-* Gaver-Stehfest: real abscissas only, excellent for the smooth
-  originals this package produces, but with a hard double-precision
-  term-count ceiling;
-* fixed Talbot: deformed-contour sum needing complex evaluations, used
-  as the fallback when Gaver-Stehfest disagrees with itself across term
-  counts (the standard self-consistency accuracy heuristic).
+    f(t) ~ e^{A/2}/t * [F(A/2t)/2 + sum_{k>=1} (-1)^k Re F((A + 2 pi i k)/2t)]
 
-Both methods are exactly covariant under time rescaling; the
-``abscissa_scale`` knob declares that the transform's time unit differs
-from the caller's grid by that factor.
+with discretisation error near e^{-A} for originals bounded by 1.  Every
+abscissa has a positive real part, so the LSTs of this package accept
+every call.  The binomial (Euler) average of the partial sums n..n+m sums
+the tail; the same average one term later is the error estimate.  A value
+whose estimate exceeds the tolerance, or that is not finite, raises
+``InversionError`` rather than being returned: a jump of the original
+inside (0, 2t) stalls the sum and raises.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CrosswatchError, DomainError, InversionError
+from .errors import DomainError, InversionError
 
-__all__ = ["InversionConfig", "invert", "survival_curve"]
+__all__ = ["invert", "survival_curve"]
 
-_METHODS = ("auto", "gaver-stehfest", "talbot")
-# Relative disagreement across term counts that triggers the Talbot
-# fallback.  Gaver-Stehfest true error can sit near an order of
-# magnitude under the spread, so this stays well below the 1e-6
-# accuracy the smooth-transform round trips are held to.
-_SELF_CHECK_TOL = 1e-6
+# The discretisation error is about e^{-A} f(3t): A = 18.4 (the 1995
+# value) leaves 9e-6 on the original t^2 at t = 10, A = 25 leaves 1e-8
+# at an e^{A/2} ~ 3e5 roundoff gain.  n + m + 2 = 38 evaluations per point.
+_A, _N, _M = 25.0, 25, 11
+_EULER = np.array([math.comb(_M, j) for j in range(_M + 1)]) / 2.0**_M
+_SIGNS = (-1.0) ** np.arange(_N + _M + 2)
+# Error-estimate gate, absolute below 1 and relative above.
+_TOL = 1e-6
 # LST argument standing in for +infinity when extracting the atom at 0.
 _ATOM_ABSCISSA = 1e12
 
 
-@dataclass(frozen=True)
-class InversionConfig:
-    """Inversion method selection and its accuracy/window knobs.
+def invert(transform: Callable, t: float) -> float:
+    """Value at time t > 0 of the original of ``transform``.
 
-    ``terms`` must be even and within [8, 18]: fewer loses accuracy,
-    more explodes in double precision (the weights grow like 10^(0.9n)).
+    Raises ``InversionError`` when the Euler error estimate exceeds
+    1e-6 * max(1, |value|) or the value is not finite.
     """
-
-    method: str = "auto"
-    terms: int = 14
-    nodes: int = 32
-    t_min: float = 0.0
-    t_max: float = math.inf
-    abscissa_scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.method not in _METHODS:
-            raise DomainError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if isinstance(self.terms, bool) or not isinstance(self.terms, (int, np.integer)):
-            raise DomainError(f"terms must be an integer, got {self.terms!r}")
-        if self.terms % 2 != 0 or not (8 <= self.terms <= 18):
-            raise DomainError(f"terms must be even and within [8, 18], got {self.terms}")
-        if isinstance(self.nodes, bool) or not isinstance(self.nodes, (int, np.integer)):
-            raise DomainError(f"nodes must be an integer, got {self.nodes!r}")
-        if self.nodes < 8:
-            raise DomainError(f"nodes must be at least 8, got {self.nodes}")
-        if not (self.t_min >= 0.0 and self.t_max > self.t_min):
-            raise DomainError("need 0 <= t_min < t_max")
-        if not (math.isfinite(self.abscissa_scale) and self.abscissa_scale > 0.0):
-            raise DomainError(f"abscissa scale must be positive, got {self.abscissa_scale}")
-
-
-@lru_cache(maxsize=None)
-def _stehfest_weights(terms: int) -> tuple[float, ...]:
-    """Weights zeta_k, exact integer arithmetic until the final division."""
-    half = terms // 2
-    weights = []
-    for k in range(1, terms + 1):
-        acc = 0
-        for j in range((k + 1) // 2, min(k, half) + 1):
-            acc += (
-                j ** (half + 1)
-                * math.comb(half, j)
-                * math.comb(2 * j, j)
-                * math.comb(j, k - j)
-            )
-        sign = -1 if (half + k) % 2 else 1
-        weights.append(sign * acc / math.factorial(half))
-    return tuple(weights)
-
-
-def _gaver_stehfest(transform: Callable, t: float, terms: int) -> float:
-    ln2_t = math.log(2.0) / t
-    total = 0.0
-    for k, weight in enumerate(_stehfest_weights(terms), start=1):
-        value = transform(k * ln2_t)
-        total += weight * float(np.real(value))
-    return ln2_t * total
-
-
-def _fixed_talbot(transform: Callable, t: float, nodes: int) -> float:
-    r = 2.0 * nodes / (5.0 * t)
-    total = 0.5 * complex(transform(complex(r, 0.0))).real * math.exp(r * t)
-    for k in range(1, nodes):
-        phi = k * math.pi / nodes
-        cot = math.cos(phi) / math.sin(phi)
-        s = r * phi * complex(cot, 1.0)
-        sigma = phi + (phi * cot - 1.0) * cot
-        total += (cmath.exp(t * s) * complex(transform(s)) * complex(1.0, sigma)).real
-    return (r / nodes) * total
-
-
-def invert(transform: Callable, t: float, config: InversionConfig | None = None) -> float:
-    """Value at time t of the original of ``transform``.
-
-    With method "auto", Gaver-Stehfest runs at three term counts; if the
-    results disagree beyond the relative self-check tolerance the
-    fixed-Talbot contour is tried, provided ``transform`` accepts the
-    complex arguments (otherwise the best Gaver-Stehfest estimate is
-    kept).  Non-finite Gaver-Stehfest output is an inversion failure.
-    """
-    config = config or InversionConfig()
     if not (math.isfinite(t) and t > 0.0):
         raise DomainError(f"inversion time must be positive and finite, got {t}")
-    if not (config.t_min <= t <= config.t_max):
-        raise DomainError(f"t={t} outside the configured window [{config.t_min}, {config.t_max}]")
-    t_eff = t * config.abscissa_scale
-
-    if config.method == "talbot":
-        value = _fixed_talbot(transform, t_eff, config.nodes)
-        if not math.isfinite(value):
-            raise InversionError(f"Talbot inversion returned a non-finite value at t={t}")
-        return value
-
-    counts = sorted({max(8, config.terms - 4), max(8, config.terms - 2), config.terms})
-    estimates = [_gaver_stehfest(transform, t_eff, n) for n in counts]
-    best = estimates[-1]
-    if not all(math.isfinite(e) for e in estimates):
-        raise InversionError(f"Gaver-Stehfest produced non-finite values at t={t}")
-    if config.method == "gaver-stehfest":
-        return best
-    spread = max(estimates) - min(estimates)
-    # Relative self-check: small originals carry the same digit loss.
-    if spread <= _SELF_CHECK_TOL * max(abs(best), 1e-300):
-        return best
-    try:
-        value = _fixed_talbot(transform, t_eff, config.nodes)
-    except (TypeError, ValueError, CrosswatchError):
-        # The Talbot contour dips into Re s < 0; an LST that rejects that
-        # has no fallback, so the best Gaver-Stehfest estimate stands.
-        return best
-    if not math.isfinite(value):
-        return best
+    terms = _SIGNS * [
+        complex(transform(complex(_A, 2.0 * math.pi * k) / (2.0 * t))).real for k in range(_SIGNS.size)
+    ]
+    terms[0] *= 0.5
+    partial = math.exp(0.5 * _A) / t * np.cumsum(terms)
+    value = float(_EULER @ partial[_N + 1 :])
+    error = abs(value - float(_EULER @ partial[_N : _N + _M + 1]))
+    if not (math.isfinite(value) and error <= _TOL * max(1.0, abs(value))):
+        raise InversionError(f"Euler inversion at t={t}: value {value}, error estimate {error:.2e}")
     return value
 
 
-def survival_curve(
-    lst: Callable, t_grid: Sequence[float] | np.ndarray, config: InversionConfig | None = None
-) -> np.ndarray:
+def survival_curve(lst: Callable, t_grid: Sequence[float] | np.ndarray) -> np.ndarray:
     """P{X > t} over a grid, from the LST of a nonnegative variable X.
 
     Inverts theta -> (1 - lst(theta)) / theta, which is the transform of
@@ -181,6 +82,6 @@ def survival_curve(
             atom = float(np.real(lst(_ATOM_ABSCISSA)))
             out[i] = min(1.0, max(0.0, 1.0 - atom))
         else:
-            value = invert(survival_transform, float(t), config)
+            value = invert(survival_transform, float(t))
             out[i] = min(1.0, max(0.0, value))
     return out

@@ -338,7 +338,9 @@ def _check_transform_chain(ctx: _Context) -> _CheckResult:
             args = TransformArgs(theta=theta, u=1.0, v=v, w=0.0, x=0.0, y=1.0)
             series_route = fluctuation.g1_star(ctx.model, args)
             closed_route = closedform.g1_star_special(ctx.special, theta, v)
-            worst = max(worst, abs(series_route - closed_route) / abs(closed_route))
+            # the exact series holds 1e-12 relative where the closed form,
+            # cancelling terms of order one, can round a tiny value to 0
+            worst = max(worst, abs(series_route - closed_route) / abs(series_route))
     return _CheckResult("transform-chain-agreement", worst <= 1e-8, worst, 1e-8, covers,
                         "series-extraction route vs rational closed form")
 
@@ -365,13 +367,12 @@ def _check_partition(ctx: _Context) -> _CheckResult:
 def _check_inversion_pairs(ctx: _Context) -> _CheckResult:
     covers = ("laplace.invert",)
     del ctx
-    from scipy.special import gammainc
-
     pairs = [
         (lambda q: 1.0 / (q + 1.0), lambda t: math.exp(-t)),
         (lambda q: 1.0 / q**2, lambda t: t),
         (lambda q: 1.0 / (q + 0.5) ** 2, lambda t: t * math.exp(-0.5 * t)),
-        (lambda q: (2.0 / (q + 2.0)) ** 3 / q, lambda t: float(gammainc(3, 2.0 * t))),
+        # Erlang(3, 2) CDF
+        (lambda q: (2.0 / (q + 2.0)) ** 3 / q, lambda t: 1.0 - math.exp(-2.0 * t) * (1.0 + 2.0 * t + 2.0 * t * t)),
         (lambda q: q / (q + 1.0) ** 2, lambda t: (1.0 - t) * math.exp(-t)),
     ]
     worst = 0.0

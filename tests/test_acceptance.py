@@ -248,3 +248,22 @@ def test_criterion_9_perturbed_battery_fails_with_named_check(tmp_path):
         f"exit code {proc.returncode} == 1, failing check named on stderr = {named}",
     )
     assert passed, (proc.returncode, proc.stderr)
+
+
+def test_criterion_10_inverted_survival_matches_exact_law_at_large_thresholds():
+    worst = 0.0
+    for m in (50, 300):
+        special = closedform.SpecialModel(lam=1.0, a=0.5, mu=1.0, m=m)
+        model = special.to_process_model()
+        mean = fluctuation.g_star(model, TransformArgs(theta=0.0)).real  # E[tau_cross]
+        grid = np.linspace(0.05, 1.8 * mean, 15)
+        inverted = laplace.survival_curve(lambda q: fluctuation.lst_tau_pre(model, q), grid)
+        exact = np.array([closedform.ev_v_anu_before(special, 1.0, t).real for t in grid])
+        worst = max(worst, float(np.max(np.abs(inverted - exact))))
+    passed = worst <= 1e-6
+    record_criterion(
+        10, passed,
+        f"P{{tau_pre > t}} at M in {{50, 300}}, 15 points each, worst |inverted - exact| = "
+        f"{worst:.2e} <= 1e-6",
+    )
+    assert passed, worst

@@ -28,7 +28,7 @@ from crosswatch.closedform import (
 )
 from crosswatch.errors import DivergenceError, DomainError, TableInvariantError
 from crosswatch.fluctuation import lst_tau_pre
-from crosswatch.laplace import InversionConfig, invert
+from crosswatch.laplace import invert
 from crosswatch.model import GeneralDiscrete, ObservationLaw, ProcessModel
 from crosswatch.montecarlo import _crossing_sample
 
@@ -172,7 +172,7 @@ class TestDampingCoeffs:
             return total
 
         got = coeff_h(2, 1.0, m)
-        inv = invert(h_transform, 1.0, InversionConfig())
+        inv = invert(h_transform, 1.0)
         assert abs(got - inv) / abs(got) < 1e-8
 
     def test_index_validation(self, std_special):
@@ -237,9 +237,7 @@ class TestTimeDomainExpectation:
         for v in (0.3, 0.9):
             for t in (0.5, 2.0):
                 direct = ev_v_anu_before(std_special, v, t).real
-                inverted = invert(
-                    lambda s, v=v: g1_star_special(std_special, s, v), t, InversionConfig()
-                )
+                inverted = invert(lambda s, v=v: g1_star_special(std_special, s, v), t)
                 assert abs(inverted - direct) / max(abs(direct), 1e-12) < 1e-6
 
     def test_matches_level_sum(self, std_special):

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import importlib
 import json
+import math
 
 import pytest
 
 from crosswatch import validation
+from crosswatch.closedform import SpecialModel
 from crosswatch.errors import DomainError
 from crosswatch.model import (
     DegenerateZero,
@@ -219,3 +221,13 @@ class TestInputValidation:
 
     def test_validation_module_exports(self):
         assert hasattr(validation, "run_battery")
+
+
+class TestTransformChainCheck:
+    def test_closed_form_zero_gives_a_finite_observation(self):
+        # at M = 50, theta = 0.5, v = 0.3 the closed form rounds a value
+        # near 1e-27 to exactly 0; the check must report, not divide by it
+        special = SpecialModel(lam=1.0, a=0.5, mu=1.0, m=50)
+        ctx = validation._Context(model=special.to_process_model(), special=special, seed=0, n_paths=1_000)
+        result = validation._check_transform_chain(ctx)
+        assert math.isfinite(result.observed)
