@@ -38,8 +38,9 @@ print("coverage missing:", report["coverage"]["missing"])
 
 # ---------------------------------------------------------------
 # A negative control: nudge the composite ratio c by 1e-3 and the
-# transform-vs-time-domain comparison trips immediately.  A battery
-# that cannot fail validates nothing.
+# checks that hold the time-domain formula against an independent route
+# (the inverted transform, the factorised joint table) trip immediately.
+# A battery that cannot fail validates nothing.
 
 perturbed = run_battery(model, seed=0, c_shift=1e-3, n_paths=50_000)
 print("\nwith c shifted by 1e-3:")

@@ -21,7 +21,6 @@ from .closedform import (
     f_of,
     g1_star_special,
     joint_dist,
-    r_coeff,
     reg_gamma_p,
 )
 from .errors import (
@@ -156,7 +155,6 @@ __all__ = [
     "obs_lst",
     "phi",
     "psi",
-    "r_coeff",
     "reg_gamma_p",
     "resolvent_divided_diff",
     "run_battery",

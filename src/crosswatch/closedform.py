@@ -3,31 +3,40 @@
 Marks are geometric on {1, 2, ...} with success parameter a, inspections
 happen on an exponential clock of rate mu, and the initial inspection is
 at time 0 with a zero start level.  For this family everything reduces
-to rational functions and regularized gamma tails:
+to rational functions and Poisson/binomial tails:
 
 * :func:`g1_star_special` -- the pre-crossing window transform in closed
   form (no series extraction, no numerical inversion);
 * :func:`ev_v_anu_before` -- its exact inverse transform, a PGF of the
-  crossing level restricted to {t < tau_pre};
+  crossing level restricted to {t < tau_pre}, with every transform pole
+  turned into a gamma-tail coefficient G_j or H_j;
 * :func:`joint_dist` / :func:`dist_table` -- the joint law
-  P{A_nu = r, tau_pre > t} read off coefficient by coefficient.
+  P{A_nu = r, tau_pre > t}, which factorises.
 
-The three layers are derived from one another, so they cross-validate:
-numerically inverting the first must give the second, and summing
-v^r-weighted values of the third must give the second back.  ``dist_table``
-enforces the structural invariants (support, monotonicity, bounds) and
-refuses to emit a table that violates them.
+Why it factorises: marks are memoryless and gaps exponential, so the
+overshoot A_nu - M is geometric with ratio c whatever came before, and
+P{A_nu = r, tau_pre > t} = P{A_nu = r} * S(t), S(t) = P{tau_pre > t}.
+tau_pre > t exactly when the first look after t still sees A <= M, and n
+marks sum to at most M exactly when M Bernoulli(a) trials hold >= n successes:
+
+    S(t) = sum_{n <= M} P{N(t) = n} * w_n,   w_n = P{n + N(E) <= Bin(M, a)},
+
+with N(t) ~ Poisson(lam t) and N(E) the geometric(lam/(lam + mu)) count in
+an Exp(mu) gap.  Every term is positive, so S(t) stays accurate when tiny.
+
+The layers are derived independently, so they cross-validate: inverting
+the first must give the second, and so must the v^r-weighted sum of the
+third.  ``dist_table`` refuses to emit a table that breaks its structural
+invariants (support, monotonicity, bounds).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.special import gammainc
-from scipy.stats import binom
 
 from .errors import DivergenceError, DomainError, TableInvariantError
 from .model import (
@@ -49,7 +58,6 @@ __all__ = [
     "coeff_g",
     "coeff_h",
     "ev_v_anu_before",
-    "r_coeff",
     "joint_dist",
     "dist_table",
     "crossing_level_pmf",
@@ -62,10 +70,11 @@ _CLAMP_TOL = 1e-9
 class SpecialModel:
     """Geometric marks, exponential inspections, zero start.
 
-    ``c_override`` replaces the derived composite ratio c everywhere in
-    the time-domain formulas (the transform-domain ones rebuild their
-    factors from lam, a, mu directly).  It exists purely as a negative
-    control: a consistency battery must notice a perturbed c.
+    ``c_override`` replaces the derived composite ratio c in the G_j/H_j
+    time-domain formula and the crossing-level pmf (the transform-domain
+    formulas and S(t) build their factors from lam, a, mu directly).  It
+    exists purely as a negative control: a consistency battery must
+    notice a perturbed c.
     """
 
     lam: float
@@ -133,10 +142,50 @@ def f_of(x: complex, v: complex, model: SpecialModel) -> complex:
     return (model.b * x + model.lam) * complex(v) / (x + model.lam)
 
 
+def _from_mode(ratio: np.ndarray, mode: int) -> np.ndarray:
+    """Unnormalised pmf p_n / p_mode from the ratios p_{n+1} / p_n, walked out from the mode."""
+    u = np.ones(ratio.size + 1)
+    u[mode + 1 :] = np.cumprod(ratio[mode:])
+    u[:mode] = np.cumprod(1.0 / ratio[:mode][::-1])[::-1]
+    return u
+
+
+def _tails(u: np.ndarray) -> np.ndarray:
+    """P{X >= k} from an unnormalised pmf, summed from the top (never 1 - P{X < k})."""
+    top = np.cumsum(u[::-1])[::-1]
+    return top / top[0]
+
+
+def _poisson_pmf(x: float, n_max: int) -> np.ndarray | None:
+    """Unnormalised Poisson(x) pmf on 0..hi, hi >= n_max + spread.
+
+    Past hi the terms fall below e^-800 of the largest one on 0..hi
+    (Chernoff bounds); None when that holds for every n <= n_max.
+    """
+    spread = 40.0 * math.sqrt(x) + 50.0
+    if n_max < x - spread:
+        return None
+    return _from_mode(x / np.arange(1.0, math.floor(max(n_max, x) + spread) + 1), int(x))
+
+
+def _poisson_tails(x: float, kmax: int) -> np.ndarray:
+    """P{Poisson(x) >= k} for k = 0..kmax."""
+    u = _poisson_pmf(x, kmax)
+    return np.ones(kmax + 1) if u is None else _tails(u)[: kmax + 1]
+
+
+def _binom_tails(m: int, a: float) -> np.ndarray:
+    """P{Bin(m, a) >= n} for n = 0..m."""
+    if a == 1.0:
+        return np.ones(m + 1)
+    n = np.arange(m, dtype=float)
+    return _tails(_from_mode((m - n) / (n + 1.0) * (a / (1.0 - a)), min(m, int((m + 1) * a))))
+
+
 def reg_gamma_p(k: int, x: float) -> float:
     """Regularized lower gamma P(k, x) at integer order.
 
-    For k >= 1 this is the Erlang-k CDF, 1 - exp(-x) * sum_{m<k} x^m / m!.
+    For k >= 1 this is the Erlang-k CDF, P{Poisson(x) >= k}.
     k = 0 is the unit step: 1 for x > 0, 0 at x = 0.
     """
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
@@ -145,7 +194,7 @@ def reg_gamma_p(k: int, x: float) -> float:
         raise DomainError(f"argument must be nonnegative and finite, got {x}")
     if k == 0:
         return 1.0 if x > 0.0 else 0.0
-    return float(gammainc(k, x))
+    return float(_poisson_tails(float(x), int(k))[int(k)])
 
 
 def _gh_arrays(model: SpecialModel, t: float, jmax: int) -> tuple[np.ndarray, np.ndarray]:
@@ -158,19 +207,16 @@ def _gh_arrays(model: SpecialModel, t: float, jmax: int) -> tuple[np.ndarray, np
     if not (math.isfinite(t) and t >= 0.0):
         raise DomainError(f"time must be nonnegative and finite, got {t}")
     lam, mu, a, b = model.lam, model.mu, model.a, model.b
-    p = np.empty(jmax + 2)
-    p[0] = 1.0
-    if jmax + 1 >= 1:
-        p[1:] = gammainc(np.arange(1, jmax + 2), lam * t)
-    base = p[: jmax + 1] + (mu / lam) * p[1 : jmax + 2]
-    extra = a * p[1 : jmax + 2]
+    p = _poisson_tails(lam * t, jmax + 1)
+    base = p[: jmax + 1] + (mu / lam) * p[1:]
+    # G_j and H_j are Bin(j, a) mixtures of these rows: j steps of
+    # s_k <- b s_k + a s_{k+1} leave the mixture in s_0.
+    s = np.vstack([base, b * base + a * p[1:]])
     g = np.empty(jmax + 1)
     h = np.empty(jmax + 1)
     for j in range(jmax + 1):
-        k = np.arange(j + 1)
-        w = binom.pmf(k, j, a)
-        g[j] = float(w @ base[: j + 1])
-        h[j] = float(w @ (b * base[: j + 1] + extra[: j + 1]))
+        g[j], h[j] = s[0, 0], s[1, 0]
+        s = b * s[:, :-1] + a * s[:, 1:]
     return g, h
 
 
@@ -272,62 +318,26 @@ def ev_v_anu_before(model: SpecialModel, v: complex, t: float) -> complex:
     return t1 + t2 + t3 + t4
 
 
-def r_coeff(j: int, r: int, model: SpecialModel) -> float:
-    """Coefficient of v^r in v^j (1 - b v) / (1 - c v): the level-shift kernel."""
-    if j < 0 or r < 0:
-        raise DomainError("indices must be nonnegative")
-    if r < j:
-        return 0.0
-    if r == j:
-        return 1.0
-    c = model.c
-    return (c - model.b) * c ** (r - j - 1)
-
-
-def _step_sum(coeffs: np.ndarray, c: float, r: int, m: int) -> float:
-    """sum_{j=0}^{r} coeffs[j] * c^(r-j) when 0 <= r <= m, else 0."""
-    if r < 0 or r > m:
-        return 0.0
-    powers = c ** np.arange(r, -1, -1)
-    return float(powers @ coeffs[: r + 1])
+def _survival(model: SpecialModel, grid: np.ndarray) -> np.ndarray:
+    """S(t) = P{tau_pre > t} on the grid: the positive sum of the module doc."""
+    big_m, q = model.m, model.lam / (model.lam + model.mu)
+    w, acc, tails = np.empty(big_m + 1), 0.0, _binom_tails(big_m, model.a)
+    for n in range(big_m, -1, -1):
+        w[n] = acc = (1.0 - q) * tails[n] + q * acc
+    out = np.zeros(grid.size)
+    for i, t in enumerate(grid):
+        u = _poisson_pmf(model.lam * float(t), big_m)
+        if u is not None:
+            out[i] = (u[: big_m + 1] @ w) / u.sum()
+    return np.minimum(out, 1.0)  # rounding can exceed 1 when all of N(t)'s mass is <= M
 
 
 def joint_dist(model: SpecialModel, r: int, t: float) -> float:
     """P{A_nu = r, tau_pre > t}: exact joint law of crossing level and last calm look.
 
-    Coefficient extraction from :func:`ev_v_anu_before`; support is
-    r > threshold.  Cancellation residue in [-1e-9, 0) is clamped to 0.
+    P{A_nu = r} * P{tau_pre > t}, one cell of :func:`dist_table`; support r > threshold.
     """
-    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 0:
-        raise DomainError(f"level must be a nonnegative integer, got {r!r}")
-    r = int(r)
-    lam, mu, b, c, big_m = model.lam, model.mu, model.b, model.c, model.m
-    g, h = _gh_arrays(model, t, big_m)
-
-    term1 = (mu / lam) * (
-        r_coeff(big_m, r, model)
-        + (1.0 if r <= big_m - 1 else 0.0)
-        - b * (1.0 if 1 <= r <= big_m else 0.0)
-    )
-    term2 = -(mu / (mu + lam)) * (
-        g[0] * r_coeff(0, r, model)
-        + sum((g[j] - h[j - 1]) * r_coeff(j, r, model) for j in range(1, big_m + 1))
-    )
-    ones = np.ones(big_m + 1)
-    term3 = -(mu / lam) * (
-        _step_sum(ones, c, r, big_m)
-        - (b + c) * _step_sum(ones, c, r - 1, big_m - 1)
-        + b * c * _step_sum(ones, c, r - 2, big_m - 2)
-    )
-    term4 = (mu / (mu + lam)) * (
-        _step_sum(g, c, r, big_m)
-        - _step_sum(b * g + h, c, r - 1, big_m - 1)
-        + b * _step_sum(h, c, r - 2, big_m - 2)
-    )
-    value = term1 + term2 + term3 + term4
-    if -_CLAMP_TOL <= value < 0.0:
-        return 0.0
-    return value
+    return float(dist_table(model, [t], r).values[0, -1])
 
 
 def crossing_level_pmf(model: SpecialModel, r: int) -> float:
@@ -370,9 +380,9 @@ def dist_table(
 ) -> JointDistTable:
     """Tabulate :func:`joint_dist` and enforce its structural invariants.
 
-    An invariant violation means the closed form itself is wrong for
-    this model (a formula bug), so the offending cells are collected
-    and raised rather than returned.
+    One O(M) pass per time: the outer product of S(t) and the crossing-level pmf.
+    An invariant violation means the formula is wrong for this model (a
+    bug), so the offending cells are collected and raised, not returned.
     """
     grid = np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -385,28 +395,18 @@ def dist_table(
         raise DomainError(f"level bound must be a nonnegative integer, got {r_max!r}")
 
     r_range = np.arange(int(r_max) + 1)
-    values = np.empty((grid.size, r_range.size))
-    for i, t in enumerate(grid):
-        for k, r in enumerate(r_range):
-            values[i, k] = joint_dist(model, int(r), float(t))
+    values = np.outer(_survival(model, grid), [crossing_level_pmf(model, int(r)) for r in r_range])
 
-    bad: list[tuple[float, int, float]] = []
-    for i, t in enumerate(grid):
-        for k, r in enumerate(r_range):
-            val = values[i, k]
-            if not (-_CLAMP_TOL <= val <= 1.0 + _CLAMP_TOL):
-                bad.append((float(t), int(r), float(val)))
-            elif r <= model.m and abs(val) > _CLAMP_TOL:
-                bad.append((float(t), int(r), float(val)))
-    for k, r in enumerate(r_range):
-        col = values[:, k]
-        for i in range(1, grid.size):
-            if col[i] > col[i - 1] + _CLAMP_TOL:
-                bad.append((float(grid[i]), int(r), float(col[i])))
+    out_of_range = ~((values >= -_CLAMP_TOL) & (values <= 1.0 + _CLAMP_TOL))
+    off_support = (r_range <= model.m) & (np.abs(values) > _CLAMP_TOL)
+    rising = values[1:] > values[:-1] + _CLAMP_TOL
     row_sums = values.sum(axis=1)
-    for i, t in enumerate(grid):
-        if row_sums[i] > 1.0 + _CLAMP_TOL:
-            bad.append((float(t), -1, float(row_sums[i])))
+    bad = [(float(grid[i]), int(r_range[k]), float(values[i, k]))
+           for i, k in np.argwhere(out_of_range | off_support)]
+    bad += [(float(grid[i + 1]), int(r_range[k]), float(values[i + 1, k]))
+            for k, i in np.argwhere(rising.T)]
+    bad += [(float(grid[i]), -1, float(row_sums[i]))
+            for i in np.flatnonzero(row_sums > 1.0 + _CLAMP_TOL)]
     if bad:
         raise TableInvariantError(
             "joint distribution table violates structural invariants "

@@ -63,7 +63,6 @@ ANALYTIC_OPS = (
     "closedform.coeff_g",
     "closedform.coeff_h",
     "closedform.ev_v_anu_before",
-    "closedform.r_coeff",
     "closedform.joint_dist",
     "closedform.dist_table",
     "closedform.crossing_level_pmf",
@@ -406,7 +405,7 @@ def _check_time_domain_inversion(ctx: _Context) -> _CheckResult:
 
 
 def _check_pgf_extraction(ctx: _Context) -> _CheckResult:
-    covers = ("closedform.joint_dist", "closedform.r_coeff", "closedform.ev_v_anu_before")
+    covers = ("closedform.joint_dist", "closedform.ev_v_anu_before")
     if ctx.special is None:
         return _skip("pgf-extraction-consistency", covers, "needs the closed-form family")
     sp = ctx.special

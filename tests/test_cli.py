@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,7 +305,9 @@ class TestValidate:
         assert "time-domain-inversion-agreement" in err
         report = json.loads(out)
         assert report["all_passed"] is False
-        assert report["failed_checks"] == ["time-domain-inversion-agreement"]
+        assert report["failed_checks"] == [
+            "pgf-extraction-consistency", "time-domain-inversion-agreement"
+        ]
 
     def test_perturbation_config_key(self, capsys, tmp_path):
         cfg = _config(tmp_path, n_paths=10_000, perturb_c=1e-3)
@@ -394,3 +400,24 @@ class TestFailureExitCodes:
         code, _, err = _run(capsys, ["simulate", "--config", cfg])
         assert code == 4
         assert "divergence" in err
+
+
+class TestRuntimeDependencies:
+    def test_cli_import_loads_no_scipy(self):
+        # scipy would add about a second to every CLI start
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        probe = ("import sys, crosswatch.cli; "
+                 "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_scipy_is_only_a_test_dependency(self):
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+        names = lambda deps: {dep.split(">")[0].split("=")[0].strip() for dep in deps}
+        assert "scipy" not in names(project["project"]["dependencies"])
+        assert "scipy" in names(project["project"]["optional-dependencies"]["test"])

@@ -2,19 +2,25 @@
 pole factor, gamma-tail coefficients, the pre-crossing window transform
 and its exact time-domain inverse, and the tabulated joint law.
 
-The time-domain results are cross-checked three independent ways: hand
-renewal values, quadrature/inversion round trips, and path simulation.
+The time-domain results are cross-checked four independent ways: hand
+renewal values, quadrature/inversion round trips, path simulation, and
+high-precision (mpmath) or scipy evaluations of the same laws.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import gammainc
+from scipy.stats import binom
 
+from crosswatch import closedform
 from crosswatch.closedform import (
     JointDistTable,
     SpecialModel,
+    _gh_arrays,
     coeff_g,
     coeff_h,
     crossing_level_pmf,
@@ -23,14 +29,42 @@ from crosswatch.closedform import (
     f_of,
     g1_star_special,
     joint_dist,
-    r_coeff,
     reg_gamma_p,
 )
 from crosswatch.errors import DivergenceError, DomainError, TableInvariantError
-from crosswatch.fluctuation import lst_tau_pre
+from crosswatch.fluctuation import g_star, lst_tau_pre
 from crosswatch.laplace import invert
-from crosswatch.model import GeneralDiscrete, ObservationLaw, ProcessModel
+from crosswatch.model import (
+    MAX_THRESHOLD,
+    GeneralDiscrete,
+    ObservationLaw,
+    ProcessModel,
+    TransformArgs,
+)
 from crosswatch.montecarlo import _crossing_sample
+from crosswatch.validation import _check_pgf_extraction, _Context
+
+
+def _mean_crossing_time(model: SpecialModel) -> float:
+    return g_star(model.to_process_model(), TransformArgs(theta=0.0)).real
+
+
+def _mp_survival(model: SpecialModel, t: float):
+    """P{tau_pre > t} in 50-digit arithmetic, by the first-order filter form.
+
+    sum_{n<=M} P{Bin(M, a) >= n} y_n, where y_n = P{N(t + E) = n} obeys
+    y_n = (1 - q) P{N(t) = n} + q y_{n-1} with q = lam / (lam + mu).
+    """
+    with mpmath.workdps(50):
+        a, x = mpmath.mpf(model.a), mpmath.mpf(model.lam) * mpmath.mpf(t)
+        q = mpmath.mpf(model.lam) / (mpmath.mpf(model.lam) + mpmath.mpf(model.mu))
+        pmf = [mpmath.binomial(model.m, k) * a**k * (1 - a) ** (model.m - k) for k in range(model.m + 1)]
+        total, y, pois = mpmath.mpf(0), mpmath.mpf(0), mpmath.exp(-x)
+        for n in range(model.m + 1):
+            y = (1 - q) * pois + q * y
+            total += mpmath.fsum(pmf[n:]) * y
+            pois *= x / (n + 1)
+        return total
 
 
 class TestSpecialModel:
@@ -127,6 +161,20 @@ class TestRegGamma:
                 hand = 1.0 - math.exp(-x) * sum(x**m / math.factorial(m) for m in range(k))
                 assert abs(reg_gamma_p(k, x) - hand) < 1e-12
 
+    def test_matches_scipy_and_high_precision(self):
+        # absolute agreement with scipy everywhere; relative agreement is
+        # checked against 40-digit mpmath, because scipy's own gammainc is
+        # 1.5e-12 off in relative terms at k = 851, x = 500
+        ks = np.arange(1, 1001)
+        for x in (0.0, 1e-3, 0.5, 5.0, 50.0, 500.0, 2000.0):
+            got = np.array([reg_gamma_p(int(k), x) for k in ks])
+            assert np.max(np.abs(got - gammainc(ks, x))) <= 1e-15, x
+            with mpmath.workdps(40):
+                for k in ks[::7]:
+                    exact = mpmath.gammainc(int(k), 0, x, regularized=True)
+                    if exact >= 1e-290:
+                        assert abs(got[k - 1] - exact) <= 1e-12 * exact, (k, x)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             reg_gamma_p(-1, 1.0)
@@ -174,6 +222,18 @@ class TestDampingCoeffs:
         got = coeff_h(2, 1.0, m)
         inv = invert(h_transform, 1.0)
         assert abs(got - inv) / abs(got) < 1e-8
+
+    def test_arrays_match_scipy_binomial_mixtures(self):
+        for m in (3, 50, 300):
+            sp = SpecialModel(1.0, 0.5, 1.0, m)
+            for t in np.linspace(0.0, 3.0 * _mean_crossing_time(sp), 9):
+                p = np.concatenate([[1.0], gammainc(np.arange(1, m + 2), sp.lam * t)])
+                base = p[:-1] + (sp.mu / sp.lam) * p[1:]
+                other = sp.b * base + sp.a * p[1:]
+                weights = [binom.pmf(np.arange(j + 1), j, sp.a) for j in range(m + 1)]
+                g, h = _gh_arrays(sp, float(t), m)
+                assert np.max(np.abs(g - [w @ base[: w.size] for w in weights])) <= 1e-14
+                assert np.max(np.abs(h - [w @ other[: w.size] for w in weights])) <= 1e-14
 
     def test_index_validation(self, std_special):
         with pytest.raises(DomainError):
@@ -251,33 +311,6 @@ class TestTimeDomainExpectation:
     def test_rejects_pgf_argument_outside_disk(self, std_special):
         with pytest.raises(DomainError):
             ev_v_anu_before(std_special, 1.2, 1.0)
-
-
-class TestLevelShiftKernel:
-    def test_diagonal(self, std_special):
-        assert r_coeff(5, 5, std_special) == 1.0
-
-    def test_below_diagonal(self, std_special):
-        assert r_coeff(4, 2, std_special) == 0.0
-
-    def test_two_above(self, std_special):
-        assert abs(r_coeff(3, 5, std_special) - 0.1875) < 1e-15
-
-    def test_long_division_oracle(self, std_special):
-        # coefficients of v^j (1-bv)/(1-cv) by explicit expansion
-        b, c = std_special.b, std_special.c
-        coeffs = np.zeros(12)
-        coeffs[0] = 1.0
-        for k in range(1, 12):
-            coeffs[k] = c ** (k - 1) * (c - b)
-        j = 3
-        for r in range(12):
-            want = coeffs[r - j] if r >= j else 0.0
-            assert abs(r_coeff(j, r, std_special) - want) < 1e-14
-
-    def test_validation(self, std_special):
-        with pytest.raises(DomainError):
-            r_coeff(-1, 2, std_special)
 
 
 class TestJointDist:
@@ -368,9 +401,56 @@ class TestDistTable:
             dist_table(std_special, [0.0, 1.0], -1)
 
     def test_inconsistent_ratio_is_caught(self):
-        # a strongly perturbed composite ratio breaks the structural
-        # invariants, and the error names the offending cells
+        # the factorised table is a valid law for any ratio c, so a strongly
+        # perturbed c is caught by comparing it with the independent G_j/H_j
+        # route of ev_v_anu_before, as the battery does
         broken = SpecialModel(1.0, 0.5, 1.0, 3, c_override=0.95)
+        result = _check_pgf_extraction(
+            _Context(model=broken.to_process_model(), special=broken, seed=0, n_paths=1000)
+        )
+        assert not result.passed and result.observed > 1e3 * result.tolerance
+
+    def test_invariant_scan_names_offending_cells(self, std_special, monkeypatch):
+        # a survival row that rises in time must be refused cell by cell
+        monkeypatch.setattr(closedform, "_survival", lambda model, grid: np.array([0.5, 0.7, 0.2]))
         with pytest.raises(TableInvariantError) as exc:
-            dist_table(broken, [0.0, 0.5, 1.0, 2.0], 12)
-        assert len(exc.value.cells) > 0
+            dist_table(std_special, [0.0, 1.0, 2.0], 6)
+        assert [cell[:2] for cell in exc.value.cells] == [(1.0, r) for r in range(4, 7)]
+
+    def test_matches_high_precision_product_law(self):
+        # every nonzero cell against 50-digit pmf * S(t), out to 3x the mean
+        # crossing time; the M = 50, t = 136 cell (S near 1.2e-26) is off by
+        # a factor of about 5e10 in the four-term coefficient formula
+        for m, extra in ((50, [136.0]), (300, [])):
+            sp = SpecialModel(1.0, 0.5, 1.0, m)
+            grid = sorted(list(np.linspace(0.0, 3.0 * _mean_crossing_time(sp), 8)) + extra)
+            table = dist_table(sp, grid, m + 100)
+            with mpmath.workdps(50):
+                c = (sp.b * mpmath.mpf(sp.mu) + sp.lam) / (mpmath.mpf(sp.mu) + sp.lam)
+                for i, t in enumerate(grid):
+                    surv = _mp_survival(sp, t)
+                    for r in range(m + 1, m + 101):
+                        exact = (1 - c) * c ** (r - m - 1) * surv
+                        got = table.values[i, r]
+                        assert got > 0.0 and abs(got - exact) <= 1e-12 * exact, (m, t, r)
+            assert not np.any(table.values[:, : m + 1])
+
+    def test_rows_match_the_gamma_tail_route(self):
+        # cross-derivation: pmf(r) * P{tau_pre > t}, with P{tau_pre > t} from the
+        # paper's G_j/H_j formula (ev_v_anu_before at v = 1)
+        for m in (50, 300):
+            sp = SpecialModel(1.0, 0.5, 1.0, m)
+            grid = np.linspace(0.0, 3.0 * _mean_crossing_time(sp), 12)
+            table = dist_table(sp, grid, m + 60)
+            pmf = np.array([crossing_level_pmf(sp, r) for r in range(m + 61)])
+            for i, t in enumerate(grid):
+                surv = ev_v_anu_before(sp, 1.0, float(t)).real
+                if surv >= 1e-3:
+                    assert np.max(np.abs(table.values[i] - pmf * surv)) <= 1e-12, (m, t)
+
+    def test_max_threshold_table(self):
+        sp = SpecialModel(1.0, 0.5, 1.0, MAX_THRESHOLD)
+        grid = np.linspace(0.0, 3.0 * MAX_THRESHOLD * sp.a / sp.lam, 20)
+        table = dist_table(sp, grid, MAX_THRESHOLD + 200)
+        assert table.values.shape == (20, MAX_THRESHOLD + 201)
+        assert np.all(table.values.sum(axis=1) <= 1.0)

@@ -138,9 +138,14 @@ class TestDeterminism:
 
 class TestPerturbationControl:
     def test_c_shift_fails_exactly_the_inversion_check(self, std_model):
+        # the shifted c reaches the G_j/H_j time-domain formula, so the two
+        # checks that hold it against an independent route fail: numeric
+        # inversion of the transform, and the factorised joint table
         report = run_battery(std_model, seed=0, c_shift=1e-3, n_paths=20_000)
         assert report["all_passed"] is False
-        assert report["failed_checks"] == ["time-domain-inversion-agreement"]
+        assert report["failed_checks"] == [
+            "pgf-extraction-consistency", "time-domain-inversion-agreement"
+        ]
         failed = next(c for c in report["checks"]
                       if c["name"] == "time-domain-inversion-agreement")
         assert failed["observed"] > failed["tolerance"]
