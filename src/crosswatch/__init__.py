@@ -35,8 +35,6 @@ from .errors import (
     UnsupportedLawError,
 )
 from .fluctuation import (
-    BlockValues,
-    blocks_at,
     g1_star,
     g2_star,
     g_star,
@@ -48,7 +46,6 @@ from .model import (
     DegenerateZero,
     Exponential,
     GeneralDiscrete,
-    GeneralNonneg,
     Geometric,
     MAX_THRESHOLD,
     ObservationLaw,
@@ -86,7 +83,6 @@ from .transforms import (
     lst_divided_diff,
     phi,
     psi,
-    resolvent_divided_diff,
 )
 from .validation import ANALYTIC_OPS, run_battery
 
@@ -94,7 +90,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ANALYTIC_OPS",
-    "BlockValues",
     "ConfigError",
     "ConvolutionSpec",
     "CrosswatchError",
@@ -104,7 +99,6 @@ __all__ = [
     "EstimateWithCI",
     "Exponential",
     "GeneralDiscrete",
-    "GeneralNonneg",
     "Geometric",
     "InversionError",
     "JointDistTable",
@@ -119,7 +113,6 @@ __all__ = [
     "TransformArgs",
     "TruncatedSeries",
     "UnsupportedLawError",
-    "blocks_at",
     "coeff_g",
     "coeff_h",
     "crossing_level_pmf",
@@ -156,7 +149,6 @@ __all__ = [
     "phi",
     "psi",
     "reg_gamma_p",
-    "resolvent_divided_diff",
     "run_battery",
     "series_from_rational",
     "survival_curve",

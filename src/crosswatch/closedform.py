@@ -114,8 +114,6 @@ class SpecialModel:
     def from_process_model(cls, model: ProcessModel) -> "SpecialModel":
         if not isinstance(model.marks, Geometric):
             raise DomainError("closed forms need geometric marks")
-        if not isinstance(model.observation.recurring, Exponential):
-            raise DomainError("closed forms need exponential inspection gaps")
         if not isinstance(model.observation.initial, DegenerateZero):
             raise DomainError("closed forms need the initial inspection at time zero")
         return cls(

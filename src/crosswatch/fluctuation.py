@@ -13,176 +13,31 @@ coefficient sum, at order M, of an explicit function of the level-tagging
 variable s built from three resolvent blocks (B1, B2, B3) and two
 difference blocks (Gamma0, Gamma).
 
-The s-coefficients come from one of two routes, chosen by the gap laws:
-
-* exact series when both gap laws are exponential or zero, for any mark
-  law: every block is then rational in s (see the engine notes below), so
-  truncated expansion and products give the coefficients exactly;
-* FFT sampling when a gap law is general: the integrand is evaluated on a
-  circle well inside the unit disk (where per-epoch contraction always
-  holds) and coefficients are read off by FFT.  All removable
-  singularities are crossed via divided differences, never raw division.
+The s-coefficients come from one route, exact series: every model has
+zero or exponential gaps, so every block is rational in s (see the engine
+notes below), and truncated expansion and products give the coefficients
+exactly.  The pointwise blocks themselves are evaluated only by the
+validation battery, as the independent oracle for this route.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Callable
 
 import numpy as np
 
 from .errors import DivergenceError, DomainError
-from .model import (
-    DegenerateZero,
-    Exponential,
-    ProcessModel,
-    TransformArgs,
-    _mark_pgf_rational,
-    delay_lst,
-    mark_pgf,
-)
-from .series import TruncatedSeries, d_inverse, series_from_rational
-from .transforms import (
-    SINGULARITY_TOL,
-    gamma_is_contractive,
-    lst_divided_diff,
-    resolvent_divided_diff,
-)
+from .model import DegenerateZero, ProcessModel, TransformArgs, _mark_pgf_rational
+from .series import TruncatedSeries, series_from_rational
+from .transforms import SINGULARITY_TOL
 
 __all__ = [
-    "BlockValues",
-    "blocks_at",
     "g1_star",
     "g2_star",
     "g_star",
     "lst_tau_pre",
     "lst_tau_cross",
 ]
-
-# ---------------------------------------------------------------------------
-# pointwise block evaluation
-
-
-@dataclass(frozen=True)
-class BlockValues:
-    """The five building blocks of the crossing transforms at one point s.
-
-    ``b1`` alone has a genuine pole where its denominator
-    ``theta + lam(g(uvs) - g(uvys))`` vanishes (reported as inf); the
-    crossing functionals stay finite only through the product
-    ``b1 * (b2 - b3)``, which :func:`g1_star` evaluates jointly.
-    """
-
-    b1: complex
-    b2: complex
-    b3: complex
-    gamma0: complex
-    gamma: complex
-
-
-def _gamma_rec(model: ProcessModel, z: complex, damp: complex) -> complex:
-    return delay_lst(model.observation.recurring, damp + model.rate * (1.0 - mark_pgf(model.marks, z)))
-
-
-def blocks_at(model: ProcessModel, args: TransformArgs, s: complex) -> BlockValues:
-    """Evaluate all five blocks at an explicit point s.
-
-    Requires per-epoch contraction at the tagged arguments ``(uvs, w)``
-    and ``(uvys, theta + w)``; otherwise the geometric resolvents inside
-    b2/b3 diverge and :class:`DivergenceError` is raised.
-    """
-    args.validate()
-    lam = model.rate
-    g = lambda z: mark_pgf(model.marks, z)
-    s = complex(s)
-    u, v, w, x, y, theta = (complex(args.u), complex(args.v), complex(args.w),
-                            complex(args.x), complex(args.y), complex(args.theta))
-    uvs, uvys = u * v * s, u * v * y * s
-    if not gamma_is_contractive(model, uvs, w):
-        raise DivergenceError("per-epoch transform at (u*v*s, w) is not contractive")
-    if not gamma_is_contractive(model, uvys, theta + w):
-        raise DivergenceError("per-epoch transform at (u*v*y*s, theta + w) is not contractive")
-
-    obs = model.observation
-    eta2 = w + lam * (1.0 - g(uvs))
-    eta3 = theta + w + lam * (1.0 - g(uvys))
-    b2 = delay_lst(obs.initial, eta2) / (1.0 - delay_lst(obs.recurring, eta2))
-    b3 = delay_lst(obs.initial, eta3) / (1.0 - delay_lst(obs.recurring, eta3))
-
-    denom = theta + lam * (g(uvs) - g(uvys))
-    numer = _gamma_rec(model, v, x) - _gamma_rec(model, v * s, x)
-    if abs(denom) >= SINGULARITY_TOL:
-        b1 = numer / denom
-    else:
-        b1 = complex(math.inf) if abs(numer) >= SINGULARITY_TOL else complex(0.0)
-
-    zeta1 = x + lam * (1.0 - g(v))
-    d1 = theta + lam * (g(v) - g(v * y))
-    zeta2 = x + lam * (1.0 - g(v * s))
-    d2 = theta + lam * (g(v * s) - g(v * y * s))
-    gamma0 = lst_divided_diff(obs.initial, zeta1, d1) - lst_divided_diff(obs.initial, zeta2, d2)
-    gamma_ = lst_divided_diff(obs.recurring, zeta1, d1) - lst_divided_diff(obs.recurring, zeta2, d2)
-    return BlockValues(b1=b1, b2=b2, b3=b3, gamma0=gamma0, gamma=gamma_)
-
-
-def _g1_integrand(model: ProcessModel, args: TransformArgs, s: complex) -> complex:
-    """b1 * (b2 - b3) with the removable pole crossed as a divided difference."""
-    lam = model.rate
-    g = lambda z: mark_pgf(model.marks, z)
-    u, v, y = complex(args.u), complex(args.v), complex(args.y)
-    w, x, theta = complex(args.w), complex(args.x), complex(args.theta)
-    uvs = u * v * complex(s)
-    eta2 = w + lam * (1.0 - g(uvs))
-    d = theta + lam * (g(uvs) - g(uvs * y))
-    numer = _gamma_rec(model, v, x) - _gamma_rec(model, v * complex(s), x)
-    return numer * resolvent_divided_diff(model, eta2, d)
-
-
-def _g2_integrand(model: ProcessModel, args: TransformArgs, s: complex) -> complex:
-    """gamma0 + gamma * b3, all parts finite through coincident arguments."""
-    lam = model.rate
-    g = lambda z: mark_pgf(model.marks, z)
-    obs = model.observation
-    u, v, y = complex(args.u), complex(args.v), complex(args.y)
-    w, x, theta = complex(args.w), complex(args.x), complex(args.theta)
-    s = complex(s)
-
-    zeta1 = x + lam * (1.0 - g(v))
-    d1 = theta + lam * (g(v) - g(v * y))
-    zeta2 = x + lam * (1.0 - g(v * s))
-    d2 = theta + lam * (g(v * s) - g(v * y * s))
-    gamma0 = lst_divided_diff(obs.initial, zeta1, d1) - lst_divided_diff(obs.initial, zeta2, d2)
-    gamma_ = lst_divided_diff(obs.recurring, zeta1, d1) - lst_divided_diff(obs.recurring, zeta2, d2)
-
-    eta3 = theta + w + lam * (1.0 - g(u * v * y * s))
-    b3 = delay_lst(obs.initial, eta3) / (1.0 - delay_lst(obs.recurring, eta3))
-    return gamma0 + gamma_ * b3
-
-
-# ---------------------------------------------------------------------------
-# coefficient extraction: sampling path
-
-
-def _coeffs_by_sampling(f: Callable[[complex], complex], order: int) -> TruncatedSeries:
-    """Taylor coefficients 0..order of f via FFT on a circle inside the unit disk.
-
-    The radius is 0.5 for small orders and drifts toward 1 for large ones
-    (coefficient j is divided by radius**j, so a too-small radius would
-    amplify sampling noise).  The node count is kept well above the
-    requested order so aliasing from truncation is negligible.
-    """
-    rho = 0.5 if order <= 32 else 2.0 ** (-32.0 / order)
-    n = 1
-    while n < max(4 * (order + 1), 128):
-        n <<= 1
-    nodes = rho * np.exp(2j * np.pi * np.arange(n) / n)
-    vals = np.array([f(s) for s in nodes], dtype=complex)
-    # forward transform: sum_j f(rho w^j) w^{-jk} = n * c_k * rho^k
-    coeffs = np.fft.fft(vals)[: order + 1] / (n * rho ** np.arange(order + 1))
-    return TruncatedSeries(coeffs)
-
 
 # ---------------------------------------------------------------------------
 # coefficient extraction: exact series for exponential and zero gaps
@@ -196,11 +51,6 @@ def _coeffs_by_sampling(f: Callable[[complex], complex], order: int) -> Truncate
 # F(1) - F(s) = (1 - s) T(s) with T the tail sums of F; the partial sum at
 # order M of (1 - s) X is X_M, one coefficient of a product, so no value
 # is formed by cancelling F(1) against a partial sum of F.
-
-
-def _exp_gaps(model: ProcessModel) -> bool:
-    obs = model.observation
-    return all(isinstance(law, (DegenerateZero, Exponential)) for law in (obs.initial, obs.recurring))
 
 
 def _r_series(model: ProcessModel, alpha: complex, c: complex, order: int, tail: bool = False):
@@ -288,9 +138,6 @@ def _exp_gap_factors(model: ProcessModel, args: TransformArgs, which: str, order
 def _crossing_series(model: ProcessModel, args: TransformArgs, which: str, order: int) -> TruncatedSeries:
     """Coefficients 0..order of the G1 (``"g1"``) or G2 (``"g2"``) integrand in s."""
     args.validate()
-    if not _exp_gaps(model):
-        integrand = _g1_integrand if which == "g1" else _g2_integrand
-        return _coeffs_by_sampling(lambda s: integrand(model, args, s), order)
     [(left, right, head)] = _exp_gap_factors(model, args, which, order)
     out = _mul(left, right, order) + (0.0 if head is None else head)
     out[1:] = np.diff(out)
@@ -300,9 +147,6 @@ def _crossing_series(model: ProcessModel, args: TransformArgs, which: str, order
 def _crossing_sums(model: ProcessModel, args: TransformArgs, which: str) -> list[complex]:
     """Partial sums at the threshold order, one per window part of ``which``."""
     order = model.threshold
-    if not _exp_gaps(model):
-        parts = ("g1", "g2") if which == "g" else (which,)
-        return [d_inverse(_crossing_series(model, args, p, order), order) for p in parts]
     args.validate()
     # the partial sum of (1 - s) X at the order is X_order
     return [

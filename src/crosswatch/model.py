@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Union
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "MarkLaw",
     "DegenerateZero",
     "Exponential",
-    "GeneralNonneg",
     "DelayLaw",
     "ObservationLaw",
     "ProcessModel",
@@ -163,20 +162,7 @@ class Exponential:
             raise DomainError(f"exponential rate must be positive, got {self.rate}")
 
 
-@dataclass(frozen=True, eq=False)
-class GeneralNonneg:
-    """General nonnegative delay given by an LST evaluator and a quantile sampler.
-
-    ``lst`` must accept complex arguments with nonnegative real part (it is
-    also probed at nearby points for numerical derivatives).  ``quantile``
-    maps a uniform variate in [0, 1) to a sample of the delay.
-    """
-
-    lst: Callable[[complex], complex]
-    quantile: Callable[[float], float]
-
-
-DelayLaw = Union[DegenerateZero, Exponential, GeneralNonneg]
+DelayLaw = Union[DegenerateZero, Exponential]
 
 
 def delay_lst(law: DelayLaw, z: complex) -> complex:
@@ -189,8 +175,6 @@ def delay_lst(law: DelayLaw, z: complex) -> complex:
         if abs(denom) < _UNIT_TOL:
             raise DomainError("exponential LST evaluated at its pole z = -rate")
         return law.rate / denom
-    if isinstance(law, GeneralNonneg):
-        return complex(law.lst(z))
     raise UnsupportedLawError(f"unknown delay law {type(law).__name__}")
 
 
@@ -200,9 +184,6 @@ def delay_sample(law: DelayLaw, rng: np.random.Generator, size: int) -> np.ndarr
         return np.zeros(size)
     if isinstance(law, Exponential):
         return rng.exponential(1.0 / law.rate, size=size)
-    if isinstance(law, GeneralNonneg):
-        u = rng.random(size)
-        return np.array([float(law.quantile(ui)) for ui in u])
     raise UnsupportedLawError(f"unknown delay law {type(law).__name__}")
 
 
@@ -214,20 +195,18 @@ def delay_sample(law: DelayLaw, rng: np.random.Generator, size: int) -> np.ndarr
 class ObservationLaw:
     """Delay laws of the inspection grid: one initial gap, then iid recurring gaps.
 
-    The recurring gap must be a.s. positive (DegenerateZero would freeze the
-    grid), so only Exponential and GeneralNonneg are accepted there.
+    The initial gap is zero or exponential.  The recurring gap must be a.s.
+    positive (DegenerateZero would freeze the grid), so it is exponential.
     """
 
     initial: DelayLaw
-    recurring: DelayLaw
+    recurring: Exponential
 
     def __post_init__(self):
-        if not isinstance(self.initial, (DegenerateZero, Exponential, GeneralNonneg)):
+        if not isinstance(self.initial, (DegenerateZero, Exponential)):
             raise UnsupportedLawError(f"unsupported initial delay {type(self.initial).__name__}")
-        if not isinstance(self.recurring, (Exponential, GeneralNonneg)):
-            raise UnsupportedLawError(
-                f"recurring delay must be Exponential or GeneralNonneg, got {type(self.recurring).__name__}"
-            )
+        if not isinstance(self.recurring, Exponential):
+            raise UnsupportedLawError(f"recurring delay must be Exponential, got {type(self.recurring).__name__}")
 
 
 def obs_lst(law: ObservationLaw, which: str, z: complex) -> complex:

@@ -11,9 +11,10 @@ Everything else in this module is built from two observations:
 * Every two-window functional of the form
   ``E[u^{A(T)} v^{A(T+D)} e^{-wT - xD} y^{A(t)}; window]`` reduces, after
   integrating t, to divided differences of a delay LST evaluated at
-  arguments that differ by exactly the vanishing denominator.  Computing
-  those divided differences with a Taylor branch near coincidence keeps
-  every formula finite and accurate through the removable points.
+  arguments that differ by exactly the vanishing denominator.  For the
+  zero and exponential delay laws those divided differences have closed
+  forms with no difference quotient, so every formula stays finite and
+  accurate through the removable points.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from .errors import DivergenceError, DomainError
+from .errors import DivergenceError, DomainError, UnsupportedLawError
 from .model import (
     DegenerateZero,
     DelayLaw,
@@ -45,10 +46,6 @@ __all__ = [
 # Below this (scaled) magnitude a vanishing denominator is treated as
 # removable and replaced by an analytic limit.
 SINGULARITY_TOL = 1e-10
-# Divided differences switch to a Taylor expansion below this separation;
-# wider than SINGULARITY_TOL so the direct branch never suffers
-# catastrophic cancellation.
-_TAYLOR_BRANCH = 1e-6
 
 
 def phi(model: ProcessModel, z: complex, s: float) -> complex:
@@ -146,22 +143,16 @@ def gamma_is_contractive(model: ProcessModel, z: complex, theta: complex) -> boo
 def lst_divided_diff(law: DelayLaw, zeta: complex, d: complex) -> complex:
     """(L(zeta) - L(zeta + d)) / d for a delay LST L, finite at d = 0.
 
-    Exact for the closed-form laws: ``r / ((r + zeta)(r + zeta + d))`` for
-    an Exp(r) gap and 0 for a zero gap.  For a general law the quotient is
-    evaluated near coincidence from the Taylor expansion
-    ``-L'(zeta) - L''(zeta) d/2``, with central-difference derivatives,
-    instead of the cancellation-prone direct difference.
+    In closed form, with no difference quotient: ``r / ((r + zeta)(r +
+    zeta + d))`` for an Exp(r) gap and 0 for a zero gap.  Any other law
+    raises :class:`UnsupportedLawError`.
     """
     zeta, d = complex(zeta), complex(d)
     if isinstance(law, Exponential):
         return law.rate / ((law.rate + zeta) * (law.rate + zeta + d))
     if isinstance(law, DegenerateZero):
         return 0.0 + 0.0j
-    if abs(d) >= _TAYLOR_BRANCH * (1.0 + abs(zeta)):
-        return (delay_lst(law, zeta) - delay_lst(law, zeta + d)) / d
-    h = 1e-5 * (1.0 + abs(zeta))
-    lo, mid, hi = (delay_lst(law, zeta + k * h) for k in (-1.0, 0.0, 1.0))
-    return -((hi - lo) / (2.0 * h) + (hi - 2.0 * mid + lo) / h**2 * d / 2.0)
+    raise UnsupportedLawError(f"unknown delay law {type(law).__name__}")
 
 
 def resolvent_divided_diff(model: ProcessModel, eta: complex, d: complex) -> complex:

@@ -17,11 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from . import closedform, fluctuation, laplace, montecarlo, series, transforms
-from .errors import DomainError, TableInvariantError
+from .errors import DivergenceError, DomainError, TableInvariantError
 from .model import (
     DegenerateZero,
     Exponential,
@@ -29,6 +30,7 @@ from .model import (
     Geometric,
     ProcessModel,
     TransformArgs,
+    delay_lst,
     delay_sample,
     mark_pgf,
     obs_lst,
@@ -51,7 +53,6 @@ ANALYTIC_OPS = (
     "series.d_op_indicator",
     "series.d_inverse",
     "series.d_inverse_double_geometric",
-    "fluctuation.blocks_at",
     "fluctuation.g1_star",
     "fluctuation.g2_star",
     "fluctuation.g_star",
@@ -291,36 +292,139 @@ def _check_series_roundtrip(ctx: _Context) -> _CheckResult:
                         "integer round trips and dual-route coefficient extraction")
 
 
+# ---------------------------------------------------------------------------
+# the paper's pointwise blocks, the oracle of the exact series engine
+#
+# G1 and G2 are partial coefficient sums, in the level-tagging variable s,
+# of b1 * (b2 - b3) and gamma0 + gamma * b3.  Here the five blocks are
+# evaluated at one explicit point from their displayed formulas, and the
+# coefficients are read off a contour by FFT; none of this shares
+# coefficient code with the series engine in ``fluctuation``.
+
+
+@dataclass(frozen=True)
+class _BlockValues:
+    """The five building blocks of the crossing transforms at one point s.
+
+    ``b1`` alone has a genuine pole where its denominator
+    ``theta + lam(g(uvs) - g(uvys))`` vanishes (reported as inf); the
+    crossing functionals stay finite only through the product
+    ``b1 * (b2 - b3)``, which :func:`_g1_integrand` evaluates jointly.
+    """
+
+    b1: complex
+    b2: complex
+    b3: complex
+    gamma0: complex
+    gamma: complex
+
+
+def _gamma_rec(model: ProcessModel, z: complex, damp: complex) -> complex:
+    return delay_lst(model.observation.recurring, damp + model.rate * (1.0 - mark_pgf(model.marks, z)))
+
+
+def _blocks_at(model: ProcessModel, args: TransformArgs, s: complex) -> _BlockValues:
+    """Evaluate all five blocks at an explicit point s.
+
+    Requires per-epoch contraction at the tagged arguments ``(uvs, w)``
+    and ``(uvys, theta + w)``; otherwise the geometric resolvents inside
+    b2/b3 diverge and :class:`DivergenceError` is raised.
+    """
+    args.validate()
+    lam = model.rate
+    g = lambda z: mark_pgf(model.marks, z)
+    s = complex(s)
+    u, v, w, x, y, theta = (complex(args.u), complex(args.v), complex(args.w),
+                            complex(args.x), complex(args.y), complex(args.theta))
+    uvs, uvys = u * v * s, u * v * y * s
+    if not transforms.gamma_is_contractive(model, uvs, w):
+        raise DivergenceError("per-epoch transform at (u*v*s, w) is not contractive")
+    if not transforms.gamma_is_contractive(model, uvys, theta + w):
+        raise DivergenceError("per-epoch transform at (u*v*y*s, theta + w) is not contractive")
+
+    obs = model.observation
+    eta2 = w + lam * (1.0 - g(uvs))
+    eta3 = theta + w + lam * (1.0 - g(uvys))
+    b2 = delay_lst(obs.initial, eta2) / (1.0 - delay_lst(obs.recurring, eta2))
+    b3 = delay_lst(obs.initial, eta3) / (1.0 - delay_lst(obs.recurring, eta3))
+
+    denom = theta + lam * (g(uvs) - g(uvys))
+    numer = _gamma_rec(model, v, x) - _gamma_rec(model, v * s, x)
+    if abs(denom) >= transforms.SINGULARITY_TOL:
+        b1 = numer / denom
+    else:
+        b1 = complex(math.inf) if abs(numer) >= transforms.SINGULARITY_TOL else complex(0.0)
+
+    zeta1 = x + lam * (1.0 - g(v))
+    d1 = theta + lam * (g(v) - g(v * y))
+    zeta2 = x + lam * (1.0 - g(v * s))
+    d2 = theta + lam * (g(v * s) - g(v * y * s))
+    dd = transforms.lst_divided_diff
+    gamma0 = dd(obs.initial, zeta1, d1) - dd(obs.initial, zeta2, d2)
+    gamma_ = dd(obs.recurring, zeta1, d1) - dd(obs.recurring, zeta2, d2)
+    return _BlockValues(b1=b1, b2=b2, b3=b3, gamma0=gamma0, gamma=gamma_)
+
+
+def _g1_integrand(model: ProcessModel, args: TransformArgs, s: complex) -> complex:
+    """b1 * (b2 - b3) with the removable pole crossed as a divided difference."""
+    lam = model.rate
+    g = lambda z: mark_pgf(model.marks, z)
+    u, v, y = complex(args.u), complex(args.v), complex(args.y)
+    w, x, theta = complex(args.w), complex(args.x), complex(args.theta)
+    uvs = u * v * complex(s)
+    eta2 = w + lam * (1.0 - g(uvs))
+    d = theta + lam * (g(uvs) - g(uvs * y))
+    numer = _gamma_rec(model, v, x) - _gamma_rec(model, v * complex(s), x)
+    return numer * transforms.resolvent_divided_diff(model, eta2, d)
+
+
+def _g2_integrand(model: ProcessModel, args: TransformArgs, s: complex) -> complex:
+    """gamma0 + gamma * b3; every block is finite where the resolvents converge."""
+    blocks = _blocks_at(model, args, s)
+    return blocks.gamma0 + blocks.gamma * blocks.b3
+
+
+def _coeffs_by_sampling(f: Callable[[complex], complex], order: int) -> series.TruncatedSeries:
+    """Taylor coefficients 0..order of f via FFT on a circle inside the unit disk.
+
+    The radius is 0.5 for small orders and drifts toward 1 for large ones
+    (coefficient j is divided by radius**j, so a too-small radius would
+    amplify sampling noise).  The node count is kept well above the
+    requested order so aliasing from truncation is negligible.
+    """
+    rho = 0.5 if order <= 32 else 2.0 ** (-32.0 / order)
+    n = 1
+    while n < max(4 * (order + 1), 128):
+        n <<= 1
+    nodes = rho * np.exp(2j * np.pi * np.arange(n) / n)
+    vals = np.array([f(s) for s in nodes], dtype=complex)
+    # forward transform: sum_j f(rho w^j) w^{-jk} = n * c_k * rho^k
+    coeffs = np.fft.fft(vals)[: order + 1] / (n * rho ** np.arange(order + 1))
+    return series.TruncatedSeries(coeffs)
+
+
 def _check_series_paths(ctx: _Context) -> _CheckResult:
-    """Pointwise blocks vs the crossing integrands; exact series vs contour sampling."""
+    """Pointwise blocks vs the pole-crossed G1 integrand; exact series vs contour sampling."""
     model = ctx.model
     args = TransformArgs(theta=0.9, u=0.95, v=0.85, w=0.1, x=0.2, y=0.9)
     worst = 0.0
     # small |s| keeps theta + lam*(g(uvs) - g(uvys)), b1's denominator, far from zero
     for s in (0.2, -0.3 + 0.15j, 0.35j):
-        blocks = fluctuation.blocks_at(model, args, s)
-        for via_blocks, integrand in (
-            (blocks.b1 * (blocks.b2 - blocks.b3), fluctuation._g1_integrand),
-            (blocks.gamma0 + blocks.gamma * blocks.b3, fluctuation._g2_integrand),
-        ):
-            direct = integrand(model, args, s)
-            worst = max(worst, abs(via_blocks - direct) / max(1.0, abs(direct)))
-    detail = "pointwise blocks vs the crossing integrands"
-    if not fluctuation._exp_gaps(model):
-        return _CheckResult("crossing-series-path-agreement", worst <= 1e-9, worst, 1e-9,
-                            ("fluctuation.blocks_at",),
-                            detail + "; the exact series needs exponential or zero gaps")
+        blocks = _blocks_at(model, args, s)
+        direct = _g1_integrand(model, args, s)
+        worst = max(worst, abs(blocks.b1 * (blocks.b2 - blocks.b3) - direct) / max(1.0, abs(direct)))
     # Coefficients 0..lead do not depend on the order, while FFT sampling
     # loses accuracy at high order (its radius moves toward 1).
     order = model.threshold
     lead = min(order, 16)
-    for which, integrand in (("g1", fluctuation._g1_integrand), ("g2", fluctuation._g2_integrand)):
-        sampled = fluctuation._coeffs_by_sampling(partial(integrand, model, args), lead).coeffs
+    for which, integrand in (("g1", _g1_integrand), ("g2", _g2_integrand)):
+        sampled = _coeffs_by_sampling(partial(integrand, model, args), lead).coeffs
         exact = fluctuation._crossing_series(model, args, which, order).coeffs[: lead + 1]
         worst = max(worst, float(np.max(np.abs(sampled - exact))) / max(1.0, float(np.max(np.abs(exact)))))
     return _CheckResult("crossing-series-path-agreement", worst <= 1e-9, worst, 1e-9,
-                        ("fluctuation.blocks_at", "fluctuation.g1_star", "fluctuation.g2_star"),
-                        detail + f"; exact series vs FFT contour sampling on coefficients 0..{lead}")
+                        ("fluctuation.g1_star", "fluctuation.g2_star"),
+                        "pointwise blocks vs the pole-crossed G1 integrand; exact series vs "
+                        f"FFT contour sampling on coefficients 0..{lead}")
 
 
 # ---------------------------------------------------------------------------
@@ -599,13 +703,12 @@ def _model_echo(model: ProcessModel) -> dict:
         marks = {"pmf": [float(p) for p in model.marks.pmf]}
     else:
         marks = {"law": type(model.marks).__name__}
-    initial = model.observation.initial
+    recurring = model.observation.recurring
     obs = {
-        "recurring": type(model.observation.recurring).__name__,
-        "initial": type(initial).__name__,
+        "recurring": type(recurring).__name__,
+        "initial": type(model.observation.initial).__name__,
+        "mu": recurring.rate,
     }
-    if isinstance(model.observation.recurring, Exponential):
-        obs["mu"] = model.observation.recurring.rate
     return {
         "rate": model.rate,
         "marks": marks,

@@ -3,9 +3,12 @@ and the marginal LSTs of the straddling inspection epochs.
 
 Oracles: a from-scratch re-implementation of the block formulas, hand
 renewal computations for threshold 0, the closed-form special model, and
-path simulation.  The exact series route and the circle-sampling route
-are also played against each other; they share no coefficient code.
+path simulation.  The exact series route is also played against FFT
+sampling of the paper's pointwise integrands, which the validation battery
+keeps as its oracle; the two share no coefficient code.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,7 +17,6 @@ from crosswatch import fluctuation as fl
 from crosswatch.closedform import SpecialModel, g1_star_special
 from crosswatch.errors import DivergenceError, DomainError
 from crosswatch.fluctuation import (
-    blocks_at,
     g1_star,
     g2_star,
     g_star,
@@ -25,7 +27,6 @@ from crosswatch.model import (
     DegenerateZero,
     Exponential,
     GeneralDiscrete,
-    GeneralNonneg,
     Geometric,
     ObservationLaw,
     ProcessModel,
@@ -33,6 +34,7 @@ from crosswatch.model import (
 )
 from crosswatch.montecarlo import _crossing_sample, estimate_functional
 from crosswatch.series import d_inverse
+from crosswatch.validation import _blocks_at, _coeffs_by_sampling, _g1_integrand, _g2_integrand
 
 
 def _std(threshold=3):
@@ -44,30 +46,19 @@ def _std(threshold=3):
     )
 
 
-def _wrapped_exp(rate):
-    # same law as Exponential(rate) but opaque, forcing the sampling path
-    return GeneralNonneg(
-        lst=lambda z, r=rate: r / (r + z),
-        quantile=lambda q, r=rate: -np.log1p(-q) / r,
-    )
-
-
-def _std_opaque(threshold=3):
-    return ProcessModel(
-        rate=1.0,
-        marks=Geometric(0.5),
-        observation=ObservationLaw(DegenerateZero(), _wrapped_exp(1.0)),
-        threshold=threshold,
-    )
-
-
-def _pmf(pmf=(0.0, 0.5, 0.3, 0.2), threshold=3, initial=None, recurring=None):
+def _pmf(pmf=(0.0, 0.5, 0.3, 0.2), threshold=3, initial=None):
     return ProcessModel(
         rate=1.0,
         marks=GeneralDiscrete(pmf),
-        observation=ObservationLaw(initial or DegenerateZero(), recurring or Exponential(1.0)),
+        observation=ObservationLaw(initial or DegenerateZero(), Exponential(1.0)),
         threshold=threshold,
     )
+
+
+def _sampled(model, args, integrand):
+    """Partial sum at the threshold of the integrand's FFT-sampled coefficients."""
+    m = model.threshold
+    return d_inverse(_coeffs_by_sampling(partial(integrand, model, args), m), m)
 
 
 def _blocks_oracle(model, args, s):
@@ -103,7 +94,7 @@ class TestBlocks:
     def test_matches_displayed_formulas(self):
         model = _std()
         args = TransformArgs(theta=0.3, u=1.0, v=0.5, w=0.0, x=0.0, y=1.0)
-        got = blocks_at(model, args, 0.7)
+        got = _blocks_at(model, args, 0.7)
         b1, b2, b3, gamma0, gamma = _blocks_oracle(model, args, 0.7)
         assert abs(got.b1 - b1) < 1e-13
         assert abs(got.b2 - b2) < 1e-13
@@ -124,7 +115,7 @@ class TestBlocks:
                 y=rng.uniform(0.3, 1.0),
             )
             s = rng.uniform(0.1, 0.9)
-            got = blocks_at(model, args, s)
+            got = _blocks_at(model, args, s)
             want = _blocks_oracle(model, args, s)
             for lhs, rhs in zip((got.b1, got.b2, got.b3, got.gamma0, got.gamma), want):
                 assert abs(lhs - rhs) < 1e-11
@@ -133,20 +124,20 @@ class TestBlocks:
         # y=1, theta=0 puts the same point into both resolvents
         model = _std()
         args = TransformArgs(theta=0.0, y=1.0, v=0.5)
-        got = blocks_at(model, args, 1.0)
+        got = _blocks_at(model, args, 1.0)
         assert got.b2 == got.b3
 
     def test_s_zero_numerator(self):
         model = _std()
         args = TransformArgs(theta=0.4, v=0.6, x=0.2)
-        got = blocks_at(model, args, 0.0)
+        got = _blocks_at(model, args, 0.0)
         b1, *_ = _blocks_oracle(model, args, 1e-14)
         assert abs(got.b1 - b1) < 1e-10
 
     def test_contraction_violation_raises(self):
         model = _std()
         with pytest.raises(DivergenceError):
-            blocks_at(model, TransformArgs(theta=0.0), 1.05)
+            _blocks_at(model, TransformArgs(theta=0.0), 1.05)
 
 
 class TestG1Star:
@@ -173,14 +164,14 @@ class TestG1Star:
         assert abs(g2_star(model, TransformArgs(theta=0.5, v=0.0))) < 1e-12
 
     def test_exact_and_sampling_paths_agree(self):
-        exact_m, opaque_m = _std(), _std_opaque()
+        model = _std()
         for args in (
             TransformArgs(theta=0.5, v=0.3),
             TransformArgs(theta=2.0, v=0.9),
             TransformArgs(theta=0.9, u=0.95, v=0.55, w=0.05, x=0.1, y=0.8),
         ):
-            e = g1_star(exact_m, args)
-            s = g1_star(opaque_m, args)
+            e = g1_star(model, args)
+            s = _sampled(model, args, _g1_integrand)
             assert abs(e - s) <= 1e-9 * max(abs(e), 1e-6)
 
     def test_continuous_across_tagging_coincidence(self):
@@ -194,17 +185,17 @@ class TestG2Star:
     def test_zero_initial_kills_gamma0(self):
         model = _std()
         for s in (0.0, 0.3, 0.8):
-            got = blocks_at(model, TransformArgs(theta=0.6, v=0.5, y=0.7), s)
+            got = _blocks_at(model, TransformArgs(theta=0.6, v=0.5, y=0.7), s)
             assert got.gamma0 == 0
 
     def test_exact_and_sampling_paths_agree(self):
-        exact_m, opaque_m = _std(), _std_opaque()
+        model = _std()
         for args in (
             TransformArgs(theta=0.5, v=0.7, y=0.8, u=0.9, w=0.1, x=0.2),
             TransformArgs(theta=2.0, v=0.4),
         ):
-            e = g2_star(exact_m, args)
-            s = g2_star(opaque_m, args)
+            e = g2_star(model, args)
+            s = _sampled(model, args, _g2_integrand)
             assert abs(e - s) <= 1e-9 * max(abs(e), 1e-6)
 
     def test_continuous_across_tagging_coincidence(self):
@@ -237,9 +228,11 @@ class TestMarginalLsts:
         assert abs(lst_tau_pre(model, 1.0) - 0.75) < 1e-12
 
     def test_hand_values_through_sampling_path(self):
-        model = _std_opaque(threshold=0)
-        assert abs(lst_tau_cross(model, 1.0) - 0.25) < 1e-9
-        assert abs(lst_tau_pre(model, 1.0) - 0.75) < 1e-9
+        model = _std(threshold=0)
+        args = TransformArgs(theta=1.0)
+        g1, g2 = _sampled(model, args, _g1_integrand), _sampled(model, args, _g2_integrand)
+        assert abs(1.0 - (g1 + g2) - 0.25) < 1e-9
+        assert abs(1.0 - g1 - 0.75) < 1e-9
 
     def test_against_path_simulation(self):
         model = _std()
@@ -286,10 +279,11 @@ class TestSeriesOrder:
     def test_sampling_path_truncation_is_exact(self):
         model = _std()
         args = TransformArgs(theta=0.9, u=0.95, v=0.55, w=0.05, x=0.1, y=0.8)
-        f = lambda s: fl._g1_integrand(model, args, s)
-        lo = fl._coeffs_by_sampling(f, model.threshold)
-        hi = fl._coeffs_by_sampling(f, model.threshold + 5)
-        assert abs(d_inverse(lo, model.threshold) - d_inverse(hi, model.threshold)) < 1e-12
+        m = model.threshold
+        lo = _sampled(model, args, _g1_integrand)
+        hi = d_inverse(_coeffs_by_sampling(partial(_g1_integrand, model, args), m + 5), m)
+        assert abs(lo - hi) < 1e-12
+        assert abs(lo - g1_star(model, args)) < 1e-12
 
 
 class TestExactSeriesEngine:
@@ -328,15 +322,13 @@ class TestExactSeriesEngine:
             assert abs(f(model, args).real - est.mean) < 5 * est.std_error, which
 
     def test_exp_initial_pmf_matches_sampling_route(self):
-        marks = [0.0, 0.5, 0.3, 0.2]
-        exact = _pmf(marks, initial=Exponential(2.0))
-        opaque = _pmf(marks, initial=_wrapped_exp(2.0), recurring=_wrapped_exp(1.0))
+        model = _pmf([0.0, 0.5, 0.3, 0.2], initial=Exponential(2.0))
         for args in (
             TransformArgs(theta=0.9, u=0.95, v=0.55, w=0.05, x=0.1, y=0.8),
             TransformArgs(theta=0.5),
         ):
-            for f in (g1_star, g2_star):
-                e, s = f(exact, args), f(opaque, args)
+            for f, integrand in ((g1_star, _g1_integrand), (g2_star, _g2_integrand)):
+                e, s = f(model, args), _sampled(model, args, integrand)
                 assert abs(e - s) <= 1e-12 * max(abs(e), 1.0), f.__name__
 
     def test_pmf_crossing_lst_is_real_and_in_unit_interval(self):

@@ -13,7 +13,6 @@ from crosswatch.model import (
     DegenerateZero,
     Exponential,
     GeneralDiscrete,
-    GeneralNonneg,
     Geometric,
     ObservationLaw,
     ProcessModel,
@@ -103,27 +102,21 @@ class TestDelayLaws:
         with pytest.raises(DomainError):
             Exponential(0.0)
 
-    def test_general_nonneg_passthrough(self):
-        law = GeneralNonneg(lst=lambda z: (1.0 + z) ** -2, quantile=lambda u: 1.0)
-        assert delay_lst(law, 1.0) == pytest.approx(0.25)
-
     def test_delay_sample_exponential_moments(self):
         rng = np.random.default_rng(5)
         draws = delay_sample(Exponential(2.0), rng, 100_000)
         assert draws.min() >= 0.0
         assert abs(draws.mean() - 0.5) < 5 * 0.5 / math.sqrt(100_000)
 
-    def test_delay_sample_general_uses_quantile(self):
-        law = GeneralNonneg(lst=lambda z: 1.0, quantile=lambda u: 42.0 * u)
-        rng = np.random.default_rng(0)
-        draws = delay_sample(law, rng, 1000)
-        assert np.all((0.0 <= draws) & (draws < 42.0))
-
 
 class TestObservationLaw:
     def test_recurring_must_be_positive(self):
         with pytest.raises(UnsupportedLawError):
             ObservationLaw(initial=DegenerateZero(), recurring=DegenerateZero())
+
+    def test_unknown_initial_law_rejected(self):
+        with pytest.raises(UnsupportedLawError):
+            ObservationLaw(initial=object(), recurring=Exponential(1.0))
 
     def test_obs_lst_dispatch(self):
         obs = ObservationLaw(initial=DegenerateZero(), recurring=Exponential(1.0))

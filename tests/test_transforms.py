@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate
 
-from crosswatch.errors import DomainError
+from crosswatch.errors import DomainError, UnsupportedLawError
 from crosswatch.model import (
     DegenerateZero,
     Exponential,
@@ -252,7 +252,7 @@ class TestWindowFunctionals:
 
 class TestLstDividedDiff:
     def test_exponential_matches_exact_rational_arithmetic(self):
-        # just above the Taylor-branch switch, where a direct difference quotient cancels
+        # at a separation near 1e-6, where a direct difference quotient would cancel
         for rate, zeta in ((1.0, 0.3), (2.5, 1.7), (0.5, 0.0), (1.0, 4.0)):
             d = 1.01e-6 * (1.0 + zeta)
             r, z, dd = Fraction(rate), Fraction(zeta), Fraction(d)
@@ -262,6 +262,10 @@ class TestLstDividedDiff:
 
     def test_zero_gap_has_no_difference(self):
         assert lst_divided_diff(DegenerateZero(), 0.4, 1e-3) == 0
+
+    def test_unknown_law_fails_loudly(self):
+        with pytest.raises(UnsupportedLawError):
+            f1_star(_model(), object(), Exponential(1.0), TransformArgs(theta=1.0))
 
 
 def _compound(rng, model, lengths):

@@ -194,7 +194,7 @@ class TestSeriesPathCheck:
         ctx = validation._Context(model=model, special=None, seed=0, n_paths=1_000)
         result = validation._check_series_paths(ctx)
         assert result.passed, result.observed
-        assert result.covers == ("fluctuation.blocks_at", "fluctuation.g1_star", "fluctuation.g2_star")
+        assert result.covers == ("fluctuation.g1_star", "fluctuation.g2_star")
 
 
 class TestRegistry:
