@@ -1,10 +1,12 @@
 """Batch command-line front end.
 
 Subcommands map one-to-one onto the package layers: ``dist`` tabulates
-the closed-form joint law, ``survival`` inverts the crossing-time LSTs,
-``functional`` evaluates the windowed crossing transforms, ``simulate``
-runs the Monte Carlo oracle, ``validate`` runs the full oracle-agreement
-battery, and ``predict`` packages the crash-forecast outputs.
+the closed-form joint law, ``survival`` sums the exact time-domain
+survival laws of the crossing times, ``functional`` evaluates the
+windowed crossing transforms, ``simulate`` runs the Monte Carlo oracle,
+``validate`` runs the full oracle-agreement battery, and ``predict``
+packages the crash-forecast outputs (the same survival laws and the exact
+crossing-level law).
 
 Conventions shared by every command: JSON configs carry a
 ``schema_version`` and reject unknown keys; numeric CSV cells print with
@@ -25,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import closedform, fluctuation, laplace, montecarlo
+from . import closedform, fluctuation, montecarlo, timedomain
 from .errors import (
     ConfigError,
     DivergenceError,
@@ -53,7 +55,7 @@ _COMMAND_KEYS = {
     "functional": {"args", "which"},
     "simulate": {"args", "n_paths"},
     "validate": {"n_paths", "perturb_c"},
-    "predict": {"horizon", "t_steps", "n_paths"},
+    "predict": {"horizon", "t_steps"},
 }
 
 
@@ -117,11 +119,11 @@ def _build_parser() -> _Parser:
 
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     sub.add_parser("dist", parents=[common], help="closed-form joint table P{A_nu=r, tau_pre>t}")
-    sub.add_parser("survival", parents=[common], help="survival curves of tau_pre and tau_cross")
+    sub.add_parser("survival", parents=[common], help="exact survival curves of tau_pre and tau_cross")
     sub.add_parser("functional", parents=[common], help="windowed crossing transforms G1/G2/G")
     sub.add_parser("simulate", parents=[common], help="Monte Carlo crossing estimates")
     sub.add_parser("validate", parents=[common], help="oracle-agreement battery")
-    sub.add_parser("predict", parents=[common], help="crash-forecast curves and overshoot table")
+    sub.add_parser("predict", parents=[common], help="exact crash-forecast curves and crossing-level law")
     return parser
 
 
@@ -243,8 +245,8 @@ def cmd_dist(ns) -> int:
 def cmd_survival(ns) -> int:
     config, model = _load_config(ns.config, "survival")
     grid = _resolve_grid(ns, config)
-    pre = laplace.survival_curve(lambda q: fluctuation.lst_tau_pre(model, q), grid)
-    cross = laplace.survival_curve(lambda q: fluctuation.lst_tau_cross(model, q), grid)
+    pre = timedomain.survival_pre(model, grid)
+    cross = timedomain.survival_cross(model, grid)
     lines = ["t,survival_pre,survival_cross"]
     lines.extend(
         f"{_fmt(t)},{_fmt(p)},{_fmt(c)}" for t, p, c in zip(grid, pre, cross)
@@ -355,37 +357,19 @@ def cmd_predict(ns) -> int:
     if grid is None:
         grid = np.linspace(0.0, float(horizon), t_steps) if horizon > 0 else np.array([0.0])
 
-    crash = 1.0 - laplace.survival_curve(lambda q: fluctuation.lst_tau_cross(model, q), grid)
-    precrash = laplace.survival_curve(lambda q: fluctuation.lst_tau_pre(model, q), grid)
+    crash = 1.0 - timedomain.survival_cross(model, grid)
+    precrash = timedomain.survival_pre(model, grid)
 
     lines = ["quantity,arg,value"]
     lines.extend(f"crash_prob,{_fmt(t)},{_fmt(p)}" for t, p in zip(grid, crash))
     lines.extend(f"precrash_survival,{_fmt(t)},{_fmt(p)}" for t, p in zip(grid, precrash))
 
     m = model.threshold
-    try:
-        special = closedform.SpecialModel.from_process_model(model)
-    except DomainError:
-        special = None
-    if special is not None:
-        expected = 1.0 / (1.0 - special.c)
-        r = m + 1
-        while r <= m + 200:
-            p = closedform.crossing_level_pmf(special, r)
-            if p < 1e-9:
-                break
-            lines.append(f"overshoot_pmf,{r},{_fmt(p)}")
-            r += 1
-    else:
-        n_paths = _resolve_n_paths(ns, config, default=200_000)
-        sample = montecarlo._crossing_sample(model, n_paths, ns.seed)
-        overshoot = sample["a_cross"] - m
-        expected = float(np.mean(overshoot))
-        top = int(np.quantile(overshoot, 1.0 - 1e-6)) if overshoot.size else 0
-        for k in range(1, min(top, 200) + 1):
-            freq = float(np.count_nonzero(overshoot == k)) / overshoot.size
-            if freq > 0.0:
-                lines.append(f"overshoot_pmf,{m + k},{_fmt(freq)}")
+    levels, expected = timedomain.crossing_level_law(model, m + 200)
+    # a level below the cut is skipped, not an end: a lattice pmf can dip and rise again
+    lines.extend(
+        f"overshoot_pmf,{r},{_fmt(levels[r])}" for r in range(m + 1, m + 201) if levels[r] >= 1e-9
+    )
     lines.append(f"expected_overshoot,,{_fmt(expected)}")
     _write_output(ns, "\n".join(lines) + "\n")
     return _EXIT_OK

@@ -16,8 +16,9 @@ to rational functions and Poisson/binomial tails:
 Why it factorises: marks are memoryless and gaps exponential, so the
 overshoot A_nu - M is geometric with ratio c whatever came before, and
 P{A_nu = r, tau_pre > t} = P{A_nu = r} * S(t), S(t) = P{tau_pre > t}.
-tau_pre > t exactly when the first look after t still sees A <= M, and n
-marks sum to at most M exactly when M Bernoulli(a) trials hold >= n successes:
+S(t) is :func:`crosswatch.timedomain.survival_pre`: tau_pre > t exactly
+when the first look after t still sees A <= M, and n marks sum to at most
+M exactly when M Bernoulli(a) trials hold >= n successes:
 
     S(t) = sum_{n <= M} P{N(t) = n} * w_n,   w_n = P{n + N(E) <= Bin(M, a)},
 
@@ -48,6 +49,7 @@ from .model import (
     ProcessModel,
 )
 from .series import d_inverse_double_geometric
+from .timedomain import _poisson_tails, survival_pre
 
 __all__ = [
     "SpecialModel",
@@ -138,46 +140,6 @@ def f_of(x: complex, v: complex, model: SpecialModel) -> complex:
     if abs(x + model.lam) < 1e-300:
         raise DomainError("pole factor undefined at x = -lam")
     return (model.b * x + model.lam) * complex(v) / (x + model.lam)
-
-
-def _from_mode(ratio: np.ndarray, mode: int) -> np.ndarray:
-    """Unnormalised pmf p_n / p_mode from the ratios p_{n+1} / p_n, walked out from the mode."""
-    u = np.ones(ratio.size + 1)
-    u[mode + 1 :] = np.cumprod(ratio[mode:])
-    u[:mode] = np.cumprod(1.0 / ratio[:mode][::-1])[::-1]
-    return u
-
-
-def _tails(u: np.ndarray) -> np.ndarray:
-    """P{X >= k} from an unnormalised pmf, summed from the top (never 1 - P{X < k})."""
-    top = np.cumsum(u[::-1])[::-1]
-    return top / top[0]
-
-
-def _poisson_pmf(x: float, n_max: int) -> np.ndarray | None:
-    """Unnormalised Poisson(x) pmf on 0..hi, hi >= n_max + spread.
-
-    Past hi the terms fall below e^-800 of the largest one on 0..hi
-    (Chernoff bounds); None when that holds for every n <= n_max.
-    """
-    spread = 40.0 * math.sqrt(x) + 50.0
-    if n_max < x - spread:
-        return None
-    return _from_mode(x / np.arange(1.0, math.floor(max(n_max, x) + spread) + 1), int(x))
-
-
-def _poisson_tails(x: float, kmax: int) -> np.ndarray:
-    """P{Poisson(x) >= k} for k = 0..kmax."""
-    u = _poisson_pmf(x, kmax)
-    return np.ones(kmax + 1) if u is None else _tails(u)[: kmax + 1]
-
-
-def _binom_tails(m: int, a: float) -> np.ndarray:
-    """P{Bin(m, a) >= n} for n = 0..m."""
-    if a == 1.0:
-        return np.ones(m + 1)
-    n = np.arange(m, dtype=float)
-    return _tails(_from_mode((m - n) / (n + 1.0) * (a / (1.0 - a)), min(m, int((m + 1) * a))))
 
 
 def reg_gamma_p(k: int, x: float) -> float:
@@ -316,20 +278,6 @@ def ev_v_anu_before(model: SpecialModel, v: complex, t: float) -> complex:
     return t1 + t2 + t3 + t4
 
 
-def _survival(model: SpecialModel, grid: np.ndarray) -> np.ndarray:
-    """S(t) = P{tau_pre > t} on the grid: the positive sum of the module doc."""
-    big_m, q = model.m, model.lam / (model.lam + model.mu)
-    w, acc, tails = np.empty(big_m + 1), 0.0, _binom_tails(big_m, model.a)
-    for n in range(big_m, -1, -1):
-        w[n] = acc = (1.0 - q) * tails[n] + q * acc
-    out = np.zeros(grid.size)
-    for i, t in enumerate(grid):
-        u = _poisson_pmf(model.lam * float(t), big_m)
-        if u is not None:
-            out[i] = (u[: big_m + 1] @ w) / u.sum()
-    return np.minimum(out, 1.0)  # rounding can exceed 1 when all of N(t)'s mass is <= M
-
-
 def joint_dist(model: SpecialModel, r: int, t: float) -> float:
     """P{A_nu = r, tau_pre > t}: exact joint law of crossing level and last calm look.
 
@@ -393,7 +341,8 @@ def dist_table(
         raise DomainError(f"level bound must be a nonnegative integer, got {r_max!r}")
 
     r_range = np.arange(int(r_max) + 1)
-    values = np.outer(_survival(model, grid), [crossing_level_pmf(model, int(r)) for r in r_range])
+    survival = survival_pre(model.to_process_model(), grid)
+    values = np.outer(survival, [crossing_level_pmf(model, int(r)) for r in r_range])
 
     out_of_range = ~((values >= -_CLAMP_TOL) & (values <= 1.0 + _CLAMP_TOL))
     off_support = (r_range <= model.m) & (np.abs(values) > _CLAMP_TOL)

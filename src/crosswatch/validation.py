@@ -21,8 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from . import closedform, fluctuation, laplace, montecarlo, series, transforms
-from .errors import DivergenceError, DomainError, TableInvariantError
+from . import closedform, fluctuation, laplace, montecarlo, series, timedomain, transforms
+from .errors import DivergenceError, DomainError, InversionError, TableInvariantError
 from .model import (
     DegenerateZero,
     Exponential,
@@ -69,6 +69,9 @@ ANALYTIC_OPS = (
     "closedform.crossing_level_pmf",
     "laplace.invert",
     "laplace.survival_curve",
+    "timedomain.survival_pre",
+    "timedomain.survival_cross",
+    "timedomain.crossing_level_law",
 )
 
 # Operations meaningful only under geometric marks + exponential gaps +
@@ -508,6 +511,38 @@ def _check_time_domain_inversion(ctx: _Context) -> _CheckResult:
                         "numeric inversion of the window transform vs its exact original")
 
 
+def _check_time_domain_laws(ctx: _Context) -> _CheckResult:
+    """Both exact survival laws against Euler inversion of the window transforms.
+
+    G1 and G at the all-ones tagging point transform t -> P{tau_pre > t} and
+    t -> P{tau_cross > t} themselves, so they are inverted directly rather
+    than through (1 - lst) / theta.  A failed inversion fails the check.
+    """
+    covers = (
+        "timedomain.survival_pre",
+        "timedomain.survival_cross",
+        "fluctuation.g1_star",
+        "fluctuation.g_star",
+        "laplace.invert",
+    )
+    model = ctx.model
+    times = timedomain._mean_cross_time(model) * np.array([0.5, 1.0, 2.0])
+    worst = 0.0
+    for law, g in (
+        (timedomain.survival_pre, fluctuation.g1_star),
+        (timedomain.survival_cross, fluctuation.g_star),
+    ):
+        exact = law(model, times)
+        for t, value in zip(times, exact):
+            try:
+                inverted = laplace.invert(lambda q: g(model, TransformArgs(theta=q)), float(t))
+            except InversionError as exc:
+                return _CheckResult("time-domain-law-agreement", False, math.inf, 1e-6, covers, str(exc))
+            worst = max(worst, abs(inverted - value))
+    return _CheckResult("time-domain-law-agreement", worst <= 1e-6, worst, 1e-6, covers,
+                        "positive-sum survival laws vs inverted G1 and G at 0.5, 1, 2 x E[tau_cross]")
+
+
 def _check_pgf_extraction(ctx: _Context) -> _CheckResult:
     covers = ("closedform.joint_dist", "closedform.ev_v_anu_before")
     if ctx.special is None:
@@ -627,18 +662,26 @@ def _check_survival_mc(ctx: _Context) -> _CheckResult:
 
 
 def _check_overshoot_pmf(ctx: _Context) -> _CheckResult:
-    covers = ("closedform.crossing_level_pmf",)
-    if ctx.special is None:
-        return _skip("overshoot-pmf-vs-mc", covers, "needs the closed-form family")
+    """The crossing-level law, and its exact mean, against simulated crossings."""
+    covers = ("timedomain.crossing_level_law",)
     sample = ctx.crossing_sample
     n = ctx.n_paths
-    m = ctx.special.m
-    worst = 0.0
-    for k in range(1, 11):
-        freq = float(np.count_nonzero(sample["a_cross"] == m + k)) / n
-        worst = max(worst, abs(freq - closedform.crossing_level_pmf(ctx.special, m + k)))
+    m = ctx.model.threshold
+    law, mean = timedomain.crossing_level_law(ctx.model, m + 10)
+    counts = np.bincount(sample["a_cross"], minlength=m + 11)
+    freq = counts[m + 1 : m + 11] / n
+    worst = float(np.max(np.abs(freq - law[m + 1 :])))
+    overshoot = np.arange(counts.size) - m
+    sample_mean = float(counts @ overshoot) / n
+    sample_var = float(counts @ (overshoot - sample_mean) ** 2) / (n - 1)
+    # the mean joins the 0.01 scale at its 5-sigma band
+    worst = max(worst, 0.01 * abs(sample_mean - mean) / (5.0 * math.sqrt(sample_var / n)))
+    if ctx.special is not None:
+        covers += ("closedform.crossing_level_pmf",)
+        for k in range(1, 11):
+            worst = max(worst, abs(freq[k - 1] - closedform.crossing_level_pmf(ctx.special, m + k)))
     return _CheckResult("overshoot-pmf-vs-mc", worst <= 0.01, worst, 0.01, covers,
-                        "geometric overshoot law vs empirical crossing levels")
+                        "crossing-level law and mean overshoot vs empirical crossing levels")
 
 
 def _check_functional_mc(ctx: _Context) -> _CheckResult:
@@ -684,6 +727,7 @@ _CHECKS = (
     _check_partition,
     _check_inversion_pairs,
     _check_time_domain_inversion,
+    _check_time_domain_laws,
     _check_pgf_extraction,
     _check_gamma_cdf,
     _check_gh_limits,

@@ -336,18 +336,32 @@ class TestPredict:
         # mean overshoot above the threshold is 1/(1-c) = 4 for this model
         assert abs(float(tail[2]) - 4.0) < 1e-9
 
-    def test_general_model_uses_sampled_overshoot(self, capsys, tmp_path):
-        cfg = _config(tmp_path, model=GENERAL_MODEL, horizon=1.0,
-                      t_steps=3, n_paths=30_000)
+    def test_general_model_overshoot_is_exact(self, capsys, tmp_path):
+        cfg = _config(tmp_path, model=GENERAL_MODEL, horizon=1.0, t_steps=3)
         code, out, _ = _run(capsys, ["predict", "--config", cfg, "--seed", "2"])
         assert code == 0
         lines = out.strip().split("\n")
         expected = float(lines[-1].split(",")[2])
         # overshoot law is the same geometric regardless of the delay grid
-        assert abs(expected - 4.0) < 0.1
+        assert abs(expected - 4.0) < 1e-9
         pmf = {int(line.split(",")[1]): float(line.split(",")[2])
                for line in lines if line.startswith("overshoot_pmf")}
         assert min(pmf) == 4
+        assert all(abs(p - 0.25 * 0.75 ** (r - 4)) < 1e-12 for r, p in pmf.items())
+
+    def test_output_does_not_depend_on_the_seed(self, capsys, tmp_path):
+        model = {**SPECIAL_MODEL, "marks": {"pmf": [0.0, 0.5, 0.3, 0.2]}}
+        cfg = _config(tmp_path, model=model, horizon=4.0, t_steps=5)
+        runs = [_run(capsys, ["predict", "--config", cfg, "--seed", seed]) for seed in ("0", "2")]
+        assert runs[0][0] == 0
+        assert runs[0] == runs[1]
+
+    def test_path_count_key_rejected(self, capsys, tmp_path):
+        cfg = _config(tmp_path, horizon=1.0, n_paths=30_000)
+        code, out, err = _run(capsys, ["predict", "--config", cfg])
+        assert code == 64
+        assert out == ""
+        assert "n_paths" in err
 
 
 class TestFailureExitCodes:
@@ -366,9 +380,10 @@ class TestFailureExitCodes:
         def boom(*args, **kwargs):
             raise InversionError("self-check diverged")
 
-        monkeypatch.setattr(cli.laplace, "survival_curve", boom)
-        cfg = _config(tmp_path, t_grid=[0.0, 1.0])
-        code, _, err = _run(capsys, ["survival", "--config", cfg])
+        # survival sums exact laws; the battery is what still inverts transforms
+        monkeypatch.setattr(cli, "run_battery", boom)
+        cfg = _config(tmp_path, n_paths=1000)
+        code, _, err = _run(capsys, ["validate", "--config", cfg])
         assert code == 3
         assert "inversion failed" in err
 
@@ -404,12 +419,12 @@ class TestFailureExitCodes:
 
 class TestRuntimeDependencies:
     def test_cli_import_loads_no_scipy(self):
-        # scipy would add about a second to every CLI start
+        # scipy would add about a second to every CLI start; mpmath is a test tool too
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
         probe = ("import sys, crosswatch.cli; "
-                 "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))")
         proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr

@@ -412,7 +412,7 @@ class TestDistTable:
 
     def test_invariant_scan_names_offending_cells(self, std_special, monkeypatch):
         # a survival row that rises in time must be refused cell by cell
-        monkeypatch.setattr(closedform, "_survival", lambda model, grid: np.array([0.5, 0.7, 0.2]))
+        monkeypatch.setattr(closedform, "survival_pre", lambda model, grid: np.array([0.5, 0.7, 0.2]))
         with pytest.raises(TableInvariantError) as exc:
             dist_table(std_special, [0.0, 1.0, 2.0], 6)
         assert [cell[:2] for cell in exc.value.cells] == [(1.0, r) for r in range(4, 7)]

@@ -39,6 +39,7 @@ ALL_CHECKS = [
     "series-extraction-roundtrip",
     "survival-vs-mc",
     "time-domain-inversion-agreement",
+    "time-domain-law-agreement",
     "transform-chain-agreement",
     "window-transform-quadrature",
     "window-transforms-vs-mc",
@@ -49,7 +50,6 @@ CLOSED_FORM_ONLY = {
     "dist-table-invariants",
     "gh-coefficient-limits",
     "mc-joint-agreement",
-    "overshoot-pmf-vs-mc",
     "pgf-extraction-consistency",
     "time-domain-inversion-agreement",
     "transform-chain-agreement",
