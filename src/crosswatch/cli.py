@@ -245,8 +245,7 @@ def cmd_dist(ns) -> int:
 def cmd_survival(ns) -> int:
     config, model = _load_config(ns.config, "survival")
     grid = _resolve_grid(ns, config)
-    pre = timedomain.survival_pre(model, grid)
-    cross = timedomain.survival_cross(model, grid)
+    pre, cross = timedomain._survival_laws(model, grid)
     lines = ["t,survival_pre,survival_cross"]
     lines.extend(
         f"{_fmt(t)},{_fmt(p)},{_fmt(c)}" for t, p, c in zip(grid, pre, cross)
@@ -286,10 +285,7 @@ def cmd_functional(ns) -> int:
     }
     if ns.check_mc is not None:
         checks = {}
-        for key in ("G1", "G2", "G"):
-            est = montecarlo.estimate_functional(
-                model, args, key, n_paths=ns.check_mc, seed=ns.seed
-            )
+        for key, est in montecarlo._functional_estimates(model, args, ns.check_mc, ns.seed).items():
             lo, hi = est.ci()
             checks[key] = {
                 "mean": est.mean,
@@ -321,8 +317,7 @@ def cmd_simulate(ns) -> int:
     lines.append(stat_row("tau_cross", sample["tau_cross"]))
     if "args" in config:
         args = _parse_args_section(config["args"], ns.exponent_form)
-        for which in ("G1", "G2", "G"):
-            est = montecarlo.estimate_functional(model, args, which, n_paths=n_paths, seed=ns.seed)
+        for which, est in montecarlo._functional_estimates(model, args, n_paths, ns.seed).items():
             lines.append(f"{which},{_fmt(est.mean)},{_fmt(est.std_error)},{est.n_samples}")
     _write_output(ns, "\n".join(lines) + "\n")
     return _EXIT_OK
@@ -357,8 +352,8 @@ def cmd_predict(ns) -> int:
     if grid is None:
         grid = np.linspace(0.0, float(horizon), t_steps) if horizon > 0 else np.array([0.0])
 
-    crash = 1.0 - timedomain.survival_cross(model, grid)
-    precrash = timedomain.survival_pre(model, grid)
+    precrash, cross = timedomain._survival_laws(model, grid)
+    crash = 1.0 - cross
 
     lines = ["quantity,arg,value"]
     lines.extend(f"crash_prob,{_fmt(t)},{_fmt(p)}" for t, p in zip(grid, crash))

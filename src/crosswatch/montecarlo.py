@@ -9,7 +9,8 @@ inspection gap.  The window integrals of ``e^{-theta t} y^{A(t)}`` are
 exact: A is constant between arrival epochs and ``e^{-theta t}``
 integrates in closed form, so no time grid or truncation enters.
 Estimates carry standard errors so agreement tests can use honest
-confidence bands.
+confidence bands.  One windowed crossing sample gives G1, G2 and G, and
+one two-stage sample gives f1 and f2; the public estimators select one.
 
 Reproducibility contract: every estimator splits its workload into
 fixed-size chunks, each driven by a child of ``SeedSequence(seed)``, and
@@ -301,22 +302,13 @@ def _real_args(args: TransformArgs) -> tuple[float, float, float, float, float, 
     return theta, u, v, w, x, y
 
 
-def estimate_functional(
-    model: ProcessModel,
-    args: TransformArgs,
-    which: str,
-    n_paths: int = 100_000,
-    seed: int = 0,
-) -> EstimateWithCI:
-    """Monte Carlo estimate of a windowed crossing transform (G1, G2, or their sum G).
+def _functional_estimates(model: ProcessModel, args: TransformArgs, n_paths: int, seed: int) -> dict:
+    """G1, G2 and G estimates, keyed by name, from one simulated sample.
 
     Per path, the windowed integrand is integrated exactly, gap by gap;
-    the estimate averages per-path integrals.  The G value is formed as
-    the sum of the G1 and G2 estimates from the same paths, so the
-    additivity identity holds exactly.
+    each estimate averages per-path integrals.  The G value is formed as
+    the sum of the G1 and G2 means, so the additivity identity holds exactly.
     """
-    if which not in ("G1", "G2", "G"):
-        raise DomainError(f'which must be one of "G1", "G2", "G", got {which!r}')
     theta, u, v, w, x, y = _real_args(args)
     if n_paths < 1:
         raise DomainError("need at least one path")
@@ -328,14 +320,22 @@ def estimate_functional(
     )
     i1 = weight * sample["window_pre"]
     i2 = weight * sample["window_cross"]
-    if which == "G1":
-        return _estimate(i1)
-    if which == "G2":
-        return _estimate(i2)
-    total = _estimate(i1 + i2)
-    return EstimateWithCI(
-        mean=_estimate(i1).mean + _estimate(i2).mean, std_error=total.std_error, n_samples=total.n_samples
-    )
+    g1, g2, total = _estimate(i1), _estimate(i2), _estimate(i1 + i2)
+    g = EstimateWithCI(mean=g1.mean + g2.mean, std_error=total.std_error, n_samples=total.n_samples)
+    return {"G1": g1, "G2": g2, "G": g}
+
+
+def estimate_functional(
+    model: ProcessModel,
+    args: TransformArgs,
+    which: str,
+    n_paths: int = 100_000,
+    seed: int = 0,
+) -> EstimateWithCI:
+    """Monte Carlo estimate of a windowed crossing transform (G1, G2, or their sum G)."""
+    if which not in ("G1", "G2", "G"):
+        raise DomainError(f'which must be one of "G1", "G2", "G", got {which!r}')
+    return _functional_estimates(model, args, n_paths, seed)[which]
 
 
 # ---------------------------------------------------------------------------
@@ -343,24 +343,19 @@ def estimate_functional(
 
 
 def _estimate_pair_window(
-    model: ProcessModel,
-    t_law: DelayLaw,
-    delta_law: DelayLaw,
-    args: TransformArgs,
-    which: str,
-    n_samples: int,
-    seed: int,
-) -> EstimateWithCI:
-    """Per sample, one gap T from level 0 and one gap Delta from A(T), each with its window integral."""
+    model: ProcessModel, t_law: DelayLaw, delta_law: DelayLaw, args: TransformArgs, n_samples: int, seed: int
+) -> dict:
+    """f1 and f2 from one two-stage sample: per sample, a gap T from level 0 and a gap Delta from A(T)."""
     theta, u, v, w, x, y = _real_args(args)
 
-    def worker(size: int, rng: np.random.Generator) -> np.ndarray:
+    def worker(size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         t_val, a_t, in_t = _gap_step(model, t_law, np.zeros(size, dtype=np.int64), np.zeros(size), rng, theta, y)
         d_val, a_td, in_d = _gap_step(model, delta_law, a_t, t_val, rng, theta, y)
         weight = u ** a_t.astype(float) * v ** a_td.astype(float) * np.exp(-w * t_val - x * d_val)
-        return weight * (in_t if which == "f1" else in_d)
+        return weight * in_t, weight * in_d
 
-    return _estimate(np.concatenate(_run_chunked(n_samples, seed, worker)))
+    f1, f2 = zip(*_run_chunked(n_samples, seed, worker))
+    return {"f1": _estimate(np.concatenate(f1)), "f2": _estimate(np.concatenate(f2))}
 
 
 def estimate_f1_star(
@@ -372,7 +367,7 @@ def estimate_f1_star(
     seed: int = 0,
 ) -> EstimateWithCI:
     """Two-stage estimate of the window transform on {t < T} for an independent (T, Delta)."""
-    return _estimate_pair_window(model, t_law, delta_law, args, "f1", n_samples, seed)
+    return _estimate_pair_window(model, t_law, delta_law, args, n_samples, seed)["f1"]
 
 
 def estimate_f2_star(
@@ -384,4 +379,4 @@ def estimate_f2_star(
     seed: int = 0,
 ) -> EstimateWithCI:
     """Two-stage estimate of the window transform on {T <= t < T + Delta}."""
-    return _estimate_pair_window(model, t_law, delta_law, args, "f2", n_samples, seed)
+    return _estimate_pair_window(model, t_law, delta_law, args, n_samples, seed)["f2"]

@@ -128,6 +128,7 @@ def _first_rate(model: ProcessModel) -> float | None:
 
 def _sum_cdf(model: ProcessModel) -> np.ndarray:
     """F_n = P{S_n <= M} for n = 0..M, S_n the total of n marks conditioned to be >= 1."""
+    _moving_rate(model)  # raises when every mark is zero, before 1 - f0 divides below
     m = model.threshold
     if isinstance(model.marks, Geometric):
         # n geometric marks sum to at most M exactly when M trials hold >= n successes
@@ -253,14 +254,7 @@ def survival_pre(model: ProcessModel, t_grid: Sequence[float] | np.ndarray) -> n
     t + E, E ~ Exp(mu); an Exp(eta) first gap still pending at t (chance
     e^{-eta t}) puts it at t + Exp(eta) instead.
     """
-    grid = _times(t_grid)
-    lam, mu, tails = _moving_rate(model), model.observation.recurring.rate, _sum_cdf(model)
-    out = _next_look(tails, lam, mu, grid)
-    eta = _first_rate(model)
-    if eta is not None and eta != mu:
-        pending = np.exp(-eta * grid)
-        out = pending * _next_look(tails, lam, eta, grid) + -np.expm1(-eta * grid) * out
-    return np.minimum(out, 1.0)  # rounding can exceed 1 when all of N'(t)'s mass is <= M
+    return _survival_pre(model, _times(t_grid), _sum_cdf(model))
 
 
 def survival_cross(model: ProcessModel, t_grid: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -272,9 +266,27 @@ def survival_cross(model: ProcessModel, t_grid: Sequence[float] | np.ndarray) ->
     e^{-eta u}, the same kernel for arrivals at rate lam' + eta with the
     n-th term scaled by (lam' / (lam' + eta))^n.
     """
-    grid = _times(t_grid)
-    lam, mu, tails = _moving_rate(model), model.observation.recurring.rate, _sum_cdf(model)
+    return _survival_cross(model, _times(t_grid), _sum_cdf(model))
+
+
+def _survival_laws(model: ProcessModel, t_grid: Sequence[float] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P{tau_pre > t}, P{tau_cross > t}) from one computation of F_n."""
+    grid, tails = _times(t_grid), _sum_cdf(model)
+    return _survival_pre(model, grid, tails), _survival_cross(model, grid, tails)
+
+
+def _survival_pre(model: ProcessModel, grid: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    lam, mu = _moving_rate(model), model.observation.recurring.rate
+    out = _next_look(tails, lam, mu, grid)
     eta = _first_rate(model)
+    if eta is not None and eta != mu:
+        pending = np.exp(-eta * grid)
+        out = pending * _next_look(tails, lam, eta, grid) + -np.expm1(-eta * grid) * out
+    return np.minimum(out, 1.0)  # rounding can exceed 1 when all of N'(t)'s mass is <= M
+
+
+def _survival_cross(model: ProcessModel, grid: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    lam, mu, eta = _moving_rate(model), model.observation.recurring.rate, _first_rate(model)
     out = np.exp(-(mu if eta is None else eta) * grid) + _last_look(tails, lam, mu, grid)
     if eta is not None and eta != mu:
         kappa = lam + eta

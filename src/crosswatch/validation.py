@@ -235,19 +235,17 @@ def _check_contraction(ctx: _Context) -> _CheckResult:
 
 
 def _check_window_transforms_mc(ctx: _Context) -> _CheckResult:
-    """Split-window transforms vs their two-stage simulation estimate."""
+    """Split-window transforms vs one two-stage simulation that estimates both."""
     covers = ("transforms.f1_star", "transforms.f2_star")
     model = ctx.model
     t_law, d_law = Exponential(1.0), Exponential(1.0)
     args = TransformArgs(theta=0.8, u=0.7, v=0.9, w=0.2, x=0.3, y=0.6)
+    estimates = montecarlo._estimate_pair_window(model, t_law, d_law, args, 100_000, ctx.seed + 5)
     worst = 0.0
     details = []
-    for name, analytic_fn, mc_fn in (
-        ("f1", transforms.f1_star, montecarlo.estimate_f1_star),
-        ("f2", transforms.f2_star, montecarlo.estimate_f2_star),
-    ):
+    for name, analytic_fn in (("f1", transforms.f1_star), ("f2", transforms.f2_star)):
         exact = complex(analytic_fn(model, t_law, d_law, args)).real
-        est = mc_fn(model, t_law, d_law, args, n_samples=100_000, seed=ctx.seed + 5)
+        est = estimates[name]
         tol = 5.0 * est.std_error + 1e-5
         worst = max(worst, abs(est.mean - exact) / tol)
         details.append(f"{name}: exact {exact:.6f}, mc {est.mean:.6f} +/- {est.std_error:.2e}")
@@ -512,35 +510,40 @@ def _check_time_domain_inversion(ctx: _Context) -> _CheckResult:
 
 
 def _check_time_domain_laws(ctx: _Context) -> _CheckResult:
-    """Both exact survival laws against Euler inversion of the window transforms.
+    """Both exact survival laws against Euler inversion of their transforms, two ways.
 
     G1 and G at the all-ones tagging point transform t -> P{tau_pre > t} and
-    t -> P{tau_cross > t} themselves, so they are inverted directly rather
-    than through (1 - lst) / theta.  A failed inversion fails the check.
+    t -> P{tau_cross > t} themselves, so they are inverted directly;
+    ``survival_curve`` inverts the same laws from ``lst_tau_*`` through
+    (1 - lst) / theta.  A failed inversion fails the check.
     """
     covers = (
         "timedomain.survival_pre",
         "timedomain.survival_cross",
         "fluctuation.g1_star",
         "fluctuation.g_star",
+        "fluctuation.lst_tau_pre",
+        "fluctuation.lst_tau_cross",
         "laplace.invert",
+        "laplace.survival_curve",
     )
     model = ctx.model
     times = timedomain._mean_cross_time(model) * np.array([0.5, 1.0, 2.0])
     worst = 0.0
-    for law, g in (
-        (timedomain.survival_pre, fluctuation.g1_star),
-        (timedomain.survival_cross, fluctuation.g_star),
+    for law, g, lst in (
+        (timedomain.survival_pre, fluctuation.g1_star, fluctuation.lst_tau_pre),
+        (timedomain.survival_cross, fluctuation.g_star, fluctuation.lst_tau_cross),
     ):
         exact = law(model, times)
-        for t, value in zip(times, exact):
-            try:
-                inverted = laplace.invert(lambda q: g(model, TransformArgs(theta=q)), float(t))
-            except InversionError as exc:
-                return _CheckResult("time-domain-law-agreement", False, math.inf, 1e-6, covers, str(exc))
-            worst = max(worst, abs(inverted - value))
+        try:
+            inverted = [laplace.invert(lambda q: g(model, TransformArgs(theta=q)), float(t)) for t in times]
+            curve = laplace.survival_curve(lambda q: lst(model, q), times)
+        except InversionError as exc:
+            return _CheckResult("time-domain-law-agreement", False, math.inf, 1e-6, covers, str(exc))
+        worst = max(worst, float(np.max(np.abs(inverted - exact))), float(np.max(np.abs(curve - exact))))
     return _CheckResult("time-domain-law-agreement", worst <= 1e-6, worst, 1e-6, covers,
-                        "positive-sum survival laws vs inverted G1 and G at 0.5, 1, 2 x E[tau_cross]")
+                        "positive-sum survival laws vs inverted G1 and G, and vs survival_curve "
+                        "of lst_tau_*, at 0.5, 1, 2 x E[tau_cross]")
 
 
 def _check_pgf_extraction(ctx: _Context) -> _CheckResult:
@@ -640,25 +643,22 @@ def _check_mc_joint(ctx: _Context) -> _CheckResult:
 
 
 def _check_survival_mc(ctx: _Context) -> _CheckResult:
-    covers = (
-        "laplace.survival_curve",
-        "fluctuation.lst_tau_pre",
-        "fluctuation.lst_tau_cross",
-        "laplace.invert",
-    )
-    model = ctx.model
+    """Both exact survival laws vs the sample's exceedance frequencies.
+
+    Each point is normalised to 5 binomial standard errors at the exact
+    probability p, plus 1/n so that p near 0 or 1 keeps a band of one path.
+    """
+    covers = ("timedomain.survival_pre", "timedomain.survival_cross")
     sample = ctx.crossing_sample
+    n = ctx.n_paths
     grid = np.linspace(0.0, 4.0, 9)
     worst = 0.0
-    for key, lst in (
-        ("tau_pre", lambda q: fluctuation.lst_tau_pre(model, q)),
-        ("tau_cross", lambda q: fluctuation.lst_tau_cross(model, q)),
-    ):
-        curve = laplace.survival_curve(lst, grid)
+    for key, exact in zip(("tau_pre", "tau_cross"), timedomain._survival_laws(ctx.model, grid)):
         empirical = np.array([np.mean(sample[key] > t) for t in grid])
-        worst = max(worst, float(np.max(np.abs(curve - empirical))))
-    return _CheckResult("survival-vs-mc", worst <= 0.01, worst, 0.01, covers,
-                        "inverted survival curves vs empirical exceedance frequencies")
+        tol = 5.0 * np.sqrt(exact * (1.0 - exact) / n) + 1.0 / n
+        worst = max(worst, float(np.max(np.abs(empirical - exact) / tol)))
+    return _CheckResult("survival-vs-mc", worst <= 1.0, worst, 1.0, covers,
+                        "exact survival laws vs empirical exceedance frequencies (normalized to 5 SE + 1/n)")
 
 
 def _check_overshoot_pmf(ctx: _Context) -> _CheckResult:
@@ -685,30 +685,25 @@ def _check_overshoot_pmf(ctx: _Context) -> _CheckResult:
 
 
 def _check_functional_mc(ctx: _Context) -> _CheckResult:
+    """G1 and G2 (and exact additivity) from one sample at args_fast; G1 on a smaller tagged sample."""
     covers = ("fluctuation.g1_star", "fluctuation.g2_star", "fluctuation.g_star")
     model = ctx.model
     worst = 0.0
     details = []
     args_fast = TransformArgs(theta=1.0, u=0.8, v=0.9, w=0.15, x=0.25, y=1.0)
     args_slow = TransformArgs(theta=1.0, u=0.9, v=0.95, w=0.1, x=0.1, y=0.8)
-    for tag, args, n, which in (
-        ("G1|y=1", args_fast, ctx.n_paths, "G1"),
-        ("G2|y=1", args_fast, ctx.n_paths, "G2"),
-        ("G1|y<1", args_slow, max(10_000, ctx.n_paths // 5), "G1"),
+    fast = montecarlo._functional_estimates(model, args_fast, ctx.n_paths, ctx.seed + 19)
+    slow = montecarlo._functional_estimates(model, args_slow, max(10_000, ctx.n_paths // 5), ctx.seed + 19)
+    for tag, args, est, exact_fn in (
+        ("G1|y=1", args_fast, fast["G1"], fluctuation.g1_star),
+        ("G2|y=1", args_fast, fast["G2"], fluctuation.g2_star),
+        ("G1|y<1", args_slow, slow["G1"], fluctuation.g1_star),
     ):
-        exact = {
-            "G1": fluctuation.g1_star,
-            "G2": fluctuation.g2_star,
-            "G": fluctuation.g_star,
-        }[which](model, args).real
-        est = montecarlo.estimate_functional(model, args, which, n_paths=n, seed=ctx.seed + 19)
+        exact = exact_fn(model, args).real
         tol = 5.0 * est.std_error + 1e-5
         worst = max(worst, abs(est.mean - exact) / tol)
         details.append(f"{tag}: exact {exact:.6f}, mc {est.mean:.6f}")
-    g_est = montecarlo.estimate_functional(model, args_fast, "G", n_paths=ctx.n_paths, seed=ctx.seed + 19)
-    g1_est = montecarlo.estimate_functional(model, args_fast, "G1", n_paths=ctx.n_paths, seed=ctx.seed + 19)
-    g2_est = montecarlo.estimate_functional(model, args_fast, "G2", n_paths=ctx.n_paths, seed=ctx.seed + 19)
-    if g_est.mean != g1_est.mean + g2_est.mean:
+    if fast["G"].mean != fast["G1"].mean + fast["G2"].mean:
         worst = max(worst, 2.0)
         details.append("additivity violated")
     return _CheckResult("functional-vs-mc", worst <= 1.0, worst, 1.0, covers,

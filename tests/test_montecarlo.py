@@ -5,11 +5,13 @@ window integrals are exact per path, so the estimators carry no bias
 beyond sampling noise.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from crosswatch import cli
 from crosswatch import montecarlo as mc
 from crosswatch.errors import DomainError, RunawaySimulationError
 from crosswatch.fluctuation import g1_star, g2_star, g_star
@@ -25,12 +27,15 @@ from crosswatch.model import (
 from crosswatch.montecarlo import (
     EstimateWithCI,
     _crossing_sample,
+    _estimate_pair_window,
+    _functional_estimates,
     estimate_f1_star,
     estimate_f2_star,
     estimate_functional,
     estimate_joint,
 )
 from crosswatch.transforms import f1_star, f2_star
+from crosswatch.validation import run_battery
 
 
 def _slow_model():
@@ -137,9 +142,11 @@ class TestEstimateJoint:
 
 
 class TestEstimateFunctional:
-    def test_which_validation(self, std_model):
+    def test_which_validation(self, std_model, monkeypatch):
+        calls = _count_samples(monkeypatch)
         with pytest.raises(DomainError):
             estimate_functional(std_model, TransformArgs(theta=1.0), "G3")
+        assert calls == []  # rejected before any path is drawn
 
     def test_additivity_is_bitwise(self, std_model):
         args = TransformArgs(theta=0.5, v=0.7)
@@ -229,3 +236,79 @@ class TestPairWindowEstimators:
         a = estimate_f1_star(std_model, *laws, args, n_samples=5_000, seed=4)
         b = estimate_f1_star(std_model, *laws, args, n_samples=5_000, seed=4)
         assert a == b
+
+
+class TestOneSamplePerSeed:
+    """Each helper draws one sample; every public estimator is a selector over it."""
+
+    @pytest.mark.parametrize("y", [1.0, 0.8])
+    def test_functional_helper_matches_public_estimator(self, std_model, y):
+        args = TransformArgs(theta=0.9, u=0.85, v=0.7, w=0.1, x=0.2, y=y)
+        both = _functional_estimates(std_model, args, 20_000, 6)
+        assert list(both) == ["G1", "G2", "G"]
+        for which, est in both.items():
+            assert est == estimate_functional(std_model, args, which, n_paths=20_000, seed=6)
+
+    def test_pair_window_helper_matches_public_estimators(self, std_model):
+        args = TransformArgs(theta=0.9, u=0.8, v=0.7, w=0.2, x=0.1, y=0.6)
+        laws = (Exponential(1.0), Exponential(1.5))
+        both = _estimate_pair_window(std_model, *laws, args, 20_000, 8)
+        assert both["f1"] == estimate_f1_star(std_model, *laws, args, n_samples=20_000, seed=8)
+        assert both["f2"] == estimate_f2_star(std_model, *laws, args, n_samples=20_000, seed=8)
+
+    def test_two_chunks_merge_identically_on_two_threads(self, std_model, monkeypatch):
+        args = TransformArgs(theta=0.9, u=0.85, v=0.7, w=0.1, x=0.2, y=0.8)
+        laws = (Exponential(1.0), Exponential(1.5))
+        serial_g = _functional_estimates(std_model, args, 200_000, 12)
+        serial_f = _estimate_pair_window(std_model, *laws, args, 200_000, 12)
+        monkeypatch.setenv("CROSSING_THREADS", "2")
+        for which in ("G1", "G2", "G"):
+            assert estimate_functional(std_model, args, which, n_paths=200_000, seed=12) == serial_g[which]
+        assert estimate_f1_star(std_model, *laws, args, n_samples=200_000, seed=12) == serial_f["f1"]
+        assert estimate_f2_star(std_model, *laws, args, n_samples=200_000, seed=12) == serial_f["f2"]
+        assert serial_g["G"].n_samples == 200_000
+
+
+def _count_samples(monkeypatch) -> list:
+    """Record one entry per sample drawn through the chunked runner."""
+    calls = []
+    runner = mc._run_chunked
+
+    def counting(n_total, seed, worker):
+        calls.append(n_total)
+        return runner(n_total, seed, worker)
+
+    monkeypatch.setattr(mc, "_run_chunked", counting)
+    return calls
+
+
+class TestSampleCount:
+    """Guards against re-drawing a sample that was already drawn."""
+
+    def test_battery_draws_four_samples(self, std_model, monkeypatch):
+        # the shared crossing sample, the pair-window sample, and one
+        # functional sample at each of two argument points
+        calls = _count_samples(monkeypatch)
+        assert run_battery(std_model, n_paths=5_000)["all_passed"]
+        assert len(calls) == 4
+
+    def test_tagged_simulate_draws_two_samples(self, tmp_path, monkeypatch, capsys):
+        model = {"lambda": 1.0, "marks": {"geometric": {"a": 0.5}}, "obs": {"mu": 1.0, "initial": "zero"},
+                 "threshold": 3}
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({"schema_version": 1, "model": model, "n_paths": 5_000,
+                                      "args": {"theta": 1.0, "y": 0.8}}))
+        calls = _count_samples(monkeypatch)
+        assert cli.main(["simulate", "--config", str(config)]) == 0
+        assert [line.split(",")[0] for line in capsys.readouterr().out.splitlines()[-3:]] == ["G1", "G2", "G"]
+        assert calls == [5_000, 5_000]
+
+    def test_functional_check_mc_draws_one_sample(self, tmp_path, monkeypatch, capsys):
+        model = {"lambda": 1.0, "marks": {"pmf": [0.0, 0.5, 0.3, 0.2]}, "obs": {"mu": 1.0, "initial": "zero"},
+                 "threshold": 3}
+        config = tmp_path / "fun.json"
+        config.write_text(json.dumps({"schema_version": 1, "model": model, "args": {"theta": 1.0, "y": 0.8}}))
+        calls = _count_samples(monkeypatch)
+        assert cli.main(["functional", "--config", str(config), "--check-mc", "4000"]) == 0
+        assert sorted(json.loads(capsys.readouterr().out)["check_mc"]) == ["G", "G1", "G2"]
+        assert calls == [4_000]

@@ -8,6 +8,7 @@ arithmetic, the crossing-time law by quadrature when lam != mu, and the
 crossing level by the renewal recursion of the chain of looks.
 """
 
+import json
 import math
 import time
 from fractions import Fraction
@@ -263,12 +264,42 @@ class TestEdges:
         assert math.exp(-mu * 1e7 / lam) <= cross[0] <= 2.0 * math.exp(-mu * 1e7 / lam)
 
     def test_all_zero_marks_diverge(self):
-        model = _model(3, (1.0,))
-        for call in (lambda: timedomain.survival_pre(model, [1.0]),
-                     lambda: timedomain.survival_cross(model, [1.0]),
-                     lambda: timedomain.crossing_level_law(model, 10)):
-            with pytest.raises(DivergenceError):
-                call()
+        for model in (_model(3, (1.0,)), _model(3, (1.0, 0.0))):
+            for call in (lambda: timedomain.survival_pre(model, [1.0]),
+                         lambda: timedomain.survival_cross(model, [1.0]),
+                         lambda: timedomain._survival_laws(model, [1.0]),
+                         lambda: timedomain.crossing_level_law(model, 10)):
+                with pytest.raises(DivergenceError):
+                    call()
+
+
+def _count_sum_cdf(monkeypatch) -> list:
+    calls = []
+    sum_cdf = timedomain._sum_cdf
+    monkeypatch.setattr(timedomain, "_sum_cdf", lambda model: calls.append(model) or sum_cdf(model))
+    return calls
+
+
+class TestOneSumCdfPerCall:
+    @pytest.mark.parametrize("model", [_model(40), _model(40, first=2.5), _model(30, 0.5, 2.0, 0.7)])
+    def test_both_laws_match_the_public_ones_bitwise(self, model, monkeypatch):
+        times = np.array([0.0, 3.0, 30.0])
+        pre, cross = timedomain.survival_pre(model, times), timedomain.survival_cross(model, times)
+        calls = _count_sum_cdf(monkeypatch)
+        both = timedomain._survival_laws(model, times)
+        assert len(calls) == 1
+        assert np.array_equal(both[0], pre) and np.array_equal(both[1], cross)
+
+    @pytest.mark.parametrize("command, keys", [("survival", {"t_grid": [0.5, 2.0]}),
+                                               ("predict", {"horizon": 2.0, "t_steps": 3})])
+    def test_commands_compute_the_mark_sums_once(self, command, keys, tmp_path, monkeypatch, capsys):
+        model = {"lambda": 1.0, "marks": {"pmf": list(PMF)}, "obs": {"mu": 1.0, "initial": "zero"}, "threshold": 60}
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"schema_version": 1, "model": model, **keys}))
+        calls = _count_sum_cdf(monkeypatch)
+        assert cli.main([command, "--config", str(config)]) == 0
+        assert capsys.readouterr().out
+        assert len(calls) == 1
 
 
 class TestCommandLine:
