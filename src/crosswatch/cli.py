@@ -1,12 +1,15 @@
 """Batch command-line front end.
 
-Subcommands map one-to-one onto the package layers: ``dist`` tabulates
+Commands map one-to-one onto the package layers: ``dist`` tabulates
 the closed-form joint law, ``survival`` sums the exact time-domain
 survival laws of the crossing times, ``functional`` evaluates the
 windowed crossing transforms, ``simulate`` runs the Monte Carlo oracle,
 ``validate`` runs the full oracle-agreement battery, and ``predict``
 packages the crash-forecast outputs (the same survival laws and the exact
-crossing-level law).
+crossing-level law).  No command has an option of its own, so one flat
+parser (a ``COMMAND`` positional plus the shared options, in any order)
+serves them all; it is built once per process and reused by every
+:func:`main` call.
 
 Conventions shared by every command: JSON configs carry a
 ``schema_version`` and reject unknown keys; numeric CSV cells print with
@@ -19,6 +22,7 @@ failure, 2 table-invariant failure, 3 inversion failure, 4 divergence,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -48,6 +52,15 @@ _EXIT_TABLE = 2
 _EXIT_INVERSION = 3
 _EXIT_DIVERGENCE = 4
 _EXIT_USAGE = 64
+
+_COMMAND_HELP = {
+    "dist": "closed-form joint table P{A_nu=r, tau_pre>t}",
+    "survival": "exact survival curves of tau_pre and tau_cross",
+    "functional": "windowed crossing transforms G1/G2/G",
+    "simulate": "Monte Carlo crossing estimates",
+    "validate": "oracle-agreement battery",
+    "predict": "exact crash-forecast curves and crossing-level law",
+}
 
 _COMMAND_KEYS = {
     "dist": {"t_grid", "r_max"},
@@ -100,30 +113,29 @@ def _grid_spec(text: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="crosswatch", description=__doc__.splitlines()[0])
-    common = _Parser(add_help=False)
-    common.add_argument("--config", required=True, help="path to the JSON run configuration")
-    common.add_argument("--seed", type=_nonnegative_int, default=0, help="simulation seed (default 0)")
-    common.add_argument("--out", default=None, help="output file (default: stdout)")
-    common.add_argument("--check-mc", type=_positive_int, default=None, metavar="N",
+    # Building costs more than a small command's body (argparse checks each
+    # option's help formatting) and the parser keeps no per-call state, so
+    # one instance serves every call in the process.
+    epilog = "commands:\n" + "\n".join(f"  {name:<12}{text}" for name, text in _COMMAND_HELP.items())
+    parser = _Parser(prog="crosswatch", description=__doc__.splitlines()[0], epilog=epilog,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", metavar="COMMAND", choices=tuple(_COMMAND_HELP),
+                        help="one of the commands listed below")
+    parser.add_argument("--config", required=True, help="path to the JSON run configuration")
+    parser.add_argument("--seed", type=_nonnegative_int, default=0, help="simulation seed (default 0)")
+    parser.add_argument("--out", default=None, help="output file (default: stdout)")
+    parser.add_argument("--check-mc", type=_positive_int, default=None, metavar="N",
                         help="cross-check analytic values with an N-path simulation")
-    common.add_argument("--exponent-form", choices=("delta", "tau"), default="delta",
+    parser.add_argument("--exponent-form", choices=("delta", "tau"), default="delta",
                         help="damp the crossing gap (delta) or the crossing time (tau)")
-    common.add_argument("--t-grid", type=_grid_spec, default=None, metavar="A:B:N",
+    parser.add_argument("--t-grid", type=_grid_spec, default=None, metavar="A:B:N",
                         help="uniform time grid, overrides the config")
-    common.add_argument("--r-max", type=_nonnegative_int, default=None,
+    parser.add_argument("--r-max", type=_nonnegative_int, default=None,
                         help="largest tabulated crossing level, overrides the config")
-    common.add_argument("--perturb-c", type=float, default=None, metavar="EPS",
+    parser.add_argument("--perturb-c", type=float, default=None, metavar="EPS",
                         help="validate only: shift the composite ratio c (negative control)")
-
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    sub.add_parser("dist", parents=[common], help="closed-form joint table P{A_nu=r, tau_pre>t}")
-    sub.add_parser("survival", parents=[common], help="exact survival curves of tau_pre and tau_cross")
-    sub.add_parser("functional", parents=[common], help="windowed crossing transforms G1/G2/G")
-    sub.add_parser("simulate", parents=[common], help="Monte Carlo crossing estimates")
-    sub.add_parser("validate", parents=[common], help="oracle-agreement battery")
-    sub.add_parser("predict", parents=[common], help="exact crash-forecast curves and crossing-level law")
     return parser
 
 
@@ -189,7 +201,13 @@ def _resolve_grid(ns, config: Mapping, required: bool = True) -> np.ndarray | No
         raw = config["t_grid"]
         if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)) or not raw:
             raise ConfigError("t_grid must be a nonempty array of times")
-        grid = np.asarray([float(v) for v in raw])
+        for value in raw:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"t_grid entries must be numbers, got {value!r}")
+        try:
+            grid = np.asarray([float(v) for v in raw])
+        except OverflowError as exc:  # an integer beyond the float range
+            raise ConfigError(f"t_grid entries must be finite: {exc}") from exc
         if np.any(grid < 0.0) or np.any(~np.isfinite(grid)) or np.any(np.diff(grid) < 0.0):
             raise ConfigError("t_grid must be nonnegative, finite, and sorted")
         return grid
@@ -237,7 +255,9 @@ def cmd_dist(ns) -> int:
     r_max = ns.r_max if ns.r_max is not None else config.get("r_max")
     if r_max is None:
         raise ConfigError('dist needs a level bound ("r_max" key or --r-max)')
-    table = closedform.dist_table(special, grid, int(r_max))
+    if isinstance(r_max, bool) or not isinstance(r_max, int) or r_max < 0:
+        raise ConfigError(f"r_max must be a nonnegative integer, got {r_max!r}")
+    table = closedform.dist_table(special, grid, r_max)
     _write_output(ns, table.to_csv())
     return _EXIT_OK
 

@@ -310,10 +310,11 @@ class JointDistTable:
     values: np.ndarray
 
     def to_csv(self) -> str:
+        levels = [f",{r}," for r in self.r_range.tolist()]
         lines = ["t,r,probability"]
-        for i, t in enumerate(self.t_grid):
-            for k, r in enumerate(self.r_range):
-                lines.append(f"{t:.11e},{int(r)},{self.values[i, k]:.11e}")
+        for t, row in zip(self.t_grid.tolist(), self.values.tolist()):
+            stamp = f"{t:.11e}"
+            lines.extend(f"{stamp}{level}{p:.11e}" for level, p in zip(levels, row))
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:

@@ -547,16 +547,22 @@ def _check_time_domain_laws(ctx: _Context) -> _CheckResult:
 
 
 def _check_pgf_extraction(ctx: _Context) -> _CheckResult:
-    covers = ("closedform.joint_dist", "closedform.ev_v_anu_before")
+    covers = ("closedform.dist_table", "closedform.joint_dist", "closedform.ev_v_anu_before")
     if ctx.special is None:
         return _skip("pgf-extraction-consistency", covers, "needs the closed-form family")
     sp = ctx.special
+    times = (0.25, 1.0, 4.0)
+    table = closedform.dist_table(sp, times, max(500, sp.m + 2))
     worst = 0.0
-    for t in (0.25, 1.0, 4.0):
+    for t, row in zip(times, table.values.tolist()):
+        for r in (sp.m + 1, sp.m + 2):
+            if closedform.joint_dist(sp, r, t) != row[r]:
+                return _CheckResult("pgf-extraction-consistency", False, math.inf, 1e-8, covers,
+                                    f"joint_dist(r={r}, t={t}) differs from its dist_table cell")
         for v in (0.3, 0.6, 0.9):
             total, r, quiet = 0.0, 0, 0
             while r <= 500:
-                term = v**r * closedform.joint_dist(sp, r, t)
+                term = v**r * row[r]
                 total += term
                 quiet = quiet + 1 if abs(term) < 1e-14 and r > sp.m else 0
                 if quiet >= 4:

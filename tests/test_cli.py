@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
@@ -51,6 +52,12 @@ class TestUsageErrors:
     def test_no_subcommand_exits_64(self):
         with pytest.raises(SystemExit) as excinfo:
             cli.main([])
+        assert excinfo.value.code == 64
+
+    def test_unknown_command_exits_64(self, tmp_path):
+        cfg = _config(tmp_path, t_grid=[0.0, 1.0])
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["survive", "--config", cfg])
         assert excinfo.value.code == 64
 
     def test_unknown_flag_exits_64(self, tmp_path):
@@ -125,6 +132,70 @@ class TestUsageErrors:
         code, _, err = _run(capsys, ["survival", "--config", cfg])
         assert code == 64
         assert "t_grid" in err
+
+    @pytest.mark.parametrize("r_max", [True, 2.9, 3.0, "7", "abc", -1])
+    def test_dist_rejects_non_integer_level_bound(self, capsys, tmp_path, r_max):
+        cfg = _config(tmp_path, t_grid=[0.0, 1.0], r_max=r_max)
+        code, out, err = _run(capsys, ["dist", "--config", cfg])
+        assert code == 64
+        assert out == ""
+        assert "r_max" in err
+
+    @pytest.mark.parametrize("t_grid", [[0.0, True], ["0.5", "1"], ["abc"], [0.0, None], [0.0, 10**400]])
+    def test_time_grid_entries_must_be_numbers(self, capsys, tmp_path, t_grid):
+        for command, extra in (("dist", {"r_max": 4}), ("survival", {})):
+            cfg = _config(tmp_path, t_grid=t_grid, **extra)
+            code, out, err = _run(capsys, [command, "--config", cfg])
+            assert code == 64
+            assert out == ""
+            assert "t_grid" in err
+
+
+class TestParser:
+    def test_second_call_builds_no_parser(self, capsys, tmp_path, monkeypatch):
+        cfg = _config(tmp_path, args={"theta": 1.0})
+        assert _run(capsys, ["functional", "--config", cfg])[0] == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert _run(capsys, ["functional", "--config", cfg])[0] == 0
+        assert built == []
+
+    def test_no_state_leaks_between_calls(self, capsys, tmp_path):
+        cfg = _config(tmp_path, t_grid=[0.0, 0.5, 1.0, 2.0])
+        out_path = tmp_path / "grid.csv"
+        cli._build_parser.cache_clear()
+        code, first, _ = _run(capsys, ["survival", "--config", cfg])
+        assert code == 0
+        code, piped, _ = _run(capsys, ["survival", "--t-grid", "0:2:3", "--seed", "7",
+                                       "--out", str(out_path), "--config", cfg])
+        assert code == 0 and piped == ""
+        assert len(out_path.read_text().strip().split("\n")) == 1 + 3
+        code, again, _ = _run(capsys, ["survival", "--config", cfg])
+        assert code == 0
+        assert again == first
+
+    def test_options_may_precede_the_command(self, capsys, tmp_path):
+        cfg = _config(tmp_path, t_grid=[0.0, 1.0], r_max=5)
+        after = _run(capsys, ["dist", "--config", cfg, "--r-max", "6"])
+        before = _run(capsys, ["--config", cfg, "--r-max", "6", "dist"])
+        assert after[0] == 0
+        assert before == after
+
+    def test_help_lists_every_command(self):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "crosswatch.cli", "--help"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        for command in cli._COMMANDS:
+            assert f"\n  {command} " in proc.stdout
 
 
 class TestDist:

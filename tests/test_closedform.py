@@ -389,6 +389,13 @@ class TestDistTable:
         path = tmp_path / "table.csv"
         table.write_csv(path)
         assert path.read_text() == text
+        # the row-at-a-time formatter against one format call per cell
+        wide = dist_table(std_special, [0.0, 0.7, 3.5], 100)
+        reference = ["t,r,probability"] + [
+            f"{t:.11e},{r},{p:.11e}"
+            for i, t in enumerate(wide.t_grid) for r in range(101) for p in [wide.values[i, r]]
+        ]
+        assert wide.to_csv() == "\n".join(reference) + "\n"
 
     def test_grid_validation(self, std_special):
         with pytest.raises(DomainError):
@@ -409,6 +416,14 @@ class TestDistTable:
             _Context(model=broken.to_process_model(), special=broken, seed=0, n_paths=1000)
         )
         assert not result.passed and result.observed > 1e3 * result.tolerance
+
+    def test_pgf_check_holds_joint_dist_to_its_table(self, std_special, monkeypatch):
+        monkeypatch.setattr(closedform, "joint_dist", lambda model, r, t: 0.5)
+        result = _check_pgf_extraction(
+            _Context(model=std_special.to_process_model(), special=std_special, seed=0, n_paths=1000)
+        )
+        assert not result.passed and result.observed == math.inf
+        assert "joint_dist" in result.detail
 
     def test_invariant_scan_names_offending_cells(self, std_special, monkeypatch):
         # a survival row that rises in time must be refused cell by cell
