@@ -41,7 +41,7 @@ from .errors import (
     TableInvariantError,
     UnsupportedLawError,
 )
-from .model import ProcessModel, TransformArgs, load_model
+from .model import ProcessModel, TransformArgs, _config_number, load_model
 from .validation import run_battery
 
 __all__ = ["main"]
@@ -176,17 +176,11 @@ def _parse_args_section(section, exponent_form: str) -> TransformArgs:
         raise ConfigError(f"unknown args key(s) {unknown}")
     if "theta" not in section:
         raise ConfigError('"args" needs at least "theta"')
-    theta_raw = section["theta"]
-    if isinstance(theta_raw, bool) or not isinstance(theta_raw, (int, float)):
-        raise ConfigError(f"args.theta must be a number, got {theta_raw!r}")
     values = {"u": 1.0, "v": 1.0, "w": 0.0, "x": 0.0, "y": 1.0}
     for key in values:
         if key in section:
-            val = section[key]
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                raise ConfigError(f"args.{key} must be a number, got {val!r}")
-            values[key] = float(val)
-    args = TransformArgs(theta=float(theta_raw), **values)
+            values[key] = _config_number(section[key], f"args.{key}")
+    args = TransformArgs(theta=_config_number(section["theta"], "args.theta"), **values)
     if exponent_form == "tau":
         # exp(-w*tau_pre - x*tau_cross) = exp(-(w+x)*tau_pre - x*(tau_cross - tau_pre))
         args = TransformArgs(theta=args.theta, u=args.u, v=args.v,
@@ -201,15 +195,9 @@ def _resolve_grid(ns, config: Mapping, required: bool = True) -> np.ndarray | No
         raw = config["t_grid"]
         if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)) or not raw:
             raise ConfigError("t_grid must be a nonempty array of times")
-        for value in raw:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"t_grid entries must be numbers, got {value!r}")
-        try:
-            grid = np.asarray([float(v) for v in raw])
-        except OverflowError as exc:  # an integer beyond the float range
-            raise ConfigError(f"t_grid entries must be finite: {exc}") from exc
-        if np.any(grid < 0.0) or np.any(~np.isfinite(grid)) or np.any(np.diff(grid) < 0.0):
-            raise ConfigError("t_grid must be nonnegative, finite, and sorted")
+        grid = np.asarray([_config_number(v, "each t_grid entry") for v in raw])
+        if np.any(grid < 0.0) or np.any(np.diff(grid) < 0.0):
+            raise ConfigError("t_grid must be nonnegative and sorted")
         return grid
     if required:
         raise ConfigError('this command needs a time grid ("t_grid" key or --t-grid)')
@@ -305,7 +293,7 @@ def cmd_functional(ns) -> int:
     }
     if ns.check_mc is not None:
         checks = {}
-        for key, est in montecarlo._functional_estimates(model, args, ns.check_mc, ns.seed).items():
+        for key, est in montecarlo.estimate_functionals(model, args, ns.check_mc, ns.seed).items():
             lo, hi = est.ci()
             checks[key] = {
                 "mean": est.mean,
@@ -337,7 +325,7 @@ def cmd_simulate(ns) -> int:
     lines.append(stat_row("tau_cross", sample["tau_cross"]))
     if "args" in config:
         args = _parse_args_section(config["args"], ns.exponent_form)
-        for which, est in montecarlo._functional_estimates(model, args, n_paths, ns.seed).items():
+        for which, est in montecarlo.estimate_functionals(model, args, n_paths, ns.seed).items():
             lines.append(f"{which},{_fmt(est.mean)},{_fmt(est.std_error)},{est.n_samples}")
     _write_output(ns, "\n".join(lines) + "\n")
     return _EXIT_OK
@@ -346,10 +334,8 @@ def cmd_simulate(ns) -> int:
 def cmd_validate(ns) -> int:
     config, model = _load_config(ns.config, "validate")
     n_paths = _resolve_n_paths(ns, config, default=100_000)
-    shift = ns.perturb_c if ns.perturb_c is not None else config.get("perturb_c", 0.0)
-    if isinstance(shift, bool) or not isinstance(shift, (int, float)):
-        raise ConfigError(f"perturb_c must be a number, got {shift!r}")
-    report = run_battery(model, seed=ns.seed, c_shift=float(shift), n_paths=n_paths)
+    shift = _config_number(ns.perturb_c if ns.perturb_c is not None else config.get("perturb_c", 0.0), "perturb_c")
+    report = run_battery(model, seed=ns.seed, c_shift=shift, n_paths=n_paths)
     _write_output(ns, json.dumps(report, sort_keys=True, indent=2) + "\n")
     if not report["all_passed"]:
         failed = ", ".join(report["failed_checks"])
@@ -362,15 +348,15 @@ def cmd_predict(ns) -> int:
     config, model = _load_config(ns.config, "predict")
     if "horizon" not in config:
         raise ConfigError('predict needs a "horizon" key (forecast window length)')
-    horizon = config["horizon"]
-    if isinstance(horizon, bool) or not isinstance(horizon, (int, float)) or horizon < 0.0:
+    horizon = _config_number(config["horizon"], "horizon")
+    if horizon < 0.0:
         raise ConfigError(f"horizon must be a nonnegative number, got {horizon!r}")
     t_steps = config.get("t_steps", 101)
     if isinstance(t_steps, bool) or not isinstance(t_steps, int) or t_steps < 1:
         raise ConfigError(f"t_steps must be a positive integer, got {t_steps!r}")
     grid = ns.t_grid
     if grid is None:
-        grid = np.linspace(0.0, float(horizon), t_steps) if horizon > 0 else np.array([0.0])
+        grid = np.linspace(0.0, horizon, t_steps) if horizon > 0 else np.array([0.0])
 
     precrash, cross = timedomain._survival_laws(model, grid)
     crash = 1.0 - cross

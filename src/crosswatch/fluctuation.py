@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError
 from .model import DegenerateZero, ProcessModel, TransformArgs, _mark_pgf_rational
-from .series import TruncatedSeries, series_from_rational
+from .series import series_from_rational
 from .transforms import SINGULARITY_TOL
 
 __all__ = [
@@ -70,10 +70,10 @@ def _r_series(model: ProcessModel, alpha: complex, c: complex, order: int, tail:
     if abs(bottom[0]) < SINGULARITY_TOL:
         raise DivergenceError("resolvent 1/(alpha - lam*g(c s)) has a pole at s = 0")
     if not tail:
-        r = series_from_rational([lam / alpha * p for p in n_s], bottom, order).coeffs.copy()
+        r = series_from_rational([lam / alpha * p for p in n_s], bottom, order)
         r[0] += 1.0 / alpha
         return r
-    inv = series_from_rational([1.0], bottom, order).coeffs
+    inv = series_from_rational([1.0], bottom, order)
     r = (lam / alpha) * _mul(n_s, inv, order)
     r[0] += 1.0 / alpha
     n_1, d_1 = sum(n_s), sum(d_s)
@@ -135,13 +135,13 @@ def _exp_gap_factors(model: ProcessModel, args: TransformArgs, which: str, order
 # public transforms
 
 
-def _crossing_series(model: ProcessModel, args: TransformArgs, which: str, order: int) -> TruncatedSeries:
+def _crossing_series(model: ProcessModel, args: TransformArgs, which: str, order: int) -> np.ndarray:
     """Coefficients 0..order of the G1 (``"g1"``) or G2 (``"g2"``) integrand in s."""
     args.validate()
     [(left, right, head)] = _exp_gap_factors(model, args, which, order)
     out = _mul(left, right, order) + (0.0 if head is None else head)
     out[1:] = np.diff(out)
-    return TruncatedSeries(out)
+    return out
 
 
 def _crossing_sums(model: ProcessModel, args: TransformArgs, which: str) -> list[complex]:

@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 import numpy as np
 
@@ -294,6 +294,19 @@ _TOP_KEYS = {"schema_version", "lambda", "marks", "obs", "threshold"}
 _OBS_INITIAL = {"zero", "exp"}
 
 
+def _config_number(value, where: str) -> float:
+    """A config value as a float: a finite JSON number, never a boolean or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ConfigError(f"{where} must be finite, got an integer beyond the float range") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return number
+
+
 def _require_keys(section: Mapping, allowed: set[str], where: str) -> None:
     unknown = set(section) - allowed
     if unknown:
@@ -334,8 +347,8 @@ def load_model(source: Union[str, Path, Mapping]) -> ProcessModel:
     if raw["schema_version"] != 1:
         raise ConfigError(f"unsupported schema_version {raw['schema_version']!r}")
 
-    lam = raw["lambda"]
-    if not (isinstance(lam, (int, float)) and lam > 0.0):
+    lam = _config_number(raw["lambda"], "lambda")
+    if lam <= 0.0:
         raise ConfigError(f"lambda must be a positive number, got {lam!r}")
 
     marks_cfg = raw["marks"]
@@ -352,12 +365,19 @@ def load_model(source: Union[str, Path, Mapping]) -> ProcessModel:
         if "a" not in geo:
             raise ConfigError("marks.geometric.a is required")
         try:
-            marks: MarkLaw = Geometric(float(geo["a"]))
-        except (TypeError, ValueError, DomainError) as exc:
+            marks: MarkLaw = Geometric(_config_number(geo["a"], "marks.geometric.a"))
+        except DomainError as exc:
             raise ConfigError(f"bad marks.geometric.a: {exc}") from exc
     else:
+        pmf = marks_cfg["pmf"]
+        if isinstance(pmf, Mapping):
+            pmf = {k: _config_number(p, f"marks.pmf[{k!r}]") for k, p in pmf.items()}
+        elif isinstance(pmf, (str, bytes)) or not isinstance(pmf, Iterable):
+            raise ConfigError(f"marks.pmf must be an array of numbers, got {pmf!r}")
+        else:
+            pmf = [_config_number(p, f"marks.pmf[{k}]") for k, p in enumerate(pmf)]
         try:
-            marks = GeneralDiscrete(marks_cfg["pmf"])
+            marks = GeneralDiscrete(pmf)
         except (TypeError, ValueError, DomainError) as exc:
             raise ConfigError(f"bad marks.pmf: {exc}") from exc
 
@@ -368,19 +388,19 @@ def load_model(source: Union[str, Path, Mapping]) -> ProcessModel:
     for key in ("mu", "initial"):
         if key not in obs_cfg:
             raise ConfigError(f"obs.{key} is required")
-    mu = obs_cfg["mu"]
-    if not (isinstance(mu, (int, float)) and mu > 0.0):
+    mu = _config_number(obs_cfg["mu"], "obs.mu")
+    if mu <= 0.0:
         raise ConfigError(f"obs.mu must be a positive number, got {mu!r}")
     if obs_cfg["initial"] not in _OBS_INITIAL:
         raise ConfigError(f'obs.initial must be one of {sorted(_OBS_INITIAL)}, got {obs_cfg["initial"]!r}')
-    initial: DelayLaw = DegenerateZero() if obs_cfg["initial"] == "zero" else Exponential(float(mu))
-    observation = ObservationLaw(initial=initial, recurring=Exponential(float(mu)))
+    initial: DelayLaw = DegenerateZero() if obs_cfg["initial"] == "zero" else Exponential(mu)
+    observation = ObservationLaw(initial=initial, recurring=Exponential(mu))
 
     thr = raw["threshold"]
     if not (isinstance(thr, int) and not isinstance(thr, bool)):
         raise ConfigError(f"threshold must be an integer, got {thr!r}")
 
     try:
-        return ProcessModel(rate=float(lam), marks=marks, observation=observation, threshold=thr)
+        return ProcessModel(rate=lam, marks=marks, observation=observation, threshold=thr)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc

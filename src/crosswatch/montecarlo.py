@@ -10,7 +10,8 @@ exact: A is constant between arrival epochs and ``e^{-theta t}``
 integrates in closed form, so no time grid or truncation enters.
 Estimates carry standard errors so agreement tests can use honest
 confidence bands.  One windowed crossing sample gives G1, G2 and G, and
-one two-stage sample gives f1 and f2; the public estimators select one.
+one two-stage sample gives f1 and f2; the public estimators return them
+keyed by name, and the caller selects one.
 
 Reproducibility contract: every estimator splits its workload into
 fixed-size chunks, each driven by a child of ``SeedSequence(seed)``, and
@@ -47,9 +48,8 @@ __all__ = [
     "EstimateWithCI",
     "JointEstimate",
     "estimate_joint",
-    "estimate_functional",
-    "estimate_f1_star",
-    "estimate_f2_star",
+    "estimate_functionals",
+    "estimate_window_pair",
 ]
 
 _CHUNK = 100_000
@@ -302,8 +302,10 @@ def _real_args(args: TransformArgs) -> tuple[float, float, float, float, float, 
     return theta, u, v, w, x, y
 
 
-def _functional_estimates(model: ProcessModel, args: TransformArgs, n_paths: int, seed: int) -> dict:
-    """G1, G2 and G estimates, keyed by name, from one simulated sample.
+def estimate_functionals(
+    model: ProcessModel, args: TransformArgs, n_paths: int = 100_000, seed: int = 0
+) -> dict[str, EstimateWithCI]:
+    """Monte Carlo G1, G2 and their sum G, keyed by name, from one simulated sample.
 
     Per path, the windowed integrand is integrated exactly, gap by gap;
     each estimate averages per-path integrals.  The G value is formed as
@@ -325,28 +327,26 @@ def _functional_estimates(model: ProcessModel, args: TransformArgs, n_paths: int
     return {"G1": g1, "G2": g2, "G": g}
 
 
-def estimate_functional(
-    model: ProcessModel,
-    args: TransformArgs,
-    which: str,
-    n_paths: int = 100_000,
-    seed: int = 0,
-) -> EstimateWithCI:
-    """Monte Carlo estimate of a windowed crossing transform (G1, G2, or their sum G)."""
-    if which not in ("G1", "G2", "G"):
-        raise DomainError(f'which must be one of "G1", "G2", "G", got {which!r}')
-    return _functional_estimates(model, args, n_paths, seed)[which]
-
-
 # ---------------------------------------------------------------------------
 # two-stage estimator for the single-interval window transforms
 
 
-def _estimate_pair_window(
-    model: ProcessModel, t_law: DelayLaw, delta_law: DelayLaw, args: TransformArgs, n_samples: int, seed: int
-) -> dict:
-    """f1 and f2 from one two-stage sample: per sample, a gap T from level 0 and a gap Delta from A(T)."""
+def estimate_window_pair(
+    model: ProcessModel,
+    t_law: DelayLaw,
+    delta_law: DelayLaw,
+    args: TransformArgs,
+    n_samples: int = 1_000_000,
+    seed: int = 0,
+) -> dict[str, EstimateWithCI]:
+    """Two-stage estimates of the window transforms of an independent (T, Delta).
+
+    One sample draws a gap T from level 0 and a gap Delta from A(T); the
+    result holds f1 (window t < T) and f2 (window T <= t < T + Delta).
+    """
     theta, u, v, w, x, y = _real_args(args)
+    if n_samples < 1:
+        raise DomainError("need at least one sample")
 
     def worker(size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         t_val, a_t, in_t = _gap_step(model, t_law, np.zeros(size, dtype=np.int64), np.zeros(size), rng, theta, y)
@@ -356,27 +356,3 @@ def _estimate_pair_window(
 
     f1, f2 = zip(*_run_chunked(n_samples, seed, worker))
     return {"f1": _estimate(np.concatenate(f1)), "f2": _estimate(np.concatenate(f2))}
-
-
-def estimate_f1_star(
-    model: ProcessModel,
-    t_law: DelayLaw,
-    delta_law: DelayLaw,
-    args: TransformArgs,
-    n_samples: int = 1_000_000,
-    seed: int = 0,
-) -> EstimateWithCI:
-    """Two-stage estimate of the window transform on {t < T} for an independent (T, Delta)."""
-    return _estimate_pair_window(model, t_law, delta_law, args, n_samples, seed)["f1"]
-
-
-def estimate_f2_star(
-    model: ProcessModel,
-    t_law: DelayLaw,
-    delta_law: DelayLaw,
-    args: TransformArgs,
-    n_samples: int = 1_000_000,
-    seed: int = 0,
-) -> EstimateWithCI:
-    """Two-stage estimate of the window transform on {T <= t < T + Delta}."""
-    return _estimate_pair_window(model, t_law, delta_law, args, n_samples, seed)["f2"]

@@ -235,7 +235,7 @@ def _visits(model: ProcessModel) -> np.ndarray:
     num, den = _mark_pgf_rational(model.marks)
     # pi = 1 / (1 - P0) = ((mu + lam) D - lam N) / (lam (D - N)) = 1 + mu D / (lam (D - N))
     diff = [lam * (q - p) for p, q in zip_longest(num, den, fillvalue=0.0)]
-    pi = series_from_rational([mu * q for q in den], diff, m).coeffs.real.copy()
+    pi = series_from_rational([mu * q for q in den], diff, m).real
     pi[0] += 1.0
     eta = _first_rate(model)
     if eta is None:

@@ -7,6 +7,10 @@ Monte Carlo.  Each check reports the worst observed discrepancy, its
 tolerance, and the remaining margin; the report is machine-readable and
 byte-stable for a fixed (model, seed).
 
+The operations to cover are not listed here: they are the functions in the
+``__all__`` of the analytic layers (``model`` to ``timedomain``), so a new
+public function fails the coverage meta-check until a check names it.
+
 The battery doubles as a tripwire: it must detect a deliberately
 corrupted composite ratio c (``c_shift``), which silently changes the
 time-domain closed forms while leaving the transform side intact.
@@ -14,6 +18,8 @@ time-domain closed forms while leaving the transform side intact.
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -36,47 +42,21 @@ from .model import (
     obs_lst,
 )
 
-__all__ = ["ANALYTIC_OPS", "CLOSED_FORM_OPS", "run_battery"]
+__all__ = ["run_battery"]
 
-# Registry of analytic operations the battery must cover.  The coverage
-# meta-check fails if any applicable operation has no oracle check.
-ANALYTIC_OPS = (
-    "model.mark_pgf",
-    "model.obs_lst",
-    "transforms.phi",
-    "transforms.psi",
-    "transforms.gamma",
-    "transforms.gamma_is_contractive",
-    "transforms.f1_star",
-    "transforms.f2_star",
-    "series.series_from_rational",
-    "series.d_op_indicator",
-    "series.d_inverse",
-    "series.d_inverse_double_geometric",
-    "fluctuation.g1_star",
-    "fluctuation.g2_star",
-    "fluctuation.g_star",
-    "fluctuation.lst_tau_pre",
-    "fluctuation.lst_tau_cross",
-    "closedform.f_of",
-    "closedform.g1_star_special",
-    "closedform.reg_gamma_p",
-    "closedform.coeff_g",
-    "closedform.coeff_h",
-    "closedform.ev_v_anu_before",
-    "closedform.joint_dist",
-    "closedform.dist_table",
-    "closedform.crossing_level_pmf",
-    "laplace.invert",
-    "laplace.survival_curve",
-    "timedomain.survival_pre",
-    "timedomain.survival_cross",
-    "timedomain.crossing_level_law",
-)
+# The coverage meta-check requires an oracle check for every function these
+# layers export; ``load_model`` only parses configs.
+_ANALYTIC_LAYERS = ("model", "transforms", "series", "fluctuation", "closedform", "laplace", "timedomain")
+_NOT_ANALYTIC = {"model.load_model"}
 
-# Operations meaningful only under geometric marks + exponential gaps +
-# zero initial delay; excluded from the required set for other models.
-CLOSED_FORM_OPS = tuple(op for op in ANALYTIC_OPS if op.startswith("closedform."))
+
+def _analytic_ops() -> set[str]:
+    """``layer.name`` of every function in an analytic layer's ``__all__``."""
+    ops = set()
+    for layer in _ANALYTIC_LAYERS:
+        module = importlib.import_module(f".{layer}", __package__)
+        ops.update(f"{layer}.{name}" for name in module.__all__ if inspect.isfunction(getattr(module, name)))
+    return ops - _NOT_ANALYTIC
 
 
 @dataclass
@@ -185,7 +165,7 @@ def _check_split_window(ctx: _Context) -> _CheckResult:
 
 def _check_increment_transform_mc(ctx: _Context) -> _CheckResult:
     """gamma against a direct Monte Carlo average over one inspection gap."""
-    covers = ("transforms.gamma", "model.obs_lst", "model.mark_pgf")
+    covers = ("transforms.gamma", "model.obs_lst", "model.mark_pgf", "model.delay_lst", "model.delay_sample")
     model = ctx.model
     rng = ctx.rng(3)
     n = 400_000
@@ -240,7 +220,7 @@ def _check_window_transforms_mc(ctx: _Context) -> _CheckResult:
     model = ctx.model
     t_law, d_law = Exponential(1.0), Exponential(1.0)
     args = TransformArgs(theta=0.8, u=0.7, v=0.9, w=0.2, x=0.3, y=0.6)
-    estimates = montecarlo._estimate_pair_window(model, t_law, d_law, args, 100_000, ctx.seed + 5)
+    estimates = montecarlo.estimate_window_pair(model, t_law, d_law, args, 100_000, ctx.seed + 5)
     worst = 0.0
     details = []
     for name, analytic_fn in (("f1", transforms.f1_star), ("f2", transforms.f2_star)):
@@ -271,9 +251,8 @@ def _check_series_roundtrip(ctx: _Context) -> _CheckResult:
         k_max = int(rng.integers(1, 31))
         f_seq = rng.integers(-50, 51, size=k_max + 1).astype(float)
         coeffs = np.concatenate(([f_seq[0]], np.diff(f_seq)))
-        ts = series.TruncatedSeries(coeffs)
         for k in range(k_max + 1):
-            worst = max(worst, abs(series.d_inverse(ts, k) - f_seq[k]))
+            worst = max(worst, abs(series.d_inverse(coeffs, k) - f_seq[k]))
     # indicator transform identity at explicit points
     for _ in range(20):
         a_prev = int(rng.integers(0, 10))
@@ -385,7 +364,7 @@ def _g2_integrand(model: ProcessModel, args: TransformArgs, s: complex) -> compl
     return blocks.gamma0 + blocks.gamma * blocks.b3
 
 
-def _coeffs_by_sampling(f: Callable[[complex], complex], order: int) -> series.TruncatedSeries:
+def _coeffs_by_sampling(f: Callable[[complex], complex], order: int) -> np.ndarray:
     """Taylor coefficients 0..order of f via FFT on a circle inside the unit disk.
 
     The radius is 0.5 for small orders and drifts toward 1 for large ones
@@ -400,8 +379,7 @@ def _coeffs_by_sampling(f: Callable[[complex], complex], order: int) -> series.T
     nodes = rho * np.exp(2j * np.pi * np.arange(n) / n)
     vals = np.array([f(s) for s in nodes], dtype=complex)
     # forward transform: sum_j f(rho w^j) w^{-jk} = n * c_k * rho^k
-    coeffs = np.fft.fft(vals)[: order + 1] / (n * rho ** np.arange(order + 1))
-    return series.TruncatedSeries(coeffs)
+    return np.fft.fft(vals)[: order + 1] / (n * rho ** np.arange(order + 1))
 
 
 def _check_series_paths(ctx: _Context) -> _CheckResult:
@@ -419,8 +397,8 @@ def _check_series_paths(ctx: _Context) -> _CheckResult:
     order = model.threshold
     lead = min(order, 16)
     for which, integrand in (("g1", _g1_integrand), ("g2", _g2_integrand)):
-        sampled = _coeffs_by_sampling(partial(integrand, model, args), lead).coeffs
-        exact = fluctuation._crossing_series(model, args, which, order).coeffs[: lead + 1]
+        sampled = _coeffs_by_sampling(partial(integrand, model, args), lead)
+        exact = fluctuation._crossing_series(model, args, which, order)[: lead + 1]
         worst = max(worst, float(np.max(np.abs(sampled - exact))) / max(1.0, float(np.max(np.abs(exact)))))
     return _CheckResult("crossing-series-path-agreement", worst <= 1e-9, worst, 1e-9,
                         ("fluctuation.g1_star", "fluctuation.g2_star"),
@@ -669,7 +647,7 @@ def _check_survival_mc(ctx: _Context) -> _CheckResult:
 
 def _check_overshoot_pmf(ctx: _Context) -> _CheckResult:
     """The crossing-level law, and its exact mean, against simulated crossings."""
-    covers = ("timedomain.crossing_level_law",)
+    covers = ("timedomain.crossing_level_law", "model.mark_mean")
     sample = ctx.crossing_sample
     n = ctx.n_paths
     m = ctx.model.threshold
@@ -692,14 +670,14 @@ def _check_overshoot_pmf(ctx: _Context) -> _CheckResult:
 
 def _check_functional_mc(ctx: _Context) -> _CheckResult:
     """G1 and G2 (and exact additivity) from one sample at args_fast; G1 on a smaller tagged sample."""
-    covers = ("fluctuation.g1_star", "fluctuation.g2_star", "fluctuation.g_star")
+    covers = ("fluctuation.g1_star", "fluctuation.g2_star", "fluctuation.g_star", "model.mark_sample")
     model = ctx.model
     worst = 0.0
     details = []
     args_fast = TransformArgs(theta=1.0, u=0.8, v=0.9, w=0.15, x=0.25, y=1.0)
     args_slow = TransformArgs(theta=1.0, u=0.9, v=0.95, w=0.1, x=0.1, y=0.8)
-    fast = montecarlo._functional_estimates(model, args_fast, ctx.n_paths, ctx.seed + 19)
-    slow = montecarlo._functional_estimates(model, args_slow, max(10_000, ctx.n_paths // 5), ctx.seed + 19)
+    fast = montecarlo.estimate_functionals(model, args_fast, ctx.n_paths, ctx.seed + 19)
+    slow = montecarlo.estimate_functionals(model, args_slow, max(10_000, ctx.n_paths // 5), ctx.seed + 19)
     for tag, args, est, exact_fn in (
         ("G1|y=1", args_fast, fast["G1"], fluctuation.g1_star),
         ("G2|y=1", args_fast, fast["G2"], fluctuation.g2_star),
@@ -772,15 +750,19 @@ def run_battery(
 
     ``c_shift`` perturbs the composite ratio used by the time-domain
     closed forms (negative control); the battery is expected to fail
-    loudly for any nonzero shift beyond roundoff.
+    loudly for any nonzero shift beyond roundoff.  A model outside the
+    closed-form family has no ratio to shift, so a nonzero ``c_shift``
+    raises :class:`DomainError` rather than testing nothing.
     """
     if n_paths < 1_000:
         raise DomainError(f"battery needs at least 1000 paths, got {n_paths}")
     try:
         special = closedform.SpecialModel.from_process_model(model)
-    except DomainError:
+    except DomainError as exc:
+        if c_shift != 0.0:
+            raise DomainError(f"c_shift perturbs the closed forms, which do not apply to this model: {exc}") from exc
         special = None
-    if special is not None and c_shift != 0.0:
+    if c_shift != 0.0:
         special = closedform.SpecialModel(
             lam=special.lam, a=special.a, mu=special.mu, m=special.m,
             c_override=special.c + c_shift,
@@ -789,7 +771,10 @@ def run_battery(
 
     results = [check(ctx) for check in _CHECKS]
 
-    required = set(ANALYTIC_OPS) if special is not None else set(ANALYTIC_OPS) - set(CLOSED_FORM_OPS)
+    required = _analytic_ops()
+    if special is None:
+        # the closed forms hold only for the special family
+        required = {op for op in required if not op.startswith("closedform.")}
     covered: set[str] = set()
     for res in results:
         if not res.skipped:

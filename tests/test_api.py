@@ -1,20 +1,61 @@
-"""The package's public names."""
+"""The package's public names: each module's ``__all__``, and nothing at the root."""
+
+import importlib
+import importlib.util
+import json
+import pkgutil
+from pathlib import Path
 
 import crosswatch
-from crosswatch import transforms
+from crosswatch import cli, fluctuation, model, montecarlo, series, validation
+
+MODULES = [info.name for info in pkgutil.iter_modules(crosswatch.__path__)]
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 class TestPublicApi:
     def test_every_export_resolves(self):
-        for name in crosswatch.__all__:
-            assert hasattr(crosswatch, name), name
+        for name in MODULES:
+            module = importlib.import_module(f"crosswatch.{name}")
+            for attr in getattr(module, "__all__", ()):
+                assert hasattr(module, attr), f"{name}.{attr}"
+
+    def test_package_root_reexports_nothing(self):
+        assert not hasattr(crosswatch, "__all__")
+        public = {name for name in vars(crosswatch) if not name.startswith("_")}
+        # importing a submodule binds it on the package, and nothing else may appear
+        assert public <= set(MODULES), public - set(MODULES)
 
     def test_removed_names_stay_unexported(self):
-        for name in ("GeneralNonneg", "BlockValues", "blocks_at"):
-            assert name not in crosswatch.__all__
-            assert not hasattr(crosswatch, name), name
+        removed = {
+            model: ("GeneralNonneg",),
+            fluctuation: ("BlockValues", "blocks_at"),
+            series: ("TruncatedSeries",),
+            montecarlo: ("estimate_functional", "estimate_f1_star", "estimate_f2_star"),
+            validation: ("ANALYTIC_OPS", "CLOSED_FORM_OPS"),
+        }
+        for module, names in removed.items():
+            for name in names:
+                assert name not in module.__all__
+                assert not hasattr(module, name), f"{module.__name__}.{name}"
 
-    def test_transforms_keeps_its_divided_differences(self):
-        # perfbench/tracing.py binds both by name in EXTRA, outside every __all__
-        assert callable(transforms.lst_divided_diff)
-        assert callable(transforms.resolvent_divided_diff)
+    def test_benchmark_tracer_wraps_and_restores(self, tmp_path, capsys):
+        # the benchmark's tracer wraps every layer's __all__ (and fails on a
+        # missing EXTRA name), so a cut to a public list must keep it working
+        spec = importlib.util.spec_from_file_location("crosswatch_bench_tracing", TRACING)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        config = tmp_path / "functional.json"
+        model = {"lambda": 1.0, "marks": {"geometric": {"a": 0.5}},
+                 "obs": {"mu": 1.0, "initial": "zero"}, "threshold": 3}
+        config.write_text(json.dumps({"schema_version": 1, "model": model, "args": {"theta": 1.0}}))
+        original = fluctuation.g1_star
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            assert cli.main(["functional", "--config", str(config)]) == 0
+        finally:
+            tracer.uninstall()
+        capsys.readouterr()
+        assert "fluctuation.g1_star" in {span.name for span in tracer.spans}
+        assert fluctuation.g1_star is original

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import os
@@ -149,6 +150,43 @@ class TestUsageErrors:
             assert code == 64
             assert out == ""
             assert "t_grid" in err
+
+
+# JSON values that are not finite numbers: a boolean, a numeric string, an
+# integer beyond the float range and the non-standard Infinity literal
+NOT_FINITE_NUMBERS = [True, "0.5", 10**400, math.inf]
+NUMBER_FIELDS = [
+    ("survival", {"t_grid": [0.0, 1.0]}, ("model", "lambda")),
+    ("survival", {"t_grid": [0.0, 1.0]}, ("model", "obs", "mu")),
+    ("survival", {"t_grid": [0.0, 1.0]}, ("model", "marks", "geometric", "a")),
+    ("predict", {"horizon": 2.0}, ("horizon",)),
+    ("functional", {"args": {"theta": 1.0}}, ("args", "theta")),
+    ("functional", {"args": {"theta": 1.0, "y": 0.5}}, ("args", "y")),
+    ("simulate", {"n_paths": 1_000, "args": {"theta": 1.0}}, ("args", "theta")),
+    ("validate", {"n_paths": 1_000, "perturb_c": 0.0}, ("perturb_c",)),
+]
+
+
+class TestConfigNumbers:
+    @pytest.mark.parametrize("value", NOT_FINITE_NUMBERS, ids=["bool", "string", "huge-int", "infinity"])
+    @pytest.mark.parametrize("command, keys, path", NUMBER_FIELDS, ids=[".".join(f[2]) for f in NUMBER_FIELDS])
+    def test_refused_with_exit_64(self, capsys, tmp_path, command, keys, path, value):
+        payload = copy.deepcopy({"schema_version": 1, "model": SPECIAL_MODEL, **keys})
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(payload))
+        code, out, err = _run(capsys, [command, "--config", str(cfg)])
+        assert code == 64
+        assert out == ""
+        assert path[-1] in err
+
+    def test_integer_horizon_still_accepted(self, capsys, tmp_path):
+        as_int = _run(capsys, ["predict", "--config", _config(tmp_path, horizon=2, t_steps=3)])
+        as_float = _run(capsys, ["predict", "--config", _config(tmp_path, horizon=2.0, t_steps=3)])
+        assert as_int == as_float and as_int[0] == 0
 
 
 class TestParser:
@@ -385,6 +423,14 @@ class TestValidate:
         code, _, err = _run(capsys, ["validate", "--config", cfg])
         assert code == 1
         assert "time-domain-inversion-agreement" in err
+
+    def test_perturbation_needs_the_closed_forms(self, capsys, tmp_path):
+        # an Exp-start model runs no closed form, so a shift would test nothing
+        cfg = _config(tmp_path, model=GENERAL_MODEL, n_paths=5_000)
+        code, out, err = _run(capsys, ["validate", "--config", cfg, "--perturb-c", "1e-3"])
+        assert code == 64
+        assert out == ""
+        assert "c_shift" in err
 
 
 class TestPredict:

@@ -32,7 +32,7 @@ from crosswatch.model import (
     ProcessModel,
     TransformArgs,
 )
-from crosswatch.montecarlo import _crossing_sample, estimate_functional
+from crosswatch.montecarlo import _crossing_sample, estimate_functionals
 from crosswatch.series import d_inverse
 from crosswatch.validation import _blocks_at, _coeffs_by_sampling, _g1_integrand, _g2_integrand
 
@@ -317,8 +317,9 @@ class TestExactSeriesEngine:
     def test_undamped_tagged_window_matches_simulation(self):
         model = _std(threshold=50)
         args = TransformArgs(theta=0.0, y=0.9)
+        estimates = estimate_functionals(model, args, n_paths=20_000, seed=3)
         for which, f in (("G1", g1_star), ("G2", g2_star)):
-            est = estimate_functional(model, args, which, n_paths=20_000, seed=3)
+            est = estimates[which]
             assert abs(f(model, args).real - est.mean) < 5 * est.std_error, which
 
     def test_exp_initial_pmf_matches_sampling_route(self):

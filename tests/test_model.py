@@ -208,6 +208,36 @@ class TestLoadModel:
         with pytest.raises(ConfigError):
             load_model(bad)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"lambda": True},
+            {"lambda": "1.0"},
+            {"lambda": 10**400},
+            {"lambda": math.inf},
+            {"obs": {"mu": True, "initial": "zero"}},
+            {"obs": {"mu": 10**400, "initial": "zero"}},
+            {"obs": {"mu": math.inf, "initial": "zero"}},
+            {"marks": {"geometric": {"a": True}}},
+            {"marks": {"geometric": {"a": "0.5"}}},
+            {"marks": {"geometric": {"a": 10**400}}},
+            {"marks": {"pmf": [0, True]}},
+            {"marks": {"pmf": ["0", "1"]}},
+            {"marks": {"pmf": [0, 10**400]}},
+            {"marks": {"pmf": [0, math.inf]}},
+            {"marks": {"pmf": "01"}},
+        ],
+    )
+    def test_numbers_must_be_finite_json_numbers(self, overrides):
+        with pytest.raises(ConfigError):
+            load_model(self._config(**overrides))
+
+    def test_integer_numbers_still_accepted(self):
+        m = load_model(self._config(**{"lambda": 2, "obs": {"mu": 1, "initial": "exp"},
+                                       "marks": {"pmf": [0, 1]}}))
+        assert (m.rate, m.observation.recurring.rate) == (2.0, 1.0)
+        assert isinstance(m.rate, float)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_model(tmp_path / "absent.json")

@@ -27,12 +27,9 @@ from crosswatch.model import (
 from crosswatch.montecarlo import (
     EstimateWithCI,
     _crossing_sample,
-    _estimate_pair_window,
-    _functional_estimates,
-    estimate_f1_star,
-    estimate_f2_star,
-    estimate_functional,
+    estimate_functionals,
     estimate_joint,
+    estimate_window_pair,
 )
 from crosswatch.transforms import f1_star, f2_star
 from crosswatch.validation import run_battery
@@ -142,78 +139,74 @@ class TestEstimateJoint:
 
 
 class TestEstimateFunctional:
-    def test_which_validation(self, std_model, monkeypatch):
-        calls = _count_samples(monkeypatch)
-        with pytest.raises(DomainError):
-            estimate_functional(std_model, TransformArgs(theta=1.0), "G3")
-        assert calls == []  # rejected before any path is drawn
+    def test_returns_the_three_windows(self, std_model):
+        both = estimate_functionals(std_model, TransformArgs(theta=0.9, v=0.7, y=0.8), 20_000, 6)
+        assert list(both) == ["G1", "G2", "G"]
 
     def test_additivity_is_bitwise(self, std_model):
-        args = TransformArgs(theta=0.5, v=0.7)
-        kw = dict(n_paths=20_000, seed=11)
-        g1 = estimate_functional(std_model, args, "G1", **kw)
-        g2 = estimate_functional(std_model, args, "G2", **kw)
-        g = estimate_functional(std_model, args, "G", **kw)
-        assert g.mean == g1.mean + g2.mean
+        est = estimate_functionals(std_model, TransformArgs(theta=0.5, v=0.7), n_paths=20_000, seed=11)
+        assert est["G"].mean == est["G1"].mean + est["G2"].mean
 
     def test_deterministic_per_seed(self, std_model):
         args = TransformArgs(theta=0.5, v=0.7)
-        a = estimate_functional(std_model, args, "G1", n_paths=20_000, seed=2)
-        b = estimate_functional(std_model, args, "G1", n_paths=20_000, seed=2)
+        a = estimate_functionals(std_model, args, n_paths=20_000, seed=2)
+        b = estimate_functionals(std_model, args, n_paths=20_000, seed=2)
         assert a == b
 
     def test_matches_analytic_unit_tag(self, std_model):
         args = TransformArgs(theta=0.5, v=0.7)
+        estimates = estimate_functionals(std_model, args, n_paths=100_000, seed=3)
         for which, exact_fn in (("G1", g1_star), ("G2", g2_star), ("G", g_star)):
-            est = estimate_functional(std_model, args, which, n_paths=100_000, seed=3)
+            est = estimates[which]
             exact = exact_fn(std_model, args).real
             assert abs(est.mean - exact) < 4 * est.std_error
 
     def test_matches_analytic_running_tag(self, std_model):
         # y < 1 exercises the arrival-resolution path
         args = TransformArgs(theta=0.5, v=0.7, y=0.8)
+        estimates = estimate_functionals(std_model, args, n_paths=30_000, seed=7)
         for which, exact_fn in (("G1", g1_star), ("G2", g2_star)):
-            est = estimate_functional(std_model, args, which, n_paths=30_000, seed=7)
+            est = estimates[which]
             exact = exact_fn(std_model, args).real
             assert abs(est.mean - exact) < 4 * est.std_error
 
     def test_undamped_window_matches_analytic(self, std_model):
         # theta = 0 needs no time cut-off: every window ends at a finite crossing
         for args in (TransformArgs(theta=0.0, v=0.7), TransformArgs(theta=0.0, v=0.7, y=0.9)):
-            est = estimate_functional(std_model, args, "G1", n_paths=50_000, seed=5)
+            est = estimate_functionals(std_model, args, n_paths=50_000, seed=5)["G1"]
             exact = g1_star(std_model, args).real
             assert abs(est.mean - exact) < 4 * est.std_error
 
     def test_unit_tags_integrate_the_damped_crossing_time(self, std_model):
         # with u = v = y = 1 and w = x = 0, G integrates e^{-theta t} over [0, tau_cross)
         theta = 0.7
-        est = estimate_functional(std_model, TransformArgs(theta=theta), "G", n_paths=50_000, seed=4)
+        est = estimate_functionals(std_model, TransformArgs(theta=theta), n_paths=50_000, seed=4)["G"]
         tau_cross = _crossing_sample(std_model, 50_000, 4)["tau_cross"]
         closed = float(np.mean(-np.expm1(-theta * tau_cross) / theta))
         assert abs(est.mean - closed) <= 1e-12 * closed
 
-    def test_argument_validation(self, std_model):
+    def test_argument_validation(self, std_model, monkeypatch):
+        calls = _count_samples(monkeypatch)
         with pytest.raises(DomainError):
-            estimate_functional(std_model, TransformArgs(theta=1.0, v=0.5 + 0.1j), "G1")
+            estimate_functionals(std_model, TransformArgs(theta=1.0, v=0.5 + 0.1j))
         with pytest.raises(DomainError):
-            estimate_functional(std_model, TransformArgs(theta=1.0, u=1.5), "G1")
+            estimate_functionals(std_model, TransformArgs(theta=1.0, u=1.5))
         with pytest.raises(DomainError):
-            estimate_functional(std_model, TransformArgs(theta=-1.0), "G1")
+            estimate_functionals(std_model, TransformArgs(theta=-1.0))
         with pytest.raises(DomainError):
-            estimate_functional(std_model, TransformArgs(theta=1.0), "G1", n_paths=0)
+            estimate_functionals(std_model, TransformArgs(theta=1.0), n_paths=0)
+        assert calls == []  # rejected before any path is drawn
 
 
 class TestPairWindowEstimators:
     def test_match_exact_transforms(self, std_model):
         args = TransformArgs(theta=0.9, u=0.8, v=0.7, w=0.2, x=0.1, y=0.6)
         laws = (Exponential(1.0), Exponential(1.5))
-        kw = dict(n_samples=100_000, seed=9)
-        e1 = estimate_f1_star(std_model, *laws, args, **kw)
-        x1 = f1_star(std_model, *laws, args).real
-        assert abs(e1.mean - x1) < 4 * e1.std_error
-        e2 = estimate_f2_star(std_model, *laws, args, **kw)
-        x2 = f2_star(std_model, *laws, args).real
-        assert abs(e2.mean - x2) < 4 * e2.std_error
+        est = estimate_window_pair(std_model, *laws, args, n_samples=100_000, seed=9)
+        assert list(est) == ["f1", "f2"]
+        for name, exact_fn in (("f1", f1_star), ("f2", f2_star)):
+            exact = exact_fn(std_model, *laws, args).real
+            assert abs(est[name].mean - exact) < 4 * est[name].std_error
 
     def test_windows_partition_the_damped_mass(self, std_model):
         # with all tags at 1 the two windows tile [0, T + Delta), so the
@@ -221,9 +214,8 @@ class TestPairWindowEstimators:
         theta = 0.7
         args = TransformArgs(theta=theta)
         laws = (Exponential(1.0), Exponential(2.0))
-        kw = dict(n_samples=50_000, seed=15)
-        e1 = estimate_f1_star(std_model, *laws, args, **kw)
-        e2 = estimate_f2_star(std_model, *laws, args, **kw)
+        est = estimate_window_pair(std_model, *laws, args, n_samples=50_000, seed=15)
+        e1, e2 = est["f1"], est["f2"]
         lt = 1.0 / (1.0 + theta)
         ld = 2.0 / (2.0 + theta)
         closed = (1.0 - lt * ld) / theta
@@ -233,39 +225,31 @@ class TestPairWindowEstimators:
     def test_deterministic_per_seed(self, std_model):
         args = TransformArgs(theta=1.0, v=0.5)
         laws = (Exponential(1.0), Exponential(1.0))
-        a = estimate_f1_star(std_model, *laws, args, n_samples=5_000, seed=4)
-        b = estimate_f1_star(std_model, *laws, args, n_samples=5_000, seed=4)
+        a = estimate_window_pair(std_model, *laws, args, n_samples=5_000, seed=4)
+        b = estimate_window_pair(std_model, *laws, args, n_samples=5_000, seed=4)
         assert a == b
+
+    def test_argument_validation(self, std_model, monkeypatch):
+        laws = (Exponential(1.0), Exponential(1.0))
+        calls = _count_samples(monkeypatch)
+        with pytest.raises(DomainError):
+            estimate_window_pair(std_model, *laws, TransformArgs(theta=1.0, y=1.5))
+        with pytest.raises(DomainError):
+            estimate_window_pair(std_model, *laws, TransformArgs(theta=1.0), n_samples=0)
+        assert calls == []  # rejected before any sample is drawn
 
 
 class TestOneSamplePerSeed:
-    """Each helper draws one sample; every public estimator is a selector over it."""
-
-    @pytest.mark.parametrize("y", [1.0, 0.8])
-    def test_functional_helper_matches_public_estimator(self, std_model, y):
-        args = TransformArgs(theta=0.9, u=0.85, v=0.7, w=0.1, x=0.2, y=y)
-        both = _functional_estimates(std_model, args, 20_000, 6)
-        assert list(both) == ["G1", "G2", "G"]
-        for which, est in both.items():
-            assert est == estimate_functional(std_model, args, which, n_paths=20_000, seed=6)
-
-    def test_pair_window_helper_matches_public_estimators(self, std_model):
-        args = TransformArgs(theta=0.9, u=0.8, v=0.7, w=0.2, x=0.1, y=0.6)
-        laws = (Exponential(1.0), Exponential(1.5))
-        both = _estimate_pair_window(std_model, *laws, args, 20_000, 8)
-        assert both["f1"] == estimate_f1_star(std_model, *laws, args, n_samples=20_000, seed=8)
-        assert both["f2"] == estimate_f2_star(std_model, *laws, args, n_samples=20_000, seed=8)
+    """Each estimator draws one sample, chunked by seed alone."""
 
     def test_two_chunks_merge_identically_on_two_threads(self, std_model, monkeypatch):
         args = TransformArgs(theta=0.9, u=0.85, v=0.7, w=0.1, x=0.2, y=0.8)
         laws = (Exponential(1.0), Exponential(1.5))
-        serial_g = _functional_estimates(std_model, args, 200_000, 12)
-        serial_f = _estimate_pair_window(std_model, *laws, args, 200_000, 12)
+        serial_g = estimate_functionals(std_model, args, 200_000, 12)
+        serial_f = estimate_window_pair(std_model, *laws, args, 200_000, 12)
         monkeypatch.setenv("CROSSING_THREADS", "2")
-        for which in ("G1", "G2", "G"):
-            assert estimate_functional(std_model, args, which, n_paths=200_000, seed=12) == serial_g[which]
-        assert estimate_f1_star(std_model, *laws, args, n_samples=200_000, seed=12) == serial_f["f1"]
-        assert estimate_f2_star(std_model, *laws, args, n_samples=200_000, seed=12) == serial_f["f2"]
+        assert estimate_functionals(std_model, args, n_paths=200_000, seed=12) == serial_g
+        assert estimate_window_pair(std_model, *laws, args, n_samples=200_000, seed=12) == serial_f
         assert serial_g["G"].n_samples == 200_000
 
 

@@ -1,5 +1,5 @@
-"""Level-transform series layer: truncated arithmetic, rational expansion,
-and the partial-sum inverse pair.
+"""Level-transform series layer: rational expansion and the partial-sum
+inverse pair, on plain coefficient arrays.
 
 The long-division oracle below re-derives coefficients with the textbook
 power-series division recurrence, sharing no code with the module.
@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from crosswatch.errors import DomainError, SeriesOrderError
 from crosswatch.series import (
-    TruncatedSeries,
     d_inverse,
     d_inverse_double_geometric,
     d_op_indicator,
@@ -41,85 +40,29 @@ def _division_oracle_denom(numer, denom, order):
     return c
 
 
-class TestTruncatedSeries:
-    def test_order_and_coeffs(self):
-        ts = TruncatedSeries([1.0, 2.0, 3.0])
-        assert ts.order == 2
-        assert np.array_equal(ts.coeffs, np.array([1, 2, 3], dtype=complex))
-
-    def test_coeffs_are_read_only(self):
-        ts = TruncatedSeries([1.0, 2.0])
-        with pytest.raises(ValueError):
-            ts.coeffs[0] = 5.0
-
-    def test_rejects_empty_and_matrix(self):
-        with pytest.raises(DomainError):
-            TruncatedSeries([])
-        with pytest.raises(DomainError):
-            TruncatedSeries(np.ones((2, 2)))
-
-    def test_constant(self):
-        ts = TruncatedSeries.constant(4.0, 3)
-        assert ts.order == 3
-        assert np.array_equal(ts.coeffs, np.array([4, 0, 0, 0], dtype=complex))
-
-    def test_truncated_shrinks_but_never_extends(self):
-        ts = TruncatedSeries([1.0, 2.0, 3.0])
-        assert np.array_equal(ts.truncated(1).coeffs, np.array([1, 2], dtype=complex))
-        with pytest.raises(SeriesOrderError):
-            ts.truncated(5)
-
-    def test_arithmetic_keeps_minimum_order(self):
-        # unknown high coefficients must not leak into results
-        a = TruncatedSeries([1.0, 1.0, 1.0, 1.0])
-        b = TruncatedSeries([2.0, 3.0])
-        assert (a + b).order == 1
-        assert (a * b).order == 1
-        assert np.array_equal((a + b).coeffs, np.array([3, 4], dtype=complex))
-        assert np.array_equal((a * b).coeffs, np.array([2, 5], dtype=complex))
-
-    def test_scalar_arithmetic(self):
-        a = TruncatedSeries([1.0, 2.0])
-        assert np.array_equal((a + 1).coeffs, np.array([2, 2], dtype=complex))
-        assert np.array_equal((1 - a).coeffs, np.array([0, -2], dtype=complex))
-        assert np.array_equal((3 * a).coeffs, np.array([3, 6], dtype=complex))
-        assert np.array_equal((-a).coeffs, np.array([-1, -2], dtype=complex))
-
-    def test_product_is_cauchy(self):
-        a = TruncatedSeries([1.0, 2.0, 3.0])
-        b = TruncatedSeries([4.0, 5.0, 6.0])
-        full = np.convolve(a.coeffs, b.coeffs)[:3]
-        assert np.array_equal((a * b).coeffs, full)
-
-    def test_evaluation_matches_polyval(self):
-        ts = TruncatedSeries([1.0, -2.0, 0.5, 3.0])
-        for s in (0.0, 0.3, -1.1, 0.2 + 0.4j):
-            expected = np.polyval(ts.coeffs[::-1], s)
-            assert abs(ts(s) - expected) < 1e-12
-
-
 class TestSeriesFromRational:
     def test_single_root_is_geometric(self):
         for F in (0.5, -0.25, 0.3 + 0.2j):
-            ts = series_from_rational([1.0], np.poly([F]), 3)
+            coeffs = series_from_rational([1.0], np.poly([F]), 3)
             expected = np.array([1, F, F**2, F**3], dtype=complex)
-            assert np.allclose(ts.coeffs, expected, rtol=0, atol=1e-15)
+            assert np.allclose(coeffs, expected, rtol=0, atol=1e-15)
 
     def test_linear_numerator(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
             b, c = rng.uniform(-1, 1, size=2)
-            ts = series_from_rational([1.0, -b], np.poly([c]), 2)
+            coeffs = series_from_rational([1.0, -b], np.poly([c]), 2)
             expected = np.array([1.0, c - b, c * (c - b)], dtype=complex)
-            assert np.allclose(ts.coeffs, expected, rtol=0, atol=1e-14)
+            assert np.allclose(coeffs, expected, rtol=0, atol=1e-14)
 
     def test_no_roots_is_the_numerator(self):
-        ts = series_from_rational([1.0], [1.0], 2)
-        assert np.array_equal(ts.coeffs, np.array([1, 0, 0], dtype=complex))
+        coeffs = series_from_rational([1.0], [1.0], 2)
+        assert isinstance(coeffs, np.ndarray) and coeffs.dtype == complex
+        assert np.array_equal(coeffs, np.array([1, 0, 0], dtype=complex))
 
     def test_numerator_longer_than_order(self):
-        ts = series_from_rational([1.0, 2.0, 3.0, 4.0], [1.0], 1)
-        assert np.array_equal(ts.coeffs, np.array([1, 2], dtype=complex))
+        coeffs = series_from_rational([1.0, 2.0, 3.0, 4.0], [1.0], 1)
+        assert np.array_equal(coeffs, np.array([1, 2], dtype=complex))
 
     def test_negative_order_rejected(self):
         with pytest.raises(DomainError):
@@ -140,7 +83,7 @@ class TestSeriesFromRational:
             denom[lags] = 0.3 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
             numer = rng.standard_normal(3)
             order = int(rng.integers(0, 20))
-            got = series_from_rational(numer, denom, order).coeffs
+            got = series_from_rational(numer, denom, order)
             want = _division_oracle_denom(numer, denom, order)
             assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
 
@@ -152,7 +95,7 @@ class TestSeriesFromRational:
             n_roots = int(rng.integers(0, 4))
             roots = rng.uniform(-0.9, 0.9, n_roots) + 1j * rng.uniform(-0.9, 0.9, n_roots)
             order = int(rng.integers(0, 12))
-            got = series_from_rational(numer, np.poly(roots), order).coeffs
+            got = series_from_rational(numer, np.poly(roots), order)
             want = _division_oracle(numer, roots, order)
             assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
 
@@ -191,32 +134,29 @@ class TestDInverse:
     def test_geometric_partial_sum(self):
         F = 0.65
         m = 4
-        ts = series_from_rational([1.0], np.poly([F]), m - 1)
+        coeffs = series_from_rational([1.0], np.poly([F]), m - 1)
         want = sum(F**j for j in range(m))
-        assert abs(d_inverse(ts, m - 1) - want) < 1e-14
+        assert abs(d_inverse(coeffs, m - 1) - want) < 1e-14
 
     def test_monomial(self):
         coeffs = np.zeros(6)
         coeffs[3] = 1.0
-        ts = TruncatedSeries(coeffs)
-        assert d_inverse(ts, 2) == 0
-        assert d_inverse(ts, 3) == 1
-        assert d_inverse(ts, 5) == 1
+        assert d_inverse(coeffs, 2) == 0
+        assert d_inverse(coeffs, 3) == 1
+        assert d_inverse(coeffs, 5) == 1
 
     def test_negative_threshold_is_zero(self):
-        ts = TruncatedSeries([1.0, 2.0])
-        assert d_inverse(ts, -1) == 0
+        assert d_inverse(np.array([1.0, 2.0]), -1) == 0
 
     def test_insufficient_order(self):
-        ts = TruncatedSeries([1.0, 2.0])
         with pytest.raises(SeriesOrderError):
-            d_inverse(ts, 2)
+            d_inverse(np.array([1.0, 2.0]), 2)
 
     def test_linearity(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            a = TruncatedSeries(rng.standard_normal(8) + 1j * rng.standard_normal(8))
-            b = TruncatedSeries(rng.standard_normal(8) + 1j * rng.standard_normal(8))
+            a = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+            b = rng.standard_normal(8) + 1j * rng.standard_normal(8)
             al, be = rng.standard_normal(2)
             k = int(rng.integers(0, 8))
             lhs = d_inverse(al * a + be * b, k)
@@ -234,9 +174,8 @@ class TestDInverse:
         # transform of the sequence is (1-s) sum_p s^p f(p); its truncation
         # to order K has coefficients f(0), f(1)-f(0), ...
         diffs = [f[0]] + [f[p] - f[p - 1] for p in range(1, len(f))]
-        ts = TruncatedSeries(diffs)
         for k in range(len(f)):
-            got = d_inverse(ts, k)
+            got = d_inverse(diffs, k)
             assert got.real == f[k] and got.imag == 0
 
 

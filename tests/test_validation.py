@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import importlib
+import inspect
 import json
 import math
 
 import pytest
 
-from crosswatch import validation
+from crosswatch import timedomain, validation
 from crosswatch.closedform import SpecialModel
 from crosswatch.errors import DomainError
 from crosswatch.model import (
@@ -19,7 +20,7 @@ from crosswatch.model import (
     ObservationLaw,
     ProcessModel,
 )
-from crosswatch.validation import ANALYTIC_OPS, CLOSED_FORM_OPS, run_battery
+from crosswatch.validation import run_battery
 
 ALL_CHECKS = [
     "contraction-bound",
@@ -154,6 +155,11 @@ class TestPerturbationControl:
         report = run_battery(std_model, seed=0, c_shift=1e-3, n_paths=5_000)
         assert report["c_shift"] == 1e-3
 
+    def test_c_shift_without_closed_forms_is_refused(self, exp_initial_model):
+        # no closed form runs outside the special family, so a shift would test nothing
+        with pytest.raises(DomainError):
+            run_battery(exp_initial_model, seed=0, c_shift=1e-3, n_paths=5_000)
+
 
 class TestGeneralModel:
     def test_closed_form_checks_sit_out(self, exp_initial_model):
@@ -198,15 +204,24 @@ class TestSeriesPathCheck:
 
 
 class TestRegistry:
-    def test_analytic_ops_resolve(self):
-        for entry in ANALYTIC_OPS:
-            module_name, attr = entry.split(".")
-            module = importlib.import_module(f"crosswatch.{module_name}")
-            assert callable(getattr(module, attr)), entry
+    def test_required_set_is_derived_from_all(self, std_report):
+        want = set()
+        for layer in ("model", "transforms", "series", "fluctuation", "closedform", "laplace", "timedomain"):
+            module = importlib.import_module(f"crosswatch.{layer}")
+            want |= {f"{layer}.{name}" for name in module.__all__ if inspect.isfunction(getattr(module, name))}
+        want.discard("model.load_model")
+        assert set(std_report["coverage"]["required"]) == want
+        assert {"model.delay_lst", "model.delay_sample", "model.mark_mean", "model.mark_sample"} <= want
 
-    def test_closed_form_ops_subset(self):
-        assert CLOSED_FORM_OPS <= ANALYTIC_OPS
-        assert all(e.startswith("closedform.") for e in CLOSED_FORM_OPS)
+    def test_unchecked_export_fails_coverage(self, std_model, monkeypatch):
+        def unchecked_law(model):
+            return model.threshold
+
+        monkeypatch.setattr(timedomain, "unchecked_law", unchecked_law, raising=False)
+        monkeypatch.setattr(timedomain, "__all__", [*timedomain.__all__, "unchecked_law"])
+        report = run_battery(std_model, seed=0, n_paths=5_000)
+        assert report["coverage"]["missing"] == ["timedomain.unchecked_law"]
+        assert report["failed_checks"] == ["coverage-complete"]
 
     def test_skip_annotations_cover_closed_form_ops(self, exp_initial_model):
         # Every closed-form registry entry must still be claimed by some
