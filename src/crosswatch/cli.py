@@ -325,7 +325,9 @@ def cmd_simulate(ns) -> int:
     lines.append(stat_row("tau_cross", sample["tau_cross"]))
     if "args" in config:
         args = _parse_args_section(config["args"], ns.exponent_form)
-        for which, est in montecarlo.estimate_functionals(model, args, n_paths, ns.seed).items():
+        estimates = (montecarlo._sample_functionals(sample, args) if args.y == 1  # y = 1 needs no new draws
+                     else montecarlo.estimate_functionals(model, args, n_paths, ns.seed))
+        for which, est in estimates.items():
             lines.append(f"{which},{_fmt(est.mean)},{_fmt(est.std_error)},{est.n_samples}")
     _write_output(ns, "\n".join(lines) + "\n")
     return _EXIT_OK

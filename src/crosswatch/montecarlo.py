@@ -5,12 +5,15 @@ exact-event path simulation: the crossing records (exit index, straddling
 levels and epochs), the joint level/time law, the windowed transform
 functionals, and the two-window transforms of a single (T, T + Delta)
 pair.  A single per-gap step advances a batch of paths across one
-inspection gap.  The window integrals of ``e^{-theta t} y^{A(t)}`` are
+inspection gap, with one mark per arrival and one int64 running sum for
+every gap's total.  The window integrals of ``e^{-theta t} y^{A(t)}`` are
 exact: A is constant between arrival epochs and ``e^{-theta t}``
-integrates in closed form, so no time grid or truncation enters.
+integrates in closed form, so no time grid or truncation enters.  A gap's
+sorted arrival epochs come from normalised exponential spacings (Renyi),
+with no sort; at y = 1 the windows are closed forms of the crossing times.
 Estimates carry standard errors so agreement tests can use honest
-confidence bands.  One windowed crossing sample gives G1, G2 and G, and
-one two-stage sample gives f1 and f2; the public estimators return them
+confidence bands.  One crossing sample gives G1, G2 and G, and one
+two-stage sample gives f1 and f2; the public estimators return them
 keyed by name, and the caller selects one.
 
 Reproducibility contract: every estimator splits its workload into
@@ -35,9 +38,6 @@ from .closedform import JointDistTable
 from .errors import DomainError, RunawaySimulationError
 from .model import (
     DelayLaw,
-    GeneralDiscrete,
-    Geometric,
-    MarkLaw,
     ProcessModel,
     TransformArgs,
     delay_sample,
@@ -100,33 +100,36 @@ def _estimate(values: np.ndarray) -> EstimateWithCI:
 # the exact-event simulator
 
 
-def _compound_sums(marks: MarkLaw, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Sum of ``counts[i]`` iid marks, per entry, as int64."""
-    if isinstance(marks, Geometric):
-        out = counts.astype(np.int64, copy=True)
-        if marks.a < 1.0:
-            pos = counts > 0
-            if np.any(pos):
-                # sum of n geometrics on {1,2,...} = n + NegBinomial(n, a)
-                out[pos] += rng.negative_binomial(counts[pos], marks.a)
-        return out
-    if isinstance(marks, GeneralDiscrete):
-        total = int(counts.sum())
-        out = np.zeros(counts.size, dtype=np.int64)
-        if total:
-            draws = rng.choice(marks.pmf.size, p=marks.pmf, size=total)
-            ids = np.repeat(np.arange(counts.size), counts)
-            out = np.bincount(ids, weights=draws.astype(float), minlength=counts.size)
-            out = np.rint(out).astype(np.int64)
-        return out
-    raise DomainError(f"unknown mark law {type(marks).__name__}")
-
-
 def _damped_length(theta: float, start: np.ndarray, length: np.ndarray) -> np.ndarray:
     """Integral of e^{-theta t} over [start, start + length), elementwise."""
     if theta == 0.0:
         return length
     return np.exp(-theta * start) * -np.expm1(-theta * length) / theta
+
+
+def _segments(gap: np.ndarray, counts: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """Cut each gap [0, gap[i]) at ``counts[i]`` sorted uniform positions.
+
+    Returns the owning gap, offset and length of the ``counts[i] + 1``
+    segments of each gap, in time order.  The positions are the first c
+    partial sums of c + 1 unit exponentials over their total (Renyi), each
+    summed within its own gap, so rounding does not grow with the chunk.
+    """
+    ends = np.cumsum(counts + 1)
+    owner = np.zeros(ends[-1], dtype=np.intp)
+    owner[ends[:-1]] = 1
+    np.cumsum(owner, out=owner)
+    spacing = rng.exponential(size=owner.size)
+    prefix = np.zeros(owner.size)
+    busy = counts > 0
+    idx, last = (ends - counts - 1)[busy], ends[busy] - 1
+    while idx.size:
+        prefix[idx + 1] = prefix[idx] + spacing[idx]
+        idx += 1
+        more = np.flatnonzero(idx < last)
+        idx, last = idx[more], last[more]
+    scale = (gap / (prefix[ends - 1] + spacing[ends - 1]))[owner]
+    return owner, prefix * scale, spacing * scale
 
 
 def _gap_step(
@@ -142,35 +145,29 @@ def _gap_step(
 
     Returns the gap lengths, the levels at the end of the gap and, unless
     ``theta`` is None, the integral of e^{-theta t} y^{A(t)} over
-    [start, start + gap).  At y = 1 only the per-gap mark totals are
-    drawn.  Otherwise the gap's arrival epochs and marks are drawn into
-    flat arrays, one run per path in time order, and the integrand,
-    constant between epochs, is integrated segment by segment.
+    [start, start + gap).  The c arrivals of a gap cut it into c + 1
+    segments whose lengths are normalised exponential spacings (see
+    ``_segments``); the integrand is constant on each, at the level after
+    the marks before it.  At y = 1 callers pass no theta and take the
+    windows as closed forms of the gap times.
     """
     gap = delay_sample(law, rng, level.size)
     counts = rng.poisson(model.rate * gap)
-    if theta is None or abs(y - 1.0) <= 1e-15:
-        end_level = level + _compound_sums(model.marks, counts, rng)
-        return gap, end_level, None if theta is None else _damped_length(theta, start, gap)
+    running = np.zeros(int(counts.sum()) + 1, dtype=np.int64)
+    np.cumsum(mark_sample(model.marks, rng, running.size - 1), out=running[1:])
+    first = np.cumsum(counts)
+    end_level = running[first]
+    first -= counts  # updates in place keep the peak memory of wide batches down
+    end_level -= running[first]
+    end_level += level
+    if theta is None:
+        return gap, end_level, None
 
-    owner = np.repeat(np.arange(level.size), counts)
-    frac = rng.random(owner.size)
-    frac = frac[np.lexsort((frac, owner))]
-    marks = np.asarray(mark_sample(model.marks, rng, owner.size), dtype=np.int64)
-    first = np.cumsum(counts) - counts
-    running = np.concatenate(([0], np.cumsum(marks)))
-    after = level[owner] + running[1:] - running[first][owner]
-    end_level = level + running[first + counts] - running[first]
-
-    # arrival k holds its level until the next arrival of its path, or the gap's end
-    upto = np.ones(owner.size)
-    upto[:-1] = np.where(owner[1:] == owner[:-1], frac[1:], 1.0)
-    has = counts > 0
-    head = np.ones(level.size)
-    head[has] = frac[first[has]]
-    seg = _damped_length(theta, start[owner] + gap[owner] * frac, gap[owner] * (upto - frac))
-    tail = np.bincount(owner, weights=y ** after.astype(float) * seg, minlength=level.size)
-    integral = y ** level.astype(float) * _damped_length(theta, start, gap * head) + tail
+    owner, offset, length = _segments(gap, counts, rng)
+    # segment q of gap i follows the marks first[i] .. q - i - 1
+    after = (level - running[first])[owner] + running[np.arange(owner.size) - owner]
+    seg = _damped_length(theta, start[owner] + offset, length)
+    integral = np.bincount(owner, weights=y ** after.astype(float) * seg, minlength=level.size)
     return gap, end_level, integral
 
 
@@ -179,8 +176,8 @@ def _crossing_wave_chunk(
 ) -> dict:
     """Simulate n independent crossings, one inspection wave at a time.
 
-    Each wave advances the still-active paths across one gap.  With
-    ``theta`` given, a gap's window integral joins the G1 window
+    Each wave advances the still-active paths, kept compact, across one
+    gap.  With ``theta`` given, a gap's window integral joins the G1 window
     (t < tau_pre) of the paths that stay at or below the threshold and is
     the G2 window (tau_pre <= t < tau_cross) of the paths that cross.
     """
@@ -189,35 +186,36 @@ def _crossing_wave_chunk(
     out.update((key, np.zeros(n)) for key in ("tau_pre", "tau_cross"))
     if theta is not None:
         out.update((key, np.zeros(n)) for key in ("window_pre", "window_cross"))
+    ids = np.arange(n)
     level = np.zeros(n, dtype=np.int64)
     tau = np.zeros(n)
-    active = np.arange(n)
+    window = np.zeros(n)
     law = model.observation.initial
 
     budget = _EPOCH_CAP
     wave = 0
-    while active.size:
-        budget -= active.size
+    while ids.size:
+        budget -= ids.size
         if budget < 0:
             raise RunawaySimulationError(
                 f"crossing simulation exceeded {_EPOCH_CAP} inspection epochs; "
                 "the threshold may be unreachable for this mark law"
             )
-        gap, new_level, integral = _gap_step(model, law, level[active], tau[active], rng, theta, y)
-        new_tau = tau[active] + gap
-        hit = new_level > m
-        hit_idx = active[hit]
-        out["a_pre"][hit_idx] = level[hit_idx]
-        out["tau_pre"][hit_idx] = tau[hit_idx]
-        out["a_cross"][hit_idx] = new_level[hit]
-        out["tau_cross"][hit_idx] = new_tau[hit]
-        out["nu"][hit_idx] = wave
+        gap, new_level, integral = _gap_step(model, law, level, tau, rng, theta, y)
+        new_tau = tau + gap
+        hit = np.flatnonzero(new_level > m)
+        keep = np.flatnonzero(new_level <= m)
+        done = ids[hit]
+        out["a_pre"][done] = level[hit]
+        out["tau_pre"][done] = tau[hit]
+        out["a_cross"][done] = new_level[hit]
+        out["tau_cross"][done] = new_tau[hit]
+        out["nu"][done] = wave
         if integral is not None:
-            out["window_pre"][active[~hit]] += integral[~hit]
-            out["window_cross"][hit_idx] = integral[hit]
-        level[active] = new_level
-        tau[active] = new_tau
-        active = active[~hit]
+            out["window_pre"][done] = window[hit]
+            out["window_cross"][done] = integral[hit]
+            window = window[keep] + integral[keep]
+        ids, level, tau = ids[keep], new_level[keep], new_tau[keep]
         law = model.observation.recurring
         wave += 1
     return out
@@ -302,29 +300,45 @@ def _real_args(args: TransformArgs) -> tuple[float, float, float, float, float, 
     return theta, u, v, w, x, y
 
 
+def _sample_functionals(sample: dict, args: TransformArgs) -> dict[str, EstimateWithCI]:
+    """G1, G2 and their sum G, keyed by name, from one crossing sample.
+
+    Per path, the windowed integrand is integrated exactly.  At y = 1 the
+    windows are closed forms of tau_pre and tau_cross, so any crossing
+    sample serves; otherwise the sample carries the windows drawn at this
+    theta and y.  G is the sum of the G1 and G2 means, so additivity is exact.
+    """
+    theta, u, v, w, x, y = _real_args(args)
+    tau_pre, tau_cross = sample["tau_pre"], sample["tau_cross"]
+    if y == 1.0:
+        window_pre = _damped_length(theta, 0.0, tau_pre)
+        window_cross = _damped_length(theta, tau_pre, tau_cross - tau_pre)
+    else:
+        window_pre, window_cross = sample["window_pre"], sample["window_cross"]
+    weight = (
+        u ** sample["a_pre"].astype(float)
+        * v ** sample["a_cross"].astype(float)
+        * np.exp(-w * tau_pre - x * (tau_cross - tau_pre))
+    )
+    i1 = weight * window_pre
+    i2 = weight * window_cross
+    g1, g2, total = _estimate(i1), _estimate(i2), _estimate(i1 + i2)
+    g = EstimateWithCI(mean=g1.mean + g2.mean, std_error=total.std_error, n_samples=total.n_samples)
+    return {"G1": g1, "G2": g2, "G": g}
+
+
 def estimate_functionals(
     model: ProcessModel, args: TransformArgs, n_paths: int = 100_000, seed: int = 0
 ) -> dict[str, EstimateWithCI]:
     """Monte Carlo G1, G2 and their sum G, keyed by name, from one simulated sample.
 
-    Per path, the windowed integrand is integrated exactly, gap by gap;
-    each estimate averages per-path integrals.  The G value is formed as
-    the sum of the G1 and G2 means, so the additivity identity holds exactly.
+    At y = 1 that sample is the plain crossing sample of ``seed``.
     """
     theta, u, v, w, x, y = _real_args(args)
     if n_paths < 1:
         raise DomainError("need at least one path")
-    sample = _crossing_sample(model, n_paths, seed, theta, y)
-    weight = (
-        u ** sample["a_pre"].astype(float)
-        * v ** sample["a_cross"].astype(float)
-        * np.exp(-w * sample["tau_pre"] - x * (sample["tau_cross"] - sample["tau_pre"]))
-    )
-    i1 = weight * sample["window_pre"]
-    i2 = weight * sample["window_cross"]
-    g1, g2, total = _estimate(i1), _estimate(i2), _estimate(i1 + i2)
-    g = EstimateWithCI(mean=g1.mean + g2.mean, std_error=total.std_error, n_samples=total.n_samples)
-    return {"G1": g1, "G2": g2, "G": g}
+    tag = () if y == 1.0 else (theta, y)
+    return _sample_functionals(_crossing_sample(model, n_paths, seed, *tag), args)
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +361,13 @@ def estimate_window_pair(
     theta, u, v, w, x, y = _real_args(args)
     if n_samples < 1:
         raise DomainError("need at least one sample")
+    tag = () if y == 1.0 else (theta, y)
 
     def worker(size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        t_val, a_t, in_t = _gap_step(model, t_law, np.zeros(size, dtype=np.int64), np.zeros(size), rng, theta, y)
-        d_val, a_td, in_d = _gap_step(model, delta_law, a_t, t_val, rng, theta, y)
+        t_val, a_t, in_t = _gap_step(model, t_law, np.zeros(size, dtype=np.int64), np.zeros(size), rng, *tag)
+        d_val, a_td, in_d = _gap_step(model, delta_law, a_t, t_val, rng, *tag)
+        if not tag:  # the y = 1 windows are closed forms of T and Delta
+            in_t, in_d = _damped_length(theta, 0.0, t_val), _damped_length(theta, t_val, d_val)
         weight = u ** a_t.astype(float) * v ** a_td.astype(float) * np.exp(-w * t_val - x * d_val)
         return weight * in_t, weight * in_d
 

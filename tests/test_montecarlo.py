@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from crosswatch import cli
+from crosswatch import cli, timedomain
 from crosswatch import montecarlo as mc
 from crosswatch.errors import DomainError, RunawaySimulationError
 from crosswatch.fluctuation import g1_star, g2_star, g_star
@@ -19,6 +19,7 @@ from crosswatch.closedform import SpecialModel, joint_dist
 from crosswatch.model import (
     DegenerateZero,
     Exponential,
+    GeneralDiscrete,
     Geometric,
     ObservationLaw,
     ProcessModel,
@@ -239,6 +240,75 @@ class TestPairWindowEstimators:
         assert calls == []  # rejected before any sample is drawn
 
 
+MARK_LAWS = [Geometric(0.5), GeneralDiscrete([0.0, 0.5, 0.3, 0.2])]
+
+
+def _busy_model(marks):
+    # about 20 arrivals per inspection gap
+    return ProcessModel(
+        rate=20.0,
+        marks=marks,
+        observation=ObservationLaw(DegenerateZero(), Exponential(1.0)),
+        threshold=30,
+    )
+
+
+class TestManyArrivalsPerGap:
+    """Where arrivals share a gap, their order and marks set the windows."""
+
+    ARGS = TransformArgs(theta=0.5, u=0.99, v=0.98, w=0.1, x=0.2, y=0.97)
+
+    @pytest.mark.parametrize("marks", MARK_LAWS, ids=["geometric", "pmf"])
+    def test_window_pair_matches_exact_transforms(self, marks):
+        model = _busy_model(marks)
+        laws = (Exponential(1.0), Exponential(1.5))
+        est = estimate_window_pair(model, *laws, self.ARGS, n_samples=50_000, seed=1)
+        for name, exact_fn in (("f1", f1_star), ("f2", f2_star)):
+            exact = complex(exact_fn(model, *laws, self.ARGS)).real
+            assert abs(est[name].mean - exact) < 5 * est[name].std_error
+
+    @pytest.mark.parametrize("marks", MARK_LAWS, ids=["geometric", "pmf"])
+    def test_tagged_functionals_match_exact_transforms(self, marks):
+        model = _busy_model(marks)
+        est = estimate_functionals(model, self.ARGS, n_paths=20_000, seed=1)
+        for name, exact_fn in (("G1", g1_star), ("G2", g2_star)):
+            exact = exact_fn(model, self.ARGS).real
+            assert abs(est[name].mean - exact) < 5 * est[name].std_error
+
+    @pytest.mark.parametrize("rate", [1.0, 20.0])
+    @pytest.mark.parametrize("marks", MARK_LAWS, ids=["geometric", "pmf"])
+    def test_gap_mark_totals_follow_the_exact_law(self, marks, rate):
+        model = ProcessModel(rate=rate, marks=marks, observation=ObservationLaw(DegenerateZero(), Exponential(1.0)),
+                             threshold=3)
+        n, order = 200_000, 200
+        rng = np.random.default_rng(8)
+        _, totals, _ = mc._gap_step(model, Exponential(1.0), np.zeros(n, dtype=np.int64), np.zeros(n), rng)
+        freq = np.bincount(totals, minlength=order + 1)[: order + 1] / n
+        exact = timedomain._gap_law(model, 1.0, order)
+        band = 5.0 * np.sqrt(exact * (1.0 - exact) / n) + 1.0 / n
+        assert np.all(np.abs(freq - exact) <= band)
+
+    def test_positions_keep_per_gap_rounding(self):
+        # a full chunk of gaps: the last gaps must be as exact as the first
+        rng = np.random.default_rng(3)
+        counts = rng.poisson(20.0 * rng.exponential(size=mc._CHUNK))
+        counts[:50] = 0
+        owner, frac, share = mc._segments(np.ones(counts.size), counts, np.random.default_rng(4))
+        spacing = np.random.default_rng(4).exponential(size=owner.size)
+        first = np.cumsum(counts + 1) - (counts + 1)
+        assert np.array_equal(owner, np.repeat(np.arange(counts.size), counts + 1))
+        for i in [*range(0, counts.size, 101), *range(counts.size - 500, counts.size)]:
+            run = spacing[first[i] : first[i] + counts[i] + 1].tolist()
+            total = math.fsum(run)
+            ref_frac = np.array([math.fsum(run[:k]) for k in range(counts[i] + 1)]) / total
+            ref_share = np.array(run) / total
+            got_frac = frac[first[i] : first[i] + counts[i] + 1]
+            got_share = share[first[i] : first[i] + counts[i] + 1]
+            assert got_frac[0] == 0.0
+            assert np.all(np.abs(got_frac - ref_frac) <= 1e-12 * ref_frac)
+            assert np.all(np.abs(got_share - ref_share) <= 1e-12 * ref_share)
+
+
 class TestOneSamplePerSeed:
     """Each estimator draws one sample, chunked by seed alone."""
 
@@ -251,6 +321,16 @@ class TestOneSamplePerSeed:
         assert estimate_functionals(std_model, args, n_paths=200_000, seed=12) == serial_g
         assert estimate_window_pair(std_model, *laws, args, n_samples=200_000, seed=12) == serial_f
         assert serial_g["G"].n_samples == 200_000
+
+    def test_unit_tag_records_merge_identically_on_two_threads(self, std_model, monkeypatch):
+        args = TransformArgs(theta=0.9, u=0.85, v=0.7, w=0.1, x=0.2)
+        serial_rec = _crossing_sample(std_model, 200_000, 12)
+        serial_g = estimate_functionals(std_model, args, 200_000, 12)
+        monkeypatch.setenv("CROSSING_THREADS", "2")
+        threaded_rec = _crossing_sample(std_model, 200_000, 12)
+        assert list(threaded_rec) == list(serial_rec)
+        assert all(np.array_equal(threaded_rec[key], serial_rec[key]) for key in serial_rec)
+        assert estimate_functionals(std_model, args, n_paths=200_000, seed=12) == serial_g
 
 
 def _count_samples(monkeypatch) -> list:
@@ -269,12 +349,27 @@ def _count_samples(monkeypatch) -> list:
 class TestSampleCount:
     """Guards against re-drawing a sample that was already drawn."""
 
-    def test_battery_draws_four_samples(self, std_model, monkeypatch):
-        # the shared crossing sample, the pair-window sample, and one
-        # functional sample at each of two argument points
+    def test_battery_draws_three_samples(self, std_model, monkeypatch):
+        # the shared crossing sample, which also gives the y = 1
+        # functionals, the pair-window sample, and the tagged functional sample
         calls = _count_samples(monkeypatch)
         assert run_battery(std_model, n_paths=5_000)["all_passed"]
-        assert len(calls) == 4
+        assert len(calls) == 3
+
+    def test_unit_tag_simulate_draws_one_sample(self, std_model, tmp_path, monkeypatch, capsys):
+        model = {"lambda": 1.0, "marks": {"geometric": {"a": 0.5}}, "obs": {"mu": 1.0, "initial": "zero"},
+                 "threshold": 3}
+        config = tmp_path / "sim.json"
+        args = {"theta": 1.0, "u": 0.8, "v": 0.9, "w": 0.15, "x": 0.25}
+        config.write_text(json.dumps({"schema_version": 1, "model": model, "n_paths": 5_000, "args": args}))
+        calls = _count_samples(monkeypatch)
+        assert cli.main(["simulate", "--config", str(config), "--seed", "6"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[-3:]]
+        assert calls == [5_000]
+        # the same G1, G2 and G as a fresh functional sample of that seed
+        fresh = estimate_functionals(std_model, TransformArgs(**args), 5_000, 6)
+        assert [row[0] for row in rows] == list(fresh)
+        assert [float(row[1]) for row in rows] == [float(f"{est.mean:.11e}") for est in fresh.values()]
 
     def test_tagged_simulate_draws_two_samples(self, tmp_path, monkeypatch, capsys):
         model = {"lambda": 1.0, "marks": {"geometric": {"a": 0.5}}, "obs": {"mu": 1.0, "initial": "zero"},

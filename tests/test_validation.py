@@ -203,6 +203,36 @@ class TestSeriesPathCheck:
         assert result.covers == ("fluctuation.g1_star", "fluctuation.g2_star")
 
 
+class TestOvershootCheck:
+    PMF_MODEL = ProcessModel(
+        rate=1.0,
+        marks=GeneralDiscrete([0.0, 0.5, 0.3, 0.2]),
+        observation=ObservationLaw(initial=DegenerateZero(), recurring=Exponential(1.0)),
+        threshold=3,
+    )
+
+    def test_band_scales_with_the_sample(self):
+        ctx = validation._Context(model=self.PMF_MODEL, special=None, seed=0, n_paths=5_000)
+        result = validation._check_overshoot_pmf(ctx)
+        assert result.passed, result.observed
+        assert result.tolerance == 1.0
+
+    def test_moved_mass_fails_at_the_default_paths(self, monkeypatch):
+        exact_law = timedomain.crossing_level_law
+
+        def moved(model, r_max):
+            law, mean = exact_law(model, r_max)
+            law = law.copy()
+            law[11] -= 0.005
+            law[12] += 0.005
+            return law, mean
+
+        monkeypatch.setattr(timedomain, "crossing_level_law", moved)
+        ctx = validation._Context(model=self.PMF_MODEL, special=None, seed=0, n_paths=100_000)
+        result = validation._check_overshoot_pmf(ctx)
+        assert not result.passed and result.observed > 1.0
+
+
 class TestRegistry:
     def test_required_set_is_derived_from_all(self, std_report):
         want = set()
