@@ -38,7 +38,6 @@ __all__ = [
     "mark_mean",
     "mark_sample",
     "delay_lst",
-    "delay_sample",
     "obs_lst",
     "load_model",
 ]
@@ -134,9 +133,11 @@ def mark_mean(law: MarkLaw) -> float:
 
 
 def mark_sample(law: MarkLaw, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw ``size`` iid marks."""
+    """Draw ``size`` iid marks; a geometric mark is floor(E / -ln b) + 1, E unit exponential."""
     if isinstance(law, Geometric):
-        return rng.geometric(law.a, size=size)
+        if law.b == 0.0:
+            return np.ones(size, dtype=np.int64)
+        return (rng.standard_exponential(size) / -math.log1p(-law.a)).astype(np.int64) + 1
     if isinstance(law, GeneralDiscrete):
         return rng.choice(law.pmf.size, p=law.pmf, size=size)
     raise UnsupportedLawError(f"unknown mark law {type(law).__name__}")
@@ -175,15 +176,6 @@ def delay_lst(law: DelayLaw, z: complex) -> complex:
         if abs(denom) < _UNIT_TOL:
             raise DomainError("exponential LST evaluated at its pole z = -rate")
         return law.rate / denom
-    raise UnsupportedLawError(f"unknown delay law {type(law).__name__}")
-
-
-def delay_sample(law: DelayLaw, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw ``size`` iid delays."""
-    if isinstance(law, DegenerateZero):
-        return np.zeros(size)
-    if isinstance(law, Exponential):
-        return rng.exponential(1.0 / law.rate, size=size)
     raise UnsupportedLawError(f"unknown delay law {type(law).__name__}")
 
 

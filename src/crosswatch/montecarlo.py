@@ -4,13 +4,20 @@ Everything the analytic modules compute has an estimator here built from
 exact-event path simulation: the crossing records (exit index, straddling
 levels and epochs), the joint level/time law, the windowed transform
 functionals, and the two-window transforms of a single (T, T + Delta)
-pair.  A single per-gap step advances a batch of paths across one
-inspection gap, with one mark per arrival and one int64 running sum for
-every gap's total.  The window integrals of ``e^{-theta t} y^{A(t)}`` are
-exact: A is constant between arrival epochs and ``e^{-theta t}``
-integrates in closed form, so no time grid or truncation enters.  A gap's
-sorted arrival epochs come from normalised exponential spacings (Renyi),
-with no sort; at y = 1 the windows are closed forms of the crossing times.
+pair.  Inside an Exp(r) inspection gap the arrivals and the next look
+form one merged Poisson stream of rate lam + r: each event is an arrival
+with probability lam / (lam + r), and the spacings are iid Exp(lam + r)
+and independent of those labels (superposition and thinning).  So a gap's
+arrival count is one inverted unit exponential, its marks are summed in
+one int64 running sum, and its length is the sum of its count + 1
+spacings.  The crossing records draw counts and marks wave by wave and
+each path's two times once at the end, as Gamma sums of its spacings
+before and at the crossing.  The window integrals of
+``e^{-theta t} y^{A(t)}`` are exact: A is constant between arrival epochs
+and ``e^{-theta t}`` integrates in closed form, so no time grid or
+truncation enters.  With y < 1 a gap's spacings are drawn one by one,
+already in time order, so no sort or rescaling enters; at y = 1 the
+windows are closed forms of the crossing times.
 Estimates carry standard errors so agreement tests can use honest
 confidence bands.  One crossing sample gives G1, G2 and G, and one
 two-stage sample gives f1 and f2; the public estimators return them
@@ -37,10 +44,11 @@ import numpy as np
 from .closedform import JointDistTable
 from .errors import DomainError, RunawaySimulationError
 from .model import (
+    DegenerateZero,
     DelayLaw,
+    Exponential,
     ProcessModel,
     TransformArgs,
-    delay_sample,
     mark_sample,
 )
 
@@ -107,19 +115,42 @@ def _damped_length(theta: float, start: np.ndarray, length: np.ndarray) -> np.nd
     return np.exp(-theta * start) * -np.expm1(-theta * length) / theta
 
 
-def _segments(gap: np.ndarray, counts: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    """Cut each gap [0, gap[i]) at ``counts[i]`` sorted uniform positions.
+def _arrivals(
+    model: ProcessModel, law: Exponential, level: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Arrivals of one Exp gap drawn from ``law`` for paths at ``level``.
+
+    Up to the look, the arrivals and the look form one Poisson stream of
+    rate lam + r in which each event is an arrival with probability
+    q = lam / (lam + r), so the count c has P{c >= k} = q^k and is
+    floor(E / -ln q) for one unit exponential E.  Returns the counts, each
+    gap's first index into ``running`` (the running sum of its marks,
+    one int64 entry per arrival) and the levels at the look.
+    """
+    counts = (rng.standard_exponential(level.size) / math.log1p(law.rate / model.rate)).astype(np.int64)
+    running = np.zeros(int(counts.sum()) + 1, dtype=np.int64)
+    np.cumsum(mark_sample(model.marks, rng, running.size - 1), out=running[1:])
+    first = np.cumsum(counts)
+    end_level = running[first]
+    first -= counts  # updates in place keep the peak memory of wide batches down
+    end_level -= running[first]
+    end_level += level
+    return counts, first, running, end_level
+
+
+def _segments(counts: np.ndarray, rate: float, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """Cut each gap at its ``counts[i]`` arrivals, with Exp(``rate``) spacings.
 
     Returns the owning gap, offset and length of the ``counts[i] + 1``
-    segments of each gap, in time order.  The positions are the first c
-    partial sums of c + 1 unit exponentials over their total (Renyi), each
-    summed within its own gap, so rounding does not grow with the chunk.
+    segments of each gap, in time order, and each gap's length (its last
+    offset plus its last spacing).  The offsets are summed within their
+    own gap, so rounding does not grow with the chunk.
     """
     ends = np.cumsum(counts + 1)
     owner = np.zeros(ends[-1], dtype=np.intp)
     owner[ends[:-1]] = 1
     np.cumsum(owner, out=owner)
-    spacing = rng.exponential(size=owner.size)
+    spacing = rng.standard_exponential(owner.size) / rate
     prefix = np.zeros(owner.size)
     busy = counts > 0
     idx, last = (ends - counts - 1)[busy], ends[busy] - 1
@@ -128,8 +159,8 @@ def _segments(gap: np.ndarray, counts: np.ndarray, rng: np.random.Generator) -> 
         idx += 1
         more = np.flatnonzero(idx < last)
         idx, last = idx[more], last[more]
-    scale = (gap / (prefix[ends - 1] + spacing[ends - 1]))[owner]
-    return owner, prefix * scale, spacing * scale
+    ends -= 1
+    return owner, prefix, spacing, prefix[ends] + spacing[ends]
 
 
 def _gap_step(
@@ -145,25 +176,23 @@ def _gap_step(
 
     Returns the gap lengths, the levels at the end of the gap and, unless
     ``theta`` is None, the integral of e^{-theta t} y^{A(t)} over
-    [start, start + gap).  The c arrivals of a gap cut it into c + 1
-    segments whose lengths are normalised exponential spacings (see
-    ``_segments``); the integrand is constant on each, at the level after
-    the marks before it.  At y = 1 callers pass no theta and take the
-    windows as closed forms of the gap times.
+    [start, start + gap).  The c arrivals of an Exp(r) gap come from the
+    merged stream (see ``_arrivals``), whose spacings are iid Exp(lam + r)
+    and independent of the labels.  Without ``theta`` a gap is the sum of
+    its c + 1 spacings, one Gamma(c + 1) draw over lam + r; with it the
+    spacings are drawn one by one (see ``_segments``), and the integrand is
+    constant on each, at the level after the marks before it.  At y = 1
+    callers pass no theta and take the windows as closed forms of the gap
+    times.
     """
-    gap = delay_sample(law, rng, level.size)
-    counts = rng.poisson(model.rate * gap)
-    running = np.zeros(int(counts.sum()) + 1, dtype=np.int64)
-    np.cumsum(mark_sample(model.marks, rng, running.size - 1), out=running[1:])
-    first = np.cumsum(counts)
-    end_level = running[first]
-    first -= counts  # updates in place keep the peak memory of wide batches down
-    end_level -= running[first]
-    end_level += level
+    if isinstance(law, DegenerateZero):  # no time passes: no arrivals, an empty window
+        return np.zeros(level.size), level, None if theta is None else np.zeros(level.size)
+    counts, first, running, end_level = _arrivals(model, law, level, rng)
+    rate = model.rate + law.rate
     if theta is None:
-        return gap, end_level, None
+        return rng.standard_gamma(counts + 1.0) / rate, end_level, None
 
-    owner, offset, length = _segments(gap, counts, rng)
+    owner, offset, length, gap = _segments(counts, rate, rng)
     # segment q of gap i follows the marks first[i] .. q - i - 1
     after = (level - running[first])[owner] + running[np.arange(owner.size) - owner]
     seg = _damped_length(theta, start[owner] + offset, length)
@@ -177,19 +206,29 @@ def _crossing_wave_chunk(
     """Simulate n independent crossings, one inspection wave at a time.
 
     Each wave advances the still-active paths, kept compact, across one
-    gap.  With ``theta`` given, a gap's window integral joins the G1 window
+    gap; a zero first look sees level 0 <= M, so it advances nobody.  With
+    ``theta`` given, a gap's window integral joins the G1 window
     (t < tau_pre) of the paths that stay at or below the threshold and is
     the G2 window (tau_pre <= t < tau_cross) of the paths that cross.
+    Without it, a wave draws arrival counts and marks only, and a path's
+    clock counts its Exp(lam + mu) spacings since the first gap; its two
+    times are drawn once, at the end, as Gamma sums of those before and at
+    the crossing.  An Exp first gap runs at its own rate, so its time is
+    drawn as it is sampled.
     """
     m = model.threshold
+    tagged = theta is not None
+    clock_type = float if tagged else np.int64
     out = {key: np.zeros(n, dtype=np.int64) for key in ("a_pre", "a_cross", "nu")}
-    out.update((key, np.zeros(n)) for key in ("tau_pre", "tau_cross"))
-    if theta is not None:
+    # the clock before the crossing gap, and that gap; summed at the end
+    out.update((key, np.zeros(n, dtype=clock_type)) for key in ("tau_pre", "tau_cross"))
+    if tagged:
         out.update((key, np.zeros(n)) for key in ("window_pre", "window_cross"))
     ids = np.arange(n)
     level = np.zeros(n, dtype=np.int64)
-    tau = np.zeros(n)
+    clock = np.zeros(n, dtype=clock_type)
     window = np.zeros(n)
+    first_gap = np.zeros(n)
     law = model.observation.initial
 
     budget = _EPOCH_CAP
@@ -201,23 +240,43 @@ def _crossing_wave_chunk(
                 f"crossing simulation exceeded {_EPOCH_CAP} inspection epochs; "
                 "the threshold may be unreachable for this mark law"
             )
-        gap, new_level, integral = _gap_step(model, law, level, tau, rng, theta, y)
-        new_tau = tau + gap
+        if isinstance(law, DegenerateZero):
+            law = model.observation.recurring
+            wave += 1
+            continue
+        if tagged:
+            step, new_level, integral = _gap_step(model, law, level, clock, rng, theta, y)
+        else:
+            counts, _, _, new_level = _arrivals(model, law, level, rng)
+            step = counts + 1
+            if wave == 0:  # an Exp first gap: the clock starts after it
+                first_gap = rng.standard_gamma(step.astype(float)) / (model.rate + law.rate)
+                step[:] = 0
         hit = np.flatnonzero(new_level > m)
         keep = np.flatnonzero(new_level <= m)
         done = ids[hit]
         out["a_pre"][done] = level[hit]
-        out["tau_pre"][done] = tau[hit]
         out["a_cross"][done] = new_level[hit]
-        out["tau_cross"][done] = new_tau[hit]
         out["nu"][done] = wave
-        if integral is not None:
+        out["tau_pre"][done] = clock[hit]
+        out["tau_cross"][done] = step[hit]
+        if tagged:
             out["window_pre"][done] = window[hit]
             out["window_cross"][done] = integral[hit]
             window = window[keep] + integral[keep]
-        ids, level, tau = ids[keep], new_level[keep], new_tau[keep]
+        ids, level, clock = ids[keep], new_level[keep], clock[keep] + step[keep]
         law = model.observation.recurring
         wave += 1
+
+    if not tagged:
+        rate = model.rate + model.observation.recurring.rate
+        first_is_last = out["nu"] == 0
+        tau_pre = rng.standard_gamma(out["tau_pre"].astype(float)) / rate
+        tau_pre += np.where(first_is_last, 0.0, first_gap)
+        out["tau_pre"] = tau_pre
+        out["tau_cross"] = rng.standard_gamma(out["tau_cross"].astype(float)) / rate
+        out["tau_cross"] += np.where(first_is_last, first_gap, 0.0)
+    out["tau_cross"] += out["tau_pre"]
     return out
 
 

@@ -22,6 +22,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DivergenceError, DomainError, UnsupportedLawError
 from .model import (
     DegenerateZero,
@@ -48,16 +50,18 @@ __all__ = [
 SINGULARITY_TOL = 1e-10
 
 
-def phi(model: ProcessModel, z: complex, s: float) -> complex:
+def phi(model: ProcessModel, z: complex, s: float | np.ndarray) -> complex | np.ndarray:
     """PGF of the mark total on a window of length ``s``: E[z**A(s)].
 
-    Requires |z| <= 1 and s >= 0.
+    Requires |z| <= 1 and s >= 0; an array of window lengths gives an array.
     """
-    if s < 0.0:
-        raise DomainError(f"window length must be >= 0, got {s}")
+    if np.any(np.less(s, 0.0)):
+        raise DomainError(f"window length must be >= 0, got {np.min(s)}")
     z = complex(z)
     if abs(z) > 1.0 + 1e-12:
         raise DomainError(f"|z| must be <= 1, got {abs(z)}")
+    if np.ndim(s):
+        return np.exp(model.rate * np.asarray(s, dtype=float) * (mark_pgf(model.marks, z) - 1.0))
     return cmath.exp(model.rate * s * (mark_pgf(model.marks, z) - 1.0))
 
 

@@ -18,7 +18,6 @@ from crosswatch.model import (
     ProcessModel,
     TransformArgs,
     delay_lst,
-    delay_sample,
     load_model,
     mark_mean,
     mark_pgf,
@@ -75,6 +74,17 @@ class TestMarkLaws:
         assert draws.min() >= 1
         assert abs(draws.mean() - 2.0) < 5 * math.sqrt(2.0 / 200_000)
 
+    @pytest.mark.parametrize("a", [0.3, 1.0])
+    def test_geometric_sample_follows_its_pmf(self, a):
+        n, top = 200_000, 40
+        draws = mark_sample(Geometric(a), np.random.default_rng(13), n)
+        assert draws.dtype == np.int64 and draws.min() >= 1
+        # P{mark = k} = a b^{k-1} for k < top, and P{mark >= top} = b^{top-1}
+        exact = np.append(a * (1.0 - a) ** np.arange(top - 1), (1.0 - a) ** (top - 1))
+        freq = np.bincount(np.minimum(draws, top) - 1, minlength=top) / n
+        band = 5.0 * np.sqrt(exact * (1.0 - exact) / n) + 1.0 / n
+        assert np.all(np.abs(freq - exact) <= band)
+
     @given(
         a=st.floats(0.05, 1.0),
         r=st.floats(0.0, 1.0),
@@ -101,12 +111,6 @@ class TestDelayLaws:
     def test_exponential_rejects_nonpositive_rate(self):
         with pytest.raises(DomainError):
             Exponential(0.0)
-
-    def test_delay_sample_exponential_moments(self):
-        rng = np.random.default_rng(5)
-        draws = delay_sample(Exponential(2.0), rng, 100_000)
-        assert draws.min() >= 0.0
-        assert abs(draws.mean() - 0.5) < 5 * 0.5 / math.sqrt(100_000)
 
 
 class TestObservationLaw:

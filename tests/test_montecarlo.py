@@ -83,6 +83,21 @@ class TestSimulatePath:
         assert np.any(first)
         assert np.all(rec["a_pre"][first] == 0) and np.all(rec["tau_pre"][first] == 0.0)
 
+    def test_exp_first_look_follows_the_exact_laws(self):
+        # an Exp(eta) first gap runs its merged stream at lam + eta, the others at lam + mu
+        model = ProcessModel(rate=1.3, marks=Geometric(0.5),
+                             observation=ObservationLaw(Exponential(2.0), Exponential(0.8)), threshold=3)
+        n = 200_000
+        rec = _crossing_sample(model, n, 9)
+        grid = np.array([0.1, 0.25, 0.5, 1.0, 1.5, 2.5, 4.0, 6.0, 9.0])
+        for key, exact_fn in (("tau_pre", timedomain.survival_pre), ("tau_cross", timedomain.survival_cross)):
+            exact = exact_fn(model, grid)
+            freq = np.mean(rec[key][:, None] > grid, axis=0)
+            band = 5.0 * np.sqrt(exact * (1.0 - exact) / n) + 1.0 / n
+            assert np.all(np.abs(freq - exact) <= band), key
+        nu = rec["nu"].astype(float)
+        assert abs(nu.mean() - timedomain._visits(model).sum()) < 5.0 * nu.std(ddof=1) / math.sqrt(n)
+
     def test_epoch_cap(self, monkeypatch):
         monkeypatch.setattr(mc, "_EPOCH_CAP", 3)
         with pytest.raises(RunawaySimulationError):
@@ -209,6 +224,16 @@ class TestPairWindowEstimators:
             exact = exact_fn(std_model, *laws, args).real
             assert abs(est[name].mean - exact) < 4 * est[name].std_error
 
+    @pytest.mark.parametrize("y", [1.0, 0.6])
+    def test_zero_first_window(self, std_model, y):
+        # T = 0: the first window is empty and the second starts at level 0
+        args = TransformArgs(theta=0.9, u=0.8, v=0.7, w=0.2, x=0.1, y=y)
+        laws = (DegenerateZero(), Exponential(1.5))
+        est = estimate_window_pair(std_model, *laws, args, n_samples=50_000, seed=9)
+        assert est["f1"].mean == 0.0
+        exact = f2_star(std_model, *laws, args).real
+        assert abs(est["f2"].mean - exact) < 4 * est["f2"].std_error
+
     def test_windows_partition_the_damped_mass(self, std_model):
         # with all tags at 1 the two windows tile [0, T + Delta), so the
         # integrals sum to E[1 - e^{-theta(T+Delta)}] / theta
@@ -293,20 +318,19 @@ class TestManyArrivalsPerGap:
         rng = np.random.default_rng(3)
         counts = rng.poisson(20.0 * rng.exponential(size=mc._CHUNK))
         counts[:50] = 0
-        owner, frac, share = mc._segments(np.ones(counts.size), counts, np.random.default_rng(4))
-        spacing = np.random.default_rng(4).exponential(size=owner.size)
+        rate = 2.5
+        owner, offset, length, gap = mc._segments(counts, rate, np.random.default_rng(4))
+        spacing = np.random.default_rng(4).standard_exponential(owner.size) / rate
         first = np.cumsum(counts + 1) - (counts + 1)
         assert np.array_equal(owner, np.repeat(np.arange(counts.size), counts + 1))
+        assert np.array_equal(length, spacing)
         for i in [*range(0, counts.size, 101), *range(counts.size - 500, counts.size)]:
             run = spacing[first[i] : first[i] + counts[i] + 1].tolist()
-            total = math.fsum(run)
-            ref_frac = np.array([math.fsum(run[:k]) for k in range(counts[i] + 1)]) / total
-            ref_share = np.array(run) / total
-            got_frac = frac[first[i] : first[i] + counts[i] + 1]
-            got_share = share[first[i] : first[i] + counts[i] + 1]
-            assert got_frac[0] == 0.0
-            assert np.all(np.abs(got_frac - ref_frac) <= 1e-12 * ref_frac)
-            assert np.all(np.abs(got_share - ref_share) <= 1e-12 * ref_share)
+            ref_offset = np.array([math.fsum(run[:k]) for k in range(counts[i] + 1)])
+            got_offset = offset[first[i] : first[i] + counts[i] + 1]
+            assert got_offset[0] == 0.0
+            assert np.all(np.abs(got_offset - ref_offset) <= 1e-12 * ref_offset)
+            assert abs(gap[i] - math.fsum(run)) <= 1e-12 * gap[i]
 
 
 class TestOneSamplePerSeed:

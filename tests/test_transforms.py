@@ -75,6 +75,15 @@ class TestPhi:
             phi(std_model, 1.2, 1.0)
         with pytest.raises(DomainError):
             phi(std_model, 0.5, -0.1)
+        with pytest.raises(DomainError):
+            phi(std_model, 0.5, np.array([0.0, 1.0, -1e-300]))
+
+    def test_array_of_window_lengths(self, std_model):
+        s = np.linspace(0.0, 3.0, 7)
+        got = phi(std_model, 0.4 + 0.2j, s)
+        assert got.shape == s.shape
+        for value, length in zip(got, s):
+            assert value == pytest.approx(phi(std_model, 0.4 + 0.2j, float(length)), rel=1e-14)
 
     def test_mc_increment_transform(self, std_model):
         # E[z^{A(s)}] over 400k simulated windows, 5 sigma band

@@ -241,7 +241,7 @@ class TestRegistry:
             want |= {f"{layer}.{name}" for name in module.__all__ if inspect.isfunction(getattr(module, name))}
         want.discard("model.load_model")
         assert set(std_report["coverage"]["required"]) == want
-        assert {"model.delay_lst", "model.delay_sample", "model.mark_mean", "model.mark_sample"} <= want
+        assert {"model.delay_lst", "model.mark_mean", "model.mark_sample"} <= want
 
     def test_unchecked_export_fails_coverage(self, std_model, monkeypatch):
         def unchecked_law(model):
