@@ -8,14 +8,22 @@ pre-crossing time, then check a few cells against simulation.
 
 import numpy as np
 
-from crosswatch import closedform, montecarlo
+from crosswatch import closedform, montecarlo, timedomain
+from crosswatch.model import DegenerateZero, Exponential, Geometric, ObservationLaw, ProcessModel
 
 # ---------------------------------------------------------------
 # The closed forms cover geometric marks with exponential
 # inspection gaps and no initial delay.
 
-model = closedform.SpecialModel(lam=1.0, a=0.5, mu=1.0, m=3)
-print("composite ratio c =", model.c, " (per-inspection growth factor)")
+model = ProcessModel(
+    rate=1.0,
+    marks=Geometric(0.5),
+    observation=ObservationLaw(initial=DegenerateZero(), recurring=Exponential(1.0)),
+    threshold=3,
+)
+lam, b, mu = model.rate, model.marks.b, model.observation.recurring.rate
+c = (b * mu + lam) / (mu + lam)
+print("composite ratio c =", c, " (per-inspection growth factor)")
 
 # ---------------------------------------------------------------
 # P{A_nu = r, tau_pre > t}: the process is first seen above m=3 at
@@ -23,28 +31,25 @@ print("composite ratio c =", model.c, " (per-inspection growth factor)")
 
 grid = np.array([0.0, 0.5, 1.0, 2.0])
 table = closedform.dist_table(model, grid, r_max=10)
-print("\n t \\ r ", "  ".join(f"{r:>7d}" for r in table.r_range[4:9]))
-for i, t in enumerate(table.t_grid):
-    row = "  ".join(f"{p:.5f}" for p in table.values[i, 4:9])
-    print(f" {t:4.1f}  {row}")
+print("\n t \\ r ", "  ".join(f"{r:>7d}" for r in range(4, 9)))
+for t, row in zip(grid, table):
+    print(f" {t:4.1f}  " + "  ".join(f"{p:.5f}" for p in row[4:9]))
 
 # Levels r <= 3 are impossible: the crossing level always overshoots.
-print("\nmass at r <= m:", f"{float(table.values[:, :4].max()):.1e}", "(zero up to roundoff)")
+print("\nmass at r <= m:", f"{float(table[:, :4].max()):.1e}", "(zero up to roundoff)")
 
 # ---------------------------------------------------------------
 # The marginal crossing-level law is geometric beyond the threshold;
-# its mean overshoot is 1/(1-c).
+# its mean overshoot is 1/(1-c), and the law gives it exactly.
 
-pmf = [closedform.crossing_level_pmf(model, r) for r in range(4, 15)]
-mean_overshoot = sum((r - 3) * closedform.crossing_level_pmf(model, r) for r in range(4, 200))
-print("P{A_nu = r}, r=4..8:", np.round(pmf[:5], 5))
-print("mean overshoot:", round(mean_overshoot, 6), " (1/(1-c) =", 1.0 / (1.0 - model.c), ")")
+pmf, mean_overshoot = timedomain.crossing_level_law(model, 14)
+print("P{A_nu = r}, r=4..8:", np.round(pmf[4:9], 5))
+print("mean overshoot:", round(mean_overshoot, 6), " (1/(1-c) =", 1.0 / (1.0 - c), ")")
 
 # ---------------------------------------------------------------
 # Cross-check a column against 100k simulated paths.
 
-estimate = montecarlo.estimate_joint(model.to_process_model(), 8, grid, n_paths=100_000, seed=0)
-col = table.r_range.tolist().index(5)
-print("\nanalytic  column r=5:", np.round(table.values[:, col], 5))
-print("simulated column r=5:", np.round(estimate.table.values[:, col], 5))
-print("std errors          :", np.round(estimate.std_errors[:, col], 5))
+freq, std_errors = montecarlo.estimate_joint(model, 8, grid, n_paths=100_000, seed=0)
+print("\nanalytic  column r=5:", np.round(table[:, 5], 5))
+print("simulated column r=5:", np.round(freq[:, 5], 5))
+print("std errors          :", np.round(std_errors[:, 5], 5))

@@ -9,16 +9,23 @@ breach size, and a simulation sanity check.
 
 import numpy as np
 
-from crosswatch import closedform, fluctuation, laplace, montecarlo
+from crosswatch import closedform, fluctuation, laplace, montecarlo, timedomain
+from crosswatch.model import DegenerateZero, Exponential, Geometric, ObservationLaw, ProcessModel
 
 # ---------------------------------------------------------------
 # Scenario: bursts arrive at rate 1.2/day, each adding a geometric
 # number of units (mean 2); the store is audited roughly daily and
 # the alarm level is 8 units.
 
-model = closedform.SpecialModel(lam=1.2, a=0.5, mu=1.0, m=8)
-process = model.to_process_model()
-print("per-audit growth ratio c =", round(model.c, 4))
+process = ProcessModel(
+    rate=1.2,
+    marks=Geometric(0.5),
+    observation=ObservationLaw(initial=DegenerateZero(), recurring=Exponential(1.0)),
+    threshold=8,
+)
+lam, b, mu = process.rate, process.marks.b, process.observation.recurring.rate
+c = (b * mu + lam) / (mu + lam)
+print("per-audit growth ratio c =", round(c, 4))
 
 # ---------------------------------------------------------------
 # Breach probability within a horizon: one inversion per grid point.
@@ -34,27 +41,26 @@ for t, p in zip(horizon, crash):
 
 # ---------------------------------------------------------------
 # How bad is the breach when it is seen?  The observed level pmf and
-# its mean excess, straight from the closed form.
+# its exact mean excess, from the crossing-level law.
 
-pmf = {r: closedform.crossing_level_pmf(model, r) for r in range(9, 16)}
+levels, mean_excess = timedomain.crossing_level_law(process, 15)
 print("\nobserved breach level pmf (first entries):")
-for r, p in pmf.items():
-    print(f"  level {r:2d}: {p:.4f}")
-mean_excess = sum((r - 8) * closedform.crossing_level_pmf(model, r) for r in range(9, 400))
+for r in range(9, 16):
+    print(f"  level {r:2d}: {levels[r]:.4f}")
 print("mean excess over the alarm level:", round(mean_excess, 4))
 
 # ---------------------------------------------------------------
 # Simulation agrees: 200k simulated paths, same model.  A row of the
 # empirical joint law P{A_nu = r, tau_pre > t} summed over r is the
-# chance that the last audit below the alarm comes after day t, which
+# chance that the last audit below the alarm comes after day 7, which
 # the inverted transform of tau_pre gives as well.
 
 week = np.array([7.0])
-estimate = montecarlo.estimate_joint(process, 400, week, n_paths=200_000, seed=0)
-emp_week = float(estimate.table.values[0].sum())
+freq, _ = montecarlo.estimate_joint(process, 400, week, n_paths=200_000, seed=0)
+emp_week = float(freq[0].sum())
 ana_week = float(laplace.survival_curve(lambda q: fluctuation.lst_tau_pre(process, q), week)[0])
 print("\nanalytic  P{last quiet audit after day 7}:", round(ana_week, 4))
 print("simulated P{last quiet audit after day 7}:", round(emp_week, 4))
 print("\n  level   closed form   simulated")
 for r in range(9, 13):
-    print(f"  {r:5d}   {closedform.joint_dist(model, r, 7.0):11.5f}   {estimate.table.values[0, r]:9.5f}")
+    print(f"  {r:5d}   {closedform.joint_dist(process, r, 7.0):11.5f}   {freq[0, r]:9.5f}")

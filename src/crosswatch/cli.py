@@ -221,32 +221,25 @@ def _write_output(ns, text: str) -> None:
             handle.write(text)
 
 
-def _require_special(model: ProcessModel, command: str) -> closedform.SpecialModel:
-    try:
-        return closedform.SpecialModel.from_process_model(model)
-    except DomainError as exc:
-        raise ConfigError(
-            f"`{command}` uses the special-case closed forms only (geometric marks, "
-            "exponential inspection gaps, zero initial delay): "
-            f"{exc}; use `functional` for general models"
-        ) from exc
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
 def cmd_dist(ns) -> int:
     config, model = _load_config(ns.config, "dist")
-    special = _require_special(model, "dist")
     grid = _resolve_grid(ns, config)
     r_max = ns.r_max if ns.r_max is not None else config.get("r_max")
     if r_max is None:
         raise ConfigError('dist needs a level bound ("r_max" key or --r-max)')
     if isinstance(r_max, bool) or not isinstance(r_max, int) or r_max < 0:
         raise ConfigError(f"r_max must be a nonnegative integer, got {r_max!r}")
-    table = closedform.dist_table(special, grid, r_max)
-    _write_output(ns, table.to_csv())
+    table = closedform.dist_table(model, grid, r_max)
+    levels = [f",{r}," for r in range(r_max + 1)]
+    lines = ["t,r,probability"]
+    for t, row in zip(grid.tolist(), table.tolist()):
+        stamp = _fmt(t)
+        lines.extend(f"{stamp}{level}{p:.11e}" for level, p in zip(levels, row))
+    _write_output(ns, "\n".join(lines) + "\n")
     return _EXIT_OK
 
 

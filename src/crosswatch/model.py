@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "mark_mean",
     "mark_sample",
     "delay_lst",
-    "obs_lst",
     "load_model",
 ]
 
@@ -159,8 +158,8 @@ class Exponential:
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0.0:
-            raise DomainError(f"exponential rate must be positive, got {self.rate}")
+        if not (self.rate > 0.0 and math.isfinite(self.rate)):
+            raise DomainError(f"exponential rate must be positive and finite, got {self.rate}")
 
 
 DelayLaw = Union[DegenerateZero, Exponential]
@@ -201,15 +200,6 @@ class ObservationLaw:
             raise UnsupportedLawError(f"recurring delay must be Exponential, got {type(self.recurring).__name__}")
 
 
-def obs_lst(law: ObservationLaw, which: str, z: complex) -> complex:
-    """LST of the requested grid component, ``which`` in {"initial", "recurring"}."""
-    if which == "initial":
-        return delay_lst(law.initial, z)
-    if which == "recurring":
-        return delay_lst(law.recurring, z)
-    raise DomainError(f'which must be "initial" or "recurring", got {which!r}')
-
-
 @dataclass(frozen=True)
 class ProcessModel:
     """Marked Poisson process watched through a delayed renewal grid.
@@ -244,6 +234,26 @@ class ProcessModel:
     @property
     def initial_is_zero(self) -> bool:
         return isinstance(self.observation.initial, DegenerateZero)
+
+
+def _times(t_grid: Sequence[float] | np.ndarray) -> np.ndarray:
+    """A time grid as a float array: one-dimensional, finite and nonnegative."""
+    grid = np.asarray(t_grid, dtype=float)
+    if grid.ndim != 1:
+        raise DomainError("time grid must be one-dimensional")
+    if np.any(~np.isfinite(grid)) or np.any(grid < 0.0):
+        raise DomainError("time grid entries must be nonnegative and finite")
+    return grid
+
+
+def _table_times(t_grid: Sequence[float] | np.ndarray) -> np.ndarray:
+    """The time grid of a joint table: also nonempty and sorted ascending."""
+    grid = _times(t_grid)
+    if grid.size == 0:
+        raise DomainError("time grid must be nonempty")
+    if np.any(np.diff(grid) < 0.0):
+        raise DomainError("time grid must be sorted ascending")
+    return grid
 
 
 # ---------------------------------------------------------------------------

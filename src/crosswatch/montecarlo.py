@@ -41,7 +41,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .closedform import JointDistTable
 from .errors import DomainError, RunawaySimulationError
 from .model import (
     DegenerateZero,
@@ -49,12 +48,12 @@ from .model import (
     Exponential,
     ProcessModel,
     TransformArgs,
+    _table_times,
     mark_sample,
 )
 
 __all__ = [
     "EstimateWithCI",
-    "JointEstimate",
     "estimate_joint",
     "estimate_functionals",
     "estimate_window_pair",
@@ -88,15 +87,6 @@ class EstimateWithCI:
 
     def ci(self, z: float = 1.96) -> tuple[float, float]:
         return (self.mean - z * self.std_error, self.mean + z * self.std_error)
-
-
-@dataclass(frozen=True, eq=False)
-class JointEstimate:
-    """Empirical joint table plus per-cell binomial standard errors."""
-
-    table: JointDistTable
-    std_errors: np.ndarray
-    n_paths: int
 
 
 def _estimate(values: np.ndarray) -> EstimateWithCI:
@@ -306,38 +296,35 @@ def _crossing_sample(
 # joint law estimator
 
 
+def _joint_frequencies(sample: dict, r_max: int, grid: np.ndarray) -> np.ndarray:
+    """Frequencies of {A_nu = r, tau_pre > t} over the times (rows) and the levels 0..r_max."""
+    a_cross, tau_pre = sample["a_cross"], sample["tau_pre"]
+    counts = np.zeros((grid.size, r_max + 1), dtype=np.int64)
+    for r in range(r_max + 1):
+        times = np.sort(tau_pre[a_cross == r])
+        # paths with tau_pre > t: those strictly right of t in the sorted sample
+        counts[:, r] = times.size - np.searchsorted(times, grid, side="right")
+    return counts / float(a_cross.size)
+
+
 def estimate_joint(
     model: ProcessModel,
     r_max: int,
     t_grid: Sequence[float] | np.ndarray,
     n_paths: int,
     seed: int = 0,
-) -> JointEstimate:
-    """Empirical frequencies of {A_nu = r, tau_pre > t} with binomial errors."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical frequencies of {A_nu = r, tau_pre > t} and their binomial standard errors.
+
+    Both arrays have the times as rows and the levels 0..r_max as columns.
+    """
     if n_paths < 1_000:
         raise DomainError(f"need at least 1000 paths for a stable table, got {n_paths}")
-    grid = np.asarray(t_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or np.any(grid < 0.0) or np.any(np.diff(grid) < 0.0):
-        raise DomainError("time grid must be nonempty, nonnegative, sorted")
+    grid = _table_times(t_grid)
     if isinstance(r_max, bool) or not isinstance(r_max, (int, np.integer)) or r_max < 0:
         raise DomainError(f"level bound must be a nonnegative integer, got {r_max!r}")
-
-    sample = _crossing_sample(model, n_paths, seed)
-    a_cross = sample["a_cross"]
-    tau_pre = sample["tau_pre"]
-
-    r_range = np.arange(int(r_max) + 1)
-    counts = np.zeros((grid.size, r_range.size), dtype=np.int64)
-    for r in r_range:
-        times = np.sort(tau_pre[a_cross == r])
-        if times.size == 0:
-            continue
-        # paths with tau_pre > t: those strictly right of t in the sorted sample
-        counts[:, r] = times.size - np.searchsorted(times, grid, side="right")
-    freq = counts / float(n_paths)
-    se = np.sqrt(freq * (1.0 - freq) / float(n_paths))
-    table = JointDistTable(t_grid=grid, r_range=r_range, values=freq)
-    return JointEstimate(table=table, std_errors=se, n_paths=int(n_paths))
+    freq = _joint_frequencies(_crossing_sample(model, n_paths, seed), int(r_max), grid)
+    return freq, np.sqrt(freq * (1.0 - freq) / float(n_paths))
 
 
 # ---------------------------------------------------------------------------

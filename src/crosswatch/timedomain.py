@@ -49,7 +49,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DivergenceError, DomainError
 from .fluctuation import _r_series
-from .model import GeneralDiscrete, Geometric, ProcessModel, _mark_pgf_rational, mark_mean
+from .model import GeneralDiscrete, Geometric, ProcessModel, _mark_pgf_rational, _times, mark_mean
 from .series import series_from_rational
 
 __all__ = ["survival_pre", "survival_cross", "crossing_level_law"]
@@ -101,15 +101,6 @@ def _binom_tails(m: int, a: float) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # model pieces
-
-
-def _times(t_grid: Sequence[float] | np.ndarray) -> np.ndarray:
-    grid = np.asarray(t_grid, dtype=float)
-    if grid.ndim != 1:
-        raise DomainError("time grid must be one-dimensional")
-    if np.any(~np.isfinite(grid)) or np.any(grid < 0.0):
-        raise DomainError("time grid entries must be nonnegative and finite")
-    return grid
 
 
 def _moving_rate(model: ProcessModel) -> float:

@@ -38,7 +38,6 @@ from .model import (
     TransformArgs,
     delay_lst,
     mark_pgf,
-    obs_lst,
 )
 
 __all__ = ["run_battery"]
@@ -88,7 +87,7 @@ class _CheckResult:
 @dataclass
 class _Context:
     model: ProcessModel
-    special: closedform.SpecialModel | None
+    c: float | None  # the composite ratio the closed-form checks use; None outside the family
     seed: int
     n_paths: int
     _crossing: dict | None = field(default=None, repr=False)
@@ -161,7 +160,7 @@ def _check_split_window(ctx: _Context) -> _CheckResult:
 
 def _check_increment_transform_mc(ctx: _Context) -> _CheckResult:
     """gamma against a direct Monte Carlo average over one inspection gap."""
-    covers = ("transforms.gamma", "model.obs_lst", "model.mark_pgf", "model.delay_lst")
+    covers = ("transforms.gamma", "model.mark_pgf", "model.delay_lst")
     model = ctx.model
     rng = ctx.rng(3)
     n = 400_000
@@ -182,8 +181,6 @@ def _check_increment_transform_mc(ctx: _Context) -> _CheckResult:
         est = float(np.mean(draws))
         se = float(np.std(draws, ddof=1) / math.sqrt(n))
         exact = transforms.gamma(model, which, z, theta)
-        lst_route = obs_lst(model.observation, which, theta + model.rate * (1.0 - mark_pgf(model.marks, z)))
-        worst = max(worst, abs(exact - lst_route) / 5e-3)
         worst = max(worst, abs(est - exact) / (5.0 * se + 1e-6))
     return _CheckResult("increment-transform-vs-mc", worst <= 1.0, worst, 1.0, covers,
                         "per-gap joint transform vs sample average (normalized to 5 sigma)")
@@ -406,24 +403,29 @@ def _check_series_paths(ctx: _Context) -> _CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# closed-form suite (special family only)
+# closed-form suite (the closed-form family only)
 
 
 def _check_transform_chain(ctx: _Context) -> _CheckResult:
     covers = ("fluctuation.g1_star", "closedform.g1_star_special", "closedform.f_of")
-    if ctx.special is None:
+    if ctx.c is None:
         return _skip("transform-chain-agreement", covers, "needs the closed-form family")
+    model = ctx.model
+    lam, mu, b = model.rate, model.observation.recurring.rate, model.marks.b
     worst = 0.0
-    for theta in (0.5, 2.0):
-        for v in (0.3, 0.7):
+    for v in (0.3, 0.7):
+        # the one-gap transform is mu (1 - b v) / ((mu + lam) (1 - f(mu, v)))
+        by_pole = mu * (1.0 - b * v) / ((mu + lam) * (1.0 - closedform.f_of(mu, v, model)))
+        worst = max(worst, abs(transforms.gamma(model, "recurring", v, 0.0) - by_pole))
+        for theta in (0.5, 2.0):
             args = TransformArgs(theta=theta, u=1.0, v=v, w=0.0, x=0.0, y=1.0)
-            series_route = fluctuation.g1_star(ctx.model, args)
-            closed_route = closedform.g1_star_special(ctx.special, theta, v)
+            series_route = fluctuation.g1_star(model, args)
+            closed_route = closedform.g1_star_special(model, theta, v)
             # the exact series holds 1e-12 relative where the closed form,
             # cancelling terms of order one, can round a tiny value to 0
             worst = max(worst, abs(series_route - closed_route) / abs(series_route))
     return _CheckResult("transform-chain-agreement", worst <= 1e-8, worst, 1e-8, covers,
-                        "series-extraction route vs rational closed form")
+                        "series-extraction route vs rational closed form; pole factor vs the one-gap transform")
 
 
 def _check_partition(ctx: _Context) -> _CheckResult:
@@ -473,14 +475,14 @@ def _check_time_domain_inversion(ctx: _Context) -> _CheckResult:
         "closedform.coeff_h",
         "laplace.invert",
     )
-    if ctx.special is None:
+    if ctx.c is None:
         return _skip("time-domain-inversion-agreement", covers, "needs the closed-form family")
-    sp = ctx.special
+    model = ctx.model
     worst = 0.0
     for t in (0.25, 1.0, 4.0):
         for v in (0.3, 0.6, 0.9):
-            inverted = laplace.invert(lambda q: closedform.g1_star_special(sp, q, v), t)
-            direct = closedform.ev_v_anu_before(sp, v, t).real
+            inverted = laplace.invert(lambda q: closedform.g1_star_special(model, q, v), t)
+            direct = closedform._ev_v_anu_before(model, v, t, ctx.c).real
             worst = max(worst, abs(inverted - direct) / max(1e-12, abs(direct)))
     return _CheckResult("time-domain-inversion-agreement", worst <= 1e-6, worst, 1e-6, covers,
                         "numeric inversion of the window transform vs its exact original")
@@ -525,15 +527,15 @@ def _check_time_domain_laws(ctx: _Context) -> _CheckResult:
 
 def _check_pgf_extraction(ctx: _Context) -> _CheckResult:
     covers = ("closedform.dist_table", "closedform.joint_dist", "closedform.ev_v_anu_before")
-    if ctx.special is None:
+    if ctx.c is None:
         return _skip("pgf-extraction-consistency", covers, "needs the closed-form family")
-    sp = ctx.special
+    model, m = ctx.model, ctx.model.threshold
     times = (0.25, 1.0, 4.0)
-    table = closedform.dist_table(sp, times, max(500, sp.m + 2))
+    table = closedform.dist_table(model, times, max(500, m + 2))
     worst = 0.0
-    for t, row in zip(times, table.values.tolist()):
-        for r in (sp.m + 1, sp.m + 2):
-            if closedform.joint_dist(sp, r, t) != row[r]:
+    for t, row in zip(times, table.tolist()):
+        for r in (m + 1, m + 2):
+            if closedform.joint_dist(model, r, t) != row[r]:
                 return _CheckResult("pgf-extraction-consistency", False, math.inf, 1e-8, covers,
                                     f"joint_dist(r={r}, t={t}) differs from its dist_table cell")
         for v in (0.3, 0.6, 0.9):
@@ -541,11 +543,11 @@ def _check_pgf_extraction(ctx: _Context) -> _CheckResult:
             while r <= 500:
                 term = v**r * row[r]
                 total += term
-                quiet = quiet + 1 if abs(term) < 1e-14 and r > sp.m else 0
+                quiet = quiet + 1 if abs(term) < 1e-14 and r > m else 0
                 if quiet >= 4:
                     break
                 r += 1
-            direct = closedform.ev_v_anu_before(sp, v, t).real
+            direct = closedform._ev_v_anu_before(model, v, t, ctx.c).real
             worst = max(worst, abs(total - direct))
     return _CheckResult("pgf-extraction-consistency", worst <= 1e-8, worst, 1e-8, covers,
                         "v**r-weighted coefficient sums vs the generating function")
@@ -571,27 +573,27 @@ def _check_gamma_cdf(ctx: _Context) -> _CheckResult:
 
 def _check_gh_limits(ctx: _Context) -> _CheckResult:
     covers = ("closedform.coeff_g", "closedform.coeff_h")
-    if ctx.special is None:
+    if ctx.c is None:
         return _skip("gh-coefficient-limits", covers, "needs the closed-form family")
-    sp = ctx.special
-    b, ratio = sp.b, sp.mu / sp.lam
-    t_inf = 200.0 / min(1.0, sp.lam)
+    model = ctx.model
+    b, ratio = model.marks.b, model.observation.recurring.rate / model.rate
+    t_inf = 200.0 / min(1.0, model.rate)
     worst = 0.0
     for j in range(7):
-        worst = max(worst, abs(closedform.coeff_g(j, 0.0, sp) - b**j))
-        worst = max(worst, abs(closedform.coeff_h(j, 0.0, sp) - b ** (j + 1)))
-        worst = max(worst, abs(closedform.coeff_g(j, t_inf, sp) - (1.0 + ratio)))
-        worst = max(worst, abs(closedform.coeff_h(j, t_inf, sp) - (b + ratio)))
+        worst = max(worst, abs(closedform.coeff_g(j, 0.0, model) - b**j))
+        worst = max(worst, abs(closedform.coeff_h(j, 0.0, model) - b ** (j + 1)))
+        worst = max(worst, abs(closedform.coeff_g(j, t_inf, model) - (1.0 + ratio)))
+        worst = max(worst, abs(closedform.coeff_h(j, t_inf, model) - (b + ratio)))
     return _CheckResult("gh-coefficient-limits", worst <= 1e-10, worst, 1e-10, covers,
                         "t -> 0 and t -> infinity limits of the inversion coefficients")
 
 
 def _check_dist_table(ctx: _Context) -> _CheckResult:
     covers = ("closedform.dist_table",)
-    if ctx.special is None:
+    if ctx.c is None:
         return _skip("dist-table-invariants", covers, "needs the closed-form family")
     try:
-        closedform.dist_table(ctx.special, [0.0, 0.5, 1.0, 2.0], 12)
+        closedform.dist_table(ctx.model, [0.0, 0.5, 1.0, 2.0], 12)
     except TableInvariantError as exc:
         cells = ", ".join(str(cell) for cell in exc.cells[:5])
         return _CheckResult("dist-table-invariants", False, 1.0, 0.0, covers,
@@ -604,63 +606,48 @@ def _check_dist_table(ctx: _Context) -> _CheckResult:
 # Monte Carlo cross-checks
 
 
+def _mc_band(freq: np.ndarray, exact: np.ndarray, n: int) -> float:
+    """The worst |freq - p| in units of 5 binomial standard errors at the exact p, plus 1/n.
+
+    The 1/n keeps a band of one path where p is near 0 or 1.
+    """
+    return float(np.max(np.abs(freq - exact) / (5.0 * np.sqrt(exact * (1.0 - exact) / n) + 1.0 / n)))
+
+
 def _check_mc_joint(ctx: _Context) -> _CheckResult:
     covers = ("closedform.dist_table", "closedform.joint_dist")
-    if ctx.special is None:
+    if ctx.c is None:
         return _skip("mc-joint-agreement", covers, "needs the closed-form family")
     grid = np.array([0.0, 0.5, 1.0, 2.0])
     r_max = 10
-    table = closedform.dist_table(ctx.special, grid, r_max)
-    sample = ctx.crossing_sample
-    n = ctx.n_paths
-    worst = 0.0
-    for i, t in enumerate(grid):
-        for k in range(r_max + 1):
-            hits = float(np.count_nonzero((sample["a_cross"] == k) & (sample["tau_pre"] > t)))
-            freq = hits / n
-            se = math.sqrt(max(freq * (1.0 - freq), 1e-12) / n)
-            tol_cell = max(4.0 * se, 0.008)
-            worst = max(worst, abs(freq - table.values[i, k]) / tol_cell)
+    table = closedform.dist_table(ctx.model, grid, r_max)
+    freq = montecarlo._joint_frequencies(ctx.crossing_sample, r_max, grid)
+    worst = _mc_band(freq, table, ctx.n_paths)
     return _CheckResult("mc-joint-agreement", worst <= 1.0, worst, 1.0, covers,
-                        f"joint table vs {n} simulated crossings (normalized to cell tolerance)")
+                        f"joint table vs {ctx.n_paths} simulated crossings (normalized to 5 SE + 1/n)")
 
 
 def _check_survival_mc(ctx: _Context) -> _CheckResult:
-    """Both exact survival laws vs the sample's exceedance frequencies.
-
-    Each point is normalised to 5 binomial standard errors at the exact
-    probability p, plus 1/n so that p near 0 or 1 keeps a band of one path.
-    """
+    """Both exact survival laws vs the sample's exceedance frequencies, to 5 SE + 1/n."""
     covers = ("timedomain.survival_pre", "timedomain.survival_cross")
     sample = ctx.crossing_sample
-    n = ctx.n_paths
     grid = np.linspace(0.0, 4.0, 9)
     worst = 0.0
     for key, exact in zip(("tau_pre", "tau_cross"), timedomain._survival_laws(ctx.model, grid)):
         empirical = np.array([np.mean(sample[key] > t) for t in grid])
-        tol = 5.0 * np.sqrt(exact * (1.0 - exact) / n) + 1.0 / n
-        worst = max(worst, float(np.max(np.abs(empirical - exact) / tol)))
+        worst = max(worst, _mc_band(empirical, exact, ctx.n_paths))
     return _CheckResult("survival-vs-mc", worst <= 1.0, worst, 1.0, covers,
                         "exact survival laws vs empirical exceedance frequencies (normalized to 5 SE + 1/n)")
 
 
 def _check_overshoot_pmf(ctx: _Context) -> _CheckResult:
-    """The crossing-level law, and its exact mean, against simulated crossings.
-
-    Each level is normalised as in survival-vs-mc; the mean to its own 5-SE band.
-    """
+    """The crossing-level law, to 5 SE + 1/n, and its exact mean, to 5 SE, against simulated crossings."""
     covers = ("timedomain.crossing_level_law", "model.mark_mean")
-    sample = ctx.crossing_sample
     n = ctx.n_paths
     m = ctx.model.threshold
     law, mean = timedomain.crossing_level_law(ctx.model, m + 10)
-    exact = [law[m + 1 :]]
-    if ctx.special is not None:
-        covers += ("closedform.crossing_level_pmf",)
-        exact.append(np.array([closedform.crossing_level_pmf(ctx.special, m + k) for k in range(1, 11)]))
-    counts = np.bincount(sample["a_cross"], minlength=m + 11)
-    freq = counts[m + 1 : m + 11] / n
-    worst = max(float(np.max(np.abs(freq - p) / (5.0 * np.sqrt(p * (1.0 - p) / n) + 1.0 / n))) for p in exact)
+    counts = np.bincount(ctx.crossing_sample["a_cross"], minlength=m + 11)
+    worst = _mc_band(counts[m + 1 : m + 11] / n, law[m + 1 :], n)
     overshoot = np.arange(counts.size) - m
     sample_mean = float(counts @ overshoot) / n
     sample_var = float(counts @ (overshoot - sample_mean) ** 2) / (n - 1)
@@ -750,32 +737,32 @@ def run_battery(
 ) -> dict:
     """Run every oracle check and return the machine-readable report.
 
-    ``c_shift`` perturbs the composite ratio used by the time-domain
-    closed forms (negative control); the battery is expected to fail
-    loudly for any nonzero shift beyond roundoff.  A model outside the
-    closed-form family has no ratio to shift, so a nonzero ``c_shift``
+    ``c_shift`` perturbs the composite ratio c that the G_j/H_j formula
+    of ``ev_v_anu_before`` reads (negative control); the battery is
+    expected to fail loudly for any nonzero shift beyond roundoff.  A
+    model outside the closed-form family has no ratio to shift, and a
+    shift that moves c out of (b, 1) leaves the formula's domain; either
     raises :class:`DomainError` rather than testing nothing.
     """
     if n_paths < 1_000:
         raise DomainError(f"battery needs at least 1000 paths, got {n_paths}")
     try:
-        special = closedform.SpecialModel.from_process_model(model)
+        c = closedform._family(model)
     except DomainError as exc:
         if c_shift != 0.0:
             raise DomainError(f"c_shift perturbs the closed forms, which do not apply to this model: {exc}") from exc
-        special = None
-    if c_shift != 0.0:
-        special = closedform.SpecialModel(
-            lam=special.lam, a=special.a, mu=special.mu, m=special.m,
-            c_override=special.c + c_shift,
-        )
-    ctx = _Context(model=model, special=special, seed=int(seed), n_paths=int(n_paths))
+        c = None
+    else:
+        c += c_shift
+        if not model.marks.b < c < 1.0:
+            raise DomainError(f"c_shift must keep c in ({model.marks.b}, 1), got c = {c}")
+    ctx = _Context(model=model, c=c, seed=int(seed), n_paths=int(n_paths))
 
     results = [check(ctx) for check in _CHECKS]
 
     required = _analytic_ops()
-    if special is None:
-        # the closed forms hold only for the special family
+    if c is None:
+        # the closed forms hold only for their family
         required = {op for op in required if not op.startswith("closedform.")}
     covered: set[str] = set()
     for res in results:

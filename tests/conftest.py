@@ -3,7 +3,6 @@
 import hypothesis
 import pytest
 
-from crosswatch.closedform import SpecialModel
 from crosswatch.model import (
     DegenerateZero,
     Exponential,
@@ -34,21 +33,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(ACCEPTANCE_LINES[number])
 
 
-@pytest.fixture(scope="session")
-def std_model() -> ProcessModel:
-    """Geometric(1/2) marks, unit-rate arrivals, Exp(1) gaps, threshold 3."""
+def geometric_model(m: int = 3, lam: float = 1.0, a: float = 0.5, mu: float = 1.0) -> ProcessModel:
+    """A model of the closed-form family: geometric(a) marks, Exp(mu) gaps, a first look at 0."""
     return ProcessModel(
-        rate=1.0,
-        marks=Geometric(0.5),
-        observation=ObservationLaw(initial=DegenerateZero(), recurring=Exponential(1.0)),
-        threshold=3,
+        rate=lam,
+        marks=Geometric(a),
+        observation=ObservationLaw(initial=DegenerateZero(), recurring=Exponential(mu)),
+        threshold=m,
     )
 
 
 @pytest.fixture(scope="session")
-def std_special() -> SpecialModel:
-    """The same reference model in closed-form parameterization."""
-    return SpecialModel(lam=1.0, a=0.5, mu=1.0, m=3)
+def std_model() -> ProcessModel:
+    """Geometric(1/2) marks, unit-rate arrivals, Exp(1) gaps, threshold 3."""
+    return geometric_model()
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import record_criterion
+from conftest import geometric_model, record_criterion
 
 from crosswatch import closedform, fluctuation, laplace, montecarlo, transforms
 from crosswatch.model import (
@@ -35,7 +35,7 @@ from crosswatch.series import (
 
 pytestmark = pytest.mark.acceptance
 
-REFERENCE = closedform.SpecialModel(lam=1.0, a=0.5, mu=1.0, m=3)
+REFERENCE = geometric_model(3)
 
 
 def _random_models(seed: int, count: int) -> list[ProcessModel]:
@@ -62,12 +62,10 @@ def test_criterion_1_joint_table_matches_million_path_simulation():
     grid = np.array([0.0, 0.5, 1.0, 2.0])
     start = time.monotonic()
     analytic = closedform.dist_table(REFERENCE, grid, 12)
-    estimate = montecarlo.estimate_joint(
-        REFERENCE.to_process_model(), 12, grid, n_paths=1_000_000, seed=0
-    )
+    freq, std_errors = montecarlo.estimate_joint(REFERENCE, 12, grid, n_paths=1_000_000, seed=0)
     elapsed = time.monotonic() - start
-    diff = np.abs(estimate.table.values - analytic.values)
-    tol = np.maximum(3.0 * estimate.std_errors, 0.005)
+    diff = np.abs(freq - analytic)
+    tol = np.maximum(3.0 * std_errors, 0.005)
     worst = float(np.max(diff / tol))
     passed = bool(np.all(diff <= tol)) and elapsed <= 120.0
     record_criterion(
@@ -81,13 +79,12 @@ def test_criterion_1_joint_table_matches_million_path_simulation():
 def test_criterion_2_series_route_matches_closed_form():
     worst = 0.0
     for m in (1, 2, 3, 5):
-        special = closedform.SpecialModel(lam=1.0, a=0.5, mu=1.0, m=m)
-        model = special.to_process_model()
+        model = geometric_model(m)
         for theta in (0.1, 0.5, 1.0, 2.0, 5.0):
             for v in (0.1, 0.3, 0.5, 0.7, 0.9):
                 args = TransformArgs(theta=theta, u=1.0, v=v, w=0.0, x=0.0, y=1.0)
                 series_route = fluctuation.g1_star(model, args)
-                closed = closedform.g1_star_special(special, theta, v)
+                closed = closedform.g1_star_special(model, theta, v)
                 worst = max(worst, abs(series_route - closed) / abs(closed))
     passed = worst <= 1e-8
     record_criterion(
@@ -150,7 +147,7 @@ def test_criterion_5_step_transform_is_contractive():
 
 
 def test_criterion_6_window_transforms_match_two_stage_simulation():
-    model = REFERENCE.to_process_model()
+    model = REFERENCE
     t_law, delta_law = Exponential(1.0), Exponential(1.0)
     args = TransformArgs(theta=0.6, u=0.9, v=0.8, w=0.2, x=0.1, y=0.7)
     details = []
@@ -176,7 +173,7 @@ def test_criterion_7_partition_identity_and_survival_agreement():
             lhs = theta * fluctuation.g_star(model, args) + fluctuation.lst_tau_cross(model, theta)
             worst_partition = max(worst_partition, abs(lhs - 1.0))
 
-    model = REFERENCE.to_process_model()
+    model = REFERENCE
     sample = montecarlo._crossing_sample(model, 400_000, seed=0)
     grid = np.linspace(0.0, 10.0, 41)
     empirical = np.array([(sample["tau_cross"] > t).mean() for t in grid])
@@ -249,12 +246,11 @@ def test_criterion_9_perturbed_battery_fails_with_named_check(tmp_path):
 def test_criterion_10_inverted_survival_matches_exact_law_at_large_thresholds():
     worst = 0.0
     for m in (50, 300):
-        special = closedform.SpecialModel(lam=1.0, a=0.5, mu=1.0, m=m)
-        model = special.to_process_model()
+        model = geometric_model(m)
         mean = fluctuation.g_star(model, TransformArgs(theta=0.0)).real  # E[tau_cross]
         grid = np.linspace(0.05, 1.8 * mean, 15)
         inverted = laplace.survival_curve(lambda q: fluctuation.lst_tau_pre(model, q), grid)
-        exact = np.array([closedform.ev_v_anu_before(special, 1.0, t).real for t in grid])
+        exact = np.array([closedform.ev_v_anu_before(model, 1.0, t).real for t in grid])
         worst = max(worst, float(np.max(np.abs(inverted - exact))))
     passed = worst <= 1e-6
     record_criterion(

@@ -3,11 +3,14 @@
 import importlib
 import importlib.util
 import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import crosswatch
-from crosswatch import cli, fluctuation, model, montecarlo, series, validation
+from crosswatch import cli, closedform, fluctuation, model, montecarlo, series, validation
 
 MODULES = [info.name for info in pkgutil.iter_modules(crosswatch.__path__)]
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -28,16 +31,24 @@ class TestPublicApi:
 
     def test_removed_names_stay_unexported(self):
         removed = {
-            model: ("GeneralNonneg",),
+            model: ("GeneralNonneg", "obs_lst"),
             fluctuation: ("BlockValues", "blocks_at"),
             series: ("TruncatedSeries",),
-            montecarlo: ("estimate_functional", "estimate_f1_star", "estimate_f2_star"),
+            closedform: ("SpecialModel", "crossing_level_pmf", "JointDistTable"),
+            montecarlo: ("estimate_functional", "estimate_f1_star", "estimate_f2_star", "JointEstimate"),
             validation: ("ANALYTIC_OPS", "CLOSED_FORM_OPS"),
         }
         for module, names in removed.items():
             for name in names:
                 assert name not in module.__all__
                 assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+    def test_simulator_imports_only_the_model(self):
+        # the battery's independent oracle shares no code with the analytic layers
+        probe = "import sys, crosswatch.montecarlo; print(sorted(m for m in sys.modules if m.startswith('crosswatch.')))"
+        env = {**os.environ, "PYTHONPATH": str(Path(crosswatch.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
+        assert out.strip() == str(["crosswatch.errors", "crosswatch.model", "crosswatch.montecarlo"])
 
     def test_benchmark_tracer_wraps_and_restores(self, tmp_path, capsys):
         # the benchmark's tracer wraps every layer's __all__ (and fails on a

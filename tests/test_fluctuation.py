@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from crosswatch import fluctuation as fl
-from crosswatch.closedform import SpecialModel, g1_star_special
+from crosswatch.closedform import g1_star_special
 from crosswatch.errors import DivergenceError, DomainError
 from crosswatch.fluctuation import (
     g1_star,
@@ -141,20 +141,19 @@ class TestBlocks:
 
 
 class TestG1Star:
-    def test_matches_special_model(self, std_special):
+    def test_matches_special_model(self):
         model = _std()
         for theta in (0.1, 0.5, 2.0):
             for v in (0.3, 0.9):
                 got = g1_star(model, TransformArgs(theta=theta, v=v))
-                want = g1_star_special(std_special, theta, v)
+                want = g1_star_special(model, theta, v)
                 assert abs(got - want) / abs(want) < 1e-8
 
     def test_matches_special_model_other_thresholds(self):
         for m in (1, 2, 5):
             model = _std(threshold=m)
-            special = SpecialModel(1.0, 0.5, 1.0, m)
             got = g1_star(model, TransformArgs(theta=0.7, v=0.6))
-            want = g1_star_special(special, 0.7, 0.6)
+            want = g1_star_special(model, 0.7, 0.6)
             assert abs(got - want) / abs(want) < 1e-8
 
     def test_vanishes_when_post_level_untagged(self):
@@ -292,11 +291,10 @@ class TestExactSeriesEngine:
     def test_matches_special_model_at_large_thresholds(self):
         for m in (100, 300, 1000):
             model = _std(threshold=m)
-            special = SpecialModel(1.0, 0.5, 1.0, m)
             for theta in (0.5 / m, 2.0 / m, 0.5):
                 for v in (1.0, 1.0 - 1.0 / (m + 1)):
                     got = g1_star(model, TransformArgs(theta=theta, v=v))
-                    want = g1_star_special(special, theta, v)
+                    want = g1_star_special(model, theta, v)
                     assert abs(got - want) / abs(want) < 1e-10, (m, theta, v)
 
     def test_truncated_geometric_pmf_reproduces_geometric_marks(self):

@@ -22,7 +22,6 @@ from crosswatch.model import (
     mark_mean,
     mark_pgf,
     mark_sample,
-    obs_lst,
 )
 
 
@@ -121,13 +120,6 @@ class TestObservationLaw:
     def test_unknown_initial_law_rejected(self):
         with pytest.raises(UnsupportedLawError):
             ObservationLaw(initial=object(), recurring=Exponential(1.0))
-
-    def test_obs_lst_dispatch(self):
-        obs = ObservationLaw(initial=DegenerateZero(), recurring=Exponential(1.0))
-        assert obs_lst(obs, "initial", 5.0) == 1.0
-        assert obs_lst(obs, "recurring", 1.0) == pytest.approx(0.5)
-        with pytest.raises(DomainError):
-            obs_lst(obs, "final", 1.0)
 
 
 class TestProcessModel:

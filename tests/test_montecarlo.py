@@ -15,7 +15,7 @@ from crosswatch import cli, timedomain
 from crosswatch import montecarlo as mc
 from crosswatch.errors import DomainError, RunawaySimulationError
 from crosswatch.fluctuation import g1_star, g2_star, g_star
-from crosswatch.closedform import SpecialModel, joint_dist
+from crosswatch.closedform import dist_table, joint_dist
 from crosswatch.model import (
     DegenerateZero,
     Exponential,
@@ -112,32 +112,32 @@ class TestEstimateJoint:
     def test_deterministic_per_seed(self, std_model):
         a = estimate_joint(std_model, 8, [0.0, 0.5, 1.0], 5_000, seed=3)
         b = estimate_joint(std_model, 8, [0.0, 0.5, 1.0], 5_000, seed=3)
-        assert np.array_equal(a.table.values, b.table.values)
-        assert np.array_equal(a.std_errors, b.std_errors)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
         c = estimate_joint(std_model, 8, [0.0, 0.5, 1.0], 5_000, seed=4)
-        assert not np.array_equal(a.table.values, c.table.values)
+        assert not np.array_equal(a[0], c[0])
 
     def test_table_structure(self, std_model):
-        est = estimate_joint(std_model, 10, [0.0, 0.5, 1.0, 2.0], 5_000, seed=1)
-        assert est.table.values.shape == (4, 11)
-        assert est.std_errors.shape == (4, 11)
-        assert est.n_paths == 5_000
-        assert np.all(est.table.values >= 0.0) and np.all(est.table.values <= 1.0)
-        assert np.all(est.table.values[:, : std_model.threshold + 1] == 0.0)
-        assert np.all(np.diff(est.table.values, axis=0) <= 0.0)
+        freq, std_errors = estimate_joint(std_model, 10, [0.0, 0.5, 1.0, 2.0], 5_000, seed=1)
+        assert freq.shape == (4, 11)
+        assert std_errors.shape == (4, 11)
+        assert np.allclose(freq * 5_000, np.round(freq * 5_000), rtol=0.0, atol=1e-9)  # counts over 5000 paths
+        assert np.all(freq >= 0.0) and np.all(freq <= 1.0)
+        assert np.all(freq[:, : std_model.threshold + 1] == 0.0)
+        assert np.all(np.diff(freq, axis=0) <= 0.0)
 
-    def test_matches_closed_form(self, std_model, std_special):
-        est = estimate_joint(std_model, 10, [0.0, 0.5, 1.0, 2.0], 50_000, seed=17)
+    def test_matches_closed_form(self, std_model):
+        freq, std_errors = estimate_joint(std_model, 10, [0.0, 0.5, 1.0, 2.0], 50_000, seed=17)
         for i, t in enumerate((0.0, 0.5, 1.0, 2.0)):
             for r in range(4, 9):
-                exact = joint_dist(std_special, r, t)
-                se = max(est.std_errors[i, r], 1e-4)
-                assert abs(est.table.values[i, r] - exact) < 4 * se
+                exact = joint_dist(std_model, r, t)
+                se = max(std_errors[i, r], 1e-4)
+                assert abs(freq[i, r] - exact) < 4 * se
 
     def test_error_bars_shrink_like_root_n(self, std_model):
         small = estimate_joint(std_model, 8, [0.0, 0.5], 2_000, seed=21)
         large = estimate_joint(std_model, 8, [0.0, 0.5], 8_000, seed=21)
-        ratio = small.std_errors[1, 4] / large.std_errors[1, 4]
+        ratio = small[1][1, 4] / large[1][1, 4]
         assert 1.6 < ratio < 2.4
 
     def test_grid_validation(self, std_model):
@@ -147,6 +147,14 @@ class TestEstimateJoint:
             estimate_joint(std_model, 8, [1.0, 0.5], 2_000)
         with pytest.raises(DomainError):
             estimate_joint(std_model, -2, [0.0, 1.0], 2_000)
+
+    def test_refuses_the_grids_the_table_refuses(self, std_model):
+        # a NaN time once gave a silent all-zero row
+        for grid in ([0.0, float("nan")], [0.0, float("inf")], [-1.0, 0.5], [[0.0, 1.0]]):
+            with pytest.raises(DomainError):
+                dist_table(std_model, grid, 6)
+            with pytest.raises(DomainError):
+                estimate_joint(std_model, 6, grid, 1_000)
 
     def test_epoch_cap(self, monkeypatch):
         monkeypatch.setattr(mc, "_EPOCH_CAP", 3)

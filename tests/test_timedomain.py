@@ -17,7 +17,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from crosswatch import cli, closedform, timedomain
+from crosswatch import cli, timedomain
 from crosswatch.errors import DivergenceError
 from crosswatch.model import (
     DegenerateZero,
@@ -219,11 +219,12 @@ class TestAgainstSimulation:
 class TestClosedFormFamily:
     @pytest.mark.parametrize("m", [3, 300, 1000])
     def test_level_law_is_the_geometric_overshoot(self, m):
-        special = closedform.SpecialModel(lam=1.0, a=0.5, mu=1.0, m=m)
-        law, mean = timedomain.crossing_level_law(special.to_process_model(), m + 200)
-        exact = np.array([closedform.crossing_level_pmf(special, r) for r in range(m + 201)])
+        # geometric(1/2) marks, lam = mu = 1: the overshoot is geometric with c = 3/4
+        law, mean = timedomain.crossing_level_law(_model(m, 0.5), m + 200)
+        c = 0.75
+        exact = np.array([(1.0 - c) * c ** (r - m - 1) if r > m else 0.0 for r in range(m + 201)])
         assert np.all(np.abs(law - exact) <= 1e-13 * exact)
-        assert abs(mean - 1.0 / (1.0 - special.c)) <= 1e-13 * mean
+        assert abs(mean - 1.0 / (1.0 - c)) <= 1e-13 * mean
 
     def test_exponential_start_at_the_gap_rate_keeps_the_laws(self):
         zero, late = _model(40, PMF, 1.3, 0.8), _model(40, PMF, 1.3, 0.8, first=0.8)

@@ -8,9 +8,10 @@ import json
 import math
 
 import pytest
+from conftest import geometric_model
 
-from crosswatch import timedomain, validation
-from crosswatch.closedform import SpecialModel
+from crosswatch import closedform, timedomain, validation
+from crosswatch.closedform import _family
 from crosswatch.errors import DomainError
 from crosswatch.model import (
     DegenerateZero,
@@ -197,7 +198,7 @@ class TestSeriesPathCheck:
             observation=ObservationLaw(initial=DegenerateZero(), recurring=Exponential(1.0)),
             threshold=threshold,
         )
-        ctx = validation._Context(model=model, special=None, seed=0, n_paths=1_000)
+        ctx = validation._Context(model=model, c=None, seed=0, n_paths=1_000)
         result = validation._check_series_paths(ctx)
         assert result.passed, result.observed
         assert result.covers == ("fluctuation.g1_star", "fluctuation.g2_star")
@@ -212,7 +213,7 @@ class TestOvershootCheck:
     )
 
     def test_band_scales_with_the_sample(self):
-        ctx = validation._Context(model=self.PMF_MODEL, special=None, seed=0, n_paths=5_000)
+        ctx = validation._Context(model=self.PMF_MODEL, c=None, seed=0, n_paths=5_000)
         result = validation._check_overshoot_pmf(ctx)
         assert result.passed, result.observed
         assert result.tolerance == 1.0
@@ -228,8 +229,32 @@ class TestOvershootCheck:
             return law, mean
 
         monkeypatch.setattr(timedomain, "crossing_level_law", moved)
-        ctx = validation._Context(model=self.PMF_MODEL, special=None, seed=0, n_paths=100_000)
+        ctx = validation._Context(model=self.PMF_MODEL, c=None, seed=0, n_paths=100_000)
         result = validation._check_overshoot_pmf(ctx)
+        assert not result.passed and result.observed > 1.0
+
+
+class TestMcJointCheck:
+    def test_band_scales_with_the_sample(self, std_model):
+        ctx = validation._Context(model=std_model, c=_family(std_model), seed=0, n_paths=1_000)
+        result = validation._check_mc_joint(ctx)
+        assert result.passed, result.observed
+        assert result.tolerance == 1.0
+
+    def test_moved_mass_fails_at_the_default_paths(self, std_model, monkeypatch):
+        # 0.007 moved between two cells near p = 0.05 is about 9 SE at 100k
+        # paths, and lies inside a fixed absolute floor of 0.008
+        exact_table = closedform.dist_table
+
+        def moved(model, t_grid, r_max):
+            table = exact_table(model, t_grid, r_max).copy()
+            table[:, 8] -= 0.007
+            table[:, 9] += 0.007
+            return table
+
+        monkeypatch.setattr(closedform, "dist_table", moved)
+        ctx = validation._Context(model=std_model, c=_family(std_model), seed=0, n_paths=100_000)
+        result = validation._check_mc_joint(ctx)
         assert not result.passed and result.observed > 1.0
 
 
@@ -277,7 +302,7 @@ class TestTransformChainCheck:
     def test_closed_form_zero_gives_a_finite_observation(self):
         # at M = 50, theta = 0.5, v = 0.3 the closed form rounds a value
         # near 1e-27 to exactly 0; the check must report, not divide by it
-        special = SpecialModel(lam=1.0, a=0.5, mu=1.0, m=50)
-        ctx = validation._Context(model=special.to_process_model(), special=special, seed=0, n_paths=1_000)
+        model = geometric_model(50)
+        ctx = validation._Context(model=model, c=_family(model), seed=0, n_paths=1_000)
         result = validation._check_transform_chain(ctx)
         assert math.isfinite(result.observed)
