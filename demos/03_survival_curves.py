@@ -30,9 +30,10 @@ delayed = ProcessModel(
 )
 
 # ---------------------------------------------------------------
-# survival_curve() inverts an LST into P{time > t} pointwise, with an
-# error estimate at every node (a point that misses 1e-6 raises
-# InversionError) and exact handling of any atom at zero.
+# survival_curve() inverts an LST into P{time > t} over the whole grid,
+# calling the LST once on an array of abscissae.  Every node has an
+# error estimate: a node that misses 1e-6 doubles its Euler terms, up to
+# 400, and only then raises InversionError.  Any atom at zero is exact.
 
 grid = np.linspace(0.0, 8.0, 9)
 for name, model in (("prompt", prompt), ("delayed", delayed)):

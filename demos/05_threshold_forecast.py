@@ -28,7 +28,7 @@ c = (b * mu + lam) / (mu + lam)
 print("per-audit growth ratio c =", round(c, 4))
 
 # ---------------------------------------------------------------
-# Breach probability within a horizon: one inversion per grid point.
+# Breach probability within a horizon: the grid inverts in one LST call.
 
 horizon = np.linspace(0.0, 14.0, 8)
 crash = 1.0 - laplace.survival_curve(

@@ -8,7 +8,8 @@ public function here takes such a model and refuses any other with
 functions and Poisson/binomial tails:
 
 * :func:`g1_star_special` -- the pre-crossing window transform in closed
-  form (no series extraction, no numerical inversion);
+  form (no series extraction, no numerical inversion), at a theta or at
+  every entry of an ndarray of them;
 * :func:`ev_v_anu_before` -- its exact inverse transform, a PGF of the
   crossing level restricted to {t < tau_pre}, with every transform pole
   turned into a gamma-tail coefficient G_j or H_j and every crossing-level
@@ -76,9 +77,8 @@ def _family(model: ProcessModel) -> float:
     raise DomainError(f"{reason}; use `functional` for general models")
 
 
-def _pole(x: complex, v: complex, model: ProcessModel) -> complex:
-    x = complex(x)
-    if abs(x + model.rate) < 1e-300:
+def _pole(x, v: complex, model: ProcessModel) -> complex | np.ndarray:
+    if np.any(np.abs(x + model.rate) < 1e-300):
         raise DomainError("pole factor undefined at x = -lam")
     return (model.marks.b * x + model.rate) * complex(v) / (x + model.rate)
 
@@ -144,36 +144,36 @@ def coeff_h(j: int, t: float, model: ProcessModel) -> float:
     return _coeff(j, t, model, 1)
 
 
-def _geom_sum(q: complex, m: int) -> complex:
-    """sum_{j=0}^{m} q^j with the empty-sum convention for m < 0."""
-    if m < 0:
-        return 0.0 + 0.0j
-    return complex(np.polyval(np.ones(m + 1, dtype=complex), complex(q)))
+def _geom_sum(q, m: int):
+    """sum_{j=0}^{m} q^j, at each entry of an array q; the empty sum for m < 0."""
+    return np.polyval(np.ones(m + 1, dtype=complex), q) if m >= 0 else 0.0 * q
 
 
-def g1_star_special(model: ProcessModel, theta: complex, v: complex) -> complex:
+def g1_star_special(model: ProcessModel, theta, v: complex) -> complex | np.ndarray:
     """Closed-form pre-crossing window transform at tagging point (1, v, 0, 0, 1).
 
     Four groups of partial geometric sums over the threshold order; the
     whole bracket carries the 1/theta of the time integral.  Analytic in
     theta, so values for |theta| below the cancellation floor are taken
-    by a symmetric two-point evaluation.
+    by a symmetric two-point evaluation.  An ndarray theta gives an array
+    of its shape, each entry as a scalar theta would.
     """
     _family(model)
-    return _g1_star(model, complex(theta), complex(v))
+    values = _g1_star(model, np.asarray(theta, dtype=complex).ravel(), complex(v))
+    return complex(values[0]) if np.ndim(theta) == 0 else values.reshape(np.shape(theta))
 
 
-def _g1_star(model: ProcessModel, theta: complex, v: complex) -> complex:
+def _g1_star(model: ProcessModel, theta: np.ndarray, v: complex) -> np.ndarray:
     # Rational in theta with poles on the negative real axis, so the only
     # genuine requirement is the contraction region: Re theta > 0 or |v| < 1.
-    # Complex theta left of the axis is fine.
-    if theta.real <= 0.0 and abs(v) >= 1.0 - 1e-12:
+    # Complex theta left of the axis is fine.  A 1-D theta rounds alike at every size.
+    if np.any(theta.real <= 0.0) and abs(v) >= 1.0 - 1e-12:
         raise DivergenceError("need Re theta > 0 or |v| < 1 for the window integral")
-    if abs(theta) < 1e-7:
-        h = 1e-5
-        lo = _g1_star(model, theta + h, v)
-        hi = _g1_star(model, theta + h + h, v)
-        return 2.0 * lo - hi  # linear extrapolation toward theta
+    small = np.abs(theta) < 1e-7
+    if small.any():  # linear extrapolation toward theta from theta + h and theta + 2h, h = 1e-5
+        out = _g1_star(model, np.where(small, theta + 1e-5, theta), v)
+        out[small] = 2.0 * out[small] - _g1_star(model, theta[small] + 1e-5 + 1e-5, v)
+        return out
     lam, mu, b, big_m = model.rate, model.observation.recurring.rate, model.marks.b, model.threshold
 
     gv0 = mu / (mu + lam - lam * (model.marks.a * v) / (1.0 - b * v))
@@ -224,18 +224,20 @@ def _ev_v_anu_before(model: ProcessModel, v: complex, t: float, c: float) -> com
     cv = c * v
     dd = d_inverse_double_geometric
 
+    # S[k] = sum_{i <= k} (cv)^i for k = 0..M, from one cumulative pass
+    geo = np.cumsum(np.cumprod(np.concatenate([[1.0], np.full(big_m, cv)])))
+    vj = v ** np.arange(big_m + 1)
+
     t1 = gv0 * ((mu + lam) / lam) * (v**big_m + (1.0 - cv) * _geom_sum(v, big_m - 1))
-    t2 = -gv0 * (
-        v**big_m * g[big_m]
-        + sum(v**j * g[j] - v ** (j + 1) * h[j] for j in range(big_m))
-    )
+    t2 = -gv0 * (vj[big_m] * g[big_m] + vj[:big_m] @ g[:big_m] - vj[1:] @ h[:big_m])
     t3 = -(mu / lam) * (
         dd(v, cv, big_m) - (b + c) * v * dd(v, cv, big_m - 1) + b * c * v**2 * dd(v, cv, big_m - 2)
     )
+    # the three sums over j of v^j-weighted G_j/H_j mixtures against S[M - j], S[M - 1 - j], S[M - 2 - j]
     t4 = (mu / (mu + lam)) * (
-        sum(v**j * g[j] * _geom_sum(cv, big_m - j) for j in range(big_m + 1))
-        - sum(v ** (j + 1) * (b * g[j] + h[j]) * _geom_sum(cv, big_m - 1 - j) for j in range(big_m))
-        + b * sum(v ** (j + 2) * h[j] * _geom_sum(cv, big_m - 2 - j) for j in range(big_m - 1))
+        (vj * g) @ geo[::-1]
+        - (vj[1:] * (b * g[:big_m] + h[:big_m])) @ geo[big_m - 1 :: -1]
+        + b * (vj[2:] * h[: big_m - 1]) @ geo[: big_m - 1][::-1]
     )
     return t1 + t2 + t3 + t4
 

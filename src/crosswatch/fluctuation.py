@@ -18,6 +18,8 @@ zero or exponential gaps, so every block is rational in s (see the engine
 notes below), and truncated expansion and products give the coefficients
 exactly.  The pointwise blocks themselves are evaluated only by the
 validation battery, as the independent oracle for this route.
+
+theta may be an ndarray: one call evaluates each entry as a scalar theta would.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ __all__ = [
 # is formed by cancelling F(1) against a partial sum of F.
 
 
-def _r_series(model: ProcessModel, alpha: complex, c: complex, order: int, tail: bool = False):
-    """Coefficients of R(alpha, c) through ``order``; with ``tail``, (R, R(1), T).
+def _r_series(model: ProcessModel, alpha: complex, c: complex, order: int, parts: str = "r"):
+    """Coefficients through ``order`` of R(alpha, c) ("r"), (R(1), T) ("tail") or (R, R(1), T).
 
     With g = N/D, R = 1/alpha + (lam/alpha) N / (alpha D - lam N) at c s,
     which keeps the small pole-zero gap of a large alpha that D / (alpha D
@@ -69,66 +71,77 @@ def _r_series(model: ProcessModel, alpha: complex, c: complex, order: int, tail:
     bottom = [alpha * q - lam * p for p, q in zip_longest(n_s, d_s, fillvalue=0.0)]
     if abs(bottom[0]) < SINGULARITY_TOL:
         raise DivergenceError("resolvent 1/(alpha - lam*g(c s)) has a pole at s = 0")
-    if not tail:
+    if parts == "r":
         r = series_from_rational([lam / alpha * p for p in n_s], bottom, order)
         r[0] += 1.0 / alpha
         return r
     inv = series_from_rational([1.0], bottom, order)
-    r = (lam / alpha) * _mul(n_s, inv, order)
-    r[0] += 1.0 / alpha
     n_1, d_1 = sum(n_s), sum(d_s)
     # n_1 D(c s) - d_1 N(c s) is zero at s = 1; its quotient by 1 - s has minus its tail sums
-    diff = [n_1 * q - d_1 * p for p, q in zip_longest(n_s, d_s, fillvalue=0.0)]
-    quotient = -np.cumsum([0.0] + diff[:0:-1])[::-1]
+    tails = [0j]
+    for p, q in list(zip_longest(n_s, d_s, fillvalue=0.0))[:0:-1]:
+        tails.append(tails[-1] + (n_1 * q - d_1 * p))
     total = sum(bottom)
-    return r, d_1 / total, (lam / total) * _mul(quotient, inv, order)
+    tail = (d_1 / total, (lam / total) * _mul(-np.array(tails[::-1]), inv, order))
+    if parts == "tail":
+        return tail
+    r = (lam / alpha) * _mul(n_s, inv, order)
+    r[0] += 1.0 / alpha
+    return (r, *tail)
 
 
 def _mul(a, b, order: int) -> np.ndarray:
     return np.convolve(a, b)[: order + 1]
 
 
-def _exp_gap_factors(model: ProcessModel, args: TransformArgs, which: str, order: int) -> list:
-    """Arrays (left, right, head) per window part of ``which``: "g1", "g2" or "g".
+def _exp_gap_factors(model: ProcessModel, args: TransformArgs, thetas: list, which: str, order: int):
+    """Arrays (left, right, head) per window part of ``which`` ("g1", "g2" or "g"), per theta.
 
-    A part's integrand is (1 - s)(head + left * right); head is None when it vanishes.
+    A part's integrand is (1 - s)(head + left * right); head is None when it vanishes.  The
+    factors that do not depend on theta are expanded once, and one list of parts is yielded
+    per entry of ``thetas``.
     """
     lam, obs = model.rate, model.observation
     mu = obs.recurring.rate
     u, v, y = complex(args.u), complex(args.v), complex(args.y)
-    w, x, theta = complex(args.w), complex(args.x), complex(args.theta)
+    w, x = complex(args.w), complex(args.x)
     uv, uvy = u * v, u * v * y
     rho = None if isinstance(obs.initial, DegenerateZero) else obs.initial.rate
-    # K = 1 / (1 - L) = 1 + mu / eta at eta3 = theta + w + lam(1 - g(uvys))
-    r3 = _r_series(model, lam + theta + w, uvy, order)
-    k3 = mu * r3
-    k3[0] += 1.0
     # gamma(v s, x) = mu R(mu + lam + x, v), also the first factor of Gamma
-    recurring_a = _r_series(model, mu + lam + x, v, order, tail=True)
+    recurring_a = _r_series(model, mu + lam + x, v, order, "tail")
+    if which != "g2":
+        left_h, r2 = mu * recurring_a[1], _r_series(model, lam + w, uv, order)
+        p2 = None if rho is None else rho * _r_series(model, rho + lam + w, uv, order)
+    initial_a = None if rho is None or which == "g1" else _r_series(model, rho + lam + x, v, order, "tail")
 
-    def gamma_tail(rate: float, a_terms: tuple | None = None) -> np.ndarray:
+    def gamma_tail(rate: float, a_terms: tuple, theta: complex) -> np.ndarray:
         # Gamma of an Exp(rate) gap is F(1) - F(s) with F = rate R_a R_b
-        _, ra_1, ta = a_terms or _r_series(model, rate + lam + x, v, order, tail=True)
-        rb, _, tb = _r_series(model, rate + lam + theta + x, v * y, order, tail=True)
+        ra_1, ta = a_terms
+        rb, _, tb = _r_series(model, rate + lam + theta + x, v * y, order, "r+tail")
         return rate * (ra_1 * tb + _mul(ta, rb, order))
 
-    parts = []
-    if which != "g2":
-        # H = L0 K divided between eta2 and eta3 by the product rule
-        h_dd = mu * _mul(_r_series(model, lam + w, uv, order), r3, order)
-        if rho is not None:
-            p2 = rho * _r_series(model, rho + lam + w, uv, order)
-            p3 = _r_series(model, rho + lam + theta + w, uvy, order)
-            h_dd = _mul(p2, h_dd + _mul(p3, k3, order), order)
-        parts.append((mu * recurring_a[2], h_dd, None))
-    if which != "g1":
-        gamma = gamma_tail(mu, recurring_a)
-        if rho is None:
-            parts.append((gamma, k3, None))
-        else:
-            b3 = _mul(rho * _r_series(model, rho + lam + theta + w, uvy, order), k3, order)
-            parts.append((gamma, b3, gamma_tail(rho)))
-    return parts
+    for theta in thetas:
+        # K = 1 / (1 - L) = 1 + mu / eta at eta3 = theta + w + lam(1 - g(uvys))
+        r3 = _r_series(model, lam + theta + w, uvy, order)
+        if which != "g1" or rho is not None:
+            k3 = mu * r3
+            k3[0] += 1.0
+        # the initial gap's R at eta3, in H and in B3
+        p3 = None if rho is None else _r_series(model, rho + lam + theta + w, uvy, order)
+        parts = []
+        if which != "g2":
+            # H = L0 K divided between eta2 and eta3 by the product rule
+            h_dd = mu * _mul(r2, r3, order)
+            if rho is not None:
+                h_dd = _mul(p2, h_dd + _mul(p3, k3, order), order)
+            parts.append((left_h, h_dd, None))
+        if which != "g1":
+            gamma = gamma_tail(mu, recurring_a, theta)
+            if rho is None:
+                parts.append((gamma, k3, None))
+            else:
+                parts.append((gamma, _mul(rho * p3, k3, order), gamma_tail(rho, initial_a, theta)))
+        yield parts
 
 
 # ---------------------------------------------------------------------------
@@ -136,63 +149,71 @@ def _exp_gap_factors(model: ProcessModel, args: TransformArgs, which: str, order
 
 
 def _crossing_series(model: ProcessModel, args: TransformArgs, which: str, order: int) -> np.ndarray:
-    """Coefficients 0..order of the G1 (``"g1"``) or G2 (``"g2"``) integrand in s."""
+    """Coefficients 0..order of the G1 (``"g1"``) or G2 (``"g2"``) integrand in s, per theta."""
     args.validate()
-    [(left, right, head)] = _exp_gap_factors(model, args, which, order)
-    out = _mul(left, right, order) + (0.0 if head is None else head)
-    out[1:] = np.diff(out)
-    return out
+    theta = np.asarray(args.theta, dtype=complex)
+    out = np.array([
+        _mul(left, right, order) + (0.0 if head is None else head)
+        for [(left, right, head)] in _exp_gap_factors(model, args, theta.reshape(-1).tolist(), which, order)
+    ])
+    out[:, 1:] = np.diff(out)
+    return out.reshape(theta.shape + (order + 1,))
 
 
-def _crossing_sums(model: ProcessModel, args: TransformArgs, which: str) -> list[complex]:
-    """Partial sums at the threshold order, one per window part of ``which``."""
+def _window(model: ProcessModel, args: TransformArgs, which: str, lst: bool = False) -> complex | np.ndarray:
+    """The window transform ``which``, or with ``lst`` 1 - theta times it, at each theta.
+
+    A scalar theta is a batch of one and gives a complex; an ndarray gives an array of its shape.
+    """
     order = model.threshold
     args.validate()
-    # the partial sum of (1 - s) X at the order is X_order
-    return [
-        complex(left @ right[::-1] + (0.0 if head is None else head[order]))
-        for left, right, head in _exp_gap_factors(model, args, which, order)
-    ]
+    theta = np.asarray(args.theta, dtype=complex)
+    thetas, values = theta.reshape(-1).tolist(), []
+    for q, parts in zip(thetas, _exp_gap_factors(model, args, thetas, which, order)):
+        # the partial sum of (1 - s) X at the order is X_order
+        sums = [complex(left @ right[::-1] + (0.0 if head is None else head[order])) for left, right, head in parts]
+        g = sum(sums[1:], sums[0])
+        values.append(1.0 - q * g if lst else g)
+    return values[0] if theta.ndim == 0 else np.array(values).reshape(theta.shape)
 
 
-def g1_star(model: ProcessModel, args: TransformArgs) -> complex:
+def g1_star(model: ProcessModel, args: TransformArgs) -> complex | np.ndarray:
     """Transform (in t) of the crossing functional on the window t < tau_pre.
 
     Partial coefficient sum, at the threshold order, of
     ``b1 * (b2 - b3)`` in the level-tagging variable.
     """
-    return _crossing_sums(model, args, "g1")[0]
+    return _window(model, args, "g1")
 
 
-def g2_star(model: ProcessModel, args: TransformArgs) -> complex:
+def g2_star(model: ProcessModel, args: TransformArgs) -> complex | np.ndarray:
     """Transform of the crossing functional on the window tau_pre <= t < tau_cross.
 
     Partial coefficient sum of ``gamma0 + gamma * b3``.
     """
-    return _crossing_sums(model, args, "g2")[0]
+    return _window(model, args, "g2")
 
 
-def g_star(model: ProcessModel, args: TransformArgs) -> complex:
+def g_star(model: ProcessModel, args: TransformArgs) -> complex | np.ndarray:
     """Transform on the full pre-crossing window t < tau_cross (sum of the two parts)."""
-    g1, g2 = _crossing_sums(model, args, "g")
-    return g1 + g2
+    return _window(model, args, "g")
 
 
-def lst_tau_pre(model: ProcessModel, theta: complex) -> complex:
+def _lst(model: ProcessModel, theta, which: str, name: str) -> complex | np.ndarray:
+    if min(np.ravel(theta).real.tolist()) <= 0.0:
+        raise DomainError(f"{name} requires Re theta > 0")
+    return _window(model, TransformArgs(theta=theta), which, lst=True)
+
+
+def lst_tau_pre(model: ProcessModel, theta) -> complex | np.ndarray:
     """LST E[exp(-theta * tau_pre)] of the last inspection at or below the threshold.
 
     Uses the identity ``theta * G1(theta; 1,1,0,0,1) = 1 - LST`` that the
     window t < tau_pre yields at the all-ones tagging point.  Re theta > 0.
     """
-    theta = complex(theta)
-    if theta.real <= 0.0:
-        raise DomainError("lst_tau_pre requires Re theta > 0")
-    return 1.0 - theta * g1_star(model, TransformArgs(theta=theta))
+    return _lst(model, theta, "g1", "lst_tau_pre")
 
 
-def lst_tau_cross(model: ProcessModel, theta: complex) -> complex:
+def lst_tau_cross(model: ProcessModel, theta) -> complex | np.ndarray:
     """LST E[exp(-theta * tau_cross)] of the first inspection above the threshold."""
-    theta = complex(theta)
-    if theta.real <= 0.0:
-        raise DomainError("lst_tau_cross requires Re theta > 0")
-    return 1.0 - theta * g_star(model, TransformArgs(theta=theta))
+    return _lst(model, theta, "g", "lst_tau_cross")

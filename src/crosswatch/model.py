@@ -267,7 +267,8 @@ class TransformArgs:
     theta damps the running time t, u tags the pre-crossing level, v the
     crossing level, w the pre-crossing epoch, x the final gap, and y the
     level A(t) at the running time.  Validity: |u|, |v|, |y| <= 1 and
-    Re theta, Re w, Re x >= 0 (small numerical slack allowed).
+    Re theta, Re w, Re x >= 0 (small numerical slack allowed).  theta may
+    also be an ndarray: the transforms then evaluate at each of its entries.
     """
 
     theta: complex = 0.0
@@ -282,7 +283,10 @@ class TransformArgs:
             val = complex(getattr(self, name))
             if abs(val) > 1.0 + _UNIT_TOL:
                 raise DomainError(f"|{name}| must be <= 1, got {abs(val)}")
-        for name in ("theta", "w", "x"):
+        real = min(np.ravel(self.theta).real.tolist())
+        if real < -_UNIT_TOL:
+            raise DomainError(f"Re theta must be >= 0, got {real}")
+        for name in ("w", "x"):
             val = complex(getattr(self, name))
             if val.real < -_UNIT_TOL:
                 raise DomainError(f"Re {name} must be >= 0, got {val.real}")

@@ -92,14 +92,14 @@ def d_inverse(coeffs: Sequence[complex], k: int) -> complex:
     return complex(np.sum(coeffs[: k + 1]))
 
 
-def d_inverse_double_geometric(F: complex, G: complex, k: int) -> complex:
+def d_inverse_double_geometric(F, G: complex, k: int) -> complex | np.ndarray:
     """Partial-sum inverse of ``1 / ((1 - F s)(1 - G s))`` at threshold k.
 
-    Equals ``sum_{j=0..k} F^j * sum_{i=0..k-j} G^i``; k < 0 gives 0.
+    Equals ``sum_{j=0..k} F^j * sum_{i=0..k-j} G^i``; k < 0 gives 0.  An
+    ndarray F gives an array of its shape, each entry as a scalar F would.
     """
-    if k < 0:
-        return 0.0 + 0.0j
-    F, G = complex(F), complex(G)
-    pow_f = F ** np.arange(k + 1)
-    inner = np.cumsum(G ** np.arange(k + 1))
-    return complex(pow_f @ inner[::-1])
+    F, G = np.asarray(F, dtype=complex), complex(G)
+    powers = np.arange(max(k + 1, 0))
+    # one dot per entry of F (vecdot conjugates its first factor, so it is given conj(F^j))
+    out = np.vecdot(np.conj(F[..., None] ** powers), np.cumsum(G**powers)[::-1])
+    return complex(out) if F.ndim == 0 else out

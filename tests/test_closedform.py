@@ -37,6 +37,7 @@ from crosswatch.fluctuation import g_star, lst_tau_pre
 from crosswatch.laplace import invert
 from crosswatch.model import MAX_THRESHOLD, GeneralDiscrete, ProcessModel, TransformArgs
 from crosswatch.montecarlo import _crossing_sample
+from crosswatch.series import d_inverse_double_geometric
 from crosswatch.timedomain import crossing_level_law
 from crosswatch.validation import _check_pgf_extraction, _Context, run_battery
 
@@ -273,6 +274,11 @@ class TestWindowTransform:
         value = g1_star_special(std_model, -0.3 + 2.0j, 0.5)
         assert np.isfinite(value.real) and np.isfinite(value.imag)
 
+    def test_array_theta_matches_scalar_calls_across_the_floor(self, std_model):
+        theta = np.array([1e-9, 5e-8, 2e-7, 0.5, 2.0 + 3.0j])
+        batch = g1_star_special(std_model, theta, 0.6)
+        assert np.array_equal(batch, [g1_star_special(std_model, q, 0.6) for q in theta])
+
     def test_divergent_region_rejected(self, std_model):
         with pytest.raises(DivergenceError):
             g1_star_special(std_model, -0.5, 1.0)
@@ -308,6 +314,36 @@ class TestTimeDomainExpectation:
     def test_rejects_pgf_argument_outside_disk(self, std_model):
         with pytest.raises(DomainError):
             ev_v_anu_before(std_model, 1.2, 1.0)
+
+    @staticmethod
+    def _term_by_term(model, v, t):
+        """The G_j/H_j formula with one Horner-evaluated geometric partial sum per term."""
+        lam, mu, b, m = model.rate, model.observation.recurring.rate, model.marks.b, model.threshold
+        c = _family(model)
+        g, h = _gh_arrays(model, t, m)
+        geo = lambda q, k: complex(np.polyval(np.ones(k + 1, dtype=complex), q)) if k >= 0 else 0j
+        dd = d_inverse_double_geometric
+        gv0 = (mu / (mu + lam)) * (1.0 - b * v) / (1.0 - c * v)
+        cv = c * v
+        t1 = gv0 * ((mu + lam) / lam) * (v**m + (1.0 - cv) * geo(v, m - 1))
+        t2 = -gv0 * (v**m * g[m] + sum(v**j * g[j] - v ** (j + 1) * h[j] for j in range(m)))
+        t3 = -(mu / lam) * (dd(v, cv, m) - (b + c) * v * dd(v, cv, m - 1) + b * c * v**2 * dd(v, cv, m - 2))
+        sums = [geo(cv, k) for k in range(m + 1)]
+        t4 = (mu / (mu + lam)) * (
+            sum(v**j * g[j] * sums[m - j] for j in range(m + 1))
+            - sum(v ** (j + 1) * (b * g[j] + h[j]) * sums[m - 1 - j] for j in range(m))
+            + b * sum(v ** (j + 2) * h[j] * sums[m - 2 - j] for j in range(m - 1))
+        )
+        return t1 + t2 + t3 + t4
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 50, 300])
+    def test_cumulative_sums_match_term_by_term_sums(self, m):
+        model = geometric_model(m)
+        mean = _mean_crossing_time(model)
+        for v in (0.3, 0.9, 1.0, 0.5 + 0.5j):
+            for t in (0.0, 1.0, 4.0, mean):
+                got, want = ev_v_anu_before(model, v, t), self._term_by_term(model, v, t)
+                assert abs(got - want) < 1e-12, (v, t)
 
 
 class TestJointDist:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from crosswatch import fluctuation as fl
+from crosswatch import timedomain
 from crosswatch.closedform import g1_star_special
 from crosswatch.errors import DivergenceError, DomainError
 from crosswatch.fluctuation import (
@@ -339,3 +340,59 @@ class TestExactSeriesEngine:
         # all marks are zero, so the level never moves and the window is unbounded
         with pytest.raises(DivergenceError):
             g1_star(_pmf([1.0]), TransformArgs(theta=1.0))
+
+
+class TestArrayTheta:
+    """An ndarray theta gives, entry by entry, what a scalar theta gives."""
+
+    @staticmethod
+    def _model(m, marks, initial):
+        law = Geometric(0.5) if marks == "geometric" else GeneralDiscrete([0.0, 0.5, 0.3, 0.2])
+        start = DegenerateZero() if initial is None else Exponential(initial)
+        return ProcessModel(rate=1.0, marks=law, observation=ObservationLaw(start, Exponential(1.0)), threshold=m)
+
+    @staticmethod
+    def _thetas(model):
+        # the 38 Euler abscissae at the mean crossing time, four real points, as a 6 x 7 grid
+        t = timedomain._mean_cross_time(model)
+        k = np.arange(38)
+        return np.concatenate([(25.0 + 2j * np.pi * k) / (2.0 * t), [0.3, 1.0, 4.0, 10.0]]).reshape(6, 7)
+
+    @staticmethod
+    def _assert_rows_match(batch, scalar_call, theta):
+        single = np.array([scalar_call(complex(q)) for q in theta.ravel()]).reshape(theta.shape)
+        assert batch.shape == theta.shape
+        assert np.all(np.abs(batch - single) <= 1e-14 * np.abs(single))
+
+    @pytest.mark.parametrize("m", [3, 60, 300])
+    @pytest.mark.parametrize("marks", ["geometric", "pmf"])
+    @pytest.mark.parametrize("initial", [None, 0.6])
+    def test_matches_scalar_calls(self, m, marks, initial):
+        model = self._model(m, marks, initial)
+        theta = self._thetas(model)
+        tags = dict(u=0.9, v=0.8, w=0.2, x=0.1, y=0.7)
+        for f in (g1_star, g2_star, g_star):
+            batch = f(model, TransformArgs(theta=theta, **tags))
+            self._assert_rows_match(batch, lambda q: f(model, TransformArgs(theta=q, **tags)), theta)
+        for f in (lst_tau_pre, lst_tau_cross):
+            self._assert_rows_match(f(model, theta), lambda q: f(model, q), theta)
+        if marks == "geometric" and initial is None:
+            batch = g1_star_special(model, theta, 0.8)
+            self._assert_rows_match(batch, lambda q: g1_star_special(model, q, 0.8), theta)
+
+    def test_scalar_theta_returns_complex(self):
+        model = _std()
+        for theta in (0.5, 0.5 + 1j, np.float64(0.5), np.array(0.5)):
+            args = TransformArgs(theta=theta, v=0.8)
+            for value in (g1_star(model, args), g2_star(model, args), g_star(model, args),
+                          lst_tau_pre(model, theta), lst_tau_cross(model, theta), g1_star_special(model, theta, 0.8)):
+                assert type(value) is complex
+
+    def test_any_nonpositive_real_part_raises(self):
+        model = _std()
+        with pytest.raises(DomainError):
+            lst_tau_pre(model, np.array([1.0, 0.0]))
+        with pytest.raises(DomainError):
+            lst_tau_cross(model, np.array([[1.0, 2.0], [-1.0 + 2.0j, 3.0]]))
+        with pytest.raises(DomainError):
+            g1_star(model, TransformArgs(theta=np.array([1.0, -0.5])))

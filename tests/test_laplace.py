@@ -11,8 +11,18 @@ import math
 import numpy as np
 import pytest
 
+from crosswatch import fluctuation, timedomain
 from crosswatch.errors import DomainError, InversionError
 from crosswatch.laplace import invert, survival_curve
+from crosswatch.model import (
+    DegenerateZero,
+    Exponential,
+    GeneralDiscrete,
+    Geometric,
+    ObservationLaw,
+    ProcessModel,
+    TransformArgs,
+)
 
 # (transform, original); all originals smooth and nonoscillatory
 SMOOTH_PAIRS = [
@@ -146,3 +156,71 @@ class TestSurvivalCurve:
             survival_curve(lambda s: 1.0 / (1.0 + s), np.ones((2, 2)))
         with pytest.raises(DomainError):
             survival_curve(lambda s: 1.0 / (1.0 + s), np.array([-1.0, 1.0]))
+
+
+class _Counting:
+    """A transform wrapper that records the abscissae of every call."""
+
+    def __init__(self, transform):
+        self.transform, self.calls = transform, []
+
+    def __call__(self, theta):
+        self.calls.append(np.array(theta))
+        return self.transform(theta)
+
+
+class TestBatchedEvaluation:
+    def test_one_transform_call_per_grid(self):
+        counted = _Counting(lambda s: 1.0 / (s + 1.0))
+        times = np.array([0.5, 1.0, 2.0])
+        values = invert(counted, times)
+        assert len(counted.calls) == 1 and counted.calls[0].shape == (3, 38)
+        assert np.max(np.abs(values - np.exp(-times))) < 1e-8
+
+    def test_scalar_time_returns_a_float(self):
+        assert type(invert(lambda s: 1.0 / (s + 1.0), 1.0)) is float
+        assert invert(lambda s: 1.0 / (s + 1.0), np.array([1.0])).shape == (1,)
+
+    def test_survival_curve_calls_once_plus_the_atom(self):
+        counted = _Counting(lambda s: 0.3 + 0.7 / (1.0 + s))
+        out = survival_curve(counted, np.array([0.0, 0.5, 1.0, 0.0, 2.0]))
+        assert len(counted.calls) == 2
+        assert abs(out[0] - 0.7) < 1e-9 and abs(out[3] - 0.7) < 1e-9
+
+    def test_times_match_single_inversions(self):
+        for transform, original in SMOOTH_PAIRS + OSCILLATORY_PAIRS:
+            batch = invert(transform, np.array(GRID))
+            assert np.array_equal(batch, [invert(transform, t) for t in GRID])
+
+    def test_rejects_bad_time_arrays(self):
+        for bad in (np.array([1.0, 0.0]), np.array([1.0, np.nan]), np.ones((2, 2))):
+            with pytest.raises(DomainError):
+                invert(lambda s: 1.0 / s, bad)
+
+
+class TestAdaptiveTermCount:
+    def test_doubling_evaluates_only_new_abscissae(self):
+        # (t - 1) e^{-(t - 1)} after a delay of 1: the kink needs n = 200 at t = 5
+        counted = _Counting(lambda s: np.exp(-s) / (s + 1.0) ** 2)
+        t = 5.0
+        assert abs(invert(counted, t) - 4.0 * math.exp(-4.0)) < 1e-6
+        ks = [np.rint(c.imag * 2.0 * t / (2.0 * math.pi)).astype(int).ravel() for c in counted.calls]
+        assert [(k[0], k[-1]) for k in ks] == [(0, 37), (38, 62), (63, 112), (113, 212)]
+
+    def test_passing_times_leave_the_loop(self):
+        counted = _Counting(lambda s: np.exp(-s) / (s + 1.0) ** 2 + 1.0 / (s + 1.0))
+        invert(counted, np.array([0.5, 5.0]))
+        assert [c.shape[0] for c in counted.calls] == [2, 1, 1, 1]
+
+    @pytest.mark.parametrize("marks", [Geometric(0.5), GeneralDiscrete([0.0, 0.5, 0.3, 0.2])])
+    def test_survival_at_twice_the_mean_crossing_time(self, marks):
+        # n = 25 misses the gate here (1.7e-6 at geometric marks); n = 50 passes
+        model = ProcessModel(rate=1.0, marks=marks, threshold=300,
+                             observation=ObservationLaw(DegenerateZero(), Exponential(1.0)))
+        t = 2.0 * timedomain._mean_cross_time(model)
+        exact = timedomain.survival_cross(model, [t])[0]
+        counted = _Counting(lambda q: fluctuation.lst_tau_cross(model, q))
+        assert abs(survival_curve(counted, [t])[0] - exact) < 1e-6
+        assert len(counted.calls) == 2
+        inverted = invert(lambda q: fluctuation.g_star(model, TransformArgs(theta=q)), t)
+        assert abs(inverted - exact) < 1e-6

@@ -189,6 +189,13 @@ class TestDoubleGeometric:
     def test_negative_threshold(self):
         assert d_inverse_double_geometric(0.7, 0.3, -2) == 0
 
+    def test_array_f_matches_scalar_calls(self):
+        F = np.array([[0.3, 0.5 + 0.2j], [-0.4, 0.9]])
+        for k in (-1, 0, 3, 40):
+            got = d_inverse_double_geometric(F, 0.7, k)
+            assert got.shape == F.shape
+            assert np.array_equal(got, np.vectorize(lambda f: d_inverse_double_geometric(f, 0.7, k))(F))
+
     def test_matches_series_extraction(self):
         rng = np.random.default_rng(29)
         for _ in range(200):
