@@ -61,6 +61,7 @@ emp_week = float(freq[0].sum())
 ana_week = float(laplace.survival_curve(lambda q: fluctuation.lst_tau_pre(process, q), week)[0])
 print("\nanalytic  P{last quiet audit after day 7}:", round(ana_week, 4))
 print("simulated P{last quiet audit after day 7}:", round(emp_week, 4))
+closed = closedform.dist_table(process, week, 12)[0]
 print("\n  level   closed form   simulated")
 for r in range(9, 13):
-    print(f"  {r:5d}   {closedform.joint_dist(process, r, 7.0):11.5f}   {freq[0, r]:9.5f}")
+    print(f"  {r:5d}   {closed[r]:11.5f}   {freq[0, r]:9.5f}")

@@ -14,8 +14,11 @@ functions and Poisson/binomial tails:
   crossing level restricted to {t < tau_pre}, with every transform pole
   turned into a gamma-tail coefficient G_j or H_j and every crossing-level
   factor a power of the composite ratio c = (b mu + lam) / (mu + lam);
-* :func:`joint_dist` / :func:`dist_table` -- the joint law
-  P{A_nu = r, tau_pre > t}, which factorises.
+* :func:`dist_table` -- the joint law P{A_nu = r, tau_pre > t} over a
+  grid of times and levels, which factorises.
+
+The pole factor and the G_j/H_j coefficients stay private (``_pole``,
+``_gh_arrays``); the battery checks them directly.
 
 Why it factorises: marks are memoryless and gaps exponential, so the
 overshoot A_nu - M is geometric with ratio c whatever came before, and
@@ -50,13 +53,8 @@ from .series import d_inverse_double_geometric
 from .timedomain import _poisson_tails, crossing_level_law, survival_pre
 
 __all__ = [
-    "f_of",
     "g1_star_special",
-    "reg_gamma_p",
-    "coeff_g",
-    "coeff_h",
     "ev_v_anu_before",
-    "joint_dist",
     "dist_table",
 ]
 
@@ -78,35 +76,17 @@ def _family(model: ProcessModel) -> float:
 
 
 def _pole(x, v: complex, model: ProcessModel) -> complex | np.ndarray:
+    """The pole factor (b*x + lam) * v / (x + lam); equals c*v at x = mu."""
     if np.any(np.abs(x + model.rate) < 1e-300):
         raise DomainError("pole factor undefined at x = -lam")
     return (model.marks.b * x + model.rate) * complex(v) / (x + model.rate)
 
 
-def f_of(x: complex, v: complex, model: ProcessModel) -> complex:
-    """The pole factor (b*x + lam) * v / (x + lam); equals c*v at x = mu."""
-    _family(model)
-    return _pole(x, v, model)
-
-
-def reg_gamma_p(k: int, x: float) -> float:
-    """Regularized lower gamma P(k, x) at integer order.
-
-    For k >= 1 this is the Erlang-k CDF, P{Poisson(x) >= k}.
-    k = 0 is the unit step: 1 for x > 0, 0 at x = 0.
-    """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
-        raise DomainError(f"order must be a nonnegative integer, got {k!r}")
-    if not (math.isfinite(x) and x >= 0.0):
-        raise DomainError(f"argument must be nonnegative and finite, got {x}")
-    if k == 0:
-        return 1.0 if x > 0.0 else 0.0
-    return float(_poisson_tails(float(x), int(k))[int(k)])
-
-
 def _gh_arrays(model: ProcessModel, t: float, jmax: int) -> tuple[np.ndarray, np.ndarray]:
     """Time-damping coefficient arrays (G_j, H_j) for j = 0..jmax.
 
+    G_j(t) is the gamma-tail mixture damping the j-th level coefficient
+    in time; H_j(t) is its companion carrying the extra mark factor.
     The k = 0 gamma term enters through an inverse transform that
     recovers the right-continuous version of the time law, so its value
     at t = 0 is the t -> 0+ limit, 1 (not the bare step at the origin).
@@ -125,23 +105,6 @@ def _gh_arrays(model: ProcessModel, t: float, jmax: int) -> tuple[np.ndarray, np
         g[j], h[j] = s[0, 0], s[1, 0]
         s = b * s[:, :-1] + a * s[:, 1:]
     return g, h
-
-
-def _coeff(j: int, t: float, model: ProcessModel, row: int) -> float:
-    if isinstance(j, bool) or not isinstance(j, (int, np.integer)) or j < 0:
-        raise DomainError(f"index must be a nonnegative integer, got {j!r}")
-    _family(model)
-    return float(_gh_arrays(model, t, int(j))[row][int(j)])
-
-
-def coeff_g(j: int, t: float, model: ProcessModel) -> float:
-    """G_j(t): gamma-tail mixture damping the j-th level coefficient in time."""
-    return _coeff(j, t, model, 0)
-
-
-def coeff_h(j: int, t: float, model: ProcessModel) -> float:
-    """H_j(t): companion mixture carrying the extra mark factor."""
-    return _coeff(j, t, model, 1)
 
 
 def _geom_sum(q, m: int):
@@ -240,14 +203,6 @@ def _ev_v_anu_before(model: ProcessModel, v: complex, t: float, c: float) -> com
         + b * (vj[2:] * h[: big_m - 1]) @ geo[: big_m - 1][::-1]
     )
     return t1 + t2 + t3 + t4
-
-
-def joint_dist(model: ProcessModel, r: int, t: float) -> float:
-    """P{A_nu = r, tau_pre > t}: exact joint law of crossing level and last calm look.
-
-    P{A_nu = r} * P{tau_pre > t}, one cell of :func:`dist_table`; support r > threshold.
-    """
-    return float(dist_table(model, [t], r)[0, -1])
 
 
 def dist_table(model: ProcessModel, t_grid: Sequence[float] | np.ndarray, r_max: int) -> np.ndarray:

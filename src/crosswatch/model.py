@@ -14,11 +14,9 @@ transform of each delay law.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -319,8 +317,8 @@ def _require_keys(section: Mapping, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
-def load_model(source: Union[str, Path, Mapping]) -> ProcessModel:
-    """Build a :class:`ProcessModel` from a JSON file path or a mapping.
+def load_model(raw: Mapping) -> ProcessModel:
+    """Build a :class:`ProcessModel` from a parsed config mapping.
 
     Schema (version 1)::
 
@@ -334,15 +332,6 @@ def load_model(source: Union[str, Path, Mapping]) -> ProcessModel:
 
     Unknown keys anywhere are rejected (fail fast on typos).
     """
-    if isinstance(source, (str, Path)):
-        try:
-            raw = json.loads(Path(source).read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {source}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {source} is not valid JSON: {exc}") from exc
-    else:
-        raw = dict(source)
     if not isinstance(raw, Mapping):
         raise ConfigError("config root must be a JSON object")
 
@@ -376,12 +365,9 @@ def load_model(source: Union[str, Path, Mapping]) -> ProcessModel:
             raise ConfigError(f"bad marks.geometric.a: {exc}") from exc
     else:
         pmf = marks_cfg["pmf"]
-        if isinstance(pmf, Mapping):
-            pmf = {k: _config_number(p, f"marks.pmf[{k!r}]") for k, p in pmf.items()}
-        elif isinstance(pmf, (str, bytes)) or not isinstance(pmf, Iterable):
+        if not isinstance(pmf, (list, tuple)):
             raise ConfigError(f"marks.pmf must be an array of numbers, got {pmf!r}")
-        else:
-            pmf = [_config_number(p, f"marks.pmf[{k}]") for k, p in enumerate(pmf)]
+        pmf = [_config_number(p, f"marks.pmf[{k}]") for k, p in enumerate(pmf)]
         try:
             marks = GeneralDiscrete(pmf)
         except (TypeError, ValueError, DomainError) as exc:

@@ -24,18 +24,14 @@ two-stage sample gives f1 and f2; the public estimators return them
 keyed by name, and the caller selects one.
 
 Reproducibility contract: every estimator splits its workload into
-fixed-size chunks, each driven by a child of ``SeedSequence(seed)``, and
-merges per-chunk results in chunk order.  Results are therefore
-bit-identical for a given (model, arguments, seed) regardless of the
-thread count; ``CROSSING_THREADS`` only bounds how many chunks run
-concurrently.
+fixed-size chunks, each driven by a child of ``SeedSequence(seed)``, runs
+them in order and merges per-chunk results in chunk order.  Results are
+therefore bit-identical for a given (model, arguments, seed).
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -49,6 +45,7 @@ from .model import (
     ProcessModel,
     TransformArgs,
     _table_times,
+    mark_mean,
     mark_sample,
 )
 
@@ -61,14 +58,6 @@ __all__ = [
 
 _CHUNK = 100_000
 _EPOCH_CAP = 100_000_000
-
-
-def _thread_budget() -> int:
-    raw = os.environ.get("CROSSING_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -276,18 +265,15 @@ def _run_chunked(n_total: int, seed: int, worker: Callable[[int, np.random.Gener
     if n_total % _CHUNK:
         sizes.append(n_total % _CHUNK)
     children = np.random.SeedSequence(seed).spawn(len(sizes))
-    jobs = [(size, np.random.default_rng(child)) for size, child in zip(sizes, children)]
-    threads = min(_thread_budget(), len(jobs))
-    if threads <= 1:
-        return [worker(size, rng) for size, rng in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda job: worker(job[0], job[1]), jobs))
+    return [worker(size, np.random.default_rng(child)) for size, child in zip(sizes, children)]
 
 
 def _crossing_sample(
     model: ProcessModel, n_paths: int, seed: int, theta: float | None = None, y: float = 1.0
 ) -> dict:
     """Crossing records per path, plus both window integrals when ``theta`` is given."""
+    if mark_mean(model.marks) == 0.0:
+        raise RunawaySimulationError("every mark is zero, so the crossing simulation never reaches the threshold")
     chunks = _run_chunked(n_paths, seed, lambda size, rng: _crossing_wave_chunk(model, size, rng, theta, y))
     return {key: np.concatenate([c[key] for c in chunks]) for key in chunks[0]}
 

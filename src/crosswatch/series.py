@@ -1,15 +1,14 @@
-"""Rational series expansion, the damping operator and its inverse.
+"""Rational series expansion and the damping operator's inverse.
 
 Distributions over an integer level p are manipulated through the
 transform ``(1-s) * sum_p s^p f(p)``; recovering ``f(k)`` from a transform
 ``F(s)`` amounts to summing the first ``k+1`` Taylor coefficients of
 ``F``.  Coefficients are plain complex arrays (``coeffs[j]`` multiplies
-``s**j``).  This module provides the expansion and the operators the
+``s**j``).  This module provides the expansion and the inverse the
 analytic layers rely on:
 
 * :func:`series_from_rational`, the coefficients of ``P(s) / Q(s)`` with
   ``Q(0) != 0`` (the only shape the exponential-gap models produce);
-* :func:`d_op_indicator`, the level transform of the exit indicator;
 * :func:`d_inverse`, the partial-coefficient-sum inverse, plus a closed
   double-geometric variant used heavily by the explicit formulas.
 """
@@ -24,7 +23,6 @@ from .errors import DomainError, SeriesOrderError
 
 __all__ = [
     "series_from_rational",
-    "d_op_indicator",
     "d_inverse",
     "d_inverse_double_geometric",
 ]
@@ -59,22 +57,6 @@ def series_from_rational(
         for lag, weight in terms:
             c[k] -= weight * c[k - lag]
     return np.array(c[pad:], dtype=complex)
-
-
-def d_op_indicator(a_prev: int, a_next: int, s: complex) -> complex:
-    """Level transform of the exit-at-this-epoch indicator: s^a_prev - s^a_next.
-
-    ``a_prev <= a_next`` are the accumulated levels before and after one
-    observation gap; the transform of ``1{exit index = this epoch}`` over
-    the threshold telescopes to this two-term difference.
-    """
-    for name, val in (("a_prev", a_prev), ("a_next", a_next)):
-        if not (isinstance(val, (int, np.integer)) and val >= 0):
-            raise DomainError(f"{name} must be a nonnegative integer, got {val!r}")
-    if a_prev > a_next:
-        raise DomainError(f"levels must be nondecreasing, got {a_prev} > {a_next}")
-    s = complex(s)
-    return s**int(a_prev) - s**int(a_next)
 
 
 def d_inverse(coeffs: Sequence[complex], k: int) -> complex:

@@ -236,7 +236,6 @@ def _check_window_transforms_mc(ctx: _Context) -> _CheckResult:
 def _check_series_roundtrip(ctx: _Context) -> _CheckResult:
     covers = (
         "series.series_from_rational",
-        "series.d_op_indicator",
         "series.d_inverse",
         "series.d_inverse_double_geometric",
     )
@@ -249,13 +248,6 @@ def _check_series_roundtrip(ctx: _Context) -> _CheckResult:
         coeffs = np.concatenate(([f_seq[0]], np.diff(f_seq)))
         for k in range(k_max + 1):
             worst = max(worst, abs(series.d_inverse(coeffs, k) - f_seq[k]))
-    # indicator transform identity at explicit points
-    for _ in range(20):
-        a_prev = int(rng.integers(0, 10))
-        a_next = a_prev + int(rng.integers(1, 10))
-        s = rng.uniform(0.05, 0.95)
-        direct = (1.0 - s) * sum(s**p for p in range(a_prev, a_next))
-        worst = max(worst, abs(series.d_op_indicator(a_prev, a_next, s) - direct))
     # double-geometric inverse vs rational-series extraction
     for _ in range(100):
         f_root = rng.uniform(-0.9, 0.9) + 1j * rng.uniform(-0.4, 0.4)
@@ -407,7 +399,7 @@ def _check_series_paths(ctx: _Context) -> _CheckResult:
 
 
 def _check_transform_chain(ctx: _Context) -> _CheckResult:
-    covers = ("fluctuation.g1_star", "closedform.g1_star_special", "closedform.f_of")
+    covers = ("fluctuation.g1_star", "closedform.g1_star_special", "closedform._pole")
     if ctx.c is None:
         return _skip("transform-chain-agreement", covers, "needs the closed-form family")
     model = ctx.model
@@ -415,7 +407,7 @@ def _check_transform_chain(ctx: _Context) -> _CheckResult:
     worst = 0.0
     for v in (0.3, 0.7):
         # the one-gap transform is mu (1 - b v) / ((mu + lam) (1 - f(mu, v)))
-        by_pole = mu * (1.0 - b * v) / ((mu + lam) * (1.0 - closedform.f_of(mu, v, model)))
+        by_pole = mu * (1.0 - b * v) / ((mu + lam) * (1.0 - closedform._pole(mu, v, model)))
         worst = max(worst, abs(transforms.gamma(model, "recurring", v, 0.0) - by_pole))
         for theta in (0.5, 2.0):
             args = TransformArgs(theta=theta, u=1.0, v=v, w=0.0, x=0.0, y=1.0)
@@ -472,8 +464,6 @@ def _check_time_domain_inversion(ctx: _Context) -> _CheckResult:
     covers = (
         "closedform.g1_star_special",
         "closedform.ev_v_anu_before",
-        "closedform.coeff_g",
-        "closedform.coeff_h",
         "laplace.invert",
     )
     if ctx.c is None:
@@ -527,7 +517,7 @@ def _check_time_domain_laws(ctx: _Context) -> _CheckResult:
 
 
 def _check_pgf_extraction(ctx: _Context) -> _CheckResult:
-    covers = ("closedform.dist_table", "closedform.joint_dist", "closedform.ev_v_anu_before")
+    covers = ("closedform.dist_table", "closedform.ev_v_anu_before")
     if ctx.c is None:
         return _skip("pgf-extraction-consistency", covers, "needs the closed-form family")
     model, m = ctx.model, ctx.model.threshold
@@ -535,10 +525,6 @@ def _check_pgf_extraction(ctx: _Context) -> _CheckResult:
     table = closedform.dist_table(model, times, max(500, m + 2))
     worst = 0.0
     for t, row in zip(times, table.tolist()):
-        for r in (m + 1, m + 2):
-            if closedform.joint_dist(model, r, t) != row[r]:
-                return _CheckResult("pgf-extraction-consistency", False, math.inf, 1e-8, covers,
-                                    f"joint_dist(r={r}, t={t}) differs from its dist_table cell")
         for v in (0.3, 0.6, 0.9):
             total, r, quiet = 0.0, 0, 0
             while r <= 500:
@@ -555,36 +541,37 @@ def _check_pgf_extraction(ctx: _Context) -> _CheckResult:
 
 
 def _check_gamma_cdf(ctx: _Context) -> _CheckResult:
-    covers = ("closedform.reg_gamma_p",)
+    covers = ("timedomain._poisson_tails",)
     del ctx
     worst = 0.0
     for x in (0.3, 1.0, 5.0, 20.0):
+        tails = timedomain._poisson_tails(x, 25)
         tail = 1.0
         term = math.exp(-x)
         for k in range(0, 26):
             # tail = P{Poisson(x) >= k}, updated before use at each k
-            worst = max(worst, abs(closedform.reg_gamma_p(k, x) - tail))
+            worst = max(worst, abs(tails[k] - tail))
             tail -= term
             term *= x / (k + 1)
-    conv = abs(closedform.reg_gamma_p(0, 0.5) - 1.0) + abs(closedform.reg_gamma_p(0, 0.0))
-    worst = max(worst, conv)
     return _CheckResult("gamma-cdf-identity", worst <= 1e-12, worst, 1e-12, covers,
                         "regularized lower gamma vs exact Poisson tail recursion")
 
 
 def _check_gh_limits(ctx: _Context) -> _CheckResult:
-    covers = ("closedform.coeff_g", "closedform.coeff_h")
+    covers = ("closedform._gh_arrays",)
     if ctx.c is None:
         return _skip("gh-coefficient-limits", covers, "needs the closed-form family")
     model = ctx.model
     b, ratio = model.marks.b, model.observation.recurring.rate / model.rate
     t_inf = 200.0 / min(1.0, model.rate)
+    g0, h0 = closedform._gh_arrays(model, 0.0, 6)
+    g_inf, h_inf = closedform._gh_arrays(model, t_inf, 6)
     worst = 0.0
     for j in range(7):
-        worst = max(worst, abs(closedform.coeff_g(j, 0.0, model) - b**j))
-        worst = max(worst, abs(closedform.coeff_h(j, 0.0, model) - b ** (j + 1)))
-        worst = max(worst, abs(closedform.coeff_g(j, t_inf, model) - (1.0 + ratio)))
-        worst = max(worst, abs(closedform.coeff_h(j, t_inf, model) - (b + ratio)))
+        worst = max(worst, abs(g0[j] - b**j))
+        worst = max(worst, abs(h0[j] - b ** (j + 1)))
+        worst = max(worst, abs(g_inf[j] - (1.0 + ratio)))
+        worst = max(worst, abs(h_inf[j] - (b + ratio)))
     return _CheckResult("gh-coefficient-limits", worst <= 1e-10, worst, 1e-10, covers,
                         "t -> 0 and t -> infinity limits of the inversion coefficients")
 
@@ -616,7 +603,7 @@ def _mc_band(freq: np.ndarray, exact: np.ndarray, n: int) -> float:
 
 
 def _check_mc_joint(ctx: _Context) -> _CheckResult:
-    covers = ("closedform.dist_table", "closedform.joint_dist")
+    covers = ("closedform.dist_table",)
     if ctx.c is None:
         return _skip("mc-joint-agreement", covers, "needs the closed-form family")
     grid = np.array([0.0, 0.5, 1.0, 2.0])

@@ -33,8 +33,9 @@ class TestPublicApi:
         removed = {
             model: ("GeneralNonneg", "obs_lst"),
             fluctuation: ("BlockValues", "blocks_at"),
-            series: ("TruncatedSeries",),
-            closedform: ("SpecialModel", "crossing_level_pmf", "JointDistTable"),
+            series: ("TruncatedSeries", "d_op_indicator"),
+            closedform: ("SpecialModel", "crossing_level_pmf", "JointDistTable", "f_of", "reg_gamma_p",
+                         "coeff_g", "coeff_h", "joint_dist"),
             montecarlo: ("estimate_functional", "estimate_f1_star", "estimate_f2_star", "JointEstimate"),
             validation: ("ANALYTIC_OPS", "CLOSED_FORM_OPS"),
         }

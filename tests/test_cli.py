@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -519,6 +520,17 @@ class TestFailureExitCodes:
         model = {**SPECIAL_MODEL, "marks": {"pmf": [1.0]}}
         cfg = _config(tmp_path, model=model, args={"theta": 1.0})
         code, out, err = _run(capsys, ["functional", "--config", cfg])
+        assert code == 4
+        assert out == ""
+        assert "divergence" in err
+
+    def test_zero_marks_simulate_fails_at_once(self, capsys, tmp_path):
+        # the level never moves, so the simulator refuses before its first wave
+        model = {**SPECIAL_MODEL, "marks": {"pmf": [1.0]}}
+        cfg = _config(tmp_path, model=model, n_paths=2000)
+        start = time.perf_counter()
+        code, out, err = _run(capsys, ["simulate", "--config", cfg])
+        assert time.perf_counter() - start < 1.0
         assert code == 4
         assert out == ""
         assert "divergence" in err

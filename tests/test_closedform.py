@@ -1,6 +1,7 @@
 """Explicit formulas for geometric marks with exponential inspections:
-pole factor, gamma-tail coefficients, the pre-crossing window transform
-and its exact time-domain inverse, and the tabulated joint law.
+the private pole factor and gamma-tail coefficients, the pre-crossing
+window transform and its exact time-domain inverse, and the tabulated
+joint law.
 
 The time-domain results are cross-checked four independent ways: hand
 renewal values, quadrature/inversion round trips, path simulation, and
@@ -23,14 +24,10 @@ from crosswatch.closedform import (
     _ev_v_anu_before,
     _family,
     _gh_arrays,
-    coeff_g,
-    coeff_h,
+    _pole,
     dist_table,
     ev_v_anu_before,
-    f_of,
     g1_star_special,
-    joint_dist,
-    reg_gamma_p,
 )
 from crosswatch.errors import DivergenceError, DomainError, TableInvariantError
 from crosswatch.fluctuation import g_star, lst_tau_pre
@@ -38,7 +35,7 @@ from crosswatch.laplace import invert
 from crosswatch.model import MAX_THRESHOLD, GeneralDiscrete, ProcessModel, TransformArgs
 from crosswatch.montecarlo import _crossing_sample
 from crosswatch.series import d_inverse_double_geometric
-from crosswatch.timedomain import crossing_level_law
+from crosswatch.timedomain import _poisson_tails, crossing_level_law
 from crosswatch.validation import _check_pgf_extraction, _Context, run_battery
 
 
@@ -107,12 +104,8 @@ class TestSpecialModel:
         pmf_marks = ProcessModel(rate=1.0, marks=GeneralDiscrete([0.0, 0.5, 0.5]),
                                  observation=std_model.observation, threshold=3)
         calls = (
-            lambda m: f_of(0.5, 0.5, m),
             lambda m: g1_star_special(m, 1.0, 0.5),
-            lambda m: coeff_g(1, 1.0, m),
-            lambda m: coeff_h(1, 1.0, m),
             lambda m: ev_v_anu_before(m, 0.5, 1.0),
-            lambda m: joint_dist(m, 4, 1.0),
             lambda m: dist_table(m, [0.0, 1.0], 6),
         )
         for model, reason in ((pmf_marks, "geometric marks"), (exp_initial_model, "time zero"),
@@ -125,38 +118,37 @@ class TestSpecialModel:
 
 class TestPoleFactor:
     def test_at_observation_rate_gives_c(self, std_model):
-        assert abs(f_of(1.0, 1.0, std_model) - _family(std_model)) < 1e-15
+        assert abs(_pole(1.0, 1.0, std_model) - _family(std_model)) < 1e-15
 
     def test_at_zero_is_identity(self, std_model):
         for v in (0.3, 0.9, 0.4 + 0.2j):
-            assert abs(f_of(0.0, v, std_model) - v) < 1e-15
+            assert abs(_pole(0.0, v, std_model) - v) < 1e-15
 
     def test_degenerate_marks_limit(self):
         # a -> 0 makes the factor v for every x
         m = geometric_model(a=1e-12)
         for x in (0.0, 0.7, 3.0):
-            assert abs(f_of(x, 0.6, m) - 0.6) < 1e-11
+            assert abs(_pole(x, 0.6, m) - 0.6) < 1e-11
 
 
 class TestRegGamma:
+    """The Erlang-k CDF P(k, x) = P{Poisson(x) >= k}, as the tails the G_j/H_j coefficients read."""
+
     def test_erlang_one(self):
-        assert abs(reg_gamma_p(1, 1.0) - (1.0 - math.exp(-1.0))) < 1e-15
+        assert abs(_poisson_tails(1.0, 1)[1] - (1.0 - math.exp(-1.0))) < 1e-15
 
     def test_no_mass_at_origin(self):
-        assert reg_gamma_p(3, 0.0) == 0.0
-
-    def test_step_at_order_zero(self):
-        assert reg_gamma_p(0, 0.0) == 0.0
-        assert reg_gamma_p(0, 1e-12) == 1.0
+        assert _poisson_tails(0.0, 3)[3] == 0.0
 
     def test_large_order_vanishes(self):
-        assert reg_gamma_p(200, 1.0) < 1e-100
+        assert _poisson_tails(1.0, 200)[200] < 1e-100
 
     def test_against_closed_form_sum(self):
-        for k in range(1, 11):
-            for x in (0.1, 0.5, 1.0, 2.5, 7.0):
+        for x in (0.1, 0.5, 1.0, 2.5, 7.0):
+            tails = _poisson_tails(x, 10)
+            for k in range(1, 11):
                 hand = 1.0 - math.exp(-x) * sum(x**m / math.factorial(m) for m in range(k))
-                assert abs(reg_gamma_p(k, x) - hand) < 1e-12
+                assert abs(tails[k] - hand) < 1e-12
 
     def test_matches_scipy_and_high_precision(self):
         # absolute agreement with scipy everywhere; relative agreement is
@@ -164,7 +156,7 @@ class TestRegGamma:
         # 1.5e-12 off in relative terms at k = 851, x = 500
         ks = np.arange(1, 1001)
         for x in (0.0, 1e-3, 0.5, 5.0, 50.0, 500.0, 2000.0):
-            got = np.array([reg_gamma_p(int(k), x) for k in ks])
+            got = _poisson_tails(x, ks[-1])[1:]
             assert np.max(np.abs(got - gammainc(ks, x))) <= 1e-15, x
             with mpmath.workdps(40):
                 for k in ks[::7]:
@@ -172,36 +164,29 @@ class TestRegGamma:
                     if exact >= 1e-290:
                         assert abs(got[k - 1] - exact) <= 1e-12 * exact, (k, x)
 
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            reg_gamma_p(-1, 1.0)
-        with pytest.raises(DomainError):
-            reg_gamma_p(1.5, 1.0)
-        with pytest.raises(DomainError):
-            reg_gamma_p(2, -0.1)
-
 
 class TestDampingCoeffs:
     def test_origin_values(self, std_model):
         # right-continuous time law: the order-0 gamma term is 1 at t=0
+        g, h = _gh_arrays(std_model, 0.0, 4)
         for j in range(5):
-            assert abs(coeff_g(j, 0.0, std_model) - std_model.marks.b**j) < 1e-14
-            assert abs(coeff_h(j, 0.0, std_model) - std_model.marks.b ** (j + 1)) < 1e-14
+            assert abs(g[j] - std_model.marks.b**j) < 1e-14
+            assert abs(h[j] - std_model.marks.b ** (j + 1)) < 1e-14
 
     def test_long_time_limits(self, std_model):
         m = std_model
         lam, mu, b = m.rate, m.observation.recurring.rate, m.marks.b
+        g, h = _gh_arrays(m, 1e4, 5)
         for j in (0, 2, 5):
-            assert abs(coeff_g(j, 1e4, m) - (1.0 + mu / lam)) < 1e-10
-            assert abs(coeff_h(j, 1e4, m) - (lam + b * mu) / lam) < 1e-10
+            assert abs(g[j] - (1.0 + mu / lam)) < 1e-10
+            assert abs(h[j] - (lam + b * mu) / lam) < 1e-10
 
     def test_nondecreasing_in_time(self, std_model):
         ts = np.linspace(0.0, 8.0, 40)
+        g, h = np.array([_gh_arrays(std_model, float(t), 3) for t in ts]).transpose(1, 0, 2)
         for j in (0, 1, 3):
-            g = [coeff_g(j, t, std_model) for t in ts]
-            h = [coeff_h(j, t, std_model) for t in ts]
-            assert np.all(np.diff(g) >= -1e-12)
-            assert np.all(np.diff(h) >= -1e-12)
+            assert np.all(np.diff(g[:, j]) >= -1e-12)
+            assert np.all(np.diff(h[:, j]) >= -1e-12)
 
     def test_inversion_round_trip(self, std_model):
         # term-by-term transform of the gamma-tail mixture, inverted back
@@ -217,7 +202,7 @@ class TestDampingCoeffs:
                 total += w * (b * pk + (b * mu / lam + a) * pk1)
             return total
 
-        got = coeff_h(2, 1.0, m)
+        got = _gh_arrays(m, 1.0, 2)[1][2]
         inv = invert(h_transform, 1.0)
         assert abs(got - inv) / abs(got) < 1e-8
 
@@ -233,13 +218,9 @@ class TestDampingCoeffs:
                 assert np.max(np.abs(g - [w @ base[: w.size] for w in weights])) <= 1e-14
                 assert np.max(np.abs(h - [w @ other[: w.size] for w in weights])) <= 1e-14
 
-    def test_index_validation(self, std_model):
+    def test_time_validation(self, std_model):
         with pytest.raises(DomainError):
-            coeff_g(-1, 1.0, std_model)
-        with pytest.raises(DomainError):
-            coeff_h(2.5, 1.0, std_model)
-        with pytest.raises(DomainError):
-            coeff_g(2, -1.0, std_model)
+            _gh_arrays(std_model, -1.0, 2)
 
 
 class TestWindowTransform:
@@ -307,7 +288,8 @@ class TestTimeDomainExpectation:
         # PGF must equal the r-sum of the tabulated joint law
         for v in (0.3, 0.6, 0.9):
             for t in (0.0, 1.0):
-                total = sum(v**r * joint_dist(std_model, r, t) for r in range(80))
+                row = dist_table(std_model, [t], 79)[0]
+                total = sum(v**r * row[r] for r in range(80))
                 pgf = ev_v_anu_before(std_model, v, t).real
                 assert abs(total - pgf) < 1e-8
 
@@ -348,21 +330,17 @@ class TestTimeDomainExpectation:
 
 class TestJointDist:
     def test_no_mass_at_or_below_threshold(self, std_model):
-        for r in range(std_model.threshold + 1):
-            for t in (0.0, 0.7, 3.0):
-                assert abs(joint_dist(std_model, r, t)) < 1e-9
+        table = dist_table(std_model, [0.0, 0.7, 3.0], std_model.threshold)
+        assert np.all(np.abs(table) < 1e-9)
 
     def test_values_are_probabilities(self, std_model):
-        for r in range(4, 15):
-            for t in (0.0, 0.5, 1.0, 2.0, 10.0):
-                val = joint_dist(std_model, r, t)
-                assert 0.0 <= val <= 1.0
+        table = dist_table(std_model, [0.0, 0.5, 1.0, 2.0, 10.0], 14)
+        assert np.all((0.0 <= table[:, 4:]) & (table[:, 4:] <= 1.0))
 
     def test_nonincreasing_in_time(self, std_model):
-        ts = np.linspace(0.0, 6.0, 25)
+        table = dist_table(std_model, np.linspace(0.0, 6.0, 25), 8)
         for r in (4, 5, 8):
-            vals = [joint_dist(std_model, r, t) for t in ts]
-            assert np.all(np.diff(vals) <= 1e-12)
+            assert np.all(np.diff(table[:, r]) <= 1e-12)
 
     def test_against_path_simulation(self, std_model):
         rec = _crossing_sample(std_model, 200_000, 11)
@@ -370,13 +348,13 @@ class TestJointDist:
         for r, t in ((4, 1.0), (5, 0.5), (6, 2.0)):
             hits = np.mean((rec["a_cross"] == r) & (rec["tau_pre"] > t))
             se = math.sqrt(max(hits * (1.0 - hits), 1e-12) / n)
-            assert abs(joint_dist(std_model, r, t) - hits) < 4 * se
+            assert abs(dist_table(std_model, [t], r)[0, r] - hits) < 4 * se
 
     def test_level_validation(self, std_model):
         with pytest.raises(DomainError):
-            joint_dist(std_model, -1, 1.0)
+            dist_table(std_model, [1.0], -1)
         with pytest.raises(DomainError):
-            joint_dist(std_model, True, 1.0)
+            dist_table(std_model, [1.0], True)
 
 
 class TestCrossingLevelPmf:
@@ -452,12 +430,6 @@ class TestDistTable:
         # route of ev_v_anu_before, as the battery does
         result = _check_pgf_extraction(_Context(model=geometric_model(), c=0.95, seed=0, n_paths=1000))
         assert not result.passed and result.observed > 1e3 * result.tolerance
-
-    def test_pgf_check_holds_joint_dist_to_its_table(self, std_model, monkeypatch):
-        monkeypatch.setattr(closedform, "joint_dist", lambda model, r, t: 0.5)
-        result = _check_pgf_extraction(_Context(model=std_model, c=_family(std_model), seed=0, n_paths=1000))
-        assert not result.passed and result.observed == math.inf
-        assert "joint_dist" in result.detail
 
     def test_invariant_scan_names_offending_cells(self, std_model, monkeypatch):
         # a survival row that rises in time must be refused cell by cell

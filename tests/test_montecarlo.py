@@ -15,7 +15,7 @@ from crosswatch import cli, timedomain
 from crosswatch import montecarlo as mc
 from crosswatch.errors import DomainError, RunawaySimulationError
 from crosswatch.fluctuation import g1_star, g2_star, g_star
-from crosswatch.closedform import dist_table, joint_dist
+from crosswatch.closedform import dist_table
 from crosswatch.model import (
     DegenerateZero,
     Exponential,
@@ -128,9 +128,10 @@ class TestEstimateJoint:
 
     def test_matches_closed_form(self, std_model):
         freq, std_errors = estimate_joint(std_model, 10, [0.0, 0.5, 1.0, 2.0], 50_000, seed=17)
+        table = dist_table(std_model, [0.0, 0.5, 1.0, 2.0], 10)
         for i, t in enumerate((0.0, 0.5, 1.0, 2.0)):
             for r in range(4, 9):
-                exact = joint_dist(std_model, r, t)
+                exact = table[i, r]
                 se = max(std_errors[i, r], 1e-4)
                 assert abs(freq[i, r] - exact) < 4 * se
 
@@ -339,30 +340,6 @@ class TestManyArrivalsPerGap:
             assert got_offset[0] == 0.0
             assert np.all(np.abs(got_offset - ref_offset) <= 1e-12 * ref_offset)
             assert abs(gap[i] - math.fsum(run)) <= 1e-12 * gap[i]
-
-
-class TestOneSamplePerSeed:
-    """Each estimator draws one sample, chunked by seed alone."""
-
-    def test_two_chunks_merge_identically_on_two_threads(self, std_model, monkeypatch):
-        args = TransformArgs(theta=0.9, u=0.85, v=0.7, w=0.1, x=0.2, y=0.8)
-        laws = (Exponential(1.0), Exponential(1.5))
-        serial_g = estimate_functionals(std_model, args, 200_000, 12)
-        serial_f = estimate_window_pair(std_model, *laws, args, 200_000, 12)
-        monkeypatch.setenv("CROSSING_THREADS", "2")
-        assert estimate_functionals(std_model, args, n_paths=200_000, seed=12) == serial_g
-        assert estimate_window_pair(std_model, *laws, args, n_samples=200_000, seed=12) == serial_f
-        assert serial_g["G"].n_samples == 200_000
-
-    def test_unit_tag_records_merge_identically_on_two_threads(self, std_model, monkeypatch):
-        args = TransformArgs(theta=0.9, u=0.85, v=0.7, w=0.1, x=0.2)
-        serial_rec = _crossing_sample(std_model, 200_000, 12)
-        serial_g = estimate_functionals(std_model, args, 200_000, 12)
-        monkeypatch.setenv("CROSSING_THREADS", "2")
-        threaded_rec = _crossing_sample(std_model, 200_000, 12)
-        assert list(threaded_rec) == list(serial_rec)
-        assert all(np.array_equal(threaded_rec[key], serial_rec[key]) for key in serial_rec)
-        assert estimate_functionals(std_model, args, n_paths=200_000, seed=12) == serial_g
 
 
 def _count_samples(monkeypatch) -> list:

@@ -14,7 +14,6 @@ from crosswatch.errors import DomainError, SeriesOrderError
 from crosswatch.series import (
     d_inverse,
     d_inverse_double_geometric,
-    d_op_indicator,
     series_from_rational,
 )
 
@@ -98,36 +97,6 @@ class TestSeriesFromRational:
             got = series_from_rational(numer, np.poly(roots), order)
             want = _division_oracle(numer, roots, order)
             assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
-
-
-class TestDOpIndicator:
-    def test_equal_levels_vanish(self):
-        assert d_op_indicator(3, 3, 0.7) == 0
-
-    def test_two_step_window(self):
-        assert abs(d_op_indicator(0, 2, 0.5) - 0.75) < 1e-15
-
-    def test_telescopes_at_one(self):
-        assert d_op_indicator(1, 2, 1.0) == 0
-
-    def test_rejects_bad_levels(self):
-        with pytest.raises(DomainError):
-            d_op_indicator(-1, 2, 0.5)
-        with pytest.raises(DomainError):
-            d_op_indicator(2, 1, 0.5)
-        with pytest.raises(DomainError):
-            d_op_indicator(0.5, 2, 0.5)
-
-    @given(
-        st.integers(min_value=0, max_value=20),
-        st.integers(min_value=0, max_value=20),
-    )
-    def test_matches_truncated_level_sum(self, a, b):
-        # (1-s) sum_{p=a}^{b-1} s^p telescopes to s^a - s^b
-        a, b = min(a, b), max(a, b)
-        s = 0.6
-        direct = (1 - s) * sum(s**p for p in range(a, b))
-        assert abs(d_op_indicator(a, b, s) - direct) < 1e-12
 
 
 class TestDInverse:
