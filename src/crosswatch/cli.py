@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -304,24 +303,18 @@ def cmd_simulate(ns) -> int:
     n_paths = _resolve_n_paths(ns, config, default=100_000)
     sample = montecarlo._crossing_sample(model, n_paths, ns.seed)
 
-    def stat_row(name: str, values: np.ndarray) -> str:
-        mean = float(np.mean(values))
-        se = float(np.std(values, ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
-        return f"{name},{_fmt(mean)},{_fmt(se)},{values.size}"
+    def row(name: str, est: montecarlo.EstimateWithCI) -> str:
+        return f"{name},{_fmt(est.mean)},{_fmt(est.std_error)},{est.n_samples}"
 
+    columns = dict(sample, overshoot=sample["a_cross"] - model.threshold)
     lines = ["quantity,mean,std_error,n"]
-    lines.append(stat_row("nu", sample["nu"].astype(float)))
-    lines.append(stat_row("a_pre", sample["a_pre"].astype(float)))
-    lines.append(stat_row("a_cross", sample["a_cross"].astype(float)))
-    lines.append(stat_row("overshoot", (sample["a_cross"] - model.threshold).astype(float)))
-    lines.append(stat_row("tau_pre", sample["tau_pre"]))
-    lines.append(stat_row("tau_cross", sample["tau_cross"]))
+    for key in ("nu", "a_pre", "a_cross", "overshoot", "tau_pre", "tau_cross"):
+        lines.append(row(key, montecarlo._estimate(columns[key].astype(float, copy=False))))
     if "args" in config:
         args = _parse_args_section(config["args"], ns.exponent_form)
         estimates = (montecarlo._sample_functionals(sample, args) if args.y == 1  # y = 1 needs no new draws
                      else montecarlo.estimate_functionals(model, args, n_paths, ns.seed))
-        for which, est in estimates.items():
-            lines.append(f"{which},{_fmt(est.mean)},{_fmt(est.std_error)},{est.n_samples}")
+        lines += [row(which, est) for which, est in estimates.items()]
     _write_output(ns, "\n".join(lines) + "\n")
     return _EXIT_OK
 

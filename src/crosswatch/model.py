@@ -134,7 +134,11 @@ def mark_sample(law: MarkLaw, rng: np.random.Generator, size: int) -> np.ndarray
     if isinstance(law, Geometric):
         if law.b == 0.0:
             return np.ones(size, dtype=np.int64)
-        return (rng.standard_exponential(size) / -math.log1p(-law.a)).astype(np.int64) + 1
+        draws = rng.standard_exponential(size)
+        draws /= -math.log1p(-law.a)
+        marks = draws.astype(np.int64)
+        marks += 1
+        return marks
     if isinstance(law, GeneralDiscrete):
         return rng.choice(law.pmf.size, p=law.pmf, size=size)
     raise UnsupportedLawError(f"unknown mark law {type(law).__name__}")

@@ -26,7 +26,10 @@ keyed by name, and the caller selects one.
 Reproducibility contract: every estimator splits its workload into
 fixed-size chunks, each driven by a child of ``SeedSequence(seed)``, runs
 them in order and merges per-chunk results in chunk order.  Results are
-therefore bit-identical for a given (model, arguments, seed).
+therefore bit-identical for a given (model, arguments, seed).  A crossing
+sample is allocated once and each chunk fills its own slice; within a
+chunk the records come in completion order (paths that cross at an
+earlier look come first), and no estimator depends on the path order.
 """
 
 from __future__ import annotations
@@ -106,15 +109,16 @@ def _arrivals(
     gap's first index into ``running`` (the running sum of its marks,
     one int64 entry per arrival) and the levels at the look.
     """
-    counts = (rng.standard_exponential(level.size) / math.log1p(law.rate / model.rate)).astype(np.int64)
-    running = np.zeros(int(counts.sum()) + 1, dtype=np.int64)
-    np.cumsum(mark_sample(model.marks, rng, running.size - 1), out=running[1:])
-    first = np.cumsum(counts)
-    end_level = running[first]
-    first -= counts  # updates in place keep the peak memory of wide batches down
-    end_level -= running[first]
+    draws = rng.standard_exponential(level.size)
+    draws /= math.log1p(law.rate / model.rate)
+    counts = draws.astype(np.int64)
+    ends = np.zeros(level.size + 1, dtype=np.int64)  # each gap's first index, then the total
+    np.cumsum(counts, out=ends[1:])
+    running = np.zeros(ends[-1] + 1, dtype=np.int64)
+    np.cumsum(mark_sample(model.marks, rng, int(ends[-1])), out=running[1:])
+    end_level = np.diff(running[ends])
     end_level += level
-    return counts, first, running, end_level
+    return counts, ends[:-1], running, end_level
 
 
 def _segments(counts: np.ndarray, rate: float, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
@@ -180,40 +184,38 @@ def _gap_step(
 
 
 def _crossing_wave_chunk(
-    model: ProcessModel, n: int, rng: np.random.Generator, theta: float | None, y: float
-) -> dict:
-    """Simulate n independent crossings, one inspection wave at a time.
+    model: ProcessModel, out: dict, rng: np.random.Generator, theta: float | None, y: float
+) -> None:
+    """Fill the records in ``out``, one chunk's slice of the sample, with independent crossings.
 
-    Each wave advances the still-active paths, kept compact, across one
-    gap; a zero first look sees level 0 <= M, so it advances nobody.  With
-    ``theta`` given, a gap's window integral joins the G1 window
-    (t < tau_pre) of the paths that stay at or below the threshold and is
-    the G2 window (tau_pre <= t < tau_cross) of the paths that cross.
+    ``rng`` is the chunk's own child of the sample's ``SeedSequence``, so
+    the slice is bit-identical for a given (model, arguments, seed).  Each
+    wave advances the still-active paths, kept compact, across one
+    inspection gap; a zero first look sees level 0 <= M, so it advances
+    nobody.  The paths that cross in a wave take the next rows of ``out``,
+    so records come in completion order (``nu`` never decreases down the
+    rows).  With ``theta`` given, a gap's window integral joins the G1
+    window (t < tau_pre) of the paths that stay at or below the threshold
+    and is the G2 window (tau_pre <= t < tau_cross) of the paths that cross.
     Without it, a wave draws arrival counts and marks only, and a path's
     clock counts its Exp(lam + mu) spacings since the first gap; its two
     times are drawn once, at the end, as Gamma sums of those before and at
     the crossing.  An Exp first gap runs at its own rate, so its time is
-    drawn as it is sampled.
+    drawn as it is sampled and carried with the path.
     """
     m = model.threshold
     tagged = theta is not None
-    clock_type = float if tagged else np.int64
-    out = {key: np.zeros(n, dtype=np.int64) for key in ("a_pre", "a_cross", "nu")}
-    # the clock before the crossing gap, and that gap; summed at the end
-    out.update((key, np.zeros(n, dtype=clock_type)) for key in ("tau_pre", "tau_cross"))
-    if tagged:
-        out.update((key, np.zeros(n)) for key in ("window_pre", "window_cross"))
-    ids = np.arange(n)
+    n = out["nu"].size
     level = np.zeros(n, dtype=np.int64)
-    clock = np.zeros(n, dtype=clock_type)
+    clock = np.zeros(n)  # the time, or untagged the spacing count, before the current gap
     window = np.zeros(n)
-    first_gap = np.zeros(n)
+    first_gap = lead = None  # an untagged Exp first gap's time, per active path and per record
     law = model.observation.initial
 
     budget = _EPOCH_CAP
-    wave = 0
-    while ids.size:
-        budget -= ids.size
+    wave = done = 0
+    while level.size:
+        budget -= level.size
         if budget < 0:
             raise RunawaySimulationError(
                 f"crossing simulation exceeded {_EPOCH_CAP} inspection epochs; "
@@ -227,45 +229,49 @@ def _crossing_wave_chunk(
             step, new_level, integral = _gap_step(model, law, level, clock, rng, theta, y)
         else:
             counts, _, _, new_level = _arrivals(model, law, level, rng)
-            step = counts + 1
+            step = counts + 1.0
             if wave == 0:  # an Exp first gap: the clock starts after it
-                first_gap = rng.standard_gamma(step.astype(float)) / (model.rate + law.rate)
-                step[:] = 0
-        hit = np.flatnonzero(new_level > m)
-        keep = np.flatnonzero(new_level <= m)
-        done = ids[hit]
-        out["a_pre"][done] = level[hit]
-        out["a_cross"][done] = new_level[hit]
-        out["nu"][done] = wave
-        out["tau_pre"][done] = clock[hit]
-        out["tau_cross"][done] = step[hit]
+                first_gap, lead = rng.standard_gamma(step) / (model.rate + law.rate), np.empty(n)
+                step[:] = 0.0
+        crossed = new_level > m
+        hit, keep = np.flatnonzero(crossed), np.flatnonzero(~crossed)
+        rows = slice(done, done + hit.size)
+        done += hit.size
+        out["a_pre"][rows] = level[hit]
+        out["a_cross"][rows] = new_level[hit]
+        out["nu"][rows] = wave
+        out["tau_pre"][rows] = clock[hit]
+        out["tau_cross"][rows] = step[hit]
         if tagged:
-            out["window_pre"][done] = window[hit]
-            out["window_cross"][done] = integral[hit]
-            window = window[keep] + integral[keep]
-        ids, level, clock = ids[keep], new_level[keep], clock[keep] + step[keep]
+            out["window_pre"][rows] = window[hit]
+            out["window_cross"][rows] = integral[hit]
+            window = (window + integral)[keep]
+        if first_gap is not None:
+            lead[rows] = first_gap[hit]
+            first_gap = first_gap[keep]
+        clock += step
+        level, clock = new_level[keep], clock[keep]
         law = model.observation.recurring
         wave += 1
 
     if not tagged:
         rate = model.rate + model.observation.recurring.rate
-        first_is_last = out["nu"] == 0
-        tau_pre = rng.standard_gamma(out["tau_pre"].astype(float)) / rate
-        tau_pre += np.where(first_is_last, 0.0, first_gap)
-        out["tau_pre"] = tau_pre
-        out["tau_cross"] = rng.standard_gamma(out["tau_cross"].astype(float)) / rate
-        out["tau_cross"] += np.where(first_is_last, first_gap, 0.0)
+        for key in ("tau_pre", "tau_cross"):
+            rng.standard_gamma(out[key], out=out[key])
+            out[key] /= rate
+        if lead is not None:  # the rows of paths that cross in the first gap come first
+            first = np.count_nonzero(out["nu"] == 0)
+            out["tau_pre"][first:] += lead[first:]
+            out["tau_cross"][:first] += lead[:first]
     out["tau_cross"] += out["tau_pre"]
-    return out
 
 
-def _run_chunked(n_total: int, seed: int, worker: Callable[[int, np.random.Generator], object]) -> list:
-    """Split n_total into fixed-size chunks with spawned substreams; ordered merge."""
-    sizes = [_CHUNK] * (n_total // _CHUNK)
-    if n_total % _CHUNK:
-        sizes.append(n_total % _CHUNK)
-    children = np.random.SeedSequence(seed).spawn(len(sizes))
-    return [worker(size, np.random.default_rng(child)) for size, child in zip(sizes, children)]
+def _run_chunked(n_total: int, seed: int, worker: Callable[[slice, np.random.Generator], object]) -> list:
+    """Split range(n_total) into fixed-size chunks with spawned substreams; ordered merge."""
+    starts = range(0, n_total, _CHUNK)
+    children = np.random.SeedSequence(seed).spawn(len(starts))
+    return [worker(slice(start, min(start + _CHUNK, n_total)), np.random.default_rng(child))
+            for start, child in zip(starts, children)]
 
 
 def _crossing_sample(
@@ -274,8 +280,14 @@ def _crossing_sample(
     """Crossing records per path, plus both window integrals when ``theta`` is given."""
     if mark_mean(model.marks) == 0.0:
         raise RunawaySimulationError("every mark is zero, so the crossing simulation never reaches the threshold")
-    chunks = _run_chunked(n_paths, seed, lambda size, rng: _crossing_wave_chunk(model, size, rng, theta, y))
-    return {key: np.concatenate([c[key] for c in chunks]) for key in chunks[0]}
+    windows = () if theta is None else ("window_pre", "window_cross")
+    keys = ("a_pre", "a_cross", "nu", "tau_pre", "tau_cross") + windows
+    # one block, the counts as int64 views of their rows: the allocator then reuses pages, not re-faults them
+    sample = dict(zip(keys, np.empty((len(keys), n_paths))))
+    sample.update((key, sample[key].view(np.int64)) for key in ("a_pre", "a_cross", "nu"))
+    _run_chunked(n_paths, seed, lambda rows, rng: _crossing_wave_chunk(
+        model, {key: col[rows] for key, col in sample.items()}, rng, theta, y))
+    return sample
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +407,8 @@ def estimate_window_pair(
         raise DomainError("need at least one sample")
     tag = () if y == 1.0 else (theta, y)
 
-    def worker(size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    def worker(rows: slice, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        size = rows.stop - rows.start
         t_val, a_t, in_t = _gap_step(model, t_law, np.zeros(size, dtype=np.int64), np.zeros(size), rng, *tag)
         d_val, a_td, in_d = _gap_step(model, delta_law, a_t, t_val, rng, *tag)
         if not tag:  # the y = 1 windows are closed forms of T and Delta

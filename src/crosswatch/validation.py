@@ -404,7 +404,7 @@ def _check_transform_chain(ctx: _Context) -> _CheckResult:
         return _skip("transform-chain-agreement", covers, "needs the closed-form family")
     model = ctx.model
     lam, mu, b = model.rate, model.observation.recurring.rate, model.marks.b
-    worst = 0.0
+    worst, zero_at = 0.0, ""
     for v in (0.3, 0.7):
         # the one-gap transform is mu (1 - b v) / ((mu + lam) (1 - f(mu, v)))
         by_pole = mu * (1.0 - b * v) / ((mu + lam) * (1.0 - closedform._pole(mu, v, model)))
@@ -415,9 +415,14 @@ def _check_transform_chain(ctx: _Context) -> _CheckResult:
             closed_route = closedform.g1_star_special(model, theta, v)
             # the exact series holds 1e-12 relative where the closed form,
             # cancelling terms of order one, can round a tiny value to 0
-            worst = max(worst, abs(series_route - closed_route) / abs(series_route))
+            if series_route == 0.0:  # no relative error exists: only an exact match agrees
+                zero_at += f"; the series route is 0 at v = {v}, theta = {theta}"
+                worst = max(worst, 0.0 if closed_route == 0.0 else math.inf)
+            else:
+                worst = max(worst, abs(series_route - closed_route) / abs(series_route))
     return _CheckResult("transform-chain-agreement", worst <= 1e-8, worst, 1e-8, covers,
-                        "series-extraction route vs rational closed form; pole factor vs the one-gap transform")
+                        "series-extraction route vs rational closed form; pole factor vs the one-gap transform"
+                        + zero_at)
 
 
 def _check_partition(ctx: _Context) -> _CheckResult:

@@ -425,6 +425,15 @@ class TestValidate:
         assert code == 1
         assert "time-domain-inversion-agreement" in err
 
+    def test_large_threshold_ends_with_a_report(self, capsys, tmp_path):
+        # at M = 1000 and v = 0.3, g1_star underflows to 0 on the series route
+        cfg = _config(tmp_path, model={**SPECIAL_MODEL, "threshold": 1000}, n_paths=1_000)
+        code, out, err = _run(capsys, ["validate", "--config", cfg])
+        assert code in (0, 1)
+        assert "Traceback" not in err
+        report = json.loads(out)
+        assert report["n_paths"] == 1_000
+
     def test_perturbation_needs_the_closed_forms(self, capsys, tmp_path):
         # an Exp-start model runs no closed form, so a shift would test nothing
         cfg = _config(tmp_path, model=GENERAL_MODEL, n_paths=5_000)

@@ -98,6 +98,42 @@ class TestSimulatePath:
         nu = rec["nu"].astype(float)
         assert abs(nu.mean() - timedomain._visits(model).sum()) < 5.0 * nu.std(ddof=1) / math.sqrt(n)
 
+    @pytest.mark.parametrize("pmf, lam, initial, mu, m", [
+        ([0.0, 0.5, 0.3, 0.2], 1.0, DegenerateZero(), 1.0, 3),
+        ([0.0, 0.5, 0.3, 0.2], 1.0, DegenerateZero(), 1.0, 60),
+        ([0.1, 0.5, 0.3, 0.1], 1.3, Exponential(2.0), 0.8, 6),
+    ])
+    def test_records_pair_the_levels_of_one_path(self, pmf, lam, initial, mu, m):
+        # P{A_pre = k, A_nu = r} = v(k) P0(r - k), plus the first gap's own law at k = 0 after an
+        # Exp(eta) start.  Under pmf marks this law does not factorise, so a record that took
+        # A_pre from one path and A_nu from another would show.
+        model = ProcessModel(rate=lam, marks=GeneralDiscrete(pmf),
+                             observation=ObservationLaw(initial, Exponential(mu)), threshold=m)
+        n, top = 200_000, m + 20  # a gap may hold many arrivals; compare the levels up to top
+        rec = _crossing_sample(model, n, 5)
+        exact = np.zeros((m + 1, top - m))
+        gap = timedomain._gap_law(model, mu, top)
+        for k, visits in enumerate(timedomain._visits(model)):
+            exact[k] = visits * gap[m + 1 - k : top + 1 - k]
+        if isinstance(initial, Exponential):
+            exact[0] += timedomain._gap_law(model, initial.rate, top)[m + 1 :]
+        seen = rec["a_cross"] <= top
+        cells = rec["a_pre"][seen] * (top - m) + rec["a_cross"][seen] - (m + 1)
+        freq = np.bincount(cells, minlength=exact.size).reshape(exact.shape) / n
+        band = 5.0 * np.sqrt(exact * (1.0 - exact) / n) + 1.0 / n
+        assert np.all(np.abs(freq - exact) <= band)
+
+    def test_every_record_of_a_partial_last_chunk_is_filled(self, std_model):
+        n = 230_000  # two full chunks and a partial one
+        assert n % mc._CHUNK
+        rec = _crossing_sample(std_model, n, 3)
+        assert all(col.size == n for col in rec.values())
+        assert np.all(rec["a_cross"] > std_model.threshold) and np.all(rec["nu"] >= 1)
+        first = rec["nu"] == 1  # the look at time zero is the last one before the crossing
+        assert np.array_equal(first, rec["tau_pre"] == 0.0)
+        assert np.all(rec["a_pre"][first] == 0)
+        assert np.all(rec["tau_pre"] <= rec["tau_cross"])
+
     def test_epoch_cap(self, monkeypatch):
         monkeypatch.setattr(mc, "_EPOCH_CAP", 3)
         with pytest.raises(RunawaySimulationError):
