@@ -44,7 +44,7 @@ for theta in (0.5, 1.0):
 # gamma is a strict contraction inside the unit disk, and exactly 1 at
 # the boundary point (z=1, theta=0): that is what makes the geometric
 # resolvent series converge.
-print("contractive at (0.7, 0.5):", transforms.gamma_is_contractive(model, 0.7, 0.5))
+print("abs(gamma(0.7, 0.5)) < 1:", abs(transforms.gamma(model, "recurring", 0.7, 0.5)) < 1)
 print("|gamma(1, 0)| =", abs(transforms.gamma(model, "recurring", 1.0, 0.0)))
 
 # ---------------------------------------------------------------

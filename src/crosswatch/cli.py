@@ -275,7 +275,7 @@ def cmd_functional(ns) -> int:
         "which": which,
         "exponent_form": ns.exponent_form,
         "args": {
-            "theta": args.theta.real if isinstance(args.theta, complex) else float(args.theta),
+            "theta": float(args.theta),
             "u": float(np.real(args.u)), "v": float(np.real(args.v)),
             "w": float(np.real(args.w)), "x": float(np.real(args.x)),
             "y": float(np.real(args.y)),
@@ -309,7 +309,7 @@ def cmd_simulate(ns) -> int:
     columns = dict(sample, overshoot=sample["a_cross"] - model.threshold)
     lines = ["quantity,mean,std_error,n"]
     for key in ("nu", "a_pre", "a_cross", "overshoot", "tau_pre", "tau_cross"):
-        lines.append(row(key, montecarlo._estimate(columns[key].astype(float, copy=False))))
+        lines.append(row(key, montecarlo._estimate(columns[key])))
     if "args" in config:
         args = _parse_args_section(config["args"], ns.exponent_form)
         estimates = (montecarlo._sample_functionals(sample, args) if args.y == 1  # y = 1 needs no new draws
@@ -324,7 +324,7 @@ def cmd_validate(ns) -> int:
     n_paths = _resolve_n_paths(ns, config, default=100_000)
     shift = _config_number(ns.perturb_c if ns.perturb_c is not None else config.get("perturb_c", 0.0), "perturb_c")
     report = run_battery(model, seed=ns.seed, c_shift=shift, n_paths=n_paths)
-    _write_output(ns, json.dumps(report, sort_keys=True, indent=2) + "\n")
+    _write_output(ns, json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n")
     if not report["all_passed"]:
         failed = ", ".join(report["failed_checks"])
         print(f"validation failed: {failed}", file=sys.stderr)

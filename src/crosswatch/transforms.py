@@ -1,26 +1,23 @@
 """Joint transforms of the accumulated-mark process over one or two windows.
 
+The module holds the PGF ``phi``, the one-gap kernel ``gamma``, the
+two-window transforms ``f1*``/``f2*``, and the divided differences of
+delay LSTs that ``f1*``/``f2*`` and the battery's pointwise blocks read.
+
 The accumulated mark ``A(s)`` of a marked Poisson stream has the compound
 PGF ``phi(z, s) = exp(lam * s * (g(z) - 1))`` where ``g`` is the mark PGF.
-Everything else in this module is built from two observations:
-
-* A damped convolution of two such PGFs over a split window has a closed
-  form whose denominator ``theta + lam*g(c) - lam*g(b)`` may vanish; the
-  singularity is removable and equals the length-weighted limit.
-
-* Every two-window functional of the form
-  ``E[u^{A(T)} v^{A(T+D)} e^{-wT - xD} y^{A(t)}; window]`` reduces, after
-  integrating t, to divided differences of a delay LST evaluated at
-  arguments that differ by exactly the vanishing denominator.  For the
-  zero and exponential delay laws those divided differences have closed
-  forms with no difference quotient, so every formula stays finite and
-  accurate through the removable points.
+Every two-window functional of the form
+``E[u^{A(T)} v^{A(T+D)} e^{-wT - xD} y^{A(t)}; window]`` reduces, after
+integrating t, to divided differences of a delay LST evaluated at
+arguments that differ by a denominator that may vanish.  For the zero and
+exponential delay laws those divided differences have closed forms with no
+difference quotient, so every formula stays finite and accurate through
+the removable points.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,15 +32,7 @@ from .model import (
     mark_pgf,
 )
 
-__all__ = [
-    "ConvolutionSpec",
-    "phi",
-    "psi",
-    "gamma",
-    "gamma_is_contractive",
-    "f1_star",
-    "f2_star",
-]
+__all__ = ["phi", "gamma", "f1_star", "f2_star"]
 
 # Below this (scaled) magnitude a vanishing denominator is treated as
 # removable and replaced by an analytic limit.
@@ -65,51 +54,6 @@ def phi(model: ProcessModel, z: complex, s: float | np.ndarray) -> complex | np.
     return cmath.exp(model.rate * s * (mark_pgf(model.marks, z) - 1.0))
 
 
-@dataclass(frozen=True)
-class ConvolutionSpec:
-    """Damped split-window convolution parameters.
-
-    ``integral of exp(-theta*t) * phi(b_arg, t) * phi(c_arg, horizon - t)``
-    over t in [0, horizon].
-    """
-
-    b_arg: complex
-    c_arg: complex
-    theta: complex = 0.0
-    horizon: float = 1.0
-
-    def __post_init__(self):
-        if self.horizon < 0.0:
-            raise DomainError(f"horizon must be >= 0, got {self.horizon}")
-        for name in ("b_arg", "c_arg"):
-            if abs(complex(getattr(self, name))) > 1.0 + 1e-12:
-                raise DomainError(f"|{name}| must be <= 1")
-        if complex(self.theta).real < -1e-12:
-            raise DomainError("Re theta must be >= 0")
-
-
-def _one_minus_exp_over(q: complex) -> complex:
-    """(1 - exp(-q)) / q, analytic through q = 0."""
-    if abs(q) < 1e-8:
-        return 1.0 - q / 2.0 + q * q / 6.0
-    return (1.0 - cmath.exp(-q)) / q
-
-
-def psi(model: ProcessModel, spec: ConvolutionSpec) -> complex:
-    """Closed form of the damped split-window convolution.
-
-    Equals ``(exp(-lam(1-g(c))d) - exp(-(theta+lam-lam g(b))d)) / (theta +
-    lam g(c) - lam g(b))`` with horizon ``d``; the vanishing-denominator
-    case returns the analytic limit ``d * exp(-lam(1-g(c))d)``.
-    """
-    lam = model.rate
-    gb = mark_pgf(model.marks, spec.b_arg)
-    gc = mark_pgf(model.marks, spec.c_arg)
-    d = spec.horizon
-    denom = complex(spec.theta) + lam * gc - lam * gb
-    return cmath.exp(-lam * (1.0 - gc) * d) * d * _one_minus_exp_over(denom * d)
-
-
 # ---------------------------------------------------------------------------
 # per-epoch joint transform of (mark increment, gap length)
 
@@ -128,16 +72,6 @@ def gamma(model: ProcessModel, which: str, z: complex, theta: complex) -> comple
         raise DomainError(f'which must be "initial" or "recurring", got {which!r}')
     arg = complex(theta) + model.rate * (1.0 - mark_pgf(model.marks, z))
     return delay_lst(law, arg)
-
-
-def gamma_is_contractive(model: ProcessModel, z: complex, theta: complex) -> bool:
-    """Whether the per-epoch transform has norm strictly below one.
-
-    Holds exactly when |z| < 1 or Re theta > 0; enforced with a 1e-12
-    margin so geometric resolvent sums stay safely inside their region.
-    """
-    del model  # the criterion does not depend on the particular laws
-    return abs(complex(z)) < 1.0 - 1e-12 or complex(theta).real > 1e-12
 
 
 # ---------------------------------------------------------------------------

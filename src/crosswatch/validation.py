@@ -7,6 +7,12 @@ Monte Carlo.  Each check reports the worst observed discrepancy, its
 tolerance, and the remaining margin; the report is machine-readable and
 byte-stable for a fixed (model, seed).
 
+A check is one measurement ``ctx -> (observed, detail)`` registered by
+``@_check(name, tolerance, *covers)``, which is the only place its name,
+tolerance and covered operations are written.  Every check passes by the
+same rule, ``observed <= tolerance``.  A ``family=True`` check reads the
+closed forms and is reported as skipped for a model outside their family.
+
 The operations to cover are not listed here: they are the functions in the
 ``__all__`` of the analytic layers (``model`` to ``timedomain``), so a new
 public function fails the coverage meta-check until a check names it.
@@ -32,7 +38,6 @@ from .errors import DivergenceError, DomainError, InversionError, TableInvariant
 from .model import (
     DegenerateZero,
     Exponential,
-    GeneralDiscrete,
     Geometric,
     ProcessModel,
     TransformArgs,
@@ -72,13 +77,15 @@ class _CheckResult:
         return self.tolerance - self.observed
 
     def as_dict(self) -> dict:
+        """The report entry; a non-finite observation or margin is written as null (strict JSON)."""
+        finite_or_none = lambda value: float(value) if math.isfinite(value) else None
         return {
             "name": self.name,
             "passed": bool(self.passed),
             "skipped": bool(self.skipped),
-            "observed": float(self.observed),
+            "observed": finite_or_none(self.observed),
             "tolerance": float(self.tolerance),
-            "margin": float(self.margin),
+            "margin": finite_or_none(self.margin),
             "covers": list(self.covers),
             "detail": self.detail,
         }
@@ -102,20 +109,35 @@ class _Context:
         return self._crossing
 
 
-def _skip(name: str, covers: tuple[str, ...], reason: str) -> _CheckResult:
-    return _CheckResult(
-        name=name, passed=True, observed=0.0, tolerance=0.0, covers=covers,
-        detail=reason, skipped=True,
-    )
+_CHECKS: list[Callable[[_Context], _CheckResult]] = []
+
+
+def _check(name: str, tolerance: float, *covers: str, family: bool = False):
+    """Register a measurement ``ctx -> (observed, detail)`` as the check ``name``.
+
+    The check passes exactly when ``observed <= tolerance``.  With ``family``
+    it needs the closed forms, and it is skipped when ``ctx.c`` is None.
+    """
+    def register(measure: Callable[[_Context], tuple[float, str]]) -> Callable[[_Context], _CheckResult]:
+        def check(ctx: _Context) -> _CheckResult:
+            if family and ctx.c is None:
+                return _CheckResult(name, True, 0.0, 0.0, covers, "needs the closed-form family", skipped=True)
+            observed, detail = measure(ctx)
+            return _CheckResult(name, observed <= tolerance, observed, tolerance, covers, detail)
+
+        _CHECKS.append(check)
+        return check
+
+    return register
 
 
 # ---------------------------------------------------------------------------
 # transform primitives
 
 
-def _check_increment_pgf(ctx: _Context) -> _CheckResult:
+@_check("increment-pgf-quadrature", 1e-10, "transforms.phi", "model.mark_pgf")
+def _check_increment_pgf(ctx: _Context) -> tuple[float, str]:
     """phi against the Poisson mixture sum; mark_pgf against direct summation."""
-    covers = ("transforms.phi", "model.mark_pgf")
     model = ctx.model
     lam = model.rate
     worst = 0.0
@@ -136,31 +158,12 @@ def _check_increment_pgf(ctx: _Context) -> _CheckResult:
                 if term < 1e-18 and n > lam * s:
                     break
             worst = max(worst, abs(transforms.phi(model, z, s) - mix))
-    return _CheckResult("increment-pgf-quadrature", worst <= 1e-10, worst, 1e-10, covers,
-                        "closed forms vs direct Poisson-mixture and power sums")
+    return worst, "closed forms vs direct Poisson-mixture and power sums"
 
 
-def _check_split_window(ctx: _Context) -> _CheckResult:
-    """psi against Simpson quadrature of the split-window integrand."""
-    covers = ("transforms.psi", "transforms.phi")
-    model = ctx.model
-    worst = 0.0
-    for b_arg, c_arg, theta, horizon in ((0.4, 0.8, 0.5, 0.7), (0.9, 0.2, 1.5, 2.0)):
-        n = 2000
-        t = np.linspace(0.0, horizon, n + 1)
-        vals = (np.exp(-theta * t) * transforms.phi(model, b_arg, t) * transforms.phi(model, c_arg, horizon - t)).real
-        w = np.ones(n + 1)
-        w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-        quad = (horizon / n / 3.0) * float(w @ vals)
-        spec = transforms.ConvolutionSpec(b_arg=b_arg, c_arg=c_arg, theta=theta, horizon=horizon)
-        worst = max(worst, abs(transforms.psi(model, spec) - quad))
-    return _CheckResult("window-transform-quadrature", worst <= 1e-8, worst, 1e-8, covers,
-                        "damped split-window closed form vs Simpson quadrature")
-
-
-def _check_increment_transform_mc(ctx: _Context) -> _CheckResult:
+@_check("increment-transform-vs-mc", 1.0, "transforms.gamma", "model.mark_pgf", "model.delay_lst")
+def _check_increment_transform_mc(ctx: _Context) -> tuple[float, str]:
     """gamma against a direct Monte Carlo average over one inspection gap."""
-    covers = ("transforms.gamma", "model.mark_pgf", "model.delay_lst")
     model = ctx.model
     rng = ctx.rng(3)
     n = 400_000
@@ -182,37 +185,29 @@ def _check_increment_transform_mc(ctx: _Context) -> _CheckResult:
         se = float(np.std(draws, ddof=1) / math.sqrt(n))
         exact = transforms.gamma(model, which, z, theta)
         worst = max(worst, abs(est - exact) / (5.0 * se + 1e-6))
-    return _CheckResult("increment-transform-vs-mc", worst <= 1.0, worst, 1.0, covers,
-                        "per-gap joint transform vs sample average (normalized to 5 sigma)")
+    return worst, "per-gap joint transform vs sample average (normalized to 5 sigma)"
 
 
-def _check_contraction(ctx: _Context) -> _CheckResult:
-    covers = ("transforms.gamma_is_contractive", "transforms.gamma")
+@_check("contraction-bound", 1.0, "transforms.gamma")
+def _check_contraction(ctx: _Context) -> tuple[float, str]:
+    """|gamma| < 1 inside the disk, and gamma(1, 0) = 1 to 1e-12 (the defect is read in units of 1e-12)."""
     model = ctx.model
     rng = ctx.rng(4)
     worst_norm = 0.0
-    flags_ok = True
     for _ in range(200):
         radius = rng.uniform(0.0, 1.0 - 1e-6)
         z = radius * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         theta = rng.uniform(1e-6, 5.0) if rng.random() < 0.5 else 0.0
-        if theta == 0.0 and radius > 1.0 - 1e-6:
-            continue
-        inside = radius < 1.0 - 1e-12 or theta > 1e-12
-        if not inside:
-            continue
-        flags_ok &= transforms.gamma_is_contractive(model, z, theta)
         worst_norm = max(worst_norm, abs(transforms.gamma(model, "recurring", z, theta)))
     boundary = abs(transforms.gamma(model, "recurring", 1.0, 0.0) - 1.0)
-    passed = flags_ok and worst_norm < 1.0 and boundary <= 1e-12
-    observed = max(worst_norm, boundary)
-    return _CheckResult("contraction-bound", passed, observed, 1.0, covers,
-                        f"max interior norm {worst_norm:.6f}; boundary defect {boundary:.2e}")
+    # the interior bound is strict: a norm of one fails whatever the tolerance
+    observed = max(worst_norm if worst_norm < 1.0 else math.inf, boundary / 1e-12)
+    return observed, f"max interior norm {worst_norm:.6f}; boundary defect {boundary:.2e}"
 
 
-def _check_window_transforms_mc(ctx: _Context) -> _CheckResult:
+@_check("window-transforms-vs-mc", 1.0, "transforms.f1_star", "transforms.f2_star")
+def _check_window_transforms_mc(ctx: _Context) -> tuple[float, str]:
     """Split-window transforms vs one two-stage simulation that estimates both."""
-    covers = ("transforms.f1_star", "transforms.f2_star")
     model = ctx.model
     t_law, d_law = Exponential(1.0), Exponential(1.0)
     args = TransformArgs(theta=0.8, u=0.7, v=0.9, w=0.2, x=0.3, y=0.6)
@@ -225,20 +220,16 @@ def _check_window_transforms_mc(ctx: _Context) -> _CheckResult:
         tol = 5.0 * est.std_error + 1e-5
         worst = max(worst, abs(est.mean - exact) / tol)
         details.append(f"{name}: exact {exact:.6f}, mc {est.mean:.6f} +/- {est.std_error:.2e}")
-    return _CheckResult("window-transforms-vs-mc", worst <= 1.0, worst, 1.0, covers,
-                        "; ".join(details))
+    return worst, "; ".join(details)
 
 
 # ---------------------------------------------------------------------------
 # series machinery
 
 
-def _check_series_roundtrip(ctx: _Context) -> _CheckResult:
-    covers = (
-        "series.series_from_rational",
-        "series.d_inverse",
-        "series.d_inverse_double_geometric",
-    )
+@_check("series-extraction-roundtrip", 1e-12,
+        "series.series_from_rational", "series.d_inverse", "series.d_inverse_double_geometric")
+def _check_series_roundtrip(ctx: _Context) -> tuple[float, str]:
     rng = ctx.rng(6)
     worst = 0.0
     # generating-transform round trip on integer sequences, exact
@@ -256,8 +247,7 @@ def _check_series_roundtrip(ctx: _Context) -> _CheckResult:
         direct = series.d_inverse_double_geometric(f_root, g_root, k)
         via_series = series.d_inverse(series.series_from_rational([1.0], np.poly([f_root, g_root]), k), k)
         worst = max(worst, abs(direct - via_series))
-    return _CheckResult("series-extraction-roundtrip", worst <= 1e-12, worst, 1e-12, covers,
-                        "integer round trips and dual-route coefficient extraction")
+    return worst, "integer round trips and dual-route coefficient extraction"
 
 
 # ---------------------------------------------------------------------------
@@ -287,16 +277,13 @@ class _BlockValues:
     gamma: complex
 
 
-def _gamma_rec(model: ProcessModel, z: complex, damp: complex) -> complex:
-    return delay_lst(model.observation.recurring, damp + model.rate * (1.0 - mark_pgf(model.marks, z)))
-
-
 def _blocks_at(model: ProcessModel, args: TransformArgs, s: complex) -> _BlockValues:
     """Evaluate all five blocks at an explicit point s.
 
     Requires per-epoch contraction at the tagged arguments ``(uvs, w)``
-    and ``(uvys, theta + w)``; otherwise the geometric resolvents inside
-    b2/b3 diverge and :class:`DivergenceError` is raised.
+    and ``(uvys, theta + w)``: |z| < 1 or Re damping > 0, each with a
+    1e-12 margin.  Otherwise the geometric resolvents inside b2/b3
+    diverge and :class:`DivergenceError` is raised.
     """
     args.validate()
     lam = model.rate
@@ -305,10 +292,9 @@ def _blocks_at(model: ProcessModel, args: TransformArgs, s: complex) -> _BlockVa
     u, v, w, x, y, theta = (complex(args.u), complex(args.v), complex(args.w),
                             complex(args.x), complex(args.y), complex(args.theta))
     uvs, uvys = u * v * s, u * v * y * s
-    if not transforms.gamma_is_contractive(model, uvs, w):
-        raise DivergenceError("per-epoch transform at (u*v*s, w) is not contractive")
-    if not transforms.gamma_is_contractive(model, uvys, theta + w):
-        raise DivergenceError("per-epoch transform at (u*v*y*s, theta + w) is not contractive")
+    for z, damp, where in ((uvs, w, "(u*v*s, w)"), (uvys, theta + w, "(u*v*y*s, theta + w)")):
+        if not (abs(z) < 1.0 - 1e-12 or damp.real > 1e-12):
+            raise DivergenceError(f"per-epoch transform at {where} is not contractive")
 
     obs = model.observation
     eta2 = w + lam * (1.0 - g(uvs))
@@ -317,7 +303,7 @@ def _blocks_at(model: ProcessModel, args: TransformArgs, s: complex) -> _BlockVa
     b3 = delay_lst(obs.initial, eta3) / (1.0 - delay_lst(obs.recurring, eta3))
 
     denom = theta + lam * (g(uvs) - g(uvys))
-    numer = _gamma_rec(model, v, x) - _gamma_rec(model, v * s, x)
+    numer = transforms.gamma(model, "recurring", v, x) - transforms.gamma(model, "recurring", v * s, x)
     if abs(denom) >= transforms.SINGULARITY_TOL:
         b1 = numer / denom
     else:
@@ -342,7 +328,7 @@ def _g1_integrand(model: ProcessModel, args: TransformArgs, s: complex) -> compl
     uvs = u * v * complex(s)
     eta2 = w + lam * (1.0 - g(uvs))
     d = theta + lam * (g(uvs) - g(uvs * y))
-    numer = _gamma_rec(model, v, x) - _gamma_rec(model, v * complex(s), x)
+    numer = transforms.gamma(model, "recurring", v, x) - transforms.gamma(model, "recurring", v * complex(s), x)
     return numer * transforms.resolvent_divided_diff(model, eta2, d)
 
 
@@ -353,24 +339,19 @@ def _g2_integrand(model: ProcessModel, args: TransformArgs, s: complex) -> compl
 
 
 def _coeffs_by_sampling(f: Callable[[complex], complex], order: int) -> np.ndarray:
-    """Taylor coefficients 0..order of f via FFT on a circle inside the unit disk.
+    """Taylor coefficients 0..order <= 16 of f via FFT on the circle |s| = 0.5.
 
-    The radius is 0.5 for small orders and drifts toward 1 for large ones
-    (coefficient j is divided by radius**j, so a too-small radius would
-    amplify sampling noise).  The node count is kept well above the
-    requested order so aliasing from truncation is negligible.
+    128 nodes keep aliasing from truncation negligible at these orders.
     """
-    rho = 0.5 if order <= 32 else 2.0 ** (-32.0 / order)
-    n = 1
-    while n < max(4 * (order + 1), 128):
-        n <<= 1
+    rho, n = 0.5, 128
     nodes = rho * np.exp(2j * np.pi * np.arange(n) / n)
     vals = np.array([f(s) for s in nodes], dtype=complex)
     # forward transform: sum_j f(rho w^j) w^{-jk} = n * c_k * rho^k
     return np.fft.fft(vals)[: order + 1] / (n * rho ** np.arange(order + 1))
 
 
-def _check_series_paths(ctx: _Context) -> _CheckResult:
+@_check("crossing-series-path-agreement", 1e-9, "fluctuation.g1_star", "fluctuation.g2_star")
+def _check_series_paths(ctx: _Context) -> tuple[float, str]:
     """Pointwise blocks vs the pole-crossed G1 integrand; exact series vs contour sampling."""
     model = ctx.model
     args = TransformArgs(theta=0.9, u=0.95, v=0.85, w=0.1, x=0.2, y=0.9)
@@ -381,27 +362,24 @@ def _check_series_paths(ctx: _Context) -> _CheckResult:
         direct = _g1_integrand(model, args, s)
         worst = max(worst, abs(blocks.b1 * (blocks.b2 - blocks.b3) - direct) / max(1.0, abs(direct)))
     # Coefficients 0..lead do not depend on the order, while FFT sampling
-    # loses accuracy at high order (its radius moves toward 1).
+    # on a fixed circle loses accuracy at high order.
     order = model.threshold
     lead = min(order, 16)
     for which, integrand in (("g1", _g1_integrand), ("g2", _g2_integrand)):
         sampled = _coeffs_by_sampling(partial(integrand, model, args), lead)
         exact = fluctuation._crossing_series(model, args, which, order)[: lead + 1]
         worst = max(worst, float(np.max(np.abs(sampled - exact))) / max(1.0, float(np.max(np.abs(exact)))))
-    return _CheckResult("crossing-series-path-agreement", worst <= 1e-9, worst, 1e-9,
-                        ("fluctuation.g1_star", "fluctuation.g2_star"),
-                        "pointwise blocks vs the pole-crossed G1 integrand; exact series vs "
-                        f"FFT contour sampling on coefficients 0..{lead}")
+    return worst, ("pointwise blocks vs the pole-crossed G1 integrand; exact series vs "
+                   f"FFT contour sampling on coefficients 0..{lead}")
 
 
 # ---------------------------------------------------------------------------
 # closed-form suite (the closed-form family only)
 
 
-def _check_transform_chain(ctx: _Context) -> _CheckResult:
-    covers = ("fluctuation.g1_star", "closedform.g1_star_special", "closedform._pole")
-    if ctx.c is None:
-        return _skip("transform-chain-agreement", covers, "needs the closed-form family")
+@_check("transform-chain-agreement", 1e-8,
+        "fluctuation.g1_star", "closedform.g1_star_special", "closedform._pole", family=True)
+def _check_transform_chain(ctx: _Context) -> tuple[float, str]:
     model = ctx.model
     lam, mu, b = model.rate, model.observation.recurring.rate, model.marks.b
     worst, zero_at = 0.0, ""
@@ -420,13 +398,12 @@ def _check_transform_chain(ctx: _Context) -> _CheckResult:
                 worst = max(worst, 0.0 if closed_route == 0.0 else math.inf)
             else:
                 worst = max(worst, abs(series_route - closed_route) / abs(series_route))
-    return _CheckResult("transform-chain-agreement", worst <= 1e-8, worst, 1e-8, covers,
-                        "series-extraction route vs rational closed form; pole factor vs the one-gap transform"
-                        + zero_at)
+    return worst, ("series-extraction route vs rational closed form; pole factor vs the one-gap transform"
+                   + zero_at)
 
 
-def _check_partition(ctx: _Context) -> _CheckResult:
-    covers = ("fluctuation.g_star",)
+@_check("partition-identity", 1e-10, "fluctuation.g_star")
+def _check_partition(ctx: _Context) -> tuple[float, str]:
     model = ctx.model
     worst = 0.0
     for theta in (0.1, 1.0, 10.0):
@@ -440,12 +417,11 @@ def _check_partition(ctx: _Context) -> _CheckResult:
         pre = fluctuation.lst_tau_pre(model, theta)
         cross = fluctuation.lst_tau_cross(model, theta)
         worst = max(worst, max(0.0, abs(pre.imag)), max(0.0, cross.real - pre.real - 1e-12))
-    return _CheckResult("partition-identity", worst <= 1e-10, worst, 1e-10, covers,
-                        "windows partition [0, tau_nu); transform ordering sanity")
+    return worst, "windows partition [0, tau_nu); transform ordering sanity"
 
 
-def _check_inversion_pairs(ctx: _Context) -> _CheckResult:
-    covers = ("laplace.invert",)
+@_check("inversion-roundtrip-known-pairs", 1e-7, "laplace.invert")
+def _check_inversion_pairs(ctx: _Context) -> tuple[float, str]:
     del ctx
     pairs = [
         (lambda q: 1.0 / (q + 1.0), lambda t: math.exp(-t)),
@@ -460,19 +436,13 @@ def _check_inversion_pairs(ctx: _Context) -> _CheckResult:
     for transform, original in pairs:
         errors = laplace.invert(transform, times) - [original(t) for t in times]
         worst = max(worst, float(np.max(np.abs(errors))))
-    return _CheckResult("inversion-roundtrip-known-pairs", worst <= 1e-7, worst, 1e-7, covers,
-                        "five analytic transform/original pairs on t in {0.25, 1, 4}")
+    return worst, "five analytic transform/original pairs on t in {0.25, 1, 4}"
 
 
-def _check_time_domain_inversion(ctx: _Context) -> _CheckResult:
+@_check("time-domain-inversion-agreement", 1e-6,
+        "closedform.g1_star_special", "closedform.ev_v_anu_before", "laplace.invert", family=True)
+def _check_time_domain_inversion(ctx: _Context) -> tuple[float, str]:
     """The c-sensitive tripwire: invert the transform, compare to the closed form."""
-    covers = (
-        "closedform.g1_star_special",
-        "closedform.ev_v_anu_before",
-        "laplace.invert",
-    )
-    if ctx.c is None:
-        return _skip("time-domain-inversion-agreement", covers, "needs the closed-form family")
     model = ctx.model
     times = (0.25, 1.0, 4.0)
     worst = 0.0
@@ -480,28 +450,20 @@ def _check_time_domain_inversion(ctx: _Context) -> _CheckResult:
         inverted = laplace.invert(lambda q: closedform.g1_star_special(model, q, v), times)
         direct = np.array([closedform._ev_v_anu_before(model, v, t, ctx.c).real for t in times])
         worst = max(worst, float(np.max(np.abs(inverted - direct) / np.maximum(1e-12, np.abs(direct)))))
-    return _CheckResult("time-domain-inversion-agreement", worst <= 1e-6, worst, 1e-6, covers,
-                        "numeric inversion of the window transform vs its exact original")
+    return worst, "numeric inversion of the window transform vs its exact original"
 
 
-def _check_time_domain_laws(ctx: _Context) -> _CheckResult:
+@_check("time-domain-law-agreement", 1e-6,
+        "timedomain.survival_pre", "timedomain.survival_cross", "fluctuation.g1_star", "fluctuation.g_star",
+        "fluctuation.lst_tau_pre", "fluctuation.lst_tau_cross", "laplace.invert", "laplace.survival_curve")
+def _check_time_domain_laws(ctx: _Context) -> tuple[float, str]:
     """Both exact survival laws against Euler inversion of their transforms, two ways.
 
     G1 and G at the all-ones tagging point transform t -> P{tau_pre > t} and
     t -> P{tau_cross > t} themselves, so they are inverted directly;
     ``survival_curve`` inverts the same laws from ``lst_tau_*`` through
-    (1 - lst) / theta.  A failed inversion fails the check.
+    (1 - lst) / theta.  A failed inversion observes inf.
     """
-    covers = (
-        "timedomain.survival_pre",
-        "timedomain.survival_cross",
-        "fluctuation.g1_star",
-        "fluctuation.g_star",
-        "fluctuation.lst_tau_pre",
-        "fluctuation.lst_tau_cross",
-        "laplace.invert",
-        "laplace.survival_curve",
-    )
     model = ctx.model
     times = timedomain._mean_cross_time(model) * np.array([0.5, 1.0, 2.0])
     worst = 0.0
@@ -514,17 +476,14 @@ def _check_time_domain_laws(ctx: _Context) -> _CheckResult:
             inverted = laplace.invert(lambda q: g(model, TransformArgs(theta=q)), times)
             curve = laplace.survival_curve(lambda q: lst(model, q), times)
         except InversionError as exc:
-            return _CheckResult("time-domain-law-agreement", False, math.inf, 1e-6, covers, str(exc))
+            return math.inf, str(exc)
         worst = max(worst, float(np.max(np.abs(inverted - exact))), float(np.max(np.abs(curve - exact))))
-    return _CheckResult("time-domain-law-agreement", worst <= 1e-6, worst, 1e-6, covers,
-                        "positive-sum survival laws vs inverted G1 and G, and vs survival_curve "
-                        "of lst_tau_*, at 0.5, 1, 2 x E[tau_cross]")
+    return worst, ("positive-sum survival laws vs inverted G1 and G, and vs survival_curve "
+                   "of lst_tau_*, at 0.5, 1, 2 x E[tau_cross]")
 
 
-def _check_pgf_extraction(ctx: _Context) -> _CheckResult:
-    covers = ("closedform.dist_table", "closedform.ev_v_anu_before")
-    if ctx.c is None:
-        return _skip("pgf-extraction-consistency", covers, "needs the closed-form family")
+@_check("pgf-extraction-consistency", 1e-8, "closedform.dist_table", "closedform.ev_v_anu_before", family=True)
+def _check_pgf_extraction(ctx: _Context) -> tuple[float, str]:
     model, m = ctx.model, ctx.model.threshold
     times = (0.25, 1.0, 4.0)
     table = closedform.dist_table(model, times, max(500, m + 2))
@@ -541,12 +500,11 @@ def _check_pgf_extraction(ctx: _Context) -> _CheckResult:
                 r += 1
             direct = closedform._ev_v_anu_before(model, v, t, ctx.c).real
             worst = max(worst, abs(total - direct))
-    return _CheckResult("pgf-extraction-consistency", worst <= 1e-8, worst, 1e-8, covers,
-                        "v**r-weighted coefficient sums vs the generating function")
+    return worst, "v**r-weighted coefficient sums vs the generating function"
 
 
-def _check_gamma_cdf(ctx: _Context) -> _CheckResult:
-    covers = ("timedomain._poisson_tails",)
+@_check("gamma-cdf-identity", 1e-12, "timedomain._poisson_tails")
+def _check_gamma_cdf(ctx: _Context) -> tuple[float, str]:
     del ctx
     worst = 0.0
     for x in (0.3, 1.0, 5.0, 20.0):
@@ -558,14 +516,11 @@ def _check_gamma_cdf(ctx: _Context) -> _CheckResult:
             worst = max(worst, abs(tails[k] - tail))
             tail -= term
             term *= x / (k + 1)
-    return _CheckResult("gamma-cdf-identity", worst <= 1e-12, worst, 1e-12, covers,
-                        "regularized lower gamma vs exact Poisson tail recursion")
+    return worst, "regularized lower gamma vs exact Poisson tail recursion"
 
 
-def _check_gh_limits(ctx: _Context) -> _CheckResult:
-    covers = ("closedform._gh_arrays",)
-    if ctx.c is None:
-        return _skip("gh-coefficient-limits", covers, "needs the closed-form family")
+@_check("gh-coefficient-limits", 1e-10, "closedform._gh_arrays", family=True)
+def _check_gh_limits(ctx: _Context) -> tuple[float, str]:
     model = ctx.model
     b, ratio = model.marks.b, model.observation.recurring.rate / model.rate
     t_inf = 200.0 / min(1.0, model.rate)
@@ -577,22 +532,18 @@ def _check_gh_limits(ctx: _Context) -> _CheckResult:
         worst = max(worst, abs(h0[j] - b ** (j + 1)))
         worst = max(worst, abs(g_inf[j] - (1.0 + ratio)))
         worst = max(worst, abs(h_inf[j] - (b + ratio)))
-    return _CheckResult("gh-coefficient-limits", worst <= 1e-10, worst, 1e-10, covers,
-                        "t -> 0 and t -> infinity limits of the inversion coefficients")
+    return worst, "t -> 0 and t -> infinity limits of the inversion coefficients"
 
 
-def _check_dist_table(ctx: _Context) -> _CheckResult:
-    covers = ("closedform.dist_table",)
-    if ctx.c is None:
-        return _skip("dist-table-invariants", covers, "needs the closed-form family")
+@_check("dist-table-invariants", 1e-9, "closedform.dist_table", family=True)
+def _check_dist_table(ctx: _Context) -> tuple[float, str]:
+    """1.0 if ``dist_table`` raises :class:`TableInvariantError`, else 0.0."""
     try:
         closedform.dist_table(ctx.model, [0.0, 0.5, 1.0, 2.0], 12)
     except TableInvariantError as exc:
         cells = ", ".join(str(cell) for cell in exc.cells[:5])
-        return _CheckResult("dist-table-invariants", False, 1.0, 0.0, covers,
-                            f"invariant violation at cells {cells}")
-    return _CheckResult("dist-table-invariants", True, 0.0, 1e-9, covers,
-                        "support, range, monotonicity, and row-sum invariants hold")
+        return 1.0, f"invariant violation at cells {cells}"
+    return 0.0, "support, range, monotonicity, and row-sum invariants hold"
 
 
 # ---------------------------------------------------------------------------
@@ -607,35 +558,31 @@ def _mc_band(freq: np.ndarray, exact: np.ndarray, n: int) -> float:
     return float(np.max(np.abs(freq - exact) / (5.0 * np.sqrt(exact * (1.0 - exact) / n) + 1.0 / n)))
 
 
-def _check_mc_joint(ctx: _Context) -> _CheckResult:
-    covers = ("closedform.dist_table",)
-    if ctx.c is None:
-        return _skip("mc-joint-agreement", covers, "needs the closed-form family")
+@_check("mc-joint-agreement", 1.0, "closedform.dist_table", family=True)
+def _check_mc_joint(ctx: _Context) -> tuple[float, str]:
     grid = np.array([0.0, 0.5, 1.0, 2.0])
     r_max = 10
     table = closedform.dist_table(ctx.model, grid, r_max)
     freq = montecarlo._joint_frequencies(ctx.crossing_sample, r_max, grid)
-    worst = _mc_band(freq, table, ctx.n_paths)
-    return _CheckResult("mc-joint-agreement", worst <= 1.0, worst, 1.0, covers,
-                        f"joint table vs {ctx.n_paths} simulated crossings (normalized to 5 SE + 1/n)")
+    return (_mc_band(freq, table, ctx.n_paths),
+            f"joint table vs {ctx.n_paths} simulated crossings (normalized to 5 SE + 1/n)")
 
 
-def _check_survival_mc(ctx: _Context) -> _CheckResult:
+@_check("survival-vs-mc", 1.0, "timedomain.survival_pre", "timedomain.survival_cross")
+def _check_survival_mc(ctx: _Context) -> tuple[float, str]:
     """Both exact survival laws vs the sample's exceedance frequencies, to 5 SE + 1/n."""
-    covers = ("timedomain.survival_pre", "timedomain.survival_cross")
     sample = ctx.crossing_sample
     grid = np.linspace(0.0, 4.0, 9)
     worst = 0.0
     for key, exact in zip(("tau_pre", "tau_cross"), timedomain._survival_laws(ctx.model, grid)):
         empirical = np.array([np.mean(sample[key] > t) for t in grid])
         worst = max(worst, _mc_band(empirical, exact, ctx.n_paths))
-    return _CheckResult("survival-vs-mc", worst <= 1.0, worst, 1.0, covers,
-                        "exact survival laws vs empirical exceedance frequencies (normalized to 5 SE + 1/n)")
+    return worst, "exact survival laws vs empirical exceedance frequencies (normalized to 5 SE + 1/n)"
 
 
-def _check_overshoot_pmf(ctx: _Context) -> _CheckResult:
+@_check("overshoot-pmf-vs-mc", 1.0, "timedomain.crossing_level_law", "model.mark_mean")
+def _check_overshoot_pmf(ctx: _Context) -> tuple[float, str]:
     """The crossing-level law, to 5 SE + 1/n, and its exact mean, to 5 SE, against simulated crossings."""
-    covers = ("timedomain.crossing_level_law", "model.mark_mean")
     n = ctx.n_paths
     m = ctx.model.threshold
     law, mean = timedomain.crossing_level_law(ctx.model, m + 10)
@@ -645,14 +592,14 @@ def _check_overshoot_pmf(ctx: _Context) -> _CheckResult:
     sample_mean = float(counts @ overshoot) / n
     sample_var = float(counts @ (overshoot - sample_mean) ** 2) / (n - 1)
     worst = max(worst, abs(sample_mean - mean) / (5.0 * math.sqrt(sample_var / n)))
-    return _CheckResult("overshoot-pmf-vs-mc", worst <= 1.0, worst, 1.0, covers,
-                        "crossing-level law and mean overshoot vs empirical crossing levels "
-                        "(normalized to 5 SE + 1/n and 5 SE)")
+    return worst, ("crossing-level law and mean overshoot vs empirical crossing levels "
+                   "(normalized to 5 SE + 1/n and 5 SE)")
 
 
-def _check_functional_mc(ctx: _Context) -> _CheckResult:
+@_check("functional-vs-mc", 1.0, "fluctuation.g1_star", "fluctuation.g2_star", "fluctuation.g_star",
+        "model.mark_sample")
+def _check_functional_mc(ctx: _Context) -> tuple[float, str]:
     """G1 and G2 (and exact additivity) from the shared crossing sample at args_fast; G1 on a smaller tagged sample."""
-    covers = ("fluctuation.g1_star", "fluctuation.g2_star", "fluctuation.g_star", "model.mark_sample")
     model = ctx.model
     worst = 0.0
     details = []
@@ -672,42 +619,14 @@ def _check_functional_mc(ctx: _Context) -> _CheckResult:
     if fast["G"].mean != fast["G1"].mean + fast["G2"].mean:
         worst = max(worst, 2.0)
         details.append("additivity violated")
-    return _CheckResult("functional-vs-mc", worst <= 1.0, worst, 1.0, covers,
-                        "; ".join(details))
-
-
-_CHECKS = (
-    _check_increment_pgf,
-    _check_split_window,
-    _check_increment_transform_mc,
-    _check_contraction,
-    _check_window_transforms_mc,
-    _check_series_roundtrip,
-    _check_series_paths,
-    _check_transform_chain,
-    _check_partition,
-    _check_inversion_pairs,
-    _check_time_domain_inversion,
-    _check_time_domain_laws,
-    _check_pgf_extraction,
-    _check_gamma_cdf,
-    _check_gh_limits,
-    _check_dist_table,
-    _check_mc_joint,
-    _check_survival_mc,
-    _check_overshoot_pmf,
-    _check_functional_mc,
-)
+    return worst, "; ".join(details)
 
 
 def _model_echo(model: ProcessModel) -> dict:
-    marks: dict
     if isinstance(model.marks, Geometric):
         marks = {"geometric": {"a": model.marks.a}}
-    elif isinstance(model.marks, GeneralDiscrete):
+    else:  # a GeneralDiscrete: any other law fails in mark_pgf before the report is built
         marks = {"pmf": [float(p) for p in model.marks.pmf]}
-    else:
-        marks = {"law": type(model.marks).__name__}
     recurring = model.observation.recurring
     obs = {
         "recurring": type(recurring).__name__,

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import crosswatch
-from crosswatch import cli, closedform, fluctuation, model, montecarlo, series, validation
+from crosswatch import cli, closedform, fluctuation, model, montecarlo, series, transforms, validation
 
 MODULES = [info.name for info in pkgutil.iter_modules(crosswatch.__path__)]
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -38,6 +38,7 @@ class TestPublicApi:
                          "coeff_g", "coeff_h", "joint_dist"),
             montecarlo: ("estimate_functional", "estimate_f1_star", "estimate_f2_star", "JointEstimate"),
             validation: ("ANALYTIC_OPS", "CLOSED_FORM_OPS"),
+            transforms: ("psi", "ConvolutionSpec", "gamma_is_contractive"),
         }
         for module, names in removed.items():
             for name in names:

@@ -431,8 +431,15 @@ class TestValidate:
         code, out, err = _run(capsys, ["validate", "--config", cfg])
         assert code in (0, 1)
         assert "Traceback" not in err
-        report = json.loads(out)
+
+        def reject(constant):
+            raise AssertionError(f"{constant} is not strict JSON")
+
+        report = json.loads(out, parse_constant=reject)
         assert report["n_paths"] == 1_000
+        # an infinite observation is written as null, and its check fails
+        unbounded = [c for c in report["checks"] if c["observed"] is None]
+        assert unbounded and all(c["margin"] is None and not c["passed"] for c in unbounded)
 
     def test_perturbation_needs_the_closed_forms(self, capsys, tmp_path):
         # an Exp-start model runs no closed form, so a shift would test nothing

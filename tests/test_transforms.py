@@ -1,8 +1,5 @@
-"""Window transforms: compound PGF, split-window convolution, per-epoch
-transform, contraction predicate, and the two-window functionals.
-
-The quadrature oracles here integrate the defining expressions directly
-with scipy; the module under test never touches a quadrature routine.
+"""Window transforms: compound PGF, per-epoch transform, its contraction,
+and the two-window functionals.
 """
 
 import cmath
@@ -13,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import integrate
 
 from crosswatch.errors import DomainError, UnsupportedLawError
 from crosswatch.model import (
@@ -27,16 +23,7 @@ from crosswatch.model import (
     delay_lst,
     mark_pgf,
 )
-from crosswatch.transforms import (
-    ConvolutionSpec,
-    f1_star,
-    f2_star,
-    gamma,
-    gamma_is_contractive,
-    lst_divided_diff,
-    phi,
-    psi,
-)
+from crosswatch.transforms import f1_star, f2_star, gamma, lst_divided_diff, phi
 
 
 def _model(rate=1.0, a=0.5, mu=1.0, m=3, initial=None):
@@ -98,46 +85,6 @@ class TestPhi:
         assert abs(draws.mean() - phi(std_model, z, s).real) < 5 * se
 
 
-class TestPsi:
-    def _quad_oracle(self, model, spec):
-        def f(t):
-            val = (
-                cmath.exp(-spec.theta * t)
-                * phi(model, spec.b_arg, t)
-                * phi(model, spec.c_arg, spec.horizon - t)
-            )
-            return val
-
-        re, _ = integrate.quad(lambda t: f(t).real, 0.0, spec.horizon, limit=200)
-        im, _ = integrate.quad(lambda t: f(t).imag, 0.0, spec.horizon, limit=200)
-        return complex(re, im)
-
-    def test_against_quadrature_grid(self):
-        model = _model(rate=1.3, a=0.4, mu=2.0)
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            spec = ConvolutionSpec(
-                b_arg=complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.3, 0.3)),
-                c_arg=complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.3, 0.3)),
-                theta=rng.uniform(0.0, 2.0),
-                horizon=rng.uniform(0.1, 4.0),
-            )
-            want = self._quad_oracle(model, spec)
-            got = psi(model, spec)
-            assert got == pytest.approx(want, rel=1e-8, abs=1e-12)
-
-    def test_coincident_arguments_are_removable(self):
-        # b_arg = c_arg makes the denominator vanish identically
-        model = _model()
-        spec = ConvolutionSpec(b_arg=0.5, c_arg=0.5, theta=0.7, horizon=2.0)
-        want = self._quad_oracle(model, spec)
-        assert psi(model, spec) == pytest.approx(want, rel=1e-9)
-
-    def test_zero_horizon(self):
-        model = _model()
-        assert psi(model, ConvolutionSpec(b_arg=0.3, c_arg=0.8, horizon=0.0)) == pytest.approx(0.0)
-
-
 class TestGamma:
     def test_exponential_gap_value(self):
         # L(theta + lam(1 - g(z))) with mu=2, lam=1, z=0.5, theta=0:
@@ -160,15 +107,7 @@ class TestGamma:
 
 
 class TestContraction:
-    def test_inside_disk_zero_damping(self, std_model):
-        assert gamma_is_contractive(std_model, 0.9, 0.0)
-
-    def test_unit_circle_positive_damping(self, std_model):
-        z = cmath.exp(0.7j)
-        assert gamma_is_contractive(std_model, z, 0.1)
-
     def test_boundary_fixed_point(self, std_model):
-        assert not gamma_is_contractive(std_model, 1.0, 0.0)
         assert abs(gamma(std_model, "recurring", 1.0, 0.0) - 1.0) < 1e-12
 
     @given(
@@ -179,8 +118,7 @@ class TestContraction:
     def test_norm_strictly_below_one(self, r, phase, theta):
         model = _model(rate=1.7, a=0.3, mu=0.8)
         z = r * cmath.exp(1j * phase)
-        if gamma_is_contractive(model, z, theta):
-            assert abs(gamma(model, "recurring", z, theta)) < 1.0
+        assert abs(gamma(model, "recurring", z, theta)) < 1.0
 
 
 class TestWindowFunctionals:

@@ -10,9 +10,9 @@ import math
 import pytest
 from conftest import geometric_model
 
-from crosswatch import closedform, timedomain, validation
+from crosswatch import closedform, timedomain, transforms, validation
 from crosswatch.closedform import _family
-from crosswatch.errors import DomainError
+from crosswatch.errors import DomainError, TableInvariantError
 from crosswatch.model import (
     DegenerateZero,
     Exponential,
@@ -43,7 +43,6 @@ ALL_CHECKS = [
     "time-domain-inversion-agreement",
     "time-domain-law-agreement",
     "transform-chain-agreement",
-    "window-transform-quadrature",
     "window-transforms-vs-mc",
 ]
 
@@ -306,3 +305,49 @@ class TestTransformChainCheck:
         ctx = validation._Context(model=model, c=_family(model), seed=0, n_paths=1_000)
         result = validation._check_transform_chain(ctx)
         assert math.isfinite(result.observed)
+
+
+class TestSinglePassRule:
+    @pytest.fixture(scope="class")
+    def reports(self, std_report, std_model):
+        # one passing report and two failing ones: a perturbed c, and M = 50
+        return [
+            std_report,
+            run_battery(std_model, seed=0, c_shift=1e-3, n_paths=5_000),
+            run_battery(geometric_model(50), seed=0, n_paths=1_000),
+        ]
+
+    def test_passed_is_observed_within_tolerance(self, reports):
+        assert [r["all_passed"] for r in reports] == [True, False, False]
+        for report in reports:
+            for check in report["checks"]:
+                if check["skipped"]:
+                    continue
+                if check["observed"] is None:  # non-finite, written as null
+                    assert not check["passed"] and check["margin"] is None, check["name"]
+                    continue
+                assert check["passed"] == (check["observed"] <= check["tolerance"]), check["name"]
+                assert check["margin"] == check["tolerance"] - check["observed"], check["name"]
+
+    def test_each_check_is_registered_once(self):
+        names = [inspect.getclosurevars(check).nonlocals["name"] for check in validation._CHECKS]
+        assert len(names) == len(set(names))
+        assert sorted(names) == [name for name in ALL_CHECKS if name != "coverage-complete"]
+
+    def test_unit_norm_fails_the_contraction_bound(self, std_model, monkeypatch):
+        monkeypatch.setattr(transforms, "gamma", lambda model, which, z, theta: 1.0)
+        ctx = validation._Context(model=std_model, c=_family(std_model), seed=0, n_paths=1_000)
+        result = validation._check_contraction(ctx)
+        assert not result.passed
+        assert result.observed == math.inf and result.tolerance == 1.0
+
+    def test_invariant_violation_fails_the_table_check(self, std_model, monkeypatch):
+        def broken(model, t_grid, r_max):
+            raise TableInvariantError("row sum above one", cells=[(0, 1)])
+
+        monkeypatch.setattr(closedform, "dist_table", broken)
+        ctx = validation._Context(model=std_model, c=_family(std_model), seed=0, n_paths=1_000)
+        result = validation._check_dist_table(ctx)
+        assert not result.passed
+        assert (result.observed, result.tolerance) == (1.0, 1e-9)
+        assert "(0, 1)" in result.detail
