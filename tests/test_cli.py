@@ -68,12 +68,34 @@ class TestUsageErrors:
             cli.main(["survival", "--config", cfg, "--frobnicate"])
         assert excinfo.value.code == 64
 
-    def test_bad_grid_spec_exits_64(self, tmp_path):
-        cfg = _config(tmp_path, t_grid=[0.0, 1.0])
-        for spec in ("5:1:3", "0:1", "0:1:0", "-1:1:3"):
-            with pytest.raises(SystemExit) as excinfo:
-                cli.main(["survival", "--config", cfg, "--t-grid", spec])
-            assert excinfo.value.code == 64
+    @pytest.mark.parametrize("command, option, keys", [
+        ("survival", ["--t-grid", "0:2:3"], {"t_grid": [0.0, 1.0]}),
+        ("dist", ["--r-max", "6"], {"t_grid": [0.0, 1.0], "r_max": 5}),
+        ("functional", ["--check-mc", "1000"], {"args": {"theta": 1.0}}),
+        ("functional", ["--exponent-form", "tau"], {"args": {"theta": 1.0}}),
+    ], ids=["t-grid", "r-max", "check-mc", "exponent-form"])
+    def test_removed_option_exits_64(self, capsys, tmp_path, command, option, keys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([command, "--config", _config(tmp_path, **keys), *option])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 64
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(option)}" in captured.err
+
+    @pytest.mark.parametrize("command, keys", [
+        ("dist", {"t_grid": [0.0, 1.0], "r_max": 5}),
+        ("survival", {"t_grid": [0.0, 1.0]}),
+        ("functional", {"args": {"theta": 1.0}}),
+        ("simulate", {"n_paths": 1_000}),
+        ("predict", {"horizon": 1.0, "t_steps": 2}),
+    ], ids=["dist", "survival", "functional", "simulate", "predict"])
+    def test_perturbation_flag_is_validate_only(self, capsys, tmp_path, command, keys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([command, "--config", _config(tmp_path, **keys), "--seed", "3", "--perturb-c", "1e-3"])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 64
+        assert captured.out == ""
+        assert "--perturb-c applies to validate only" in captured.err
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = _run(capsys, ["survival", "--config", str(tmp_path / "nope.json")])
@@ -119,10 +141,12 @@ class TestUsageErrors:
         assert "functional" in err
 
     def test_functional_rejects_unknown_which(self, capsys, tmp_path):
-        cfg = _config(tmp_path, args={"theta": 1.0}, which="all")
-        code, _, err = _run(capsys, ["functional", "--config", cfg])
+        # "which" is no longer a key: every G1/G2/G value is in the payload
+        cfg = _config(tmp_path, args={"theta": 1.0}, which="G")
+        code, out, err = _run(capsys, ["functional", "--config", cfg])
         assert code == 64
-        assert "which" in err
+        assert out == ""
+        assert "unknown config key(s) ['which']" in err
 
     def test_functional_needs_args(self, capsys, tmp_path):
         cfg = _config(tmp_path)
@@ -164,6 +188,7 @@ NUMBER_FIELDS = [
     ("functional", {"args": {"theta": 1.0}}, ("args", "theta")),
     ("functional", {"args": {"theta": 1.0, "y": 0.5}}, ("args", "y")),
     ("simulate", {"n_paths": 1_000, "args": {"theta": 1.0}}, ("args", "theta")),
+    # perturb_c is no longer a key (the flag is its one source): refused whatever its value
     ("validate", {"n_paths": 1_000, "perturb_c": 0.0}, ("perturb_c",)),
 ]
 
@@ -211,20 +236,20 @@ class TestParser:
         cli._build_parser.cache_clear()
         code, first, _ = _run(capsys, ["survival", "--config", cfg])
         assert code == 0
-        code, piped, _ = _run(capsys, ["survival", "--t-grid", "0:2:3", "--seed", "7",
-                                       "--out", str(out_path), "--config", cfg])
+        code, piped, _ = _run(capsys, ["survival", "--seed", "7", "--out", str(out_path), "--config", cfg])
         assert code == 0 and piped == ""
-        assert len(out_path.read_text().strip().split("\n")) == 1 + 3
+        assert out_path.read_text() == first
         code, again, _ = _run(capsys, ["survival", "--config", cfg])
         assert code == 0
         assert again == first
 
     def test_options_may_precede_the_command(self, capsys, tmp_path):
-        cfg = _config(tmp_path, t_grid=[0.0, 1.0], r_max=5)
-        after = _run(capsys, ["dist", "--config", cfg, "--r-max", "6"])
-        before = _run(capsys, ["--config", cfg, "--r-max", "6", "dist"])
-        assert after[0] == 0
-        assert before == after
+        cfg = _config(tmp_path, n_paths=1_000)
+        paths = [tmp_path / "after.csv", tmp_path / "before.csv"]
+        after = _run(capsys, ["simulate", "--config", cfg, "--seed", "6", "--out", str(paths[0])])
+        before = _run(capsys, ["--seed", "6", "--out", str(paths[1]), "--config", cfg, "simulate"])
+        assert after == before == (0, "", "")
+        assert paths[0].read_text() == paths[1].read_text()
 
     def test_help_lists_every_command(self):
         root = Path(__file__).resolve().parents[1]
@@ -250,23 +275,20 @@ class TestDist:
         probs = [float(line.split(",")[2]) for line in lines[1:]]
         assert all(0.0 <= p <= 1.0 for p in probs)
 
-    def test_grid_flag_overrides_config(self, capsys, tmp_path):
-        cfg = _config(tmp_path, t_grid=[0.0, 0.5, 1.0], r_max=4)
-        code, out, _ = _run(capsys, ["dist", "--config", cfg, "--t-grid", "0:2:5"])
-        assert code == 0
-        assert len(out.strip().split("\n")) == 1 + 5 * 5
-
-    def test_r_max_flag_overrides_config(self, capsys, tmp_path):
-        cfg = _config(tmp_path, t_grid=[0.0, 1.0], r_max=4)
-        code, out, _ = _run(capsys, ["dist", "--config", cfg, "--r-max", "8"])
-        assert code == 0
-        assert len(out.strip().split("\n")) == 1 + 2 * 9
-
     def test_rerun_is_byte_identical(self, capsys, tmp_path):
         cfg = _config(tmp_path, t_grid=[0.0, 0.5, 1.0], r_max=6)
         _, first, _ = _run(capsys, ["dist", "--config", cfg])
         _, second, _ = _run(capsys, ["dist", "--config", cfg])
         assert first == second
+
+    @pytest.mark.parametrize("target", [("missing", "x.csv"), ()], ids=["missing-dir", "is-a-dir"])
+    def test_unwritable_out_exits_64(self, capsys, tmp_path, target):
+        out_path = str(tmp_path.joinpath(*target))
+        cfg = _config(tmp_path, t_grid=[0.0, 1.0], r_max=3)
+        code, out, err = _run(capsys, ["dist", "--config", cfg, "--out", out_path])
+        assert code == 64
+        assert out == ""
+        assert f"cannot write output {out_path!r}" in err
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         cfg = _config(tmp_path, t_grid=[0.0, 1.0], r_max=3)
@@ -307,51 +329,16 @@ class TestSurvival:
 
 class TestFunctional:
     def test_payload_structure_and_additivity(self, capsys, tmp_path):
-        cfg = _config(tmp_path, args={"theta": 0.7, "v": 0.8}, which="G")
+        cfg = _config(tmp_path, args={"theta": 0.7, "v": 0.8})
         code, out, _ = _run(capsys, ["functional", "--config", cfg])
         assert code == 0
         payload = json.loads(out)
+        assert set(payload) == {"schema_version", "args", "values"}
         assert payload["schema_version"] == 1
-        assert payload["which"] == "G"
-        assert payload["exponent_form"] == "delta"
         assert payload["args"]["theta"] == 0.7
         assert payload["args"]["u"] == 1.0
-        g1 = complex(payload["values"]["G1"]["re"], payload["values"]["G1"]["im"])
-        g2 = complex(payload["values"]["G2"]["re"], payload["values"]["G2"]["im"])
-        g = complex(payload["value"]["re"], payload["value"]["im"])
+        g1, g2, g = (complex(payload["values"][k]["re"], payload["values"][k]["im"]) for k in ("G1", "G2", "G"))
         assert abs(g - (g1 + g2)) < 1e-12
-
-    def test_default_which_is_combined(self, capsys, tmp_path):
-        cfg = _config(tmp_path, args={"theta": 1.0})
-        code, out, _ = _run(capsys, ["functional", "--config", cfg])
-        assert code == 0
-        assert json.loads(out)["which"] == "G"
-
-    def test_tau_form_matches_shifted_delta_form(self, capsys, tmp_path):
-        # exp(-w tau_pre - x tau_cross) == exp(-(w+x) tau_pre - x (tau_cross - tau_pre))
-        tau_cfg = _config(tmp_path, "tau.json", args={"theta": 0.9, "w": 0.2, "x": 0.1})
-        delta_cfg = _config(tmp_path, "delta.json", args={"theta": 0.9, "w": 0.3, "x": 0.1})
-        _, tau_out, _ = _run(capsys, ["functional", "--config", tau_cfg,
-                                      "--exponent-form", "tau"])
-        _, delta_out, _ = _run(capsys, ["functional", "--config", delta_cfg])
-        tau_val = json.loads(tau_out)["value"]
-        delta_val = json.loads(delta_out)["value"]
-        assert tau_val == delta_val
-
-    def test_check_mc_agrees_with_analytic_value(self, capsys, tmp_path):
-        cfg = _config(tmp_path, args={"theta": 0.7})
-        code, out, _ = _run(capsys, ["functional", "--config", cfg,
-                                     "--check-mc", "4000", "--seed", "1"])
-        assert code == 0
-        payload = json.loads(out)
-        for key in ("G1", "G2", "G"):
-            check = payload["check_mc"][key]
-            assert set(check) == {"mean", "std_error", "n", "ci95"}
-            assert check["n"] == 4000
-            lo, hi = check["ci95"]
-            assert lo <= check["mean"] <= hi
-            exact = payload["values"][key]["re"]
-            assert abs(check["mean"] - exact) < 6.0 * check["std_error"] + 1e-4
 
 
 class TestSimulate:
@@ -375,13 +362,6 @@ class TestSimulate:
         assert code == 0
         names = [line.split(",")[0] for line in out.strip().split("\n")[1:]]
         assert names[-3:] == ["G1", "G2", "G"]
-
-    def test_check_mc_flag_sets_path_count(self, capsys, tmp_path):
-        cfg = _config(tmp_path, n_paths=2000)
-        code, out, _ = _run(capsys, ["simulate", "--config", cfg, "--check-mc", "1500"])
-        assert code == 0
-        first = out.strip().split("\n")[1]
-        assert first.split(",")[3] == "1500"
 
     def test_rerun_is_byte_identical(self, capsys, tmp_path):
         cfg = _config(tmp_path, n_paths=3000, args={"theta": 0.5, "v": 0.9})
@@ -419,11 +399,20 @@ class TestValidate:
             "pgf-extraction-consistency", "time-domain-inversion-agreement"
         ]
 
-    def test_perturbation_config_key(self, capsys, tmp_path):
+    def test_perturbation_key_rejected(self, capsys, tmp_path):
         cfg = _config(tmp_path, n_paths=10_000, perturb_c=1e-3)
-        code, _, err = _run(capsys, ["validate", "--config", cfg])
-        assert code == 1
-        assert "time-domain-inversion-agreement" in err
+        code, out, err = _run(capsys, ["validate", "--config", cfg])
+        assert code == 64
+        assert out == ""
+        assert "unknown config key(s) ['perturb_c']" in err
+
+    @pytest.mark.parametrize("eps", ["inf", "nan"])
+    def test_non_finite_perturbation_exits_64(self, capsys, tmp_path, eps):
+        cfg = _config(tmp_path, n_paths=1_000)
+        code, out, err = _run(capsys, ["validate", "--config", cfg, "--perturb-c", eps])
+        assert code == 64
+        assert out == ""
+        assert "--perturb-c must be finite" in err
 
     def test_large_threshold_ends_with_a_report(self, capsys, tmp_path):
         # at M = 1000 and v = 0.3, g1_star underflows to 0 on the series route
@@ -560,6 +549,23 @@ class TestFailureExitCodes:
         code, _, err = _run(capsys, ["simulate", "--config", cfg])
         assert code == 4
         assert "divergence" in err
+
+
+    @pytest.mark.parametrize("command, target, keys", [
+        ("simulate", (cli.montecarlo, "_crossing_sample"), {"n_paths": 1_000}),
+        ("predict", (cli.timedomain, "_survival_laws"), {"horizon": 1.0, "t_steps": 3}),
+    ], ids=["simulate", "predict"])
+    def test_out_of_memory_maps_to_64(self, capsys, tmp_path, monkeypatch, command, target, keys):
+        # stands in for an oversized size key; whether a huge request fails at
+        # once depends on the host's overcommit policy, so nothing is allocated
+        def boom(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
+
+        monkeypatch.setattr(*target, boom)
+        code, out, err = _run(capsys, [command, "--config", _config(tmp_path, **keys)])
+        assert code == 64
+        assert out == ""
+        assert err == "error: out of memory: Unable to allocate 7.28 TiB for an array with shape (1000000000000,)\n"
 
 
 class TestRuntimeDependencies:

@@ -1,4 +1,5 @@
-"""Every narrative demo, and the README's Python code, runs to completion as a script."""
+"""Every narrative demo, and the README's Python code, runs to completion as a script;
+the README names only commands and options the CLI has."""
 
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from crosswatch import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -38,3 +41,12 @@ def test_readme_python_blocks_run():
     assert len(blocks) == 2
     result = _run_python(["-c", "\n".join(blocks)])
     assert result.returncode == 0, result.stderr[-2000:]
+
+
+def test_readme_names_only_live_cli_options_and_commands():
+    # pip's own flags are the one other tool's options the README shows
+    text = "\n".join(line for line in (ROOT / "README.md").read_text().splitlines() if "pip install" not in line)
+    options = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", text))
+    assert options and options <= set(cli._build_parser()._option_string_actions)
+    commands = set(re.findall(r"(?<!from )crosswatch ([a-z]\w*)", text))
+    assert commands and commands <= set(cli._COMMANDS)

@@ -427,12 +427,13 @@ class TestSampleCount:
         assert [line.split(",")[0] for line in capsys.readouterr().out.splitlines()[-3:]] == ["G1", "G2", "G"]
         assert calls == [5_000, 5_000]
 
-    def test_functional_check_mc_draws_one_sample(self, tmp_path, monkeypatch, capsys):
+    def test_functional_draws_no_sample(self, tmp_path, monkeypatch, capsys):
+        # its Monte Carlo check is `simulate` on the same args
         model = {"lambda": 1.0, "marks": {"pmf": [0.0, 0.5, 0.3, 0.2]}, "obs": {"mu": 1.0, "initial": "zero"},
                  "threshold": 3}
         config = tmp_path / "fun.json"
         config.write_text(json.dumps({"schema_version": 1, "model": model, "args": {"theta": 1.0, "y": 0.8}}))
         calls = _count_samples(monkeypatch)
-        assert cli.main(["functional", "--config", str(config), "--check-mc", "4000"]) == 0
-        assert sorted(json.loads(capsys.readouterr().out)["check_mc"]) == ["G", "G1", "G2"]
-        assert calls == [4_000]
+        assert cli.main(["functional", "--config", str(config), "--seed", "4"]) == 0
+        assert sorted(json.loads(capsys.readouterr().out)["values"]) == ["G", "G1", "G2"]
+        assert calls == []
