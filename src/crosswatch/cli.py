@@ -214,7 +214,7 @@ def cmd_survival(ns, config: dict, model: ProcessModel) -> int:
     pre, cross = timedomain._survival_laws(model, grid)
     lines = ["t,survival_pre,survival_cross"]
     lines.extend(
-        f"{_fmt(t)},{_fmt(p)},{_fmt(c)}" for t, p, c in zip(grid, pre, cross)
+        f"{_fmt(t)},{_fmt(p)},{_fmt(c)}" for t, p, c in zip(grid.tolist(), pre.tolist(), cross.tolist())
     )
     _write_output(ns, "\n".join(lines) + "\n")
     return _EXIT_OK
@@ -230,8 +230,7 @@ def cmd_functional(ns, config: dict, model: ProcessModel) -> int:
     if "args" not in config:
         raise ConfigError('functional needs an "args" object')
     args = _parse_args_section(config["args"])
-    g1 = fluctuation.g1_star(model, args)
-    g2 = fluctuation.g2_star(model, args)
+    g1, g2 = fluctuation._g_parts(model, args)
     values = {"G1": g1, "G2": g2, "G": g1 + g2}
     payload = {
         "schema_version": 1,
@@ -294,14 +293,15 @@ def cmd_predict(ns, config: dict, model: ProcessModel) -> int:
     grid = np.linspace(0.0, horizon, t_steps) if horizon > 0 else np.array([0.0])
 
     precrash, cross = timedomain._survival_laws(model, grid)
-    crash = 1.0 - cross
+    times = grid.tolist()
 
     lines = ["quantity,arg,value"]
-    lines.extend(f"crash_prob,{_fmt(t)},{_fmt(p)}" for t, p in zip(grid, crash))
-    lines.extend(f"precrash_survival,{_fmt(t)},{_fmt(p)}" for t, p in zip(grid, precrash))
+    lines.extend(f"crash_prob,{_fmt(t)},{_fmt(p)}" for t, p in zip(times, (1.0 - cross).tolist()))
+    lines.extend(f"precrash_survival,{_fmt(t)},{_fmt(p)}" for t, p in zip(times, precrash.tolist()))
 
     m = model.threshold
     levels, expected = timedomain.crossing_level_law(model, m + 200)
+    levels = levels.tolist()
     # a level below the cut is skipped, not an end: a lattice pmf can dip and rise again
     lines.extend(
         f"overshoot_pmf,{r},{_fmt(levels[r])}" for r in range(m + 1, m + 201) if levels[r] >= 1e-9

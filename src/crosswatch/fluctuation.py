@@ -160,21 +160,34 @@ def _crossing_series(model: ProcessModel, args: TransformArgs, which: str, order
     return out.reshape(theta.shape + (order + 1,))
 
 
+def _part_sums(model: ProcessModel, args: TransformArgs, which: str) -> tuple[np.ndarray, list[list[complex]]]:
+    """theta as an array, and per entry the values of the window parts of ``which``."""
+    order = model.threshold
+    args.validate()
+    theta = np.asarray(args.theta, dtype=complex)
+    # the partial sum of (1 - s) X at the order is X_order
+    sums = [[complex(left @ right[::-1] + (0.0 if head is None else head[order])) for left, right, head in parts]
+            for parts in _exp_gap_factors(model, args, theta.reshape(-1).tolist(), which, order)]
+    return theta, sums
+
+
 def _window(model: ProcessModel, args: TransformArgs, which: str, lst: bool = False) -> complex | np.ndarray:
     """The window transform ``which``, or with ``lst`` 1 - theta times it, at each theta.
 
     A scalar theta is a batch of one and gives a complex; an ndarray gives an array of its shape.
     """
-    order = model.threshold
-    args.validate()
-    theta = np.asarray(args.theta, dtype=complex)
-    thetas, values = theta.reshape(-1).tolist(), []
-    for q, parts in zip(thetas, _exp_gap_factors(model, args, thetas, which, order)):
-        # the partial sum of (1 - s) X at the order is X_order
-        sums = [complex(left @ right[::-1] + (0.0 if head is None else head[order])) for left, right, head in parts]
+    theta, per_theta = _part_sums(model, args, which)
+    values = []
+    for q, sums in zip(theta.reshape(-1).tolist(), per_theta):
         g = sum(sums[1:], sums[0])
         values.append(1.0 - q * g if lst else g)
     return values[0] if theta.ndim == 0 else np.array(values).reshape(theta.shape)
+
+
+def _g_parts(model: ProcessModel, args: TransformArgs) -> tuple[complex, complex]:
+    """(G1, G2) at a scalar theta from one pass of ``g``: the values of ``g1_star`` and ``g2_star``."""
+    [(g1, g2)] = _part_sums(model, args, "g")[1]
+    return g1, g2
 
 
 def g1_star(model: ProcessModel, args: TransformArgs) -> complex | np.ndarray:

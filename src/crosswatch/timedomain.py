@@ -24,11 +24,14 @@ positive sums sum_{n <= M} P{N'(.) = n} F_n of Poisson-mixture counts:
   epochs, which thins into Poisson(lam' t) times a reciprocal moment of
   Poisson((mu - lam') t).
 
-Each time costs one pass over a Poisson window of width O(sqrt(lam t)) that
-is cut to O(M): a window that starts above the support of F is summed in
-closed form or dropped, so no array grows with lam t.  No transform is
-inverted and every term is positive, so tiny probabilities keep their
-relative accuracy.
+Each time builds one Poisson(lam' t) window of width O(sqrt(lam t)), cut to
+O(M), and both laws are dot products of weight vectors with it: w (and, for
+an Exp(eta) first gap, its smoothing over Exp(eta)) for tau_pre and the
+uniformised weights for tau_cross, which are built once per grid.  Only an
+Exp(eta) first gap unlike the recurring ones needs a second window, at rate
+lam' + eta.  A window that starts above the support of F is summed in closed
+form or dropped, so no array grows with lam t.  No transform is inverted and
+every term is positive, so tiny probabilities keep their relative accuracy.
 
 The crossing level follows the embedded chain of looks: the level seen at
 look 0 has law iota (a point mass at 0 for a zero start), and each gap adds
@@ -136,63 +139,63 @@ def _sum_cdf(model: ProcessModel) -> np.ndarray:
     return out
 
 
-def _next_look(tails: np.ndarray, lam: float, rate: float, grid: np.ndarray) -> np.ndarray:
-    """sum_n P{N'(t + E) = n} F_n over the grid, E ~ Exp(rate), N' Poisson(lam)."""
-    big_m, q = tails.size - 1, lam / (lam + rate)
-    # w_j = E[F_{j + N'(E)}], N'(E) geometric(q), by one backward recursion
-    w, acc = np.empty(big_m + 1), 0.0
-    for n in range(big_m, -1, -1):
-        w[n] = acc = (1.0 - q) * tails[n] + q * acc
-    out = np.zeros(grid.size)
-    for i, t in enumerate(grid):
-        u = _poisson_pmf(lam * float(t), big_m)
-        if u is not None:
-            out[i] = (u[: big_m + 1] @ w) / u.sum()
-    return out
+def _smoothing(tails: list, q: float) -> np.ndarray:
+    """w_j = E[F_{j + G}], G geometric(q), by one backward recursion."""
+    w, acc = [], 0.0
+    for f in reversed(tails):
+        acc = (1.0 - q) * f + q * acc
+        w.append(acc)
+    return np.array(w[::-1])
 
 
-def _last_look(tails: np.ndarray, lam: float, mu: float, grid: np.ndarray) -> np.ndarray:
-    """sum_n W_n(t) F_n, W_n(t) = int_0^t mu e^{-mu (t - u)} P{N'(u) = n} du.
+def _look_sums(tails: np.ndarray, lam: float, mu: float, grid: np.ndarray, rates: Sequence[float] = (),
+               last: bool = True) -> tuple[list[np.ndarray], np.ndarray]:
+    """Over the grid, sum_n P{N'(t + E) = n} F_n for E ~ Exp(r), r in rates, and with last
+    sum_n W_n(t) F_n, W_n(t) = int_0^t mu e^{-mu (t - u)} P{N'(u) = n} du; N' Poisson(lam).
 
     W_n(t) = P{N'(L) = n, L > 0} for L the last epoch at or before t of a
-    Poisson(mu) stream, N' Poisson(lam).
+    Poisson(mu) stream.  Every sum at t weights the same Poisson(lam t) window.
     """
-    big_m = tails.size - 1
-    out = np.zeros(grid.size)
-    if lam >= mu:
+    big_m, f = tails.size - 1, tails.tolist()
+    weights = [_smoothing(f, lam / (lam + r)) for r in rates]
+    times = grid.tolist()
+    windows = [_poisson_pmf(lam * t, big_m + 1) for t in times]
+    fast = last and lam >= mu
+    if fast:
         # W_n = rho sum_{k > n} P{N'(t) = k} g^{k-1-n}, g = 1 - rho, so the
         # sum is rho sum_k P{N'(t) = k} V_k with V_k = F_{k-1} + g V_{k-1}
         rho, g = mu / lam, (lam - mu) / lam
-        v = np.zeros(big_m + 2)
-        for k in range(1, big_m + 2):
-            v[k] = tails[k - 1] + g * v[k - 1]
-        for i, t in enumerate(grid):
-            x = lam * float(t)
-            u = _poisson_pmf(x, big_m + 1)
-            if u is not None:
-                # V_k = g^{k-M-1} V_{M+1} past the support of F
-                ext = np.concatenate((v[1:], v[-1] * g ** np.arange(1.0, u.size - big_m - 1)))
-                out[i] = rho * (u[1:] @ ext) / u.sum()
-            elif g > 0.0:
+        v = [0.0]
+        for f_k in f:
+            v.append(f_k + g * v[-1])
+        # V_k = g^{k-M-1} V_{M+1} past the support of F, out to the widest window
+        width = max((u.size for u in windows if u is not None), default=big_m + 2)
+        ext = np.concatenate((v[1:], v[-1] * g ** np.arange(1.0, width - big_m - 1)))
+    nexts, out = [np.zeros(grid.size) for _ in rates], np.zeros(grid.size)
+    for i, (t, u) in enumerate(zip(times, windows)):
+        if u is None:
+            if fast and g > 0.0:
                 # every P{N'(t) = k <= M+1} is negligible: only the geometric tail
                 # T = sum_{k > M} P{N'(t) = k} g^{k-M-1}
-                #   = g^{-(M+1)} e^{-mu t} P{Poisson(g x) > M}
+                #   = g^{-(M+1)} e^{-mu t} P{Poisson(g lam t) > M}
                 # is left, and it is summed in closed form
-                upper = _poisson_tails(g * x, big_m + 1)[big_m + 1]
+                upper = _poisson_tails(g * (lam * t), big_m + 1)[big_m + 1]
                 if upper > 0.0:
-                    log_t = -mu * float(t) - (big_m + 1) * math.log(g) + math.log(upper)
+                    log_t = -mu * t - (big_m + 1) * math.log(g) + math.log(upper)
                     out[i] = rho * v[-1] * math.exp(min(log_t, 0.0))
-        return out
-    # Thinning the Poisson(mu t) look epochs of W_n = sum_{k >= 1} P{Poisson(mu t) = k}
-    # P{Bin(k - 1, sigma) = n}, sigma = lam / mu, into Poisson(lam t) and
-    # Poisson((mu - lam) t) parts gives W_n = P{N'(t) = n} mu t E[1 / (n + 1 + I)]
-    # with I ~ Poisson((mu - lam) t)
-    for i, t in enumerate(grid):
-        u = _poisson_pmf(lam * float(t), big_m)
-        if u is not None and t > 0.0:
-            means = _reciprocal_means((mu - lam) * float(t), big_m + 1)
-            out[i] = mu * float(t) * ((u[: big_m + 1] * means) @ tails) / u.sum()
-    return out
+            continue
+        total, head = u.sum(), u[: big_m + 1]
+        for w, row in zip(weights, nexts):
+            row[i] = (head @ w) / total
+        if fast:
+            out[i] = rho * (u[1:] @ ext[: u.size - 1]) / total
+        elif last and t > 0.0:
+            # Thinning the Poisson(mu t) look epochs of W_n = sum_{k >= 1} P{Poisson(mu t) = k}
+            # P{Bin(k - 1, sigma) = n}, sigma = lam / mu, into Poisson(lam t) and
+            # Poisson((mu - lam) t) parts gives W_n = P{N'(t) = n} mu t E[1 / (n + 1 + I)]
+            # with I ~ Poisson((mu - lam) t)
+            out[i] = mu * t * ((head * _reciprocal_means((mu - lam) * t, big_m + 1)) @ tails) / total
+    return nexts, out
 
 
 def _reciprocal_means(y: float, size: int) -> np.ndarray:
@@ -245,7 +248,7 @@ def survival_pre(model: ProcessModel, t_grid: Sequence[float] | np.ndarray) -> n
     t + E, E ~ Exp(mu); an Exp(eta) first gap still pending at t (chance
     e^{-eta t}) puts it at t + Exp(eta) instead.
     """
-    return _survival_pre(model, _times(t_grid), _sum_cdf(model))
+    return _survival_laws(model, t_grid, cross=False)[0]
 
 
 def survival_cross(model: ProcessModel, t_grid: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -257,33 +260,29 @@ def survival_cross(model: ProcessModel, t_grid: Sequence[float] | np.ndarray) ->
     e^{-eta u}, the same kernel for arrivals at rate lam' + eta with the
     n-th term scaled by (lam' / (lam' + eta))^n.
     """
-    return _survival_cross(model, _times(t_grid), _sum_cdf(model))
+    return _survival_laws(model, t_grid)[1]
 
 
-def _survival_laws(model: ProcessModel, t_grid: Sequence[float] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(P{tau_pre > t}, P{tau_cross > t}) from one computation of F_n."""
+def _survival_laws(model: ProcessModel, t_grid: Sequence[float] | np.ndarray,
+                   cross: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """(P{tau_pre > t}, P{tau_cross > t}), or without cross only the first, from one
+    computation of F_n and one Poisson(lam' t) window per time."""
     grid, tails = _times(t_grid), _sum_cdf(model)
-    return _survival_pre(model, grid, tails), _survival_cross(model, grid, tails)
-
-
-def _survival_pre(model: ProcessModel, grid: np.ndarray, tails: np.ndarray) -> np.ndarray:
-    lam, mu = _moving_rate(model), model.observation.recurring.rate
-    out = _next_look(tails, lam, mu, grid)
-    eta = _first_rate(model)
-    if eta is not None and eta != mu:
-        pending = np.exp(-eta * grid)
-        out = pending * _next_look(tails, lam, eta, grid) + -np.expm1(-eta * grid) * out
-    return np.minimum(out, 1.0)  # rounding can exceed 1 when all of N'(t)'s mass is <= M
-
-
-def _survival_cross(model: ProcessModel, grid: np.ndarray, tails: np.ndarray) -> np.ndarray:
     lam, mu, eta = _moving_rate(model), model.observation.recurring.rate, _first_rate(model)
-    out = np.exp(-(mu if eta is None else eta) * grid) + _last_look(tails, lam, mu, grid)
-    if eta is not None and eta != mu:
+    late = eta is not None and eta != mu  # an Exp(eta) first gap unlike the recurring ones
+    nexts, last = _look_sums(tails, lam, mu, grid, (mu, eta) if late else (mu,), cross)
+    pre = nexts[0]
+    if late:
+        pre = np.exp(-eta * grid) * nexts[1] + -np.expm1(-eta * grid) * pre
+    pre = np.minimum(pre, 1.0)  # rounding can exceed 1 when all of N'(t)'s mass is <= M
+    if not cross:
+        return pre, None
+    out = np.exp(-(mu if eta is None else eta) * grid) + last
+    if late:
         kappa = lam + eta
         scaled = tails * (lam / kappa) ** np.arange(tails.size)
-        out += (eta - mu) / mu * _last_look(scaled, kappa, mu, grid)
-    return np.clip(out, 0.0, 1.0)
+        out += (eta - mu) / mu * _look_sums(scaled, kappa, mu, grid)[1]
+    return pre, np.clip(out, 0.0, 1.0)
 
 
 def crossing_level_law(model: ProcessModel, r_max: int) -> tuple[np.ndarray, float]:

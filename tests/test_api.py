@@ -66,9 +66,10 @@ class TestPublicApi:
         tracer = tracing.Tracer()
         tracer.install()
         try:
+            assert fluctuation.g1_star is not original
             assert cli.main(["functional", "--config", str(config)]) == 0
         finally:
             tracer.uninstall()
         capsys.readouterr()
-        assert "fluctuation.g1_star" in {span.name for span in tracer.spans}
+        assert "model.load_model" in {span.name for span in tracer.spans}
         assert fluctuation.g1_star is original

@@ -514,7 +514,7 @@ class TestFailureExitCodes:
         def boom(*args, **kwargs):
             raise DivergenceError("outside the contraction region")
 
-        monkeypatch.setattr(cli.fluctuation, "g1_star", boom)
+        monkeypatch.setattr(cli.fluctuation, "_g_parts", boom)
         cfg = _config(tmp_path, args={"theta": 1.0})
         code, _, err = _run(capsys, ["functional", "--config", cfg])
         assert code == 4

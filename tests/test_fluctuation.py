@@ -211,6 +211,15 @@ class TestGStar:
         args = TransformArgs(theta=0.8, v=0.5, y=0.9)
         assert g_star(model, args) == g1_star(model, args) + g2_star(model, args)
 
+    @pytest.mark.parametrize("m", [3, 60])
+    @pytest.mark.parametrize("marks", [Geometric(0.5), GeneralDiscrete([0.0, 0.5, 0.3, 0.2])], ids=["geometric", "pmf"])
+    @pytest.mark.parametrize("initial", [DegenerateZero(), Exponential(0.6)], ids=["zero", "exp"])
+    def test_one_pass_gives_both_parts_bitwise(self, m, marks, initial):
+        model = ProcessModel(rate=1.0, marks=marks, observation=ObservationLaw(initial, Exponential(1.0)),
+                             threshold=m)
+        args = TransformArgs(theta=0.7, u=0.9, v=0.8, w=0.2, x=0.1, y=0.7)
+        assert fl._g_parts(model, args) == (g1_star(model, args), g2_star(model, args))
+
     def test_partition_identity(self, exp_initial_model):
         for model in (_std(), exp_initial_model):
             for theta in (0.1, 1.0, 10.0):

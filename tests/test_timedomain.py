@@ -303,6 +303,105 @@ class TestOneSumCdfPerCall:
         assert len(calls) == 1
 
 
+# ---------------------------------------------------------------------------
+# test-only reference: the kernel as it stood with one Poisson window per law and time
+
+
+def _ref_next_look(tails, lam, rate, grid):
+    big_m, q = tails.size - 1, lam / (lam + rate)
+    w, acc = np.empty(big_m + 1), 0.0
+    for n in range(big_m, -1, -1):
+        w[n] = acc = (1.0 - q) * tails[n] + q * acc
+    out = np.zeros(grid.size)
+    for i, t in enumerate(grid):
+        u = timedomain._poisson_pmf(lam * float(t), big_m)
+        if u is not None:
+            out[i] = (u[: big_m + 1] @ w) / u.sum()
+    return out
+
+
+def _ref_last_look(tails, lam, mu, grid):
+    big_m = tails.size - 1
+    out = np.zeros(grid.size)
+    if lam >= mu:
+        rho, g = mu / lam, (lam - mu) / lam
+        v = np.zeros(big_m + 2)
+        for k in range(1, big_m + 2):
+            v[k] = tails[k - 1] + g * v[k - 1]
+        for i, t in enumerate(grid):
+            x = lam * float(t)
+            u = timedomain._poisson_pmf(x, big_m + 1)
+            if u is not None:
+                ext = np.concatenate((v[1:], v[-1] * g ** np.arange(1.0, u.size - big_m - 1)))
+                out[i] = rho * (u[1:] @ ext) / u.sum()
+            elif g > 0.0:
+                upper = timedomain._poisson_tails(g * x, big_m + 1)[big_m + 1]
+                if upper > 0.0:
+                    log_t = -mu * float(t) - (big_m + 1) * math.log(g) + math.log(upper)
+                    out[i] = rho * v[-1] * math.exp(min(log_t, 0.0))
+        return out
+    for i, t in enumerate(grid):
+        u = timedomain._poisson_pmf(lam * float(t), big_m)
+        if u is not None and t > 0.0:
+            means = timedomain._reciprocal_means((mu - lam) * float(t), big_m + 1)
+            out[i] = mu * float(t) * ((u[: big_m + 1] * means) @ tails) / u.sum()
+    return out
+
+
+def _ref_laws(model, grid, tails):
+    lam, mu, eta = timedomain._moving_rate(model), model.observation.recurring.rate, timedomain._first_rate(model)
+    pre = _ref_next_look(tails, lam, mu, grid)
+    cross = np.exp(-(mu if eta is None else eta) * grid) + _ref_last_look(tails, lam, mu, grid)
+    if eta is not None and eta != mu:
+        pre = np.exp(-eta * grid) * _ref_next_look(tails, lam, eta, grid) + -np.expm1(-eta * grid) * pre
+        kappa = lam + eta
+        scaled = tails * (lam / kappa) ** np.arange(tails.size)
+        cross += (eta - mu) / mu * _ref_last_look(scaled, kappa, mu, grid)
+    return np.minimum(pre, 1.0), np.clip(cross, 0.0, 1.0)
+
+
+class TestOneWindowPerTime:
+    # moving rate lam' against the look rate mu: faster (with the far-tail closed form), equal, slower
+    RATES = {"fast": (2.0, 0.05), "equal": (1.0, 1.0), "slow": (0.5, 3.0)}
+    F0_PMF = (0.5, 0.3, 0.2)  # lam' = lam / 2 exactly
+
+    @pytest.mark.parametrize("marks", [0.5, F0_PMF], ids=["geometric", "pmf"])
+    @pytest.mark.parametrize("m", [0, 1, 3, 60, 300, 1000])
+    def test_matches_the_two_window_kernel(self, m, marks):
+        scale = 1.0 if isinstance(marks, float) else 1.0 / (1.0 - marks[0])
+        for regime, (moving, mu) in self.RATES.items():
+            lam = moving * scale
+            for first in (None, mu, 0.4):
+                model = _model(m, marks, lam, mu, first)
+                assert timedomain._moving_rate(model) == moving
+                mean = timedomain._mean_cross_time(model)
+                times = sorted([f * mean for f in (0.0, 0.1, 0.5, 1.0, 2.0)]
+                               + [800.0 / lam,  # lam t > 745: e^{-lam t} underflows
+                                  (10.0 * (m + 1) + 3000.0) / moving])  # lam' t far above M
+                grid = np.array(times)
+                got = timedomain._survival_laws(model, grid)
+                ref = _ref_laws(model, grid, timedomain._sum_cdf(model))
+                for name, a, b in zip(("pre", "cross"), got, ref):
+                    assert np.allclose(a, b, rtol=1e-14, atol=1e-300), (regime, first, name, a, b)
+                if regime == "fast":  # the far-tail time is summed in closed form, and is not 0
+                    assert timedomain._poisson_pmf(moving * times[-1], m + 1) is None and got[1][-1] > 0.0
+                if regime == "slow" and m > 0:  # E[1 / (c + I)] both from a direct sum and upward only
+                    assert (mu - moving) * times[1] < m + 1 < (mu - moving) * times[-1]
+
+    @pytest.mark.parametrize("first, per_time", [(None, 1), (1.0, 1), (2.5, 2)])
+    def test_one_window_per_time_and_law_pair(self, first, per_time, monkeypatch):
+        model = _model(60, 0.5, first=first)
+        grid = np.linspace(0.0, 2.0 * timedomain._mean_cross_time(model), 7)
+        calls = []
+        pmf = timedomain._poisson_pmf
+        monkeypatch.setattr(timedomain, "_poisson_pmf", lambda x, n_max: calls.append(x) or pmf(x, n_max))
+        timedomain._survival_laws(model, grid)
+        assert len(calls) == per_time * grid.size
+        calls.clear()
+        timedomain.survival_pre(model, grid)
+        assert len(calls) == grid.size
+
+
 class TestCommandLine:
     def test_large_threshold_survival_exits_zero(self, tmp_path, capsys):
         # Euler inversion exits 3 here: its error estimate at t = 620 is 5.4e-6
