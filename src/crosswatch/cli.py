@@ -42,7 +42,7 @@ from .errors import (
     TableInvariantError,
     UnsupportedLawError,
 )
-from .model import ProcessModel, TransformArgs, _config_number, load_model
+from .model import ProcessModel, TransformArgs, _config_number, _level_bound, _table_times, load_model
 from .validation import run_battery
 
 __all__ = ["main"]
@@ -149,11 +149,7 @@ def _parse_args_section(section) -> TransformArgs:
         raise ConfigError(f"unknown args key(s) {unknown}")
     if "theta" not in section:
         raise ConfigError('"args" needs at least "theta"')
-    values = {"u": 1.0, "v": 1.0, "w": 0.0, "x": 0.0, "y": 1.0}
-    for key in values:
-        if key in section:
-            values[key] = _config_number(section[key], f"args.{key}")
-    return TransformArgs(theta=_config_number(section["theta"], "args.theta"), **values)
+    return TransformArgs(**{key: _config_number(value, f"args.{key}") for key, value in section.items()})
 
 
 def _resolve_grid(config: Mapping) -> np.ndarray:
@@ -162,10 +158,10 @@ def _resolve_grid(config: Mapping) -> np.ndarray:
     raw = config["t_grid"]
     if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)) or not raw:
         raise ConfigError("t_grid must be a nonempty array of times")
-    grid = np.asarray([_config_number(v, "each t_grid entry") for v in raw])
-    if np.any(grid < 0.0) or np.any(np.diff(grid) < 0.0):
-        raise ConfigError("t_grid must be nonnegative and sorted")
-    return grid
+    try:
+        return _table_times([_config_number(v, "each t_grid entry") for v in raw])
+    except DomainError as exc:
+        raise ConfigError(f"bad t_grid: {exc}") from exc
 
 
 def _resolve_n_paths(config: Mapping) -> int:
@@ -193,11 +189,9 @@ def _write_output(ns, text: str) -> None:
 @_command("dist", "closed-form joint table P{A_nu=r, tau_pre>t}", "t_grid", "r_max")
 def cmd_dist(ns, config: dict, model: ProcessModel) -> int:
     grid = _resolve_grid(config)
-    r_max = config.get("r_max")
-    if r_max is None:
+    if config.get("r_max") is None:
         raise ConfigError('dist needs a level bound ("r_max" key)')
-    if isinstance(r_max, bool) or not isinstance(r_max, int) or r_max < 0:
-        raise ConfigError(f"r_max must be a nonnegative integer, got {r_max!r}")
+    r_max = _level_bound(config["r_max"])
     table = closedform.dist_table(model, grid, r_max)
     levels = [f",{r}," for r in range(r_max + 1)]
     lines = ["t,r,probability"]

@@ -48,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DivergenceError, DomainError, TableInvariantError
-from .model import Geometric, ProcessModel, _table_times
+from .model import Geometric, ProcessModel, _level_bound, _table_times
 from .series import d_inverse_double_geometric
 from .timedomain import _poisson_tails, crossing_level_law, survival_pre
 
@@ -65,7 +65,7 @@ def _family(model: ProcessModel) -> float:
     """The composite ratio c of a model in the family; DomainError for any other model."""
     if not isinstance(model.marks, Geometric):
         reason = "closed forms need geometric marks"
-    elif not model.initial_is_zero:
+    elif model.first_rate is not None:
         reason = "closed forms need the initial inspection at time zero"
     elif model.threshold < 1:
         reason = f"closed forms need a threshold of at least 1, got {model.threshold}"
@@ -214,12 +214,10 @@ def dist_table(model: ProcessModel, t_grid: Sequence[float] | np.ndarray, r_max:
     collected and raised, not returned.
     """
     _family(model)
-    grid = _table_times(t_grid)
-    if isinstance(r_max, bool) or not isinstance(r_max, (int, np.integer)) or r_max < 0:
-        raise DomainError(f"level bound must be a nonnegative integer, got {r_max!r}")
+    grid, r_max = _table_times(t_grid), _level_bound(r_max)
 
-    r_range = np.arange(int(r_max) + 1)
-    values = np.outer(survival_pre(model, grid), crossing_level_law(model, int(r_max))[0])
+    r_range = np.arange(r_max + 1)
+    values = np.outer(survival_pre(model, grid), crossing_level_law(model, r_max)[0])
 
     out_of_range = ~((values >= -_CLAMP_TOL) & (values <= 1.0 + _CLAMP_TOL))
     off_support = (r_range <= model.threshold) & (np.abs(values) > _CLAMP_TOL)

@@ -29,7 +29,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .errors import DivergenceError, DomainError
-from .model import DegenerateZero, ProcessModel, TransformArgs, _mark_pgf_rational
+from .model import ProcessModel, TransformArgs, _mark_pgf_rational
 from .series import series_from_rational
 from .transforms import SINGULARITY_TOL
 
@@ -106,7 +106,7 @@ def _exp_gap_factors(model: ProcessModel, args: TransformArgs, thetas: list, whi
     u, v, y = complex(args.u), complex(args.v), complex(args.y)
     w, x = complex(args.w), complex(args.x)
     uv, uvy = u * v, u * v * y
-    rho = None if isinstance(obs.initial, DegenerateZero) else obs.initial.rate
+    rho = model.first_rate
     # gamma(v s, x) = mu R(mu + lam + x, v), also the first factor of Gamma
     recurring_a = _r_series(model, mu + lam + x, v, order, "tail")
     if which != "g2":
@@ -150,7 +150,6 @@ def _exp_gap_factors(model: ProcessModel, args: TransformArgs, thetas: list, whi
 
 def _crossing_series(model: ProcessModel, args: TransformArgs, which: str, order: int) -> np.ndarray:
     """Coefficients 0..order of the G1 (``"g1"``) or G2 (``"g2"``) integrand in s, per theta."""
-    args.validate()
     theta = np.asarray(args.theta, dtype=complex)
     out = np.array([
         _mul(left, right, order) + (0.0 if head is None else head)
@@ -163,7 +162,6 @@ def _crossing_series(model: ProcessModel, args: TransformArgs, which: str, order
 def _part_sums(model: ProcessModel, args: TransformArgs, which: str) -> tuple[np.ndarray, list[list[complex]]]:
     """theta as an array, and per entry the values of the window parts of ``which``."""
     order = model.threshold
-    args.validate()
     theta = np.asarray(args.theta, dtype=complex)
     # the partial sum of (1 - s) X at the order is X_order
     sums = [[complex(left @ right[::-1] + (0.0 if head is None else head[order])) for left, right, head in parts]

@@ -14,6 +14,7 @@ transform of each delay law.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
@@ -65,26 +66,15 @@ class Geometric:
 
 @dataclass(frozen=True, eq=False)
 class GeneralDiscrete:
-    """Finite-support mark law: ``pmf[k]`` is the probability of mark ``k``.
-
-    Accepts a sequence indexed by mark size or a ``{mark: prob}`` mapping.
-    """
+    """Finite-support mark law: ``pmf[k]`` is the probability of mark ``k``."""
 
     pmf: np.ndarray
 
     def __init__(self, pmf):
-        if isinstance(pmf, Mapping):
-            size = max(pmf) + 1
-            vec = np.zeros(size)
-            for k, p in pmf.items():
-                if not (isinstance(k, (int, np.integer)) and k >= 0):
-                    raise DomainError(f"mark support must be nonnegative integers, got {k!r}")
-                vec[k] = p
-        else:
-            vec = np.asarray(pmf, dtype=float)
+        vec = np.asarray(pmf, dtype=float)
         if vec.ndim != 1 or vec.size == 0:
             raise DomainError("pmf must be a nonempty vector")
-        if np.any(vec < 0.0) or abs(vec.sum() - 1.0) > 1e-9:
+        if not (np.all(vec >= 0.0) and abs(vec.sum() - 1.0) <= 1e-9):  # a NaN fails too
             raise DomainError("pmf entries must be nonnegative and sum to 1")
         vec = vec / vec.sum()
         vec.setflags(write=False)
@@ -94,23 +84,6 @@ class GeneralDiscrete:
 MarkLaw = Union[Geometric, GeneralDiscrete]
 
 
-def mark_pgf(law: MarkLaw, z: complex) -> complex:
-    """Probability generating function E[z**mark] of a mark law."""
-    z = complex(z)
-    if isinstance(law, Geometric):
-        denom = 1.0 - law.b * z
-        if abs(denom) < _UNIT_TOL:
-            raise DomainError("geometric pgf evaluated at its pole z = 1/b")
-        return law.a * z / denom
-    if isinstance(law, GeneralDiscrete):
-        # Horner evaluation of sum_k pmf[k] z^k.
-        acc = 0.0 + 0.0j
-        for p in law.pmf[::-1]:
-            acc = acc * z + p
-        return acc
-    raise UnsupportedLawError(f"unknown mark law {type(law).__name__}")
-
-
 def _mark_pgf_rational(law: MarkLaw) -> tuple[list[float], list[float]]:
     """The mark PGF as (numerator, denominator) coefficients, ascending in z."""
     if isinstance(law, Geometric):
@@ -118,6 +91,23 @@ def _mark_pgf_rational(law: MarkLaw) -> tuple[list[float], list[float]]:
     if isinstance(law, GeneralDiscrete):
         return law.pmf.tolist(), [1.0]
     raise UnsupportedLawError(f"unknown mark law {type(law).__name__}")
+
+
+def _horner(coeffs: list[float], z: complex) -> complex:
+    acc = 0.0 + 0.0j
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def mark_pgf(law: MarkLaw, z: complex) -> complex:
+    """Probability generating function E[z**mark] of a mark law, as N(z) / D(z)."""
+    z = complex(z)
+    num, den = _mark_pgf_rational(law)
+    denom = _horner(den, z)
+    if abs(denom) < _UNIT_TOL:
+        raise DomainError(f"mark pgf evaluated at its pole z = {z}")
+    return _horner(num, z) / denom
 
 
 def mark_mean(law: MarkLaw) -> float:
@@ -211,7 +201,8 @@ class ProcessModel:
     rate : float
         Arrival intensity of the marked Poisson stream (lambda > 0).
     marks : MarkLaw
-        Law of the integer mark attached to each arrival.
+        Law of the integer mark attached to each arrival; any other type
+        raises :class:`UnsupportedLawError` on construction.
     observation : ObservationLaw
         Laws of the initial and recurring inspection gaps.
     threshold : int
@@ -229,13 +220,17 @@ class ProcessModel:
             raise DomainError(f"arrival rate must be positive, got {self.rate}")
         if not math.isfinite(self.rate):
             raise DomainError("arrival rate must be finite")
+        if not isinstance(self.marks, (Geometric, GeneralDiscrete)):
+            raise UnsupportedLawError(f"unsupported mark law {type(self.marks).__name__}")
         m = self.threshold
-        if not (isinstance(m, (int, np.integer)) and 0 <= m <= MAX_THRESHOLD):
+        if isinstance(m, bool) or not (isinstance(m, (int, np.integer)) and 0 <= m <= MAX_THRESHOLD):
             raise DomainError(f"threshold must be an integer in [0, {MAX_THRESHOLD}], got {m!r}")
 
     @property
-    def initial_is_zero(self) -> bool:
-        return isinstance(self.observation.initial, DegenerateZero)
+    def first_rate(self) -> float | None:
+        """Rate of an exponential first gap; None for a first look at time 0."""
+        initial = self.observation.initial
+        return None if isinstance(initial, DegenerateZero) else initial.rate
 
 
 def _times(t_grid: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -243,7 +238,7 @@ def _times(t_grid: Sequence[float] | np.ndarray) -> np.ndarray:
     grid = np.asarray(t_grid, dtype=float)
     if grid.ndim != 1:
         raise DomainError("time grid must be one-dimensional")
-    if np.any(~np.isfinite(grid)) or np.any(grid < 0.0):
+    if not ((grid >= 0.0) & (grid < math.inf)).all():  # a NaN fails too
         raise DomainError("time grid entries must be nonnegative and finite")
     return grid
 
@@ -253,9 +248,16 @@ def _table_times(t_grid: Sequence[float] | np.ndarray) -> np.ndarray:
     grid = _times(t_grid)
     if grid.size == 0:
         raise DomainError("time grid must be nonempty")
-    if np.any(np.diff(grid) < 0.0):
+    if (grid[1:] < grid[:-1]).any():
         raise DomainError("time grid must be sorted ascending")
     return grid
+
+
+def _level_bound(r_max) -> int:
+    """The top level r_max of a crossing-level law or table: a nonnegative integer, never a boolean."""
+    if isinstance(r_max, bool) or not isinstance(r_max, (int, np.integer)) or r_max < 0:
+        raise DomainError(f"r_max must be a nonnegative integer, got {r_max!r}")
+    return int(r_max)
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +270,12 @@ class TransformArgs:
 
     theta damps the running time t, u tags the pre-crossing level, v the
     crossing level, w the pre-crossing epoch, x the final gap, and y the
-    level A(t) at the running time.  Validity: |u|, |v|, |y| <= 1 and
-    Re theta, Re w, Re x >= 0 (small numerical slack allowed).  theta may
-    also be an ndarray: the transforms then evaluate at each of its entries.
+    level A(t) at the running time.  theta may also be an ndarray: the
+    transforms then evaluate at each of its entries.
+
+    Validity is checked on construction, with :class:`DomainError` for a
+    breach: |u|, |v|, |y| <= 1, theta, w and x finite with nonnegative real
+    parts (a slack of 1e-12 on each bound), and no NaN anywhere.
     """
 
     theta: complex = 0.0
@@ -280,19 +285,24 @@ class TransformArgs:
     x: complex = 0.0
     y: complex = 1.0
 
-    def validate(self) -> "TransformArgs":
+    def __post_init__(self):
+        # each test is written so that a NaN fails it
         for name in ("u", "v", "y"):
-            val = complex(getattr(self, name))
-            if abs(val) > 1.0 + _UNIT_TOL:
-                raise DomainError(f"|{name}| must be <= 1, got {abs(val)}")
-        real = min(np.ravel(self.theta).real.tolist())
-        if real < -_UNIT_TOL:
+            size = abs(complex(getattr(self, name)))
+            if not size <= 1.0 + _UNIT_TOL:
+                raise DomainError(f"|{name}| must be <= 1, got {size}")
+        thetas = np.ravel(self.theta).tolist()
+        if not all(map(cmath.isfinite, thetas)):
+            raise DomainError(f"theta must be finite, got {self.theta!r}")
+        real = min(theta.real for theta in thetas)
+        if not real >= -_UNIT_TOL:
             raise DomainError(f"Re theta must be >= 0, got {real}")
         for name in ("w", "x"):
             val = complex(getattr(self, name))
-            if val.real < -_UNIT_TOL:
+            if not cmath.isfinite(val):
+                raise DomainError(f"{name} must be finite, got {val}")
+            if not val.real >= -_UNIT_TOL:
                 raise DomainError(f"Re {name} must be >= 0, got {val.real}")
-        return self
 
 
 # ---------------------------------------------------------------------------

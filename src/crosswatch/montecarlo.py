@@ -47,6 +47,7 @@ from .model import (
     Exponential,
     ProcessModel,
     TransformArgs,
+    _level_bound,
     _table_times,
     mark_mean,
     mark_sample,
@@ -318,10 +319,8 @@ def estimate_joint(
     """
     if n_paths < 1_000:
         raise DomainError(f"need at least 1000 paths for a stable table, got {n_paths}")
-    grid = _table_times(t_grid)
-    if isinstance(r_max, bool) or not isinstance(r_max, (int, np.integer)) or r_max < 0:
-        raise DomainError(f"level bound must be a nonnegative integer, got {r_max!r}")
-    freq = _joint_frequencies(_crossing_sample(model, n_paths, seed), int(r_max), grid)
+    grid, r_max = _table_times(t_grid), _level_bound(r_max)
+    freq = _joint_frequencies(_crossing_sample(model, n_paths, seed), r_max, grid)
     return freq, np.sqrt(freq * (1.0 - freq) / float(n_paths))
 
 
@@ -330,18 +329,16 @@ def estimate_joint(
 
 
 def _real_args(args: TransformArgs) -> tuple[float, float, float, float, float, float]:
+    """The arguments as floats; Monte Carlo weights need them real and nonnegative."""
     vals = []
     for name in ("theta", "u", "v", "w", "x", "y"):
         val = complex(getattr(args, name))
         if abs(val.imag) > 0.0:
             raise DomainError(f"Monte Carlo estimation needs real arguments; {name} has an imaginary part")
+        if val.real < 0.0:
+            raise DomainError(f"Monte Carlo estimation needs nonnegative arguments; {name} is {val.real}")
         vals.append(val.real)
-    theta, u, v, w, x, y = vals
-    if min(u, v, y) < 0.0 or max(u, v, y) > 1.0 + 1e-12:
-        raise DomainError("u, v, y must lie in [0, 1] for estimation")
-    if theta < 0.0 or w < 0.0 or x < 0.0:
-        raise DomainError("theta, w, x must be nonnegative for estimation")
-    return theta, u, v, w, x, y
+    return tuple(vals)
 
 
 def _sample_functionals(sample: dict, args: TransformArgs) -> dict[str, EstimateWithCI]:

@@ -50,9 +50,9 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DivergenceError, DomainError
+from .errors import DivergenceError
 from .fluctuation import _r_series
-from .model import GeneralDiscrete, Geometric, ProcessModel, _mark_pgf_rational, _times, mark_mean
+from .model import Geometric, ProcessModel, _level_bound, _mark_pgf_rational, _times, mark_mean
 from .series import series_from_rational
 
 __all__ = ["survival_pre", "survival_cross", "crossing_level_law"]
@@ -108,16 +108,12 @@ def _binom_tails(m: int, a: float) -> np.ndarray:
 
 def _moving_rate(model: ProcessModel) -> float:
     """lam' = lam (1 - f0), the rate of the marks that raise the level."""
-    f0 = float(model.marks.pmf[0]) if isinstance(model.marks, GeneralDiscrete) else 0.0
+    num, den = _mark_pgf_rational(model.marks)
+    f0 = num[0] / den[0]
     rate = model.rate * (1.0 - f0)
     if not rate > 0.0:
         raise DivergenceError("every mark is zero, so the level never crosses the threshold")
     return rate
-
-
-def _first_rate(model: ProcessModel) -> float | None:
-    """Rate of an exponential first gap; None for a first look at time 0."""
-    return None if model.initial_is_zero else model.observation.initial.rate
 
 
 def _sum_cdf(model: ProcessModel) -> np.ndarray:
@@ -231,7 +227,7 @@ def _visits(model: ProcessModel) -> np.ndarray:
     diff = [lam * (q - p) for p, q in zip_longest(num, den, fillvalue=0.0)]
     pi = series_from_rational([mu * q for q in den], diff, m).real
     pi[0] += 1.0
-    eta = _first_rate(model)
+    eta = model.first_rate
     if eta is None:
         return pi
     return np.convolve(_gap_law(model, eta, m), pi)[: m + 1]
@@ -268,7 +264,7 @@ def _survival_laws(model: ProcessModel, t_grid: Sequence[float] | np.ndarray,
     """(P{tau_pre > t}, P{tau_cross > t}), or without cross only the first, from one
     computation of F_n and one Poisson(lam' t) window per time."""
     grid, tails = _times(t_grid), _sum_cdf(model)
-    lam, mu, eta = _moving_rate(model), model.observation.recurring.rate, _first_rate(model)
+    lam, mu, eta = _moving_rate(model), model.observation.recurring.rate, model.first_rate
     late = eta is not None and eta != mu  # an Exp(eta) first gap unlike the recurring ones
     nexts, last = _look_sums(tails, lam, mu, grid, (mu, eta) if late else (mu,), cross)
     pre = nexts[0]
@@ -293,17 +289,16 @@ def crossing_level_law(model: ProcessModel, r_max: int) -> tuple[np.ndarray, flo
     E[A_nu] = E[A(first look)] + E[J] sum_k v(k), J the mark total over one
     Exp(mu) gap, a finite sum.
     """
-    if isinstance(r_max, bool) or not isinstance(r_max, (int, np.integer)) or r_max < 0:
-        raise DomainError(f"level bound must be a nonnegative integer, got {r_max!r}")
+    r_max = _level_bound(r_max)
     _moving_rate(model)
-    lam, mu, m, eta = model.rate, model.observation.recurring.rate, model.threshold, _first_rate(model)
+    lam, mu, m, eta = model.rate, model.observation.recurring.rate, model.threshold, model.first_rate
     visits = _visits(model)
-    law = np.zeros(int(r_max) + 1)
+    law = np.zeros(r_max + 1)
     if r_max > m:
-        jumps = _gap_law(model, mu, int(r_max))
+        jumps = _gap_law(model, mu, r_max)
         law[m + 1 :] = sliding_window_view(jumps, m + 1)[1:] @ visits[::-1]
         if eta is not None:
-            law[m + 1 :] += _gap_law(model, eta, int(r_max))[m + 1 :]
+            law[m + 1 :] += _gap_law(model, eta, r_max)[m + 1 :]
     gap_mean = lam * mark_mean(model.marks)  # per unit of gap length
     first = 0.0 if eta is None else gap_mean / eta
     return law, first + gap_mean / mu * float(visits.sum()) - m
@@ -311,6 +306,6 @@ def crossing_level_law(model: ProcessModel, r_max: int) -> tuple[np.ndarray, flo
 
 def _mean_cross_time(model: ProcessModel) -> float:
     """E[tau_cross]: the first gap plus one Exp(mu) gap per look at a level <= M."""
-    eta = _first_rate(model)
+    eta = model.first_rate
     looks = float(_visits(model).sum())
     return (0.0 if eta is None else 1.0 / eta) + looks / model.observation.recurring.rate

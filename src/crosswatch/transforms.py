@@ -18,8 +18,7 @@ the removable points.
 from __future__ import annotations
 
 import cmath
-
-import numpy as np
+import math
 
 from .errors import DivergenceError, DomainError, UnsupportedLawError
 from .model import (
@@ -39,18 +38,16 @@ __all__ = ["phi", "gamma", "f1_star", "f2_star"]
 SINGULARITY_TOL = 1e-10
 
 
-def phi(model: ProcessModel, z: complex, s: float | np.ndarray) -> complex | np.ndarray:
+def phi(model: ProcessModel, z: complex, s: float) -> complex:
     """PGF of the mark total on a window of length ``s``: E[z**A(s)].
 
-    Requires |z| <= 1 and s >= 0; an array of window lengths gives an array.
+    Requires |z| <= 1 and a finite s >= 0.
     """
-    if np.any(np.less(s, 0.0)):
-        raise DomainError(f"window length must be >= 0, got {np.min(s)}")
+    if not 0.0 <= s < math.inf:
+        raise DomainError(f"window length must be finite and >= 0, got {s}")
     z = complex(z)
-    if abs(z) > 1.0 + 1e-12:
+    if not abs(z) <= 1.0 + 1e-12:
         raise DomainError(f"|z| must be <= 1, got {abs(z)}")
-    if np.ndim(s):
-        return np.exp(model.rate * np.asarray(s, dtype=float) * (mark_pgf(model.marks, z) - 1.0))
     return cmath.exp(model.rate * s * (mark_pgf(model.marks, z) - 1.0))
 
 
@@ -136,7 +133,6 @@ def f1_star(model: ProcessModel, T_law: DelayLaw, Delta_law: DelayLaw, args: Tra
     ``theta + lam g(uv) - lam g(uvy)``, times the D-law LST at
     ``x + lam(1 - g(v))``.
     """
-    args.validate()
     lam = model.rate
     g = lambda z: mark_pgf(model.marks, z)
     uv = complex(args.u) * complex(args.v)
@@ -155,7 +151,6 @@ def f2_star(model: ProcessModel, T_law: DelayLaw, Delta_law: DelayLaw, args: Tra
     divided difference of the D-law LST between ``x + lam(1 - g(v))`` and
     the same point shifted by ``theta + lam g(v) - lam g(vy)``.
     """
-    args.validate()
     lam = model.rate
     g = lambda z: mark_pgf(model.marks, z)
     uvy = complex(args.u) * complex(args.v) * complex(args.y)

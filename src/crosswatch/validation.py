@@ -285,7 +285,6 @@ def _blocks_at(model: ProcessModel, args: TransformArgs, s: complex) -> _BlockVa
     1e-12 margin.  Otherwise the geometric resolvents inside b2/b3
     diverge and :class:`DivergenceError` is raised.
     """
-    args.validate()
     lam = model.rate
     g = lambda z: mark_pgf(model.marks, z)
     s = complex(s)

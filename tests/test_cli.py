@@ -167,7 +167,9 @@ class TestUsageErrors:
         assert out == ""
         assert "r_max" in err
 
-    @pytest.mark.parametrize("t_grid", [[0.0, True], ["0.5", "1"], ["abc"], [0.0, None], [0.0, 10**400]])
+    @pytest.mark.parametrize(
+        "t_grid", [[0.0, True], ["0.5", "1"], ["abc"], [0.0, None], [0.0, 10**400], [-0.5, 1.0], [1.0, 0.0]]
+    )
     def test_time_grid_entries_must_be_numbers(self, capsys, tmp_path, t_grid):
         for command, extra in (("dist", {"r_max": 4}), ("survival", {})):
             cfg = _config(tmp_path, t_grid=t_grid, **extra)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from crosswatch import closedform, montecarlo, timedomain
 from crosswatch.errors import ConfigError, DomainError, UnsupportedLawError
 from crosswatch.model import (
     DegenerateZero,
@@ -53,9 +54,6 @@ class TestMarkLaws:
         want = sum(p * z**k for k, p in enumerate(pmf))
         assert mark_pgf(law, z) == pytest.approx(want, rel=1e-14)
 
-    def test_general_discrete_from_a_mapping(self):
-        assert GeneralDiscrete({1: 0.5, 2: 0.5}).pmf.tolist() == [0.0, 0.5, 0.5]
-
     def test_general_discrete_validation(self):
         with pytest.raises(DomainError):
             GeneralDiscrete([])
@@ -63,6 +61,9 @@ class TestMarkLaws:
             GeneralDiscrete([0.5, -0.1, 0.6])
         with pytest.raises(DomainError):
             GeneralDiscrete([0.5, 0.4])  # mass 0.9
+        for pmf in ([0.5, math.nan, 0.5], [math.nan], [0.5, math.inf, 0.5]):
+            with pytest.raises(DomainError, match="nonnegative and sum to 1"):
+                GeneralDiscrete(pmf)
 
     def test_mark_mean(self):
         assert mark_mean(Geometric(0.5)) == pytest.approx(2.0)
@@ -133,6 +134,10 @@ class TestProcessModel:
             ProcessModel(rate=1.0, marks=Geometric(0.5), observation=obs, threshold=-1)
         with pytest.raises(DomainError):
             ProcessModel(rate=1.0, marks=Geometric(0.5), observation=obs, threshold=2.5)
+        with pytest.raises(DomainError, match="threshold"):
+            ProcessModel(rate=1.0, marks=Geometric(0.5), observation=obs, threshold=True)
+        with pytest.raises(UnsupportedLawError, match="mark law"):
+            ProcessModel(rate=1.0, marks=object(), observation=obs, threshold=3)
 
     def test_zero_threshold_allowed(self):
         obs = ObservationLaw(initial=DegenerateZero(), recurring=Exponential(1.0))
@@ -140,8 +145,8 @@ class TestProcessModel:
         assert m.threshold == 0
 
     def test_initial_is_zero_flag(self, std_model, exp_initial_model):
-        assert std_model.initial_is_zero
-        assert not exp_initial_model.initial_is_zero
+        assert std_model.first_rate is None
+        assert exp_initial_model.first_rate == exp_initial_model.observation.initial.rate
 
 
 class TestTransformArgs:
@@ -152,11 +157,79 @@ class TestTransformArgs:
 
     def test_unit_disk_bounds(self):
         with pytest.raises(DomainError):
-            TransformArgs(v=1.5).validate()
+            TransformArgs(v=1.5)
         with pytest.raises(DomainError):
-            TransformArgs(theta=-0.5).validate()
-        # complex tags inside the disk pass
-        TransformArgs(theta=0.3 + 1.0j, u=0.5j, v=-0.2).validate()
+            TransformArgs(theta=-0.5)
+        # complex tags inside the disk pass, and so does each bound's 1e-12 slack
+        TransformArgs(theta=0.3 + 1.0j, u=0.5j, v=-0.2)
+        for edge in (1.0 + 1e-12, -1.0 - 1e-12, 1e-12j - 1.0):
+            TransformArgs(theta=-1e-12, u=edge, v=edge, w=-1e-12, x=-1e-12 + 3.0j, y=edge)
+            with pytest.raises(DomainError):
+                TransformArgs(v=edge * (1.0 + 1e-11))
+        with pytest.raises(DomainError):
+            TransformArgs(x=-1.1e-12)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"theta": math.nan},
+            {"theta": math.inf},
+            {"theta": complex(0.5, math.nan)},
+            {"theta": complex(math.inf, 0.0)},
+            {"theta": np.array([0.5, math.nan])},
+            {"theta": np.array([0.5, math.inf + 0.0j])},
+            {"w": math.nan},
+            {"w": math.inf},
+            {"x": math.inf},
+            {"x": complex(0.0, math.inf)},
+            {"u": math.nan},
+            {"v": math.nan},
+            {"y": complex(math.nan, 0.0)},
+        ],
+        ids=lambda fields: ",".join(f"{k}={v!r}" for k, v in fields.items()),
+    )
+    def test_nan_and_infinity_refused_on_construction(self, fields):
+        with pytest.raises(DomainError):
+            TransformArgs(**fields)
+
+    @staticmethod
+    def _accepted_by_bounds(theta, u, v, w, x, y) -> bool:
+        """The domain of finite arguments, written out apart from the model code."""
+        tol = 1e-12
+        return (all(abs(complex(t)) <= 1.0 + tol for t in (u, v, y))
+                and min(np.ravel(theta).real.tolist()) >= -tol
+                and all(complex(t).real >= -tol for t in (w, x)))
+
+    @given(
+        tags=st.lists(st.tuples(st.floats(0.0, 1.0 + 3e-12), st.floats(0.0, 2.0 * math.pi)), min_size=3, max_size=3),
+        dampings=st.lists(st.tuples(st.floats(-3e-12, 5.0), st.floats(-5.0, 5.0)), min_size=3, max_size=3),
+        theta_array=st.booleans(),
+    )
+    def test_finite_arguments_keep_their_bounds(self, tags, dampings, theta_array):
+        u, v, y = (r * complex(math.cos(a), math.sin(a)) for r, a in tags)
+        theta, w, x = (complex(re, im) for re, im in dampings)
+        if theta_array:
+            theta = np.array([1.0, theta])
+        if self._accepted_by_bounds(theta, u, v, w, x, y):
+            TransformArgs(theta=theta, u=u, v=v, w=w, x=x, y=y)
+        else:
+            with pytest.raises(DomainError):
+                TransformArgs(theta=theta, u=u, v=v, w=w, x=x, y=y)
+
+
+class TestLevelBound:
+    """dist_table, estimate_joint and crossing_level_law share one check of r_max."""
+
+    @pytest.mark.parametrize("r_max", [True, 2.0, -1, "7"])
+    @pytest.mark.parametrize("caller", ["dist_table", "estimate_joint", "crossing_level_law"])
+    def test_refused(self, std_model, caller, r_max):
+        call = {
+            "dist_table": lambda: closedform.dist_table(std_model, [0.0, 1.0], r_max),
+            "estimate_joint": lambda: montecarlo.estimate_joint(std_model, r_max, [0.0, 1.0], 1_000),
+            "crossing_level_law": lambda: timedomain.crossing_level_law(std_model, r_max),
+        }[caller]
+        with pytest.raises(DomainError, match="r_max"):
+            call()
 
 
 class TestLoadModel:
@@ -176,7 +249,7 @@ class TestLoadModel:
         assert m.rate == 1.0
         assert isinstance(m.marks, Geometric)
         assert m.threshold == 3
-        assert m.initial_is_zero
+        assert m.first_rate is None
 
     def test_pmf_marks(self):
         m = load_model(self._config(marks={"pmf": [0.0, 0.4, 0.6]}))

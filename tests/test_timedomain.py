@@ -349,7 +349,7 @@ def _ref_last_look(tails, lam, mu, grid):
 
 
 def _ref_laws(model, grid, tails):
-    lam, mu, eta = timedomain._moving_rate(model), model.observation.recurring.rate, timedomain._first_rate(model)
+    lam, mu, eta = timedomain._moving_rate(model), model.observation.recurring.rate, model.first_rate
     pre = _ref_next_look(tails, lam, mu, grid)
     cross = np.exp(-(mu if eta is None else eta) * grid) + _ref_last_look(tails, lam, mu, grid)
     if eta is not None and eta != mu:
