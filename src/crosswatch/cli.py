@@ -243,6 +243,9 @@ def cmd_functional(ns, config: dict, model: ProcessModel) -> int:
 @_command("simulate", "Monte Carlo crossing estimates", "args", "n_paths")
 def cmd_simulate(ns, config: dict, model: ProcessModel) -> int:
     n_paths = _resolve_n_paths(config)
+    args = _parse_args_section(config["args"]) if "args" in config else None
+    if args is not None:
+        montecarlo._real_args(args)  # refuse a bad argument before any path is drawn
     sample = montecarlo._crossing_sample(model, n_paths, ns.seed)
 
     def row(name: str, est: montecarlo.EstimateWithCI) -> str:
@@ -252,8 +255,7 @@ def cmd_simulate(ns, config: dict, model: ProcessModel) -> int:
     lines = ["quantity,mean,std_error,n"]
     for key in ("nu", "a_pre", "a_cross", "overshoot", "tau_pre", "tau_cross"):
         lines.append(row(key, montecarlo._estimate(columns[key])))
-    if "args" in config:
-        args = _parse_args_section(config["args"])
+    if args is not None:
         estimates = (montecarlo._sample_functionals(sample, args) if args.y == 1  # y = 1 needs no new draws
                      else montecarlo.estimate_functionals(model, args, n_paths, ns.seed))
         lines += [row(which, est) for which, est in estimates.items()]

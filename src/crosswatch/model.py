@@ -292,6 +292,8 @@ class TransformArgs:
             if not size <= 1.0 + _UNIT_TOL:
                 raise DomainError(f"|{name}| must be <= 1, got {size}")
         thetas = np.ravel(self.theta).tolist()
+        if not thetas:
+            raise DomainError("theta must hold at least one value, got an empty array")
         if not all(map(cmath.isfinite, thetas)):
             raise DomainError(f"theta must be finite, got {self.theta!r}")
         real = min(theta.real for theta in thetas)

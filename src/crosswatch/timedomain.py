@@ -24,14 +24,15 @@ positive sums sum_{n <= M} P{N'(.) = n} F_n of Poisson-mixture counts:
   epochs, which thins into Poisson(lam' t) times a reciprocal moment of
   Poisson((mu - lam') t).
 
-Each time builds one Poisson(lam' t) window of width O(sqrt(lam t)), cut to
-O(M), and both laws are dot products of weight vectors with it: w (and, for
-an Exp(eta) first gap, its smoothing over Exp(eta)) for tau_pre and the
-uniformised weights for tau_cross, which are built once per grid.  Only an
-Exp(eta) first gap unlike the recurring ones needs a second window, at rate
-lam' + eta.  A window that starts above the support of F is summed in closed
-form or dropped, so no array grows with lam t.  No transform is inverted and
-every term is positive, so tiny probabilities keep their relative accuracy.
+The grid shares one head P{N'(t) = n}, n <= M + 1, with each time's row
+anchored at its mode by Loader's saddle-point pmf and walked out by ratios, so
+no row is normalised.  Both laws are matrix-vector products of the head with
+weights built once per grid: w (and, for an Exp(eta) first gap, its smoothing
+over Exp(eta)) for tau_pre and the uniformised weights for tau_cross, whose
+geometric part past M + 1 is summed in closed form.  Only an Exp(eta) first gap
+unlike the recurring ones needs a second head, at rate lam' + eta.  No
+transform is inverted and every term is positive, so tiny probabilities keep
+their relative accuracy.
 
 The crossing level follows the embedded chain of looks: the level seen at
 look 0 has law iota (a point mass at 0 for a zero start), and each gap adds
@@ -76,16 +77,67 @@ def _tails(u: np.ndarray) -> np.ndarray:
     return top / top[0]
 
 
-def _poisson_pmf(x: float, n_max: int) -> np.ndarray | None:
-    """Unnormalised Poisson(x) pmf on 0..hi, hi >= n_max + spread.
+def _spread(x: float) -> float:
+    """Past x +- spread a Poisson(x) pmf is below e^-800 of its mode (Chernoff bounds)."""
+    return 40.0 * math.sqrt(x) + 50.0
 
-    Past hi the terms fall below e^-800 of the largest one on 0..hi
-    (Chernoff bounds); None when that holds for every n <= n_max.
-    """
-    spread = 40.0 * math.sqrt(x) + 50.0
+
+def _poisson_pmf(x: float, n_max: int) -> np.ndarray | None:
+    """Unnormalised Poisson(x) pmf on 0..hi, hi >= n_max + spread; None if 0..n_max is negligible."""
+    spread = _spread(x)
     if n_max < x - spread:
         return None
     return _from_mode(x / np.arange(1.0, math.floor(max(n_max, x) + spread) + 1), int(x))
+
+
+# Stirling's error log(n! e^n / (n^n sqrt(2 pi n))) for n = 0..15 (n = 0 unused)
+_STIRLERR = (0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834, 0.020790672103765093,
+             0.016644691189821193, 0.013876128823070748, 0.01189670994589177, 0.010411265261972096,
+             0.009255462182712733, 0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+             0.006408994188004207, 0.0059513701127588475, 0.005554733551962801)
+
+
+def _mode_mass(x: float) -> float:
+    """P{Poisson(x) = k} at the mode k = floor(x): e^{-stirlerr(k) - bd0(k, x)} / sqrt(2 pi k).
+
+    This is R's dpois_raw (C. Loader, "Fast and Accurate Computation of Binomial
+    Probabilities", 2000); at the mode bd0 = k (r - log1p r), r = (x - k) / k,
+    is off by a few ulps at most.
+    """
+    k = int(x)
+    if k == 0:
+        return math.exp(-x)
+    q = 1.0 / (float(k) * k)
+    stirlerr = _STIRLERR[k] if k <= 15 else (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - q / 1188) * q) * q) * q) / k
+    r = (x - k) / k
+    return math.exp(-stirlerr - k * (r - math.log1p(r))) / math.sqrt(2.0 * math.pi * k)
+
+
+def _poisson_heads(xs: Sequence[float], n_max: int) -> np.ndarray:
+    """P{Poisson(x) = n} for n = 0..n_max, one row per x of xs, anchored at the mode by
+    :func:`_mode_mass` and walked by ratios: no column past max(n_max, mode) and no
+    normalising sum.  A row that :func:`_poisson_pmf` finds negligible is zero."""
+    rows = [0.0 if n_max < x - _spread(x) else x for x in xs]  # a negligible row: x = 0, anchor 0
+    anchors = [_mode_mass(x) if x == y else 0.0 for x, y in zip(rows, xs)]
+    x = np.array(rows)[:, None]
+    # column n holds min(n + 1, x) / x: P_n / P_{n+1} below the mode, 1 at or above it (and
+    # everywhere for x < 1), and the top column the anchor; the walk down reverses the row
+    width = max(n_max, int(max(rows, default=0.0))) + 1
+    scale = np.maximum(x, 1.0)
+    down = np.minimum(np.arange(1.0, width + 1), scale)
+    np.divide(down, scale, out=down)
+    down[:, -1] = anchors
+    walk = down[:, ::-1]
+    np.multiply.accumulate(walk, axis=1, out=walk)
+    head = down[:, : n_max + 1]
+    if int(min(rows, default=n_max)) < n_max:
+        # x / max(n, x) is the ratio P_n / P_{n-1} = x / n above the mode and 1 at or below it
+        up = np.maximum(np.arange(n_max + 1.0), x)
+        np.divide(x, up[:, 1:], out=up[:, 1:])
+        up[:, 0] = 1.0
+        np.multiply.accumulate(up, axis=1, out=up)
+        head *= up
+    return head
 
 
 def _poisson_tails(x: float, kmax: int) -> np.ndarray:
@@ -126,11 +178,17 @@ def _sum_cdf(model: ProcessModel) -> np.ndarray:
     pmf = model.marks.pmf
     step = np.concatenate(([0.0], pmf[1:] / (1.0 - pmf[0])))
     out = np.zeros(m + 1)
-    row = np.ones(1)  # P{S_n = j} for j = n..M
+    row, lo = np.ones(1), 0  # P{S_n = j} for j = n + lo .. n + lo + row.size - 1 <= M
     for n in range(m + 1):
         out[n] = row.sum()
-        row = np.convolve(row, step)[1 : m - n + 1]
-        if not row.any():
+        row = np.convolve(row, step)[1 : m - n - lo + 1]
+        if row.size and (row[0] < 1e-280 or row[-1] < 1e-280):
+            # drop the ends below 1e-300 of the row's peak: no convolution runs over subnormals
+            keep = np.flatnonzero(row > 1e-300 * row.max())
+            if not keep.size:
+                break
+            lo, row = lo + keep[0], row[keep[0] : keep[-1] + 1]
+        if not row.size:
             break
     return out
 
@@ -150,47 +208,43 @@ def _look_sums(tails: np.ndarray, lam: float, mu: float, grid: np.ndarray, rates
     sum_n W_n(t) F_n, W_n(t) = int_0^t mu e^{-mu (t - u)} P{N'(u) = n} du; N' Poisson(lam).
 
     W_n(t) = P{N'(L) = n, L > 0} for L the last epoch at or before t of a
-    Poisson(mu) stream.  Every sum at t weights the same Poisson(lam t) window.
+    Poisson(mu) stream.  Every sum weights one head P{N'(t) = n}, n <= M + 1.
     """
     big_m, f = tails.size - 1, tails.tolist()
-    weights = [_smoothing(f, lam / (lam + r)) for r in rates]
     times = grid.tolist()
-    windows = [_poisson_pmf(lam * t, big_m + 1) for t in times]
-    fast = last and lam >= mu
-    if fast:
-        # W_n = rho sum_{k > n} P{N'(t) = k} g^{k-1-n}, g = 1 - rho, so the
-        # sum is rho sum_k P{N'(t) = k} V_k with V_k = F_{k-1} + g V_{k-1}
-        rho, g = mu / lam, (lam - mu) / lam
-        v = [0.0]
-        for f_k in f:
-            v.append(f_k + g * v[-1])
-        # V_k = g^{k-M-1} V_{M+1} past the support of F, out to the widest window
-        width = max((u.size for u in windows if u is not None), default=big_m + 2)
-        ext = np.concatenate((v[1:], v[-1] * g ** np.arange(1.0, width - big_m - 1)))
-    nexts, out = [np.zeros(grid.size) for _ in rates], np.zeros(grid.size)
-    for i, (t, u) in enumerate(zip(times, windows)):
-        if u is None:
-            if fast and g > 0.0:
-                # every P{N'(t) = k <= M+1} is negligible: only the geometric tail
-                # T = sum_{k > M} P{N'(t) = k} g^{k-M-1}
-                #   = g^{-(M+1)} e^{-mu t} P{Poisson(g lam t) > M}
-                # is left, and it is summed in closed form
-                upper = _poisson_tails(g * (lam * t), big_m + 1)[big_m + 1]
-                if upper > 0.0:
-                    log_t = -mu * t - (big_m + 1) * math.log(g) + math.log(upper)
-                    out[i] = rho * v[-1] * math.exp(min(log_t, 0.0))
-            continue
-        total, head = u.sum(), u[: big_m + 1]
-        for w, row in zip(weights, nexts):
-            row[i] = (head @ w) / total
-        if fast:
-            out[i] = rho * (u[1:] @ ext[: u.size - 1]) / total
-        elif last and t > 0.0:
-            # Thinning the Poisson(mu t) look epochs of W_n = sum_{k >= 1} P{Poisson(mu t) = k}
-            # P{Bin(k - 1, sigma) = n}, sigma = lam / mu, into Poisson(lam t) and
-            # Poisson((mu - lam) t) parts gives W_n = P{N'(t) = n} mu t E[1 / (n + 1 + I)]
-            # with I ~ Poisson((mu - lam) t)
-            out[i] = mu * t * ((head * _reciprocal_means((mu - lam) * t, big_m + 1)) @ tails) / total
+    xs = [lam * t for t in times]
+    heads = _poisson_heads(xs, big_m + 1)
+    nexts, out = [heads[:, :-1] @ _smoothing(f, lam / (lam + r)) for r in rates], np.zeros(grid.size)
+    if not last:
+        return nexts, out
+    if lam < mu:
+        # Thinning the Poisson(mu t) look epochs of W_n = sum_{k >= 1} P{Poisson(mu t) = k}
+        # P{Bin(k - 1, sigma) = n}, sigma = lam / mu, into Poisson(lam t) and
+        # Poisson((mu - lam) t) parts gives W_n = P{N'(t) = n} mu t E[1 / (n + 1 + I)]
+        # with I ~ Poisson((mu - lam) t)
+        for i, (t, x) in enumerate(zip(times, xs)):
+            if t > 0.0 and big_m + 1 >= x - _spread(x):
+                out[i] = mu * t * ((heads[i, :-1] * _reciprocal_means((mu - lam) * t, big_m + 1)) @ tails)
+        return nexts, out
+    # W_n = rho sum_{k > n} P{N'(t) = k} g^{k-1-n}, g = 1 - rho, so the
+    # sum is rho sum_k P{N'(t) = k} V_k with V_k = F_{k-1} + g V_{k-1}
+    rho, g = mu / lam, (lam - mu) / lam
+    v = [0.0]
+    for f_k in f:
+        v.append(f_k + g * v[-1])
+    out = rho * (heads[:, 1:] @ v[1:])
+    if g > 0.0:
+        # past M + 1, V_k = g^{k-M-1} V_{M+1}, and the tail from k = k0 sums in closed form:
+        # sum_{k >= k0} P{N'(t) = k} g^{k-M-1} = g^{-(M+1)} e^{-(1-g) lam t} P{Poisson(g lam t) >= k0},
+        # from k0 = M + 2 past the head (with the g of V, not mu / lam), or from M + 1 where
+        # the head is negligible
+        for i, (t, x) in enumerate(zip(times, xs)):
+            far = big_m + 1 < x - _spread(x)
+            k0 = big_m + 1 if far else big_m + 2
+            upper = _poisson_tails(g * x, k0)[k0]
+            if upper > 0.0:
+                log_t = -(mu * t if far else (1.0 - g) * x) - (big_m + 1) * math.log(g) + math.log(upper)
+                out[i] += rho * v[-1] * math.exp(min(log_t, 0.0))
     return nexts, out
 
 
@@ -201,17 +255,17 @@ def _reciprocal_means(y: float, size: int) -> np.ndarray:
     loses nothing upward while c <= y and downward, as J_c = (1 - y J_{c+1}) / c,
     while c > y; the top value is summed directly when c > y is reached.
     """
-    out = np.empty(size)
     split = min(size, math.floor(y) + 1)
-    out[0] = -math.expm1(-y) / y
+    out = [-math.expm1(-y) / y]
     for c in range(1, split):
-        out[c] = (1.0 - c * out[c - 1]) / y
+        out.append((1.0 - c * out[-1]) / y)
     if split < size:
         u = _poisson_pmf(y, size)
-        out[-1] = (u / (size + np.arange(u.size))).sum() / u.sum()
+        down = [float((u / (size + np.arange(u.size))).sum() / u.sum())]
         for c in range(size - 1, split, -1):
-            out[c - 1] = (1.0 - y * out[c]) / c
-    return out
+            down.append((1.0 - y * down[-1]) / c)
+        out += down[::-1]
+    return np.array(out)
 
 
 def _gap_law(model: ProcessModel, rate: float, order: int) -> np.ndarray:

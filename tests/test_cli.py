@@ -377,6 +377,17 @@ class TestSimulate:
         _, second, _ = _run(capsys, ["simulate", "--config", cfg, "--seed", "12"])
         assert first != second
 
+    @pytest.mark.parametrize("args, name", [({"theta": 1.0, "v": 1.5}, "v"), ({"theta": 1.0, "u": -0.5}, "u")])
+    def test_bad_args_refused_before_sampling(self, capsys, tmp_path, monkeypatch, args, name):
+        def sample(*_, **__):
+            raise AssertionError("paths drawn before the args were checked")
+
+        monkeypatch.setattr(cli.montecarlo, "_crossing_sample", sample)
+        cfg = _config(tmp_path, n_paths=200_000, args=args)
+        code, out, err = _run(capsys, ["simulate", "--config", cfg])
+        assert code == 64 and out == ""
+        assert name in err
+
 
 class TestValidate:
     def test_passing_battery_exits_zero(self, capsys, tmp_path):

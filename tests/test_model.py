@@ -192,6 +192,10 @@ class TestTransformArgs:
         with pytest.raises(DomainError):
             TransformArgs(**fields)
 
+    def test_empty_theta_batch_refused_by_name(self):
+        with pytest.raises(DomainError, match="theta"):
+            TransformArgs(theta=np.array([]))
+
     @staticmethod
     def _accepted_by_bounds(theta, u, v, w, x, y) -> bool:
         """The domain of finite arguments, written out apart from the model code."""

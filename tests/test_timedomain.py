@@ -388,18 +388,85 @@ class TestOneWindowPerTime:
                 if regime == "slow" and m > 0:  # E[1 / (c + I)] both from a direct sum and upward only
                     assert (mu - moving) * times[1] < m + 1 < (mu - moving) * times[-1]
 
-    @pytest.mark.parametrize("first, per_time", [(None, 1), (1.0, 1), (2.5, 2)])
-    def test_one_window_per_time_and_law_pair(self, first, per_time, monkeypatch):
+    @pytest.mark.parametrize("first, builds", [(None, 1), (1.0, 1), (2.5, 2)])
+    def test_one_head_per_look_sums_call(self, first, builds, monkeypatch):
         model = _model(60, 0.5, first=first)
         grid = np.linspace(0.0, 2.0 * timedomain._mean_cross_time(model), 7)
-        calls = []
-        pmf = timedomain._poisson_pmf
-        monkeypatch.setattr(timedomain, "_poisson_pmf", lambda x, n_max: calls.append(x) or pmf(x, n_max))
+        heads, looks, windows = [], [], []
+        build, look, pmf = timedomain._poisson_heads, timedomain._look_sums, timedomain._poisson_pmf
+        monkeypatch.setattr(timedomain, "_poisson_heads", lambda xs, n_max: heads.append(len(xs)) or build(xs, n_max))
+        monkeypatch.setattr(timedomain, "_look_sums", lambda *a, **k: looks.append(a) or look(*a, **k))
+        monkeypatch.setattr(timedomain, "_poisson_pmf", lambda x, n_max: windows.append(x) or pmf(x, n_max))
         timedomain._survival_laws(model, grid)
-        assert len(calls) == per_time * grid.size
-        calls.clear()
+        assert heads == [grid.size] * builds and len(looks) == builds
+        if builds == 1:  # lam' = mu: the head is the whole Poisson work
+            assert windows == []
+        heads.clear()
         timedomain.survival_pre(model, grid)
-        assert len(calls) == grid.size
+        assert heads == [grid.size]
+
+
+def _mp_poisson_row(x, n_max):
+    """P{Poisson(x) = n} for n = 0..n_max, from e^-x by the ratios x / n."""
+    x = mpmath.mpf(x)
+    row = [mpmath.exp(-x)]
+    for n in range(1, n_max + 1):
+        row.append(row[-1] * x / n)
+    return row
+
+
+class TestPoissonHeads:
+    XS = [0.0, 0.3, 2.8, 43.2, 243.2, 400.0, 800.0, 1500.0]
+
+    @pytest.mark.parametrize("n_max", [4, 51, 301, 1001])
+    def test_rows_match_high_precision(self, n_max):
+        heads = timedomain._poisson_heads(self.XS, n_max)
+        assert heads.shape == (len(self.XS), n_max + 1)
+        with mpmath.workdps(50):
+            for x, row in zip(self.XS, heads.tolist()):
+                for n, (got, exact) in enumerate(zip(row, _mp_poisson_row(x, n_max))):
+                    if exact > 1e-300:
+                        assert abs(got - exact) <= 4e-15 * exact, (x, n, float(abs(got - exact) / exact))
+                    else:
+                        assert got < UNDERFLOW, (x, n, got)
+
+    def test_zero_time_and_negligible_rows(self):
+        xs = [0.0, 5000.0, 1e7]
+        heads = timedomain._poisson_heads(xs, 60)
+        assert heads[0].tolist() == [1.0] + [0.0] * 60
+        for x, row in zip(xs[1:], heads[1:]):
+            assert timedomain._poisson_pmf(x, 60) is None and not row.any()
+
+    @pytest.mark.parametrize("model", [_model(40), _model(40, 0.5, 2.0, 0.05), _model(40, PMF, 0.5, 3.0, 0.4)],
+                             ids=["equal", "fast", "slow"])
+    def test_grid_rows_match_single_time_calls(self, model):
+        mean = timedomain._mean_cross_time(model)
+        for grid in ([0.7 * mean], [mean, mean, 0.0, 3.0 * mean, 0.2 * mean, mean, 400.0 / model.rate]):
+            xs = [model.rate * t for t in grid]
+            heads = timedomain._poisson_heads(xs, 41)
+            laws = timedomain._survival_laws(model, grid)
+            for i, t in enumerate(grid):
+                assert np.array_equal(heads[i], timedomain._poisson_heads([xs[i]], 41)[0])
+                # the laws are matrix-vector products, whose rounding may change with the shape
+                one = timedomain._survival_laws(model, [t])
+                assert np.allclose([laws[0][i], laws[1][i]], [one[0][0], one[1][0]], rtol=1e-15, atol=0.0), (i, t)
+
+
+class TestSumCdf:
+    @pytest.mark.parametrize("pmf", [(0.1, 0.5, 0.3, 0.1), (0.0, 0.0, 0.5, 0.0, 0.5)])
+    def test_trimmed_rows_keep_the_sums(self, pmf):
+        # the rows' ends fall below 1e-300 of their peaks from n of a few hundred on
+        model = _model(2000, pmf)
+        step = np.concatenate(([0.0], model.marks.pmf[1:] / (1.0 - model.marks.pmf[0])))
+        full, row = [], np.ones(1)
+        for n in range(2001):
+            full.append(row.sum())
+            row = np.convolve(row, step)[1 : 2000 - n + 1]
+        full = np.array(full)
+        got = timedomain._sum_cdf(model)
+        normal = full > 1e-280
+        assert np.allclose(got[normal], full[normal], rtol=1e-15, atol=0.0)
+        assert np.all(got[~normal] < 1e-270)
 
 
 class TestCommandLine:
