@@ -42,7 +42,8 @@ from .errors import (
     TableInvariantError,
     UnsupportedLawError,
 )
-from .model import ProcessModel, TransformArgs, _config_number, _level_bound, _table_times, load_model
+from .model import (_MODEL_KEYS, ProcessModel, TransformArgs, _config_number, _level_bound, _section,
+                    _table_times, load_model)
 from .validation import run_battery
 
 __all__ = ["main"]
@@ -59,15 +60,20 @@ class _Command(NamedTuple):
     run: Callable[[argparse.Namespace, dict, ProcessModel], int]
     summary: str
     keys: frozenset[str]
+    required: frozenset[str]
 
 
 _COMMANDS: dict[str, _Command] = {}
 
 
-def _command(name: str, summary: str, *keys: str):
-    """Register ``run(ns, config, model)`` as command ``name``, reading config ``keys``."""
+def _command(name: str, summary: str, *keys: str, optional: Sequence[str] = ()):
+    """Register ``run(ns, config, model)`` as command ``name``, reading config ``keys``.
+
+    The config root holds ``schema_version``, ``model`` and ``keys``; all are required but ``optional``."""
+    allowed = frozenset({"schema_version", "model", *keys})
+
     def register(run):
-        _COMMANDS[name] = _Command(run, summary, frozenset(keys))
+        _COMMANDS[name] = _Command(run, summary, allowed, allowed.difference(optional))
         return run
     return register
 
@@ -125,36 +131,21 @@ def _load_config(path: str, command: str) -> tuple[dict, ProcessModel]:
         raw = json.loads(text)
     except ValueError as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, Mapping):
-        raise ConfigError("config root must be a JSON object")
-    allowed = {"schema_version", "model"} | _COMMANDS[command].keys
-    unknown = sorted(set(raw) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown config key(s) {unknown} for command {command!r}")
-    if raw.get("schema_version") != 1:
-        raise ConfigError(f"unsupported schema_version {raw.get('schema_version')!r}")
-    if "model" not in raw or not isinstance(raw["model"], Mapping):
-        raise ConfigError('config needs a "model" object')
-    model_cfg = dict(raw["model"])
-    model_cfg.setdefault("schema_version", 1)
-    return dict(raw), load_model(model_cfg)
+    cmd = _COMMANDS[command]
+    config = _section(raw, f"config for command {command!r}", cmd.keys, cmd.required)
+    if config["schema_version"] != 1:
+        raise ConfigError(f"unsupported schema_version {config['schema_version']!r}")
+    # the model object may leave out its schema_version: the root's serves it
+    model = _section(config["model"], "model", _MODEL_KEYS, set())
+    return config, load_model({"schema_version": 1, **model})
 
 
 def _parse_args_section(section) -> TransformArgs:
-    if not isinstance(section, Mapping):
-        raise ConfigError('"args" must be an object')
-    allowed = {"theta", "u", "v", "w", "x", "y"}
-    unknown = sorted(set(section) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown args key(s) {unknown}")
-    if "theta" not in section:
-        raise ConfigError('"args" needs at least "theta"')
+    section = _section(section, "args", {"theta", "u", "v", "w", "x", "y"}, {"theta"})
     return TransformArgs(**{key: _config_number(value, f"args.{key}") for key, value in section.items()})
 
 
 def _resolve_grid(config: Mapping) -> np.ndarray:
-    if "t_grid" not in config:
-        raise ConfigError('this command needs a time grid ("t_grid" key)')
     raw = config["t_grid"]
     if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)) or not raw:
         raise ConfigError("t_grid must be a nonempty array of times")
@@ -164,10 +155,11 @@ def _resolve_grid(config: Mapping) -> np.ndarray:
         raise ConfigError(f"bad t_grid: {exc}") from exc
 
 
-def _resolve_n_paths(config: Mapping) -> int:
-    raw = config.get("n_paths", 100_000)
+def _count(config: Mapping, key: str, default: int) -> int:
+    """The positive integer at ``key``, or ``default`` when the key is left out."""
+    raw = config.get(key, default)
     if isinstance(raw, bool) or not isinstance(raw, int) or raw < 1:
-        raise ConfigError(f"n_paths must be a positive integer, got {raw!r}")
+        raise ConfigError(f"{key} must be a positive integer, got {raw!r}")
     return raw
 
 
@@ -189,8 +181,6 @@ def _write_output(ns, text: str) -> None:
 @_command("dist", "closed-form joint table P{A_nu=r, tau_pre>t}", "t_grid", "r_max")
 def cmd_dist(ns, config: dict, model: ProcessModel) -> int:
     grid = _resolve_grid(config)
-    if config.get("r_max") is None:
-        raise ConfigError('dist needs a level bound ("r_max" key)')
     r_max = _level_bound(config["r_max"])
     table = closedform.dist_table(model, grid, r_max)
     levels = [f",{r}," for r in range(r_max + 1)]
@@ -221,8 +211,6 @@ def _complex_json(value: complex) -> dict:
 
 @_command("functional", "windowed crossing transforms G1/G2/G", "args")
 def cmd_functional(ns, config: dict, model: ProcessModel) -> int:
-    if "args" not in config:
-        raise ConfigError('functional needs an "args" object')
     args = _parse_args_section(config["args"])
     g1, g2 = fluctuation._g_parts(model, args)
     values = {"G1": g1, "G2": g2, "G": g1 + g2}
@@ -240,9 +228,9 @@ def cmd_functional(ns, config: dict, model: ProcessModel) -> int:
     return _EXIT_OK
 
 
-@_command("simulate", "Monte Carlo crossing estimates", "args", "n_paths")
+@_command("simulate", "Monte Carlo crossing estimates", "args", "n_paths", optional=("args", "n_paths"))
 def cmd_simulate(ns, config: dict, model: ProcessModel) -> int:
-    n_paths = _resolve_n_paths(config)
+    n_paths = _count(config, "n_paths", 100_000)
     args = _parse_args_section(config["args"]) if "args" in config else None
     if args is not None:
         montecarlo._real_args(args)  # refuse a bad argument before any path is drawn
@@ -263,9 +251,9 @@ def cmd_simulate(ns, config: dict, model: ProcessModel) -> int:
     return _EXIT_OK
 
 
-@_command("validate", "oracle-agreement battery", "n_paths")
+@_command("validate", "oracle-agreement battery", "n_paths", optional=("n_paths",))
 def cmd_validate(ns, config: dict, model: ProcessModel) -> int:
-    n_paths = _resolve_n_paths(config)
+    n_paths = _count(config, "n_paths", 100_000)
     shift = 0.0 if ns.perturb_c is None else _config_number(ns.perturb_c, "--perturb-c")
     report = run_battery(model, seed=ns.seed, c_shift=shift, n_paths=n_paths)
     _write_output(ns, json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n")
@@ -276,16 +264,13 @@ def cmd_validate(ns, config: dict, model: ProcessModel) -> int:
     return _EXIT_OK
 
 
-@_command("predict", "exact crash-forecast curves and crossing-level law", "horizon", "t_steps")
+@_command("predict", "exact crash-forecast curves and crossing-level law", "horizon", "t_steps",
+          optional=("t_steps",))
 def cmd_predict(ns, config: dict, model: ProcessModel) -> int:
-    if "horizon" not in config:
-        raise ConfigError('predict needs a "horizon" key (forecast window length)')
     horizon = _config_number(config["horizon"], "horizon")
     if horizon < 0.0:
         raise ConfigError(f"horizon must be a nonnegative number, got {horizon!r}")
-    t_steps = config.get("t_steps", 101)
-    if isinstance(t_steps, bool) or not isinstance(t_steps, int) or t_steps < 1:
-        raise ConfigError(f"t_steps must be a positive integer, got {t_steps!r}")
+    t_steps = _count(config, "t_steps", 101)
     grid = np.linspace(0.0, horizon, t_steps) if horizon > 0 else np.array([0.0])
 
     precrash, cross = timedomain._survival_laws(model, grid)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from typing import AbstractSet, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -217,9 +217,9 @@ class ProcessModel:
 
     def __post_init__(self):
         if not self.rate > 0.0:
-            raise DomainError(f"arrival rate must be positive, got {self.rate}")
+            raise DomainError(f"arrival rate lambda must be positive, got {self.rate}")
         if not math.isfinite(self.rate):
-            raise DomainError("arrival rate must be finite")
+            raise DomainError("arrival rate lambda must be finite")
         if not isinstance(self.marks, (Geometric, GeneralDiscrete)):
             raise UnsupportedLawError(f"unsupported mark law {type(self.marks).__name__}")
         m = self.threshold
@@ -310,8 +310,8 @@ class TransformArgs:
 # ---------------------------------------------------------------------------
 # configuration loading
 
-_TOP_KEYS = {"schema_version", "lambda", "marks", "obs", "threshold"}
-_OBS_INITIAL = {"zero", "exp"}
+_MODEL_KEYS = frozenset({"schema_version", "lambda", "marks", "obs", "threshold"})
+_OBS_INITIAL = ("exp", "zero")  # a tuple: an unhashable value is refused, not a TypeError
 
 
 def _config_number(value, where: str) -> float:
@@ -327,10 +327,24 @@ def _config_number(value, where: str) -> float:
     return number
 
 
-def _require_keys(section: Mapping, allowed: set[str], where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+def _section(value, where: str, keys: AbstractSet[str], required: AbstractSet[str]) -> Mapping:
+    """The config object ``where``: a JSON object with no key outside ``keys`` and every key of ``required``."""
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{where} must be a JSON object")
+    if not keys.issuperset(value):
+        raise ConfigError(f"unknown config key(s) {sorted(set(value) - keys)} in {where}")
+    missing = required.difference(value)
+    if missing:
+        raise ConfigError(f"missing config key(s) {sorted(missing)} in {where}")
+    return value
+
+
+def _built(where: str, law, *args):
+    """``law(*args)``; the :class:`DomainError` of a bound it states is refused as bad ``where``."""
+    try:
+        return law(*args)
+    except DomainError as exc:
+        raise ConfigError(f"bad {where}: {exc}") from exc
 
 
 def load_model(raw: Mapping) -> ProcessModel:
@@ -346,69 +360,34 @@ def load_model(raw: Mapping) -> ProcessModel:
           "threshold": 3
         }
 
-    Unknown keys anywhere are rejected (fail fast on typos).
+    Every key shown is required and no other is accepted (fail fast on
+    typos): an object that is not a JSON object, an unknown key or a missing
+    one raises :class:`ConfigError` naming the object and the key.  The
+    bounds on the numbers are stated by the law types and
+    :class:`ProcessModel`; a breach raises :class:`ConfigError` naming the key.
     """
-    if not isinstance(raw, Mapping):
-        raise ConfigError("config root must be a JSON object")
-
-    _require_keys(raw, _TOP_KEYS, "config root")
-    for key in _TOP_KEYS:
-        if key not in raw:
-            raise ConfigError(f"missing required key {key!r}")
+    raw = _section(raw, "model", _MODEL_KEYS, _MODEL_KEYS)
     if raw["schema_version"] != 1:
         raise ConfigError(f"unsupported schema_version {raw['schema_version']!r}")
-
     lam = _config_number(raw["lambda"], "lambda")
-    if lam <= 0.0:
-        raise ConfigError(f"lambda must be a positive number, got {lam!r}")
 
-    marks_cfg = raw["marks"]
-    if not isinstance(marks_cfg, Mapping):
-        raise ConfigError("marks must be an object")
-    _require_keys(marks_cfg, {"geometric", "pmf"}, "marks")
+    marks_cfg = _section(raw["marks"], "marks", {"geometric", "pmf"}, set())
     if ("geometric" in marks_cfg) == ("pmf" in marks_cfg):
         raise ConfigError('marks needs exactly one of "geometric" or "pmf"')
     if "geometric" in marks_cfg:
-        geo = marks_cfg["geometric"]
-        if not isinstance(geo, Mapping):
-            raise ConfigError("marks.geometric must be an object")
-        _require_keys(geo, {"a"}, "marks.geometric")
-        if "a" not in geo:
-            raise ConfigError("marks.geometric.a is required")
-        try:
-            marks: MarkLaw = Geometric(_config_number(geo["a"], "marks.geometric.a"))
-        except DomainError as exc:
-            raise ConfigError(f"bad marks.geometric.a: {exc}") from exc
+        geo = _section(marks_cfg["geometric"], "marks.geometric", {"a"}, {"a"})
+        marks: MarkLaw = _built("marks.geometric.a", Geometric, _config_number(geo["a"], "marks.geometric.a"))
     else:
         pmf = marks_cfg["pmf"]
         if not isinstance(pmf, (list, tuple)):
             raise ConfigError(f"marks.pmf must be an array of numbers, got {pmf!r}")
         pmf = [_config_number(p, f"marks.pmf[{k}]") for k, p in enumerate(pmf)]
-        try:
-            marks = GeneralDiscrete(pmf)
-        except (TypeError, ValueError, DomainError) as exc:
-            raise ConfigError(f"bad marks.pmf: {exc}") from exc
+        marks = _built("marks.pmf", GeneralDiscrete, pmf)
 
-    obs_cfg = raw["obs"]
-    if not isinstance(obs_cfg, Mapping):
-        raise ConfigError("obs must be an object")
-    _require_keys(obs_cfg, {"mu", "initial"}, "obs")
-    for key in ("mu", "initial"):
-        if key not in obs_cfg:
-            raise ConfigError(f"obs.{key} is required")
-    mu = _config_number(obs_cfg["mu"], "obs.mu")
-    if mu <= 0.0:
-        raise ConfigError(f"obs.mu must be a positive number, got {mu!r}")
+    obs_cfg = _section(raw["obs"], "obs", {"mu", "initial"}, {"mu", "initial"})
+    recurring = _built("obs.mu", Exponential, _config_number(obs_cfg["mu"], "obs.mu"))
     if obs_cfg["initial"] not in _OBS_INITIAL:
-        raise ConfigError(f'obs.initial must be one of {sorted(_OBS_INITIAL)}, got {obs_cfg["initial"]!r}')
-    initial: DelayLaw = DegenerateZero() if obs_cfg["initial"] == "zero" else Exponential(mu)
-    observation = ObservationLaw(initial=initial, recurring=Exponential(mu))
-
-    thr = raw["threshold"]
-    if not (isinstance(thr, int) and not isinstance(thr, bool)):
-        raise ConfigError(f"threshold must be an integer, got {thr!r}")
-
-    try:
-        return ProcessModel(rate=lam, marks=marks, observation=observation, threshold=thr)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f'obs.initial must be one of {list(_OBS_INITIAL)}, got {obs_cfg["initial"]!r}')
+    initial: DelayLaw = DegenerateZero() if obs_cfg["initial"] == "zero" else recurring
+    observation = ObservationLaw(initial=initial, recurring=recurring)
+    return _built("model", ProcessModel, lam, marks, observation, raw["threshold"])

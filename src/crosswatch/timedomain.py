@@ -316,7 +316,7 @@ def survival_cross(model: ProcessModel, t_grid: Sequence[float] | np.ndarray) ->
 def _survival_laws(model: ProcessModel, t_grid: Sequence[float] | np.ndarray,
                    cross: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """(P{tau_pre > t}, P{tau_cross > t}), or without cross only the first, from one
-    computation of F_n and one Poisson(lam' t) window per time."""
+    computation of F_n and one Poisson(lam' t) head for the whole grid."""
     grid, tails = _times(t_grid), _sum_cdf(model)
     lam, mu, eta = _moving_rate(model), model.observation.recurring.rate, model.first_rate
     late = eta is not None and eta != mu  # an Exp(eta) first gap unlike the recurring ones

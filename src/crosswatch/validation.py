@@ -530,7 +530,7 @@ def _check_gh_limits(ctx: _Context) -> tuple[float, str]:
         worst = max(worst, abs(g0[j] - b**j))
         worst = max(worst, abs(h0[j] - b ** (j + 1)))
         worst = max(worst, abs(g_inf[j] - (1.0 + ratio)))
-        worst = max(worst, abs(h_inf[j] - (b + ratio)))
+        worst = max(worst, abs(h_inf[j] - (1.0 + b * ratio)))  # b (1 + mu/lam) + a: H mixes b base + a P
     return worst, "t -> 0 and t -> infinity limits of the inversion coefficients"
 
 

@@ -217,6 +217,121 @@ class TestConfigNumbers:
         assert as_int == as_float and as_int[0] == 0
 
 
+# one good config per command; each refusal case below breaks it in one place
+GOOD_KEYS = {
+    "dist": {"t_grid": [0.0, 1.0], "r_max": 5},
+    "survival": {"t_grid": [0.0, 1.0]},
+    "functional": {"args": {"theta": 1.0}},
+    "simulate": {"n_paths": 1_000, "args": {"theta": 1.0}},
+    "validate": {"n_paths": 1_000},
+    "predict": {"horizon": 1.0, "t_steps": 3},
+}
+DROP = object()  # the case removes the key instead of setting it
+
+# (id, command, path to the broken value, the value or DROP, text that names the key)
+REFUSALS = [
+    # config objects that are not JSON objects
+    ("root-array", "survival", (), [0.0, 1.0], "config"),
+    ("model-array", "survival", ("model",), [1.0], "model"),
+    ("marks-array", "survival", ("model", "marks"), [0.5, 0.5], "marks"),
+    ("geometric-number", "survival", ("model", "marks", "geometric"), 0.5, "marks.geometric"),
+    ("obs-string", "survival", ("model", "obs"), "zero", "obs"),
+    ("args-array", "functional", ("args",), [1.0], "args"),
+    ("simulate-args-null", "simulate", ("args",), None, "args"),
+    # unknown keys
+    ("root-unknown", "survival", ("tgrid",), [0.0], "tgrid"),
+    ("model-unknown", "survival", ("model", "rate"), 1.0, "rate"),
+    ("marks-unknown", "survival", ("model", "marks", "poisson"), 1.0, "poisson"),
+    ("geometric-unknown", "survival", ("model", "marks", "geometric", "b"), 0.5, "['b']"),
+    ("obs-unknown", "survival", ("model", "obs", "sigma"), 1.0, "sigma"),
+    ("args-unknown", "functional", ("args", "z"), 0.5, "['z']"),
+    # missing keys
+    ("root-schema-version", "survival", ("schema_version",), DROP, "schema_version"),
+    ("root-model", "survival", ("model",), DROP, "model"),
+    ("model-lambda", "survival", ("model", "lambda"), DROP, "lambda"),
+    ("model-marks", "survival", ("model", "marks"), DROP, "marks"),
+    ("model-obs", "survival", ("model", "obs"), DROP, "obs"),
+    ("model-threshold", "survival", ("model", "threshold"), DROP, "threshold"),
+    ("marks-empty", "survival", ("model", "marks", "geometric"), DROP, "geometric"),
+    ("geometric-a", "survival", ("model", "marks", "geometric", "a"), DROP, "marks.geometric"),
+    ("obs-mu", "survival", ("model", "obs", "mu"), DROP, "mu"),
+    ("obs-initial", "survival", ("model", "obs", "initial"), DROP, "initial"),
+    ("args-theta", "functional", ("args", "theta"), DROP, "theta"),
+    # each command's required keys
+    ("dist-t-grid", "dist", ("t_grid",), DROP, "t_grid"),
+    ("dist-r-max", "dist", ("r_max",), DROP, "r_max"),
+    ("survival-t-grid", "survival", ("t_grid",), DROP, "t_grid"),
+    ("functional-args", "functional", ("args",), DROP, "args"),
+    ("predict-horizon", "predict", ("horizon",), DROP, "horizon"),
+    # values out of range
+    ("lambda-negative", "survival", ("model", "lambda"), -1.0, "lambda"),
+    ("lambda-zero", "survival", ("model", "lambda"), 0, "lambda"),
+    ("mu-zero", "survival", ("model", "obs", "mu"), 0.0, "obs.mu"),
+    ("mu-negative", "survival", ("model", "obs", "mu"), -2.0, "obs.mu"),
+    ("initial-unknown", "survival", ("model", "obs", "initial"), "late", "obs.initial"),
+    ("a-zero", "survival", ("model", "marks", "geometric", "a"), 0.0, "marks.geometric.a"),
+    ("a-above-one", "survival", ("model", "marks", "geometric", "a"), 1.5, "marks.geometric.a"),
+    ("pmf-sum", "survival", ("model", "marks"), {"pmf": [0.5, 0.6]}, "marks.pmf"),
+    ("pmf-negative", "survival", ("model", "marks"), {"pmf": [-0.5, 1.5]}, "marks.pmf"),
+    ("pmf-empty", "survival", ("model", "marks"), {"pmf": []}, "marks.pmf"),
+    ("threshold-negative", "survival", ("model", "threshold"), -1, "threshold"),
+    ("threshold-fraction", "survival", ("model", "threshold"), 3.5, "threshold"),
+    ("threshold-string", "survival", ("model", "threshold"), "3", "threshold"),
+    ("threshold-huge", "survival", ("model", "threshold"), 20_000, "threshold"),
+    ("t-grid-empty", "survival", ("t_grid",), [], "t_grid"),
+    ("t-grid-string", "dist", ("t_grid",), "0 1", "t_grid"),
+    ("r-max-negative", "dist", ("r_max",), -1, "r_max"),
+    ("n-paths-zero", "simulate", ("n_paths",), 0, "n_paths"),
+    ("n-paths-fraction", "validate", ("n_paths",), 1.5, "n_paths"),
+    ("t-steps-zero", "predict", ("t_steps",), 0, "t_steps"),
+    ("t-steps-bool", "predict", ("t_steps",), True, "t_steps"),
+    ("horizon-negative", "predict", ("horizon",), -1.0, "horizon"),
+]
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("command, path, value, named", [case[1:] for case in REFUSALS],
+                             ids=[case[0] for case in REFUSALS])
+    def test_refused_by_name(self, capsys, tmp_path, command, path, value, named):
+        payload = copy.deepcopy({"schema_version": 1, "model": SPECIAL_MODEL, **GOOD_KEYS[command]})
+        if path:
+            node = payload
+            for key in path[:-1]:
+                node = node[key]
+            if value is DROP:
+                del node[path[-1]]
+            else:
+                node[path[-1]] = value
+        else:
+            payload = value
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(payload))
+        code, out, err = _run(capsys, [command, "--config", str(cfg)])
+        assert (code, out) == (64, "")
+        assert err.startswith("error: ") and named in err, err
+
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed(self, capsys, tmp_path, seed):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["simulate", "--config", _config(tmp_path, n_paths=1_000), "--seed", seed])
+        captured = capsys.readouterr()
+        assert (excinfo.value.code, captured.out) == (64, "")
+        assert "--seed" in captured.err
+
+    @pytest.mark.parametrize("initial", [["zero"], {"zero": 1}])
+    def test_unhashable_initial_refused(self, capsys, tmp_path, initial):
+        # a set lookup would raise TypeError on these and leave with a traceback
+        cfg = _config(tmp_path, model={**SPECIAL_MODEL, "obs": {"mu": 1.0, "initial": initial}}, t_grid=[0.0])
+        code, out, err = _run(capsys, ["survival", "--config", cfg])
+        assert (code, out) == (64, "")
+        assert "obs.initial" in err
+
+    def test_model_keeps_its_own_schema_version(self, capsys, tmp_path):
+        for version, code in ((1, 0), (2, 64)):
+            cfg = _config(tmp_path, model={**SPECIAL_MODEL, "schema_version": version}, t_grid=[0.0])
+            assert _run(capsys, ["survival", "--config", cfg])[0] == code
+
+
 class TestParser:
     def test_second_call_builds_no_parser(self, capsys, tmp_path, monkeypatch):
         cfg = _config(tmp_path, args={"theta": 1.0})

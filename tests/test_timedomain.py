@@ -430,6 +430,15 @@ class TestPoissonHeads:
                     else:
                         assert got < UNDERFLOW, (x, n, got)
 
+    def test_every_stirling_table_entry(self):
+        # modes 1..15 read _STIRLERR, 16..42 the series; every row is anchored at its mode
+        xs = [k + 0.5 for k in range(1, 43)]
+        heads = timedomain._poisson_heads(xs, 44)
+        with mpmath.workdps(50):
+            for x, row in zip(xs, heads.tolist()):
+                for n, (got, exact) in enumerate(zip(row, _mp_poisson_row(x, 44))):
+                    assert abs(got - exact) <= 4e-15 * exact, (x, n, float(abs(got - exact) / exact))
+
     def test_zero_time_and_negligible_rows(self):
         xs = [0.0, 5000.0, 1e7]
         heads = timedomain._poisson_heads(xs, 60)

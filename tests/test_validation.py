@@ -307,6 +307,16 @@ class TestTransformChainCheck:
         assert math.isfinite(result.observed)
 
 
+class TestGhLimitsCheck:
+    @pytest.mark.parametrize("lam, mu, a", [(2.0, 1.0, 0.5), (1.0, 2.0, 0.3), (1.5, 0.6, 0.5), (0.6, 1.5, 0.3)])
+    def test_unequal_rates_pass(self, lam, mu, a):
+        # H_j(inf) = 1 + b mu / lam, which equals b + mu / lam only at lam = mu
+        model = geometric_model(3, lam=lam, a=a, mu=mu)
+        ctx = validation._Context(model=model, c=_family(model), seed=0, n_paths=1_000)
+        result = validation._check_gh_limits(ctx)
+        assert result.passed and result.observed <= 1e-10, result
+
+
 class TestSinglePassRule:
     @pytest.fixture(scope="class")
     def reports(self, std_report, std_model):
