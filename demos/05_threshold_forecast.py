@@ -9,7 +9,7 @@ breach size, and a simulation sanity check.
 
 import numpy as np
 
-from crosswatch import closedform, fluctuation, laplace, montecarlo, timedomain
+from crosswatch import closedform, montecarlo, timedomain
 from crosswatch.model import DegenerateZero, Exponential, Geometric, ObservationLaw, ProcessModel
 
 # ---------------------------------------------------------------
@@ -28,12 +28,11 @@ c = (b * mu + lam) / (mu + lam)
 print("per-audit growth ratio c =", round(c, 4))
 
 # ---------------------------------------------------------------
-# Breach probability within a horizon: the grid inverts in one LST call.
+# Breach probability within a horizon: the exact survival law of the
+# crossing time, as the CLI's `predict` prints it.
 
 horizon = np.linspace(0.0, 14.0, 8)
-crash = 1.0 - laplace.survival_curve(
-    lambda q: fluctuation.lst_tau_cross(process, q), horizon
-)
+crash = 1.0 - timedomain.survival_cross(process, horizon)
 print("\n  days   P{breach observed by then}")
 for t, p in zip(horizon, crash):
     bar = "#" * int(round(40 * p))
@@ -53,12 +52,12 @@ print("mean excess over the alarm level:", round(mean_excess, 4))
 # Simulation agrees: 200k simulated paths, same model.  A row of the
 # empirical joint law P{A_nu = r, tau_pre > t} summed over r is the
 # chance that the last audit below the alarm comes after day 7, which
-# the inverted transform of tau_pre gives as well.
+# the exact survival law of tau_pre gives as well.
 
 week = np.array([7.0])
 freq, _ = montecarlo.estimate_joint(process, 400, week, n_paths=200_000, seed=0)
 emp_week = float(freq[0].sum())
-ana_week = float(laplace.survival_curve(lambda q: fluctuation.lst_tau_pre(process, q), week)[0])
+ana_week = float(timedomain.survival_pre(process, week)[0])
 print("\nanalytic  P{last quiet audit after day 7}:", round(ana_week, 4))
 print("simulated P{last quiet audit after day 7}:", round(emp_week, 4))
 closed = closedform.dist_table(process, week, 12)[0]

@@ -42,8 +42,8 @@ from .errors import (
     TableInvariantError,
     UnsupportedLawError,
 )
-from .model import (_MODEL_KEYS, ProcessModel, TransformArgs, _config_number, _level_bound, _section,
-                    _table_times, load_model)
+from .model import (_MODEL_KEYS, ProcessModel, TransformArgs, _config_number, _level_bound, _schema_version,
+                    _section, _table_times, load_model)
 from .validation import run_battery
 
 __all__ = ["main"]
@@ -133,8 +133,7 @@ def _load_config(path: str, command: str) -> tuple[dict, ProcessModel]:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     cmd = _COMMANDS[command]
     config = _section(raw, f"config for command {command!r}", cmd.keys, cmd.required)
-    if config["schema_version"] != 1:
-        raise ConfigError(f"unsupported schema_version {config['schema_version']!r}")
+    _schema_version(config, "config")
     # the model object may leave out its schema_version: the root's serves it
     model = _section(config["model"], "model", _MODEL_KEYS, set())
     return config, load_model({"schema_version": 1, **model})

@@ -339,6 +339,13 @@ def _section(value, where: str, keys: AbstractSet[str], required: AbstractSet[st
     return value
 
 
+def _schema_version(section: Mapping, where: str) -> None:
+    """Refuse a ``schema_version`` of ``where`` other than the JSON integer 1: not ``true``, not ``1.0``."""
+    version = section["schema_version"]
+    if type(version) is not int or version != 1:
+        raise ConfigError(f"unsupported schema_version {version!r} in {where}")
+
+
 def _built(where: str, law, *args):
     """``law(*args)``; the :class:`DomainError` of a bound it states is refused as bad ``where``."""
     try:
@@ -367,8 +374,7 @@ def load_model(raw: Mapping) -> ProcessModel:
     :class:`ProcessModel`; a breach raises :class:`ConfigError` naming the key.
     """
     raw = _section(raw, "model", _MODEL_KEYS, _MODEL_KEYS)
-    if raw["schema_version"] != 1:
-        raise ConfigError(f"unsupported schema_version {raw['schema_version']!r}")
+    _schema_version(raw, "model")
     lam = _config_number(raw["lambda"], "lambda")
 
     marks_cfg = _section(raw["marks"], "marks", {"geometric", "pmf"}, set())

@@ -24,13 +24,13 @@ positive sums sum_{n <= M} P{N'(.) = n} F_n of Poisson-mixture counts:
   epochs, which thins into Poisson(lam' t) times a reciprocal moment of
   Poisson((mu - lam') t).
 
-The grid shares one head P{N'(t) = n}, n <= M + 1, with each time's row
-anchored at its mode by Loader's saddle-point pmf and walked out by ratios, so
-no row is normalised.  Both laws are matrix-vector products of the head with
-weights built once per grid: w (and, for an Exp(eta) first gap, its smoothing
-over Exp(eta)) for tau_pre and the uniformised weights for tau_cross, whose
-geometric part past M + 1 is summed in closed form.  Only an Exp(eta) first gap
-unlike the recurring ones needs a second head, at rate lam' + eta.  No
+Every Poisson weight comes from one builder of heads.  The grid shares one head
+P{N'(t) = n}, n <= M + 1, each row anchored at its mode by Loader's saddle-point
+pmf and walked out by ratios, so no row is normalised.  Both laws are
+matrix-vector products of the head with weights built once per grid: w (and its
+smoothing over an Exp(eta) first gap) for tau_pre and the uniformised weights for
+tau_cross, whose geometric part past M + 1 is for lam' > mu one closed form,
+g^{-(M+1)} e^{-mu t} P{Poisson((lam' - mu) t) >= M + 2}, g = 1 - mu / lam'.  No
 transform is inverted and every term is positive, so tiny probabilities keep
 their relative accuracy.
 
@@ -45,6 +45,7 @@ P{A_nu = r} = iota(r) + sum_{k <= M} v(k) P0(r - k) for r > M.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import zip_longest
 from typing import Sequence
 
@@ -63,31 +64,9 @@ __all__ = ["survival_pre", "survival_cross", "crossing_level_law"]
 # Poisson and binomial weights, from ratios of neighbouring terms
 
 
-def _from_mode(ratio: np.ndarray, mode: int) -> np.ndarray:
-    """Unnormalised pmf p_n / p_mode from the ratios p_{n+1} / p_n, walked out from the mode."""
-    u = np.ones(ratio.size + 1)
-    u[mode + 1 :] = np.cumprod(ratio[mode:])
-    u[:mode] = np.cumprod(1.0 / ratio[:mode][::-1])[::-1]
-    return u
-
-
-def _tails(u: np.ndarray) -> np.ndarray:
-    """P{X >= k} from an unnormalised pmf, summed from the top (never 1 - P{X < k})."""
-    top = np.cumsum(u[::-1])[::-1]
-    return top / top[0]
-
-
 def _spread(x: float) -> float:
     """Past x +- spread a Poisson(x) pmf is below e^-800 of its mode (Chernoff bounds)."""
     return 40.0 * math.sqrt(x) + 50.0
-
-
-def _poisson_pmf(x: float, n_max: int) -> np.ndarray | None:
-    """Unnormalised Poisson(x) pmf on 0..hi, hi >= n_max + spread; None if 0..n_max is negligible."""
-    spread = _spread(x)
-    if n_max < x - spread:
-        return None
-    return _from_mode(x / np.arange(1.0, math.floor(max(n_max, x) + spread) + 1), int(x))
 
 
 # Stirling's error log(n! e^n / (n^n sqrt(2 pi n))) for n = 0..15 (n = 0 unused)
@@ -116,7 +95,7 @@ def _mode_mass(x: float) -> float:
 def _poisson_heads(xs: Sequence[float], n_max: int) -> np.ndarray:
     """P{Poisson(x) = n} for n = 0..n_max, one row per x of xs, anchored at the mode by
     :func:`_mode_mass` and walked by ratios: no column past max(n_max, mode) and no
-    normalising sum.  A row that :func:`_poisson_pmf` finds negligible is zero."""
+    normalising sum.  A row whose 0..n_max lies below x - spread is negligible, and zero."""
     rows = [0.0 if n_max < x - _spread(x) else x for x in xs]  # a negligible row: x = 0, anchor 0
     anchors = [_mode_mass(x) if x == y else 0.0 for x, y in zip(rows, xs)]
     x = np.array(rows)[:, None]
@@ -141,17 +120,27 @@ def _poisson_heads(xs: Sequence[float], n_max: int) -> np.ndarray:
 
 
 def _poisson_tails(x: float, kmax: int) -> np.ndarray:
-    """P{Poisson(x) >= k} for k = 0..kmax."""
-    u = _poisson_pmf(x, kmax)
-    return np.ones(kmax + 1) if u is None else _tails(u)[: kmax + 1]
+    """P{Poisson(x) >= k} for k = 0..kmax: one head out past x + spread, summed from the top over
+    its total (never 1 - P{X < k}); all ones where 0..kmax is negligible."""
+    if kmax < x - _spread(x):
+        return np.ones(kmax + 1)
+    top = np.cumsum(_poisson_heads([x], math.floor(max(kmax, x) + _spread(x)))[0, ::-1])[::-1]
+    return top[: kmax + 1] / top[0]
 
 
 def _binom_tails(m: int, a: float) -> np.ndarray:
-    """P{Bin(m, a) >= n} for n = 0..m."""
+    """P{Bin(m, a) >= n} for n = 0..m: the pmf over its mode's, walked out from the mode by
+    ratios of neighbouring terms, then summed from the top (never 1 - P{X < n})."""
     if a == 1.0:
         return np.ones(m + 1)
     n = np.arange(m, dtype=float)
-    return _tails(_from_mode((m - n) / (n + 1.0) * (a / (1.0 - a)), min(m, int((m + 1) * a))))
+    ratio = (m - n) / (n + 1.0) * (a / (1.0 - a))
+    mode = min(m, int((m + 1) * a))
+    u = np.ones(m + 1)
+    u[mode + 1 :] = np.cumprod(ratio[mode:])
+    u[:mode] = np.cumprod(1.0 / ratio[:mode][::-1])[::-1]
+    top = np.cumsum(u[::-1])[::-1]
+    return top / top[0]
 
 
 # ---------------------------------------------------------------------------
@@ -193,59 +182,52 @@ def _sum_cdf(model: ProcessModel) -> np.ndarray:
     return out
 
 
-def _smoothing(tails: list, q: float) -> np.ndarray:
+def _smoothing(tails: np.ndarray, q: float) -> np.ndarray:
     """w_j = E[F_{j + G}], G geometric(q), by one backward recursion."""
     w, acc = [], 0.0
-    for f in reversed(tails):
+    for f in reversed(tails.tolist()):
         acc = (1.0 - q) * f + q * acc
         w.append(acc)
     return np.array(w[::-1])
 
 
-def _look_sums(tails: np.ndarray, lam: float, mu: float, grid: np.ndarray, rates: Sequence[float] = (),
-               last: bool = True) -> tuple[list[np.ndarray], np.ndarray]:
-    """Over the grid, sum_n P{N'(t + E) = n} F_n for E ~ Exp(r), r in rates, and with last
-    sum_n W_n(t) F_n, W_n(t) = int_0^t mu e^{-mu (t - u)} P{N'(u) = n} du; N' Poisson(lam).
-
-    W_n(t) = P{N'(L) = n, L > 0} for L the last epoch at or before t of a
-    Poisson(mu) stream.  Every sum weights one head P{N'(t) = n}, n <= M + 1.
-    """
-    big_m, f = tails.size - 1, tails.tolist()
-    times = grid.tolist()
-    xs = [lam * t for t in times]
-    heads = _poisson_heads(xs, big_m + 1)
-    nexts, out = [heads[:, :-1] @ _smoothing(f, lam / (lam + r)) for r in rates], np.zeros(grid.size)
-    if not last:
-        return nexts, out
+def _last_look(heads: np.ndarray, tails: np.ndarray, lam: float, mu: float, grid: np.ndarray) -> np.ndarray:
+    """Over the grid, sum_n W_n(t) F_n from the head P{N'(t) = n}, n <= M + 1, N' Poisson(lam):
+    W_n(t) = int_0^t mu e^{-mu (t - u)} P{N'(u) = n} du = P{N'(L) = n, L > 0}, L the last
+    epoch at or before t of a Poisson(mu) stream."""
+    big_m = tails.size - 1
     if lam < mu:
-        # Thinning the Poisson(mu t) look epochs of W_n = sum_{k >= 1} P{Poisson(mu t) = k}
-        # P{Bin(k - 1, sigma) = n}, sigma = lam / mu, into Poisson(lam t) and
-        # Poisson((mu - lam) t) parts gives W_n = P{N'(t) = n} mu t E[1 / (n + 1 + I)]
-        # with I ~ Poisson((mu - lam) t)
-        for i, (t, x) in enumerate(zip(times, xs)):
-            if t > 0.0 and big_m + 1 >= x - _spread(x):
+        out = np.zeros(grid.size)
+        # Thinning the Poisson(mu t) look epochs of W_n = sum_{k >= 1} P{Poisson(mu t) = k} P{Bin(k - 1,
+        # sigma) = n}, sigma = lam / mu, into Poisson(lam t) and Poisson((mu - lam) t) parts gives
+        # W_n = P{N'(t) = n} mu t E[1 / (n + 1 + I)] with I ~ Poisson((mu - lam) t)
+        for i, (t, live) in enumerate(zip(grid.tolist(), heads.any(axis=1).tolist())):
+            if t > 0.0 and live:
                 out[i] = mu * t * ((heads[i, :-1] * _reciprocal_means((mu - lam) * t, big_m + 1)) @ tails)
-        return nexts, out
-    # W_n = rho sum_{k > n} P{N'(t) = k} g^{k-1-n}, g = 1 - rho, so the
-    # sum is rho sum_k P{N'(t) = k} V_k with V_k = F_{k-1} + g V_{k-1}
-    rho, g = mu / lam, (lam - mu) / lam
-    v = [0.0]
-    for f_k in f:
-        v.append(f_k + g * v[-1])
-    out = rho * (heads[:, 1:] @ v[1:])
-    if g > 0.0:
-        # past M + 1, V_k = g^{k-M-1} V_{M+1}, and the tail from k = k0 sums in closed form:
-        # sum_{k >= k0} P{N'(t) = k} g^{k-M-1} = g^{-(M+1)} e^{-(1-g) lam t} P{Poisson(g lam t) >= k0},
-        # from k0 = M + 2 past the head (with the g of V, not mu / lam), or from M + 1 where
-        # the head is negligible
-        for i, (t, x) in enumerate(zip(times, xs)):
-            far = big_m + 1 < x - _spread(x)
-            k0 = big_m + 1 if far else big_m + 2
-            upper = _poisson_tails(g * x, k0)[k0]
-            if upper > 0.0:
-                log_t = -(mu * t if far else (1.0 - g) * x) - (big_m + 1) * math.log(g) + math.log(upper)
-                out[i] += rho * v[-1] * math.exp(min(log_t, 0.0))
-    return nexts, out
+        return out
+    if lam == mu:
+        return heads[:, 1:] @ tails  # W_n(t) = P{N'(t) = n + 1}
+    # W_n = rho sum_{k > n} P{N'(t) = k} g^{k-1-n}, g = 1 - rho, so the sum is rho sum_k
+    # P{N'(t) = k} V_k, V_k = F_{k-1} + g V_{k-1}.  Powers of g up to M + 1 would scale its
+    # rounding dg by M + 1, so V_k = u_k + w_k with w_k the part that dg adds
+    rho, exact = mu / lam, 1 - Fraction(mu) / Fraction(lam)
+    g = float(exact)
+    dg = float(exact - Fraction(g))
+    u, w, v = 0.0, 0.0, []
+    for f_k in tails.tolist():
+        u, w = f_k + g * u, dg * u + g * w
+        v.append(u + w)
+    # past M + 1, V_k = g^{k-M-1} V_{M+1}, and with y = (lam - mu) t
+    # sum_{k >= M + 2} P{N'(t) = k} g^{k-M-1} = g^{-(M+1)} e^{-mu t} P{Poisson(y) >= M + 2}, which
+    # is 1 - P{Poisson(y) <= M + 1} >= 1/2 for y >= M + 2 and below that the positive sum
+    # P{Poisson(y) = M + 1} sum_{i >= 1} prod_{j <= i} y / (M + 1 + j), negligible past the spread
+    ys = (lam - mu) * grid
+    tail = _poisson_heads(ys.tolist(), big_m + 1)
+    ratios = np.minimum(ys, big_m + 2.0)[:, None] / np.arange(big_m + 2.0, big_m + 2.0 + _spread(big_m + 2))
+    upper = np.where(ys < big_m + 2, tail[:, -1] * np.cumprod(ratios, axis=1).sum(axis=1), 1.0 - tail.sum(axis=1))
+    with np.errstate(divide="ignore"):  # log 0 = -inf where the tail underflows
+        log_t = np.log(upper) - mu * grid - (big_m + 1) * (math.log(g) + math.log1p(dg / g))
+    return rho * (heads[:, 1:] @ v + v[-1] * np.exp(np.minimum(log_t, 0.0)))
 
 
 def _reciprocal_means(y: float, size: int) -> np.ndarray:
@@ -253,15 +235,20 @@ def _reciprocal_means(y: float, size: int) -> np.ndarray:
 
     Integration by parts gives J_{c+1} = (1 - c J_c) / y, a recursion that
     loses nothing upward while c <= y and downward, as J_c = (1 - y J_{c+1}) / c,
-    while c > y; the top value is summed directly when c > y is reached.
+    while c > y.  Each downward step shrinks an error in J_{c+1} by y / c, so the
+    run starts from J = 1 / (c + y) some 8 sqrt(size) + 20 steps above size (W.
+    Gautschi, SIAM Review 9, 1967), and above size it carries h_c = (c + y) J_c - 1,
+    whose recursion adds no rounding near 1 where y / c is near 1.
     """
     split = min(size, math.floor(y) + 1)
     out = [-math.expm1(-y) / y]
     for c in range(1, split):
         out.append((1.0 - c * out[-1]) / y)
     if split < size:
-        u = _poisson_pmf(y, size)
-        down = [float((u / (size + np.arange(u.size))).sum() / u.sum())]
+        h = 0.0
+        for c in range(size + math.ceil(8.0 * math.sqrt(size)) + 19, size, -1):
+            h = y * (1.0 - (c + y) * h) / (c * (c + 1.0 + y))
+        down = [(1.0 - y * (1.0 + h) / (size + 1.0 + y)) / size]
         for c in range(size - 1, split, -1):
             down.append((1.0 - y * down[-1]) / c)
         out += down[::-1]
@@ -320,18 +307,19 @@ def _survival_laws(model: ProcessModel, t_grid: Sequence[float] | np.ndarray,
     grid, tails = _times(t_grid), _sum_cdf(model)
     lam, mu, eta = _moving_rate(model), model.observation.recurring.rate, model.first_rate
     late = eta is not None and eta != mu  # an Exp(eta) first gap unlike the recurring ones
-    nexts, last = _look_sums(tails, lam, mu, grid, (mu, eta) if late else (mu,), cross)
-    pre = nexts[0]
+    heads = _poisson_heads([lam * t for t in grid.tolist()], tails.size)
+    pre = heads[:, :-1] @ _smoothing(tails, lam / (lam + mu))
     if late:
-        pre = np.exp(-eta * grid) * nexts[1] + -np.expm1(-eta * grid) * pre
+        pre = np.exp(-eta * grid) * (heads[:, :-1] @ _smoothing(tails, lam / (lam + eta))) - np.expm1(-eta * grid) * pre
     pre = np.minimum(pre, 1.0)  # rounding can exceed 1 when all of N'(t)'s mass is <= M
     if not cross:
         return pre, None
-    out = np.exp(-(mu if eta is None else eta) * grid) + last
+    out = np.exp(-(mu if eta is None else eta) * grid) + _last_look(heads, tails, lam, mu, grid)
     if late:
         kappa = lam + eta
         scaled = tails * (lam / kappa) ** np.arange(tails.size)
-        out += (eta - mu) / mu * _look_sums(scaled, kappa, mu, grid)[1]
+        heads = _poisson_heads([kappa * t for t in grid.tolist()], tails.size)
+        out += (eta - mu) / mu * _last_look(heads, scaled, kappa, mu, grid)
     return pre, np.clip(out, 0.0, 1.0)
 
 

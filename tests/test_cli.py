@@ -286,6 +286,11 @@ REFUSALS = [
     ("t-steps-zero", "predict", ("t_steps",), 0, "t_steps"),
     ("t-steps-bool", "predict", ("t_steps",), True, "t_steps"),
     ("horizon-negative", "predict", ("horizon",), -1.0, "horizon"),
+    # schema versions that only compare equal to 1
+    ("root-version-true", "survival", ("schema_version",), True, "schema_version True in config"),
+    ("root-version-float", "survival", ("schema_version",), 1.0, "schema_version 1.0 in config"),
+    ("model-version-true", "survival", ("model", "schema_version"), True, "schema_version True in model"),
+    ("model-version-float", "survival", ("model", "schema_version"), 1.0, "schema_version 1.0 in model"),
 ]
 
 

@@ -1,5 +1,5 @@
-"""Every narrative demo, and the README's Python code, runs to completion as a script;
-the README names only commands and options the CLI has."""
+"""Every narrative demo, and the README's Python code, runs to completion as a script with
+warnings as errors; the README names only commands and options the CLI has."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ def _run_python(args: list[str]) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-W", "error", *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
     )
 
 

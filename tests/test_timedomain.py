@@ -307,6 +307,19 @@ class TestOneSumCdfPerCall:
 # test-only reference: the kernel as it stood with one Poisson window per law and time
 
 
+def _window(x, n_max):
+    """Poisson(x) pmf over its mode's on 0..hi, hi >= n_max + spread, walked out from the mode;
+    None if 0..n_max is negligible."""
+    spread = timedomain._spread(x)
+    if n_max < x - spread:
+        return None
+    ratio, mode = x / np.arange(1.0, math.floor(max(n_max, x) + spread) + 1), int(x)
+    u = np.ones(ratio.size + 1)
+    u[mode + 1 :] = np.cumprod(ratio[mode:])
+    u[:mode] = np.cumprod(1.0 / ratio[:mode][::-1])[::-1]
+    return u
+
+
 def _ref_next_look(tails, lam, rate, grid):
     big_m, q = tails.size - 1, lam / (lam + rate)
     w, acc = np.empty(big_m + 1), 0.0
@@ -314,7 +327,7 @@ def _ref_next_look(tails, lam, rate, grid):
         w[n] = acc = (1.0 - q) * tails[n] + q * acc
     out = np.zeros(grid.size)
     for i, t in enumerate(grid):
-        u = timedomain._poisson_pmf(lam * float(t), big_m)
+        u = _window(lam * float(t), big_m)
         if u is not None:
             out[i] = (u[: big_m + 1] @ w) / u.sum()
     return out
@@ -330,18 +343,19 @@ def _ref_last_look(tails, lam, mu, grid):
             v[k] = tails[k - 1] + g * v[k - 1]
         for i, t in enumerate(grid):
             x = lam * float(t)
-            u = timedomain._poisson_pmf(x, big_m + 1)
+            u = _window(x, big_m + 1)
             if u is not None:
                 ext = np.concatenate((v[1:], v[-1] * g ** np.arange(1.0, u.size - big_m - 1)))
                 out[i] = rho * (u[1:] @ ext) / u.sum()
             elif g > 0.0:
-                upper = timedomain._poisson_tails(g * x, big_m + 1)[big_m + 1]
+                tail = _window(g * x, big_m + 1)
+                upper = 1.0 if tail is None else tail[big_m + 1 :].sum() / tail.sum()
                 if upper > 0.0:
                     log_t = -mu * float(t) - (big_m + 1) * math.log(g) + math.log(upper)
                     out[i] = rho * v[-1] * math.exp(min(log_t, 0.0))
         return out
     for i, t in enumerate(grid):
-        u = timedomain._poisson_pmf(lam * float(t), big_m)
+        u = _window(lam * float(t), big_m)
         if u is not None and t > 0.0:
             means = timedomain._reciprocal_means((mu - lam) * float(t), big_m + 1)
             out[i] = mu * float(t) * ((u[: big_m + 1] * means) @ tails) / u.sum()
@@ -360,8 +374,35 @@ def _ref_laws(model, grid, tails):
     return np.minimum(pre, 1.0), np.clip(cross, 0.0, 1.0)
 
 
+def _mp_last_look_fast(tails, lam, mu, t):
+    """lam > mu: sum_n W_n(t) F_n in closed form, rho sum_{k <= M + 1} P{N'(t) = k} V_k plus
+    rho V_{M+1} g^{-(M+1)} e^{-mu t} P{Poisson(g lam t) >= M + 2}, rho = mu / lam, g = 1 - rho."""
+    lam, mu, t = mpmath.mpf(lam), mpmath.mpf(mu), mpmath.mpf(t)
+    rho = mu / lam
+    g, big_m = 1 - rho, len(tails) - 1
+    v, total, term = mpmath.mpf(0), mpmath.mpf(0), mpmath.exp(-lam * t)
+    for k in range(1, big_m + 2):
+        v = tails[k - 1] + g * v
+        term *= lam * t / k
+        total += term * v
+    upper = mpmath.gammainc(big_m + 2, 0, g * lam * t, regularized=True)
+    return rho * (total + v * g ** -(big_m + 1) * mpmath.exp(-mu * t) * upper)
+
+
+def _mp_cross_fast(model, t, tails):
+    """P{tau_cross > t} for lam' > mu from the closed form above, on the double F_n."""
+    lam, mu, eta = timedomain._moving_rate(model), model.observation.recurring.rate, model.first_rate
+    f = [mpmath.mpf(x) for x in tails.tolist()]
+    out = mpmath.exp(-mpmath.mpf(mu if eta is None else eta) * t) + _mp_last_look_fast(f, lam, mu, t)
+    if eta is not None and eta != mu:
+        kappa = mpmath.mpf(lam) + eta
+        scaled = [x * (lam / kappa) ** n for n, x in enumerate(f)]
+        out += (mpmath.mpf(eta) - mu) / mu * _mp_last_look_fast(scaled, kappa, mu, t)
+    return out
+
+
 class TestOneWindowPerTime:
-    # moving rate lam' against the look rate mu: faster (with the far-tail closed form), equal, slower
+    # moving rate lam' against the look rate mu: faster, equal, slower
     RATES = {"fast": (2.0, 0.05), "equal": (1.0, 1.0), "slow": (0.5, 3.0)}
     F0_PMF = (0.5, 0.3, 0.2)  # lam' = lam / 2 exactly
 
@@ -376,34 +417,50 @@ class TestOneWindowPerTime:
                 assert timedomain._moving_rate(model) == moving
                 mean = timedomain._mean_cross_time(model)
                 times = sorted([f * mean for f in (0.0, 0.1, 0.5, 1.0, 2.0)]
-                               + [800.0 / lam,  # lam t > 745: e^{-lam t} underflows
+                               + [400.0, 600.0, 800.0 / lam,  # lam t > 745: e^{-lam t} underflows
                                   (10.0 * (m + 1) + 3000.0) / moving])  # lam' t far above M
                 grid = np.array(times)
+                tails = timedomain._sum_cdf(model)
                 got = timedomain._survival_laws(model, grid)
-                ref = _ref_laws(model, grid, timedomain._sum_cdf(model))
-                for name, a, b in zip(("pre", "cross"), got, ref):
-                    assert np.allclose(a, b, rtol=1e-14, atol=1e-300), (regime, first, name, a, b)
-                if regime == "fast":  # the far-tail time is summed in closed form, and is not 0
-                    assert timedomain._poisson_pmf(moving * times[-1], m + 1) is None and got[1][-1] > 0.0
-                if regime == "slow" and m > 0:  # E[1 / (c + I)] both from a direct sum and upward only
+                ref = _ref_laws(model, grid, tails)
+                assert np.allclose(got[0], ref[0], rtol=1e-14, atol=1e-300), (regime, first, got[0], ref[0])
+                if regime == "fast":
+                    # the reference sums g^{k-M-1} with the rounded g, whose error grows with t
+                    far = moving * times[-1]
+                    assert m + 1 < far - timedomain._spread(far) and got[1][-1] > 0.0
+                    with mpmath.workdps(40):
+                        for t, value in zip(times, got[1]):
+                            # e^{-mu t} is no nearer than the rounding of mu t and of the exponents
+                            # summed with it, each up to mu t 2^-53 relative
+                            rel = max(1e-14, mu * t * 2.0**-52)
+                            _assert_close([value], [_mp_cross_fast(model, t, tails)], rel, (first, t))
+                else:
+                    assert np.allclose(got[1], ref[1], rtol=1e-14, atol=1e-300), (regime, first, got[1], ref[1])
+                if regime == "slow" and m > 0:  # E[1 / (c + I)] both from the downward and upward runs
                     assert (mu - moving) * times[1] < m + 1 < (mu - moving) * times[-1]
 
-    @pytest.mark.parametrize("first, builds", [(None, 1), (1.0, 1), (2.5, 2)])
-    def test_one_head_per_look_sums_call(self, first, builds, monkeypatch):
+    @pytest.mark.parametrize("first, looks", [(None, 1), (1.0, 1), (2.5, 2)])
+    def test_one_head_per_rate(self, first, looks, monkeypatch):
         model = _model(60, 0.5, first=first)
+        rates = [1.0, 1.0 + first, first] if looks == 2 else [1.0]
         grid = np.linspace(0.0, 2.0 * timedomain._mean_cross_time(model), 7)
-        heads, looks, windows = [], [], []
-        build, look, pmf = timedomain._poisson_heads, timedomain._look_sums, timedomain._poisson_pmf
-        monkeypatch.setattr(timedomain, "_poisson_heads", lambda xs, n_max: heads.append(len(xs)) or build(xs, n_max))
-        monkeypatch.setattr(timedomain, "_look_sums", lambda *a, **k: looks.append(a) or look(*a, **k))
-        monkeypatch.setattr(timedomain, "_poisson_pmf", lambda x, n_max: windows.append(x) or pmf(x, n_max))
+        heads, calls, others = [], [], []
+        build, look = timedomain._poisson_heads, timedomain._last_look
+        tails, means = timedomain._poisson_tails, timedomain._reciprocal_means
+        monkeypatch.setattr(timedomain, "_poisson_heads", lambda xs, n_max: heads.append(xs) or build(xs, n_max))
+        monkeypatch.setattr(timedomain, "_last_look", lambda h, *a: calls.append(h) or look(h, *a))
+        monkeypatch.setattr(timedomain, "_poisson_tails", lambda *a: others.append(a) or tails(*a))
+        monkeypatch.setattr(timedomain, "_reciprocal_means", lambda *a: others.append(a) or means(*a))
         timedomain._survival_laws(model, grid)
-        assert heads == [grid.size] * builds and len(looks) == builds
-        if builds == 1:  # lam' = mu: the head is the whole Poisson work
-            assert windows == []
-        heads.clear()
+        # one head of every time per rate: lam' = mu = 1, and for the Exp(2.5) start kappa = lam' + eta
+        # and the kappa term's tail at kappa - mu; one last-look sum per head of lam' or kappa
+        assert len(heads) == len(rates) and len(calls) == looks
+        for xs, rate in zip(heads, rates):
+            assert np.allclose(xs, rate * grid, rtol=1e-15, atol=0.0), (rate, xs)
+        assert others == []  # lam' = mu: the heads are the whole Poisson work
+        heads.clear(), calls.clear()
         timedomain.survival_pre(model, grid)
-        assert heads == [grid.size]
+        assert len(heads) == 1 and calls == []
 
 
 def _mp_poisson_row(x, n_max):
@@ -444,7 +501,7 @@ class TestPoissonHeads:
         heads = timedomain._poisson_heads(xs, 60)
         assert heads[0].tolist() == [1.0] + [0.0] * 60
         for x, row in zip(xs[1:], heads[1:]):
-            assert timedomain._poisson_pmf(x, 60) is None and not row.any()
+            assert 60 < x - timedomain._spread(x) and not row.any()
 
     @pytest.mark.parametrize("model", [_model(40), _model(40, 0.5, 2.0, 0.05), _model(40, PMF, 0.5, 3.0, 0.4)],
                              ids=["equal", "fast", "slow"])
@@ -459,6 +516,24 @@ class TestPoissonHeads:
                 # the laws are matrix-vector products, whose rounding may change with the shape
                 one = timedomain._survival_laws(model, [t])
                 assert np.allclose([laws[0][i], laws[1][i]], [one[0][0], one[1][0]], rtol=1e-15, atol=0.0), (i, t)
+
+
+class TestReciprocalMeans:
+    @pytest.mark.parametrize("size", [2, 4, 61, 301, 1001])
+    def test_match_the_poisson_sums(self, size):
+        # y < size - 1 runs downward above y, from far above size; larger y runs upward only
+        for y in (0.01, 0.7, size / 3.0, size - 1.5, size - 1.01, size + 0.5):
+            got = timedomain._reciprocal_means(y, size)
+            split = math.floor(y) + 1
+            cs = set(range(1, size + 1, max(1, size // 8))) | {split - 1, split, split + 1, split + 2, size}
+            with mpmath.workdps(40):
+                x = mpmath.mpf(y)
+                weights = [mpmath.exp(-x)]
+                for i in range(1, int(y + 40.0 * math.sqrt(y) + 100.0)):
+                    weights.append(weights[-1] * x / i)
+                for c in sorted(c for c in cs if 1 <= c <= size):
+                    exact = mpmath.fsum(w / (c + i) for i, w in enumerate(weights))
+                    assert abs(got[c - 1] - exact) <= 1.1e-15 * exact, (y, c, float(abs(got[c - 1] - exact) / exact))
 
 
 class TestSumCdf:
