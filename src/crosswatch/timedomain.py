@@ -29,10 +29,11 @@ P{N'(t) = n}, n <= M + 1, each row anchored at its mode by Loader's saddle-point
 pmf and walked out by ratios, so no row is normalised.  Both laws are
 matrix-vector products of the head with weights built once per grid: w (and its
 smoothing over an Exp(eta) first gap) for tau_pre and the uniformised weights for
-tau_cross, whose geometric part past M + 1 is for lam' > mu one closed form,
-g^{-(M+1)} e^{-mu t} P{Poisson((lam' - mu) t) >= M + 2}, g = 1 - mu / lam'.  No
-transform is inverted and every term is positive, so tiny probabilities keep
-their relative accuracy.
+tau_cross, whose geometric part past M + 1 for lam' > mu continues the head by
+ratios, or once (lam' - mu) t >= M + 2 is g^{-(M+1)} e^{-mu t} P{Poisson((lam' - mu)
+t) >= M + 2}, g = 1 - mu / lam'.  Every e^{-rate t} is formed from the exact product
+rate t.  No transform is inverted and every term is positive, so tiny probabilities
+keep their relative accuracy.
 
 The crossing level follows the embedded chain of looks: the level seen at
 look 0 has law iota (a point mass at 0 for a zero start), and each gap adds
@@ -45,7 +46,6 @@ P{A_nu = r} = iota(r) + sum_{k <= M} v(k) P0(r - k) for r > M.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import zip_longest
 from typing import Sequence
 
@@ -62,6 +62,22 @@ __all__ = ["survival_pre", "survival_cross", "crossing_level_law"]
 
 # ---------------------------------------------------------------------------
 # Poisson and binomial weights, from ratios of neighbouring terms
+
+
+def _two_product(a, b):
+    """(p, e) with p = a b rounded and p + e = a b exactly: Dekker's product of Veltkamp's halves."""
+    c, k = 134217729.0 * a, 134217729.0 * b  # 2^27 + 1 splits off the top 26 bits
+    a1, b1 = c - (c - a), k - (k - b)
+    a2, b2, p = a - a1, b - b1, a * b
+    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def _exp_less(s: float, rate: float, grid: np.ndarray) -> np.ndarray:
+    """e^{s - rate t} over the grid for s <= rate t, with rate t and the difference carried
+    exactly, so neither rounding (up to rate t 2^-53 relative) reaches the exponential."""
+    p, e = _two_product(rate, np.minimum(grid, (s + 746.0) / rate))  # e^{-746} rounds to 0
+    d = s - p
+    return np.exp(d) * (1.0 + ((s - (d + p)) - e))  # s - (d + p) is the rounding of d (|p| >= |s|)
 
 
 def _spread(x: float) -> float:
@@ -119,13 +135,19 @@ def _poisson_heads(xs: Sequence[float], n_max: int) -> np.ndarray:
     return head
 
 
-def _poisson_tails(x: float, kmax: int) -> np.ndarray:
-    """P{Poisson(x) >= k} for k = 0..kmax: one head out past x + spread, summed from the top over
-    its total (never 1 - P{X < k}); all ones where 0..kmax is negligible."""
-    if kmax < x - _spread(x):
-        return np.ones(kmax + 1)
-    top = np.cumsum(_poisson_heads([x], math.floor(max(kmax, x) + _spread(x)))[0, ::-1])[::-1]
-    return top[: kmax + 1] / top[0]
+def _poisson_tails(x: float | np.ndarray, kmax: int) -> np.ndarray:
+    """P{Poisson(x) >= k} for k = 0..kmax, one row per entry of an array x: one head out past
+    x + spread, summed from the top over its total (never 1 - P{X < k}); all ones where 0..kmax
+    is negligible."""
+    xs = np.atleast_1d(x).tolist()
+    out = np.ones((len(xs), kmax + 1))
+    live = [i for i, y in enumerate(xs) if kmax >= y - _spread(y)]
+    if live:
+        width = max(max(kmax, xs[i]) + _spread(xs[i]) for i in live)
+        heads = _poisson_heads([xs[i] for i in live], math.floor(width))
+        top = np.cumsum(heads[:, ::-1], axis=1)[:, ::-1]
+        out[live] = top[:, : kmax + 1] / top[:, :1]
+    return out if np.ndim(x) else out[0]
 
 
 def _binom_tails(m: int, a: float) -> np.ndarray:
@@ -210,24 +232,28 @@ def _last_look(heads: np.ndarray, tails: np.ndarray, lam: float, mu: float, grid
     # W_n = rho sum_{k > n} P{N'(t) = k} g^{k-1-n}, g = 1 - rho, so the sum is rho sum_k
     # P{N'(t) = k} V_k, V_k = F_{k-1} + g V_{k-1}.  Powers of g up to M + 1 would scale its
     # rounding dg by M + 1, so V_k = u_k + w_k with w_k the part that dg adds
-    rho, exact = mu / lam, 1 - Fraction(mu) / Fraction(lam)
-    g = float(exact)
-    dg = float(exact - Fraction(g))
+    rho = mu / lam
+    q, dq = _two_product(rho, lam)  # mu / lam = rho + (mu - q - dq) / lam; 1 - rho = g + (1 - g - rho)
+    g = 1.0 - rho
+    dg = ((1.0 - g) - rho) - ((mu - q) - dq) / lam
     u, w, v = 0.0, 0.0, []
     for f_k in tails.tolist():
         u, w = f_k + g * u, dg * u + g * w
         v.append(u + w)
-    # past M + 1, V_k = g^{k-M-1} V_{M+1}, and with y = (lam - mu) t
-    # sum_{k >= M + 2} P{N'(t) = k} g^{k-M-1} = g^{-(M+1)} e^{-mu t} P{Poisson(y) >= M + 2}, which
-    # is 1 - P{Poisson(y) <= M + 1} >= 1/2 for y >= M + 2 and below that the positive sum
-    # P{Poisson(y) = M + 1} sum_{i >= 1} prod_{j <= i} y / (M + 1 + j), negligible past the spread
+    # past M + 1, V_k = g^{k-M-1} V_{M+1}, and P{N'(t) = k} g^{k-M-1} continues the head's last
+    # column by the ratios y / k, y = (lam - mu) t, which fall below e^-800 within the spread
+    # while y < M + 2.  From there on the terms sum to g^{-(M+1)} e^{-mu t} P{Poisson(y) >= M + 2},
+    # the last at least 1/2; below M + 2 that tail can underflow where the sum does not
     ys = (lam - mu) * grid
-    tail = _poisson_heads(ys.tolist(), big_m + 1)
-    ratios = np.minimum(ys, big_m + 2.0)[:, None] / np.arange(big_m + 2.0, big_m + 2.0 + _spread(big_m + 2))
-    upper = np.where(ys < big_m + 2, tail[:, -1] * np.cumprod(ratios, axis=1).sum(axis=1), 1.0 - tail.sum(axis=1))
-    with np.errstate(divide="ignore"):  # log 0 = -inf where the tail underflows
-        log_t = np.log(upper) - mu * grid - (big_m + 1) * (math.log(g) + math.log1p(dg / g))
-    return rho * (heads[:, 1:] @ v + v[-1] * np.exp(np.minimum(log_t, 0.0)))
+    near = np.flatnonzero((ys < big_m + 2) & (heads[:, -1] > 0.0))
+    far = np.flatnonzero(ys >= big_m + 2)
+    tail = np.zeros(grid.size)
+    ratios = ys[near, None] / np.arange(big_m + 2.0, big_m + 2.0 + _spread(big_m + 2))
+    tail[near] = heads[near, -1] * np.cumprod(ratios, axis=1).sum(axis=1)
+    if far.size:
+        log_g = math.log(g) + math.log1p(dg / g)
+        tail[far] = _exp_less(-(big_m + 1) * log_g, mu, grid[far]) * _poisson_tails(ys[far], big_m + 2)[:, -1]
+    return rho * (heads[:, 1:] @ v + v[-1] * tail)
 
 
 def _reciprocal_means(y: float, size: int) -> np.ndarray:
@@ -310,11 +336,12 @@ def _survival_laws(model: ProcessModel, t_grid: Sequence[float] | np.ndarray,
     heads = _poisson_heads([lam * t for t in grid.tolist()], tails.size)
     pre = heads[:, :-1] @ _smoothing(tails, lam / (lam + mu))
     if late:
-        pre = np.exp(-eta * grid) * (heads[:, :-1] @ _smoothing(tails, lam / (lam + eta))) - np.expm1(-eta * grid) * pre
+        pre = (_exp_less(0.0, eta, grid) * (heads[:, :-1] @ _smoothing(tails, lam / (lam + eta)))
+               - np.expm1(-eta * grid) * pre)
     pre = np.minimum(pre, 1.0)  # rounding can exceed 1 when all of N'(t)'s mass is <= M
     if not cross:
         return pre, None
-    out = np.exp(-(mu if eta is None else eta) * grid) + _last_look(heads, tails, lam, mu, grid)
+    out = _exp_less(0.0, mu if eta is None else eta, grid) + _last_look(heads, tails, lam, mu, grid)
     if late:
         kappa = lam + eta
         scaled = tails * (lam / kappa) ** np.arange(tails.size)

@@ -362,42 +362,58 @@ def _ref_last_look(tails, lam, mu, grid):
     return out
 
 
+def _exp_neg(rate, grid):
+    """e^{-rate t} rounded once, with no rounding of rate t."""
+    with mpmath.workdps(40):
+        return np.array([float(mpmath.exp(-mpmath.mpf(rate) * t)) for t in grid.tolist()])
+
+
 def _ref_laws(model, grid, tails):
     lam, mu, eta = timedomain._moving_rate(model), model.observation.recurring.rate, model.first_rate
     pre = _ref_next_look(tails, lam, mu, grid)
-    cross = np.exp(-(mu if eta is None else eta) * grid) + _ref_last_look(tails, lam, mu, grid)
+    cross = _exp_neg(mu if eta is None else eta, grid) + _ref_last_look(tails, lam, mu, grid)
     if eta is not None and eta != mu:
-        pre = np.exp(-eta * grid) * _ref_next_look(tails, lam, eta, grid) + -np.expm1(-eta * grid) * pre
+        pre = _exp_neg(eta, grid) * _ref_next_look(tails, lam, eta, grid) + -np.expm1(-eta * grid) * pre
         kappa = lam + eta
         scaled = tails * (lam / kappa) ** np.arange(tails.size)
         cross += (eta - mu) / mu * _ref_last_look(scaled, kappa, mu, grid)
     return np.minimum(pre, 1.0), np.clip(cross, 0.0, 1.0)
 
 
-def _mp_last_look_fast(tails, lam, mu, t):
-    """lam > mu: sum_n W_n(t) F_n in closed form, rho sum_{k <= M + 1} P{N'(t) = k} V_k plus
-    rho V_{M+1} g^{-(M+1)} e^{-mu t} P{Poisson(g lam t) >= M + 2}, rho = mu / lam, g = 1 - rho."""
-    lam, mu, t = mpmath.mpf(lam), mpmath.mpf(mu), mpmath.mpf(t)
+def _mp_last_look(tails, lam, mu, times):
+    """lam >= mu: sum_n W_n(t) F_n over the times in closed form, rho sum_{k <= M + 1} P{N'(t) = k} V_k
+    plus rho V_{M+1} g^{-(M+1)} e^{-mu t} P{Poisson(g lam t) >= M + 2}, rho = mu / lam, g = 1 - rho."""
+    lam, mu = mpmath.mpf(lam), mpmath.mpf(mu)
     rho = mu / lam
     g, big_m = 1 - rho, len(tails) - 1
-    v, total, term = mpmath.mpf(0), mpmath.mpf(0), mpmath.exp(-lam * t)
-    for k in range(1, big_m + 2):
-        v = tails[k - 1] + g * v
-        term *= lam * t / k
-        total += term * v
-    upper = mpmath.gammainc(big_m + 2, 0, g * lam * t, regularized=True)
-    return rho * (total + v * g ** -(big_m + 1) * mpmath.exp(-mu * t) * upper)
+    v = [mpmath.mpf(0)]  # V_0..V_{M+1}
+    for f in tails:
+        v.append(f + g * v[-1])
+    out = []
+    for t in map(mpmath.mpf, times):
+        x = lam * t
+        total, term = mpmath.mpf(0), mpmath.exp(-x)
+        for k in range(1, big_m + 2):
+            term *= x / k
+            total += term * v[k]
+        if g > 0:
+            upper = mpmath.gammainc(big_m + 2, 0, g * x, regularized=True)
+            total += v[-1] * g ** -(big_m + 1) * mpmath.exp(-mu * t) * upper
+        out.append(rho * total)
+    return out
 
 
-def _mp_cross_fast(model, t, tails):
-    """P{tau_cross > t} for lam' > mu from the closed form above, on the double F_n."""
+def _mp_cross(model, times, tails):
+    """P{tau_cross > t} over the times for lam' >= mu from the closed form above, on the double F_n."""
     lam, mu, eta = timedomain._moving_rate(model), model.observation.recurring.rate, model.first_rate
     f = [mpmath.mpf(x) for x in tails.tolist()]
-    out = mpmath.exp(-mpmath.mpf(mu if eta is None else eta) * t) + _mp_last_look_fast(f, lam, mu, t)
+    first = mpmath.mpf(mu if eta is None else eta)
+    out = [mpmath.exp(-first * t) + w for t, w in zip(times, _mp_last_look(f, lam, mu, times))]
     if eta is not None and eta != mu:
         kappa = mpmath.mpf(lam) + eta
         scaled = [x * (lam / kappa) ** n for n, x in enumerate(f)]
-        out += (mpmath.mpf(eta) - mu) / mu * _mp_last_look_fast(scaled, kappa, mu, t)
+        late = _mp_last_look(scaled, kappa, mu, times)
+        out = [o + (mpmath.mpf(eta) - mu) / mu * w for o, w in zip(out, late)]
     return out
 
 
@@ -425,39 +441,53 @@ class TestOneWindowPerTime:
                 ref = _ref_laws(model, grid, tails)
                 assert np.allclose(got[0], ref[0], rtol=1e-14, atol=1e-300), (regime, first, got[0], ref[0])
                 if regime == "fast":
-                    # the reference sums g^{k-M-1} with the rounded g, whose error grows with t
                     far = moving * times[-1]
                     assert m + 1 < far - timedomain._spread(far) and got[1][-1] > 0.0
+                if moving > mu or (first == 0.4 and moving + first > mu):
+                    # the reference sums g^{k-M-1} with the rounded g, whose error grows with t, for a
+                    # last look at a rate above mu: lam', or kappa = lam' + 0.4 for an Exp(0.4) start
                     with mpmath.workdps(40):
-                        for t, value in zip(times, got[1]):
-                            # e^{-mu t} is no nearer than the rounding of mu t and of the exponents
-                            # summed with it, each up to mu t 2^-53 relative
-                            rel = max(1e-14, mu * t * 2.0**-52)
-                            _assert_close([value], [_mp_cross_fast(model, t, tails)], rel, (first, t))
+                        _assert_close(got[1], _mp_cross(model, times, tails), 1e-14, (regime, first))
                 else:
                     assert np.allclose(got[1], ref[1], rtol=1e-14, atol=1e-300), (regime, first, got[1], ref[1])
                 if regime == "slow" and m > 0:  # E[1 / (c + I)] both from the downward and upward runs
                     assert (mu - moving) * times[1] < m + 1 < (mu - moving) * times[-1]
 
+    @pytest.mark.parametrize("m, marks", [(400, (0.0, 0.99, 0.01)), (1000, 0.999)], ids=["pmf", "geometric"])
+    def test_tail_past_the_head_near_the_look_rate(self, m, marks):
+        # g = 1 - mu / lam' = 0.05: P{Poisson(g lam' t) >= M + 2} underflows where the terms past
+        # M + 1 still hold a share of P{tau_cross > t}, as marks of 1 keep F_M near 1
+        for first in (None, 0.4):
+            model = _model(m, marks, 2.0, 1.9, first)
+            times = [f * timedomain._mean_cross_time(model) for f in (0.1, 0.5, 0.8, 1.0, 1.5, 2.0)]
+            tails = timedomain._sum_cdf(model)
+            got = timedomain.survival_cross(model, times)
+            with mpmath.workdps(40):
+                _assert_close(got, _mp_cross(model, times, tails), 1e-14, first)
+
     @pytest.mark.parametrize("first, looks", [(None, 1), (1.0, 1), (2.5, 2)])
     def test_one_head_per_rate(self, first, looks, monkeypatch):
         model = _model(60, 0.5, first=first)
-        rates = [1.0, 1.0 + first, first] if looks == 2 else [1.0]
         grid = np.linspace(0.0, 2.0 * timedomain._mean_cross_time(model), 7)
-        heads, calls, others = [], [], []
+        heads, calls, uppers, means = [], [], [], []
         build, look = timedomain._poisson_heads, timedomain._last_look
-        tails, means = timedomain._poisson_tails, timedomain._reciprocal_means
+        tails, recip = timedomain._poisson_tails, timedomain._reciprocal_means
         monkeypatch.setattr(timedomain, "_poisson_heads", lambda xs, n_max: heads.append(xs) or build(xs, n_max))
         monkeypatch.setattr(timedomain, "_last_look", lambda h, *a: calls.append(h) or look(h, *a))
-        monkeypatch.setattr(timedomain, "_poisson_tails", lambda *a: others.append(a) or tails(*a))
-        monkeypatch.setattr(timedomain, "_reciprocal_means", lambda *a: others.append(a) or means(*a))
+        monkeypatch.setattr(timedomain, "_poisson_tails", lambda *a: uppers.append(a) or tails(*a))
+        monkeypatch.setattr(timedomain, "_reciprocal_means", lambda *a: means.append(a) or recip(*a))
         timedomain._survival_laws(model, grid)
-        # one head of every time per rate: lam' = mu = 1, and for the Exp(2.5) start kappa = lam' + eta
-        # and the kappa term's tail at kappa - mu; one last-look sum per head of lam' or kappa
-        assert len(heads) == len(rates) and len(calls) == looks
-        for xs, rate in zip(heads, rates):
+        # one head of every time per rate, lam' = mu = 1 and for the Exp(2.5) start kappa = lam' + eta,
+        # and one last-look sum per head
+        assert len(calls) == looks and means == []
+        for xs, rate in zip(heads, [1.0, 1.0 + (first or 0.0)][:looks]):
             assert np.allclose(xs, rate * grid, rtol=1e-15, atol=0.0), (rate, xs)
-        assert others == []  # lam' = mu: the heads are the whole Poisson work
+        if looks == 1:  # lam' = mu: the head is the whole Poisson work
+            assert uppers == [] and len(heads) == 1
+        else:  # kappa > mu: one upper tail, and its head, for the times with (kappa - mu) t >= M + 2 = 62
+            y = 2.5 * grid
+            assert len(uppers) == 1 and uppers[0][1] == 62 and np.allclose(uppers[0][0], y[y >= 62.0])
+            assert len(heads) == 3 and np.allclose(heads[2], y[y >= 62.0])
         heads.clear(), calls.clear()
         timedomain.survival_pre(model, grid)
         assert len(heads) == 1 and calls == []
