@@ -231,9 +231,7 @@ def cmd_functional(ns, config: dict, model: ProcessModel) -> int:
 def cmd_simulate(ns, config: dict, model: ProcessModel) -> int:
     n_paths = _count(config, "n_paths", 100_000)
     args = _parse_args_section(config["args"]) if "args" in config else None
-    if args is not None:
-        montecarlo._real_args(args)  # refuse a bad argument before any path is drawn
-    sample = montecarlo._crossing_sample(model, n_paths, ns.seed)
+    sample = montecarlo._functional_sample(model, args or TransformArgs(), n_paths, ns.seed)
 
     def row(name: str, est: montecarlo.EstimateWithCI) -> str:
         return f"{name},{_fmt(est.mean)},{_fmt(est.std_error)},{est.n_samples}"
@@ -243,9 +241,7 @@ def cmd_simulate(ns, config: dict, model: ProcessModel) -> int:
     for key in ("nu", "a_pre", "a_cross", "overshoot", "tau_pre", "tau_cross"):
         lines.append(row(key, montecarlo._estimate(columns[key])))
     if args is not None:
-        estimates = (montecarlo._sample_functionals(sample, args) if args.y == 1  # y = 1 needs no new draws
-                     else montecarlo.estimate_functionals(model, args, n_paths, ns.seed))
-        lines += [row(which, est) for which, est in estimates.items()]
+        lines += [row(which, est) for which, est in montecarlo._sample_functionals(sample, args).items()]
     _write_output(ns, "\n".join(lines) + "\n")
     return _EXIT_OK
 

@@ -25,7 +25,7 @@ class UnsupportedLawError(CrosswatchError, TypeError):
 
 
 class DivergenceError(CrosswatchError, ArithmeticError):
-    """A geometric resolvent series was evaluated outside its contraction region."""
+    """The crossing never comes: marks that are all zero, or a resolvent series outside its contraction region."""
 
 
 class SeriesOrderError(CrosswatchError, ValueError):

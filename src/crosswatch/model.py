@@ -21,7 +21,7 @@ from typing import AbstractSet, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, UnsupportedLawError
+from .errors import ConfigError, DivergenceError, DomainError, UnsupportedLawError
 
 __all__ = [
     "Geometric",
@@ -202,7 +202,8 @@ class ProcessModel:
         Arrival intensity of the marked Poisson stream (lambda > 0).
     marks : MarkLaw
         Law of the integer mark attached to each arrival; any other type
-        raises :class:`UnsupportedLawError` on construction.
+        raises :class:`UnsupportedLawError` on construction, and marks that
+        are all zero, which never move the level, :class:`DivergenceError`.
     observation : ObservationLaw
         Laws of the initial and recurring inspection gaps.
     threshold : int
@@ -225,6 +226,9 @@ class ProcessModel:
         m = self.threshold
         if isinstance(m, bool) or not (isinstance(m, (int, np.integer)) and 0 <= m <= MAX_THRESHOLD):
             raise DomainError(f"threshold must be an integer in [0, {MAX_THRESHOLD}], got {m!r}")
+        num, den = _mark_pgf_rational(self.marks)
+        if num[0] / den[0] == 1.0:  # f0 = N(0) / D(0) is the chance of a zero mark
+            raise DivergenceError("every mark is zero, so the level never crosses the threshold")
 
     @property
     def first_rate(self) -> float | None:
@@ -372,6 +376,7 @@ def load_model(raw: Mapping) -> ProcessModel:
     one raises :class:`ConfigError` naming the object and the key.  The
     bounds on the numbers are stated by the law types and
     :class:`ProcessModel`; a breach raises :class:`ConfigError` naming the key.
+    Marks that are all zero raise :class:`DivergenceError`, as the model does.
     """
     raw = _section(raw, "model", _MODEL_KEYS, _MODEL_KEYS)
     _schema_version(raw, "model")

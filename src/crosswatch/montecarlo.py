@@ -49,7 +49,6 @@ from .model import (
     TransformArgs,
     _level_bound,
     _table_times,
-    mark_mean,
     mark_sample,
 )
 
@@ -279,8 +278,6 @@ def _crossing_sample(
     model: ProcessModel, n_paths: int, seed: int, theta: float | None = None, y: float = 1.0
 ) -> dict:
     """Crossing records per path, plus both window integrals when ``theta`` is given."""
-    if mark_mean(model.marks) == 0.0:
-        raise RunawaySimulationError("every mark is zero, so the crossing simulation never reaches the threshold")
     windows = () if theta is None else ("window_pre", "window_cross")
     keys = ("a_pre", "a_cross", "nu", "tau_pre", "tau_cross") + windows
     # one block, the counts as int64 views of their rows: the allocator then reuses pages, not re-faults them
@@ -375,11 +372,16 @@ def estimate_functionals(
 
     At y = 1 that sample is the plain crossing sample of ``seed``.
     """
+    return _sample_functionals(_functional_sample(model, args, n_paths, seed), args)
+
+
+def _functional_sample(model: ProcessModel, args: TransformArgs, n_paths: int, seed: int) -> dict:
+    """The crossing sample of ``seed`` that :func:`_sample_functionals` reads at ``args``: at y < 1
+    it carries the windows drawn at theta and y.  Bad arguments are refused before a path is drawn."""
     theta, u, v, w, x, y = _real_args(args)
     if n_paths < 1:
         raise DomainError("need at least one path")
-    tag = () if y == 1.0 else (theta, y)
-    return _sample_functionals(_crossing_sample(model, n_paths, seed, *tag), args)
+    return _crossing_sample(model, n_paths, seed, *(() if y == 1.0 else (theta, y)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ before t sits min(E', .) back from t, with E, E' exponential:
     P{tau_cross > t} = P{no look in [0, t]} + P{A(last look <= t) <= M}.
 
 Zero marks never move the level, so A is compound Poisson with rate
-lam' = lam (1 - f0) and marks >= 1, and n such marks sum to at most M with
+lam' = lam (1 - f0) > 0 and marks >= 1, and n such marks sum to at most M with
 probability F_n = P{S_n <= M}, which is zero for n > M.  Both laws are then
 positive sums sum_{n <= M} P{N'(.) = n} F_n of Poisson-mixture counts:
 
@@ -30,17 +30,18 @@ pmf and walked out by ratios, so no row is normalised.  Both laws are
 matrix-vector products of the head with weights built once per grid: w (and its
 smoothing over an Exp(eta) first gap) for tau_pre and the uniformised weights for
 tau_cross, whose geometric part past M + 1 for lam' > mu continues the head by
-ratios, or once (lam' - mu) t >= M + 2 is g^{-(M+1)} e^{-mu t} P{Poisson((lam' - mu)
-t) >= M + 2}, g = 1 - mu / lam'.  Every e^{-rate t} is formed from the exact product
-rate t.  No transform is inverted and every term is positive, so tiny probabilities
-keep their relative accuracy.
+ratios, or once y = (lam' - mu) t >= M + 2 is g^{-(M+1)} e^{-mu t} P{Poisson(y) >=
+M + 2}, g = 1 - mu / lam', with that tail 1 minus a head of Poisson(y) through M + 1.
+Every head and every e^{-rate t} is taken at the exact product rate t = p + e: a head
+is built at p, column n scaled by 1 + e (n / p - 1).  No transform is inverted and
+every term is positive, so tiny probabilities keep their relative accuracy.
 
 The crossing level follows the embedded chain of looks: the level seen at
 look 0 has law iota (a point mass at 0 for a zero start), and each gap adds
-a mark total with law P0 = mu R(mu + lam, 1).  The expected visits of the
-levels 0..M are v = iota * pi with pi = 1 / (1 - P0), the coefficients of
-((mu + lam) D - lam N) / (lam (D - N)) for marks g = N / D, and
-P{A_nu = r} = iota(r) + sum_{k <= M} v(k) P0(r - k) for r > M.
+a mark total with law P0 = mu R(mu + lam, 1), R(s, 1) = 1 / (s - lam g) for
+the mark pgf g = N / D.  The expected visits of the levels 0..M are
+v = iota * pi with pi = 1 / (1 - P0) = 1 + mu R(lam, 1) = 1 + (mu / lam) D / (D - N),
+and P{A_nu = r} = iota(r) + sum_{k <= M} v(k) P0(r - k) for r > M.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DivergenceError
 from .fluctuation import _r_series
 from .model import Geometric, ProcessModel, _level_bound, _mark_pgf_rational, _times, mark_mean
 from .series import series_from_rational
@@ -135,19 +135,23 @@ def _poisson_heads(xs: Sequence[float], n_max: int) -> np.ndarray:
     return head
 
 
-def _poisson_tails(x: float | np.ndarray, kmax: int) -> np.ndarray:
-    """P{Poisson(x) >= k} for k = 0..kmax, one row per entry of an array x: one head out past
-    x + spread, summed from the top over its total (never 1 - P{X < k}); all ones where 0..kmax
-    is negligible."""
-    xs = np.atleast_1d(x).tolist()
-    out = np.ones((len(xs), kmax + 1))
-    live = [i for i, y in enumerate(xs) if kmax >= y - _spread(y)]
-    if live:
-        width = max(max(kmax, xs[i]) + _spread(xs[i]) for i in live)
-        heads = _poisson_heads([xs[i] for i in live], math.floor(width))
-        top = np.cumsum(heads[:, ::-1], axis=1)[:, ::-1]
-        out[live] = top[:, : kmax + 1] / top[:, :1]
-    return out if np.ndim(x) else out[0]
+def _grid_heads(rate: float, grid: np.ndarray, n_max: int) -> np.ndarray:
+    """:func:`_poisson_heads` of the grid's exact products rate t = p + e: the head at p, column n scaled
+    by 1 + e (n / p - 1), the pmf's first-order change in its mean."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        p, e = _two_product(rate, grid)
+        shift = e / p
+    shift[~np.isfinite(shift)] = 0.0  # 0 / 0 at t = 0; past t = 2^996 the split overflows to nan
+    return _poisson_heads(p.tolist(), n_max) * (1.0 + shift[:, None] * (np.arange(n_max + 1.0) - p[:, None]))
+
+
+def _poisson_tails(x: float, kmax: int) -> np.ndarray:
+    """P{Poisson(x) >= k} for k = 0..kmax: one head out past x + spread, summed from the top
+    over its total (never 1 - P{X < k}); all ones where 0..kmax is negligible."""
+    if kmax < x - _spread(x):
+        return np.ones(kmax + 1)
+    top = np.cumsum(_poisson_heads([x], math.floor(max(kmax, x) + _spread(x)))[0, ::-1])[::-1]
+    return top[: kmax + 1] / top[0]
 
 
 def _binom_tails(m: int, a: float) -> np.ndarray:
@@ -172,16 +176,11 @@ def _binom_tails(m: int, a: float) -> np.ndarray:
 def _moving_rate(model: ProcessModel) -> float:
     """lam' = lam (1 - f0), the rate of the marks that raise the level."""
     num, den = _mark_pgf_rational(model.marks)
-    f0 = num[0] / den[0]
-    rate = model.rate * (1.0 - f0)
-    if not rate > 0.0:
-        raise DivergenceError("every mark is zero, so the level never crosses the threshold")
-    return rate
+    return model.rate * (1.0 - num[0] / den[0])
 
 
 def _sum_cdf(model: ProcessModel) -> np.ndarray:
     """F_n = P{S_n <= M} for n = 0..M, S_n the total of n marks conditioned to be >= 1."""
-    _moving_rate(model)  # raises when every mark is zero, before 1 - f0 divides below
     m = model.threshold
     if isinstance(model.marks, Geometric):
         # n geometric marks sum to at most M exactly when M trials hold >= n successes
@@ -242,8 +241,8 @@ def _last_look(heads: np.ndarray, tails: np.ndarray, lam: float, mu: float, grid
         v.append(u + w)
     # past M + 1, V_k = g^{k-M-1} V_{M+1}, and P{N'(t) = k} g^{k-M-1} continues the head's last
     # column by the ratios y / k, y = (lam - mu) t, which fall below e^-800 within the spread
-    # while y < M + 2.  From there on the terms sum to g^{-(M+1)} e^{-mu t} P{Poisson(y) >= M + 2},
-    # the last at least 1/2; below M + 2 that tail can underflow where the sum does not
+    # while y < M + 2.  From there on they sum to g^{-(M+1)} e^{-mu t} (1 - P{Poisson(y) <= M + 1}),
+    # the head sum at most 1/2 (the median is above M + 1); below M + 2 that tail can underflow where the sum does not
     ys = (lam - mu) * grid
     near = np.flatnonzero((ys < big_m + 2) & (heads[:, -1] > 0.0))
     far = np.flatnonzero(ys >= big_m + 2)
@@ -252,7 +251,8 @@ def _last_look(heads: np.ndarray, tails: np.ndarray, lam: float, mu: float, grid
     tail[near] = heads[near, -1] * np.cumprod(ratios, axis=1).sum(axis=1)
     if far.size:
         log_g = math.log(g) + math.log1p(dg / g)
-        tail[far] = _exp_less(-(big_m + 1) * log_g, mu, grid[far]) * _poisson_tails(ys[far], big_m + 2)[:, -1]
+        upper = 1.0 - _poisson_heads(ys[far].tolist(), big_m + 1).sum(axis=1)
+        tail[far] = _exp_less(-(big_m + 1) * log_g, mu, grid[far]) * upper
     return rho * (heads[:, 1:] @ v + v[-1] * tail)
 
 
@@ -290,9 +290,10 @@ def _visits(model: ProcessModel) -> np.ndarray:
     """Expected number of looks that see level k, k = 0..M."""
     lam, mu, m = model.rate, model.observation.recurring.rate, model.threshold
     num, den = _mark_pgf_rational(model.marks)
-    # pi = 1 / (1 - P0) = ((mu + lam) D - lam N) / (lam (D - N)) = 1 + mu D / (lam (D - N))
-    diff = [lam * (q - p) for p, q in zip_longest(num, den, fillvalue=0.0)]
-    pi = series_from_rational([mu * q for q in den], diff, m).real
+    # pi = 1 + mu R(lam, 1) = 1 + (mu / lam) D / (D - N), not from R's lam D - lam N, which cancels where
+    # few marks are nonzero; D - N is unscaled, so no rounding of lam enters the series' recurrence
+    diff = [q - p for p, q in zip_longest(num, den, fillvalue=0.0)]
+    pi = mu / lam * series_from_rational(den, diff, m).real
     pi[0] += 1.0
     eta = model.first_rate
     if eta is None:
@@ -333,7 +334,7 @@ def _survival_laws(model: ProcessModel, t_grid: Sequence[float] | np.ndarray,
     grid, tails = _times(t_grid), _sum_cdf(model)
     lam, mu, eta = _moving_rate(model), model.observation.recurring.rate, model.first_rate
     late = eta is not None and eta != mu  # an Exp(eta) first gap unlike the recurring ones
-    heads = _poisson_heads([lam * t for t in grid.tolist()], tails.size)
+    heads = _grid_heads(lam, grid, tails.size)
     pre = heads[:, :-1] @ _smoothing(tails, lam / (lam + mu))
     if late:
         pre = (_exp_less(0.0, eta, grid) * (heads[:, :-1] @ _smoothing(tails, lam / (lam + eta)))
@@ -345,7 +346,7 @@ def _survival_laws(model: ProcessModel, t_grid: Sequence[float] | np.ndarray,
     if late:
         kappa = lam + eta
         scaled = tails * (lam / kappa) ** np.arange(tails.size)
-        heads = _poisson_heads([kappa * t for t in grid.tolist()], tails.size)
+        heads = _grid_heads(kappa, grid, tails.size)
         out += (eta - mu) / mu * _last_look(heads, scaled, kappa, mu, grid)
     return pre, np.clip(out, 0.0, 1.0)
 
@@ -359,7 +360,6 @@ def crossing_level_law(model: ProcessModel, r_max: int) -> tuple[np.ndarray, flo
     Exp(mu) gap, a finite sum.
     """
     r_max = _level_bound(r_max)
-    _moving_rate(model)
     lam, mu, m, eta = model.rate, model.observation.recurring.rate, model.threshold, model.first_rate
     visits = _visits(model)
     law = np.zeros(r_max + 1)

@@ -673,6 +673,17 @@ class TestFailureExitCodes:
         assert out == ""
         assert "divergence" in err
 
+    @pytest.mark.parametrize("pmf", [[1.0], [1.0, 0.0]], ids=["one", "two"])
+    @pytest.mark.parametrize("command, keys", [*[(c, k) for c, k in GOOD_KEYS.items() if c != "functional"],
+                                               ("functional", {"args": {"theta": 1.0, "w": 0.0}}),
+                                               ("functional", {"args": {"theta": 1.0, "w": 0.5}})])
+    def test_zero_marks_refused_once_by_every_command(self, capsys, tmp_path, command, keys, pmf):
+        # the model refuses marks that never move the level, before any command reads it
+        cfg = _config(tmp_path, model={**SPECIAL_MODEL, "marks": {"pmf": pmf}}, **keys)
+        code, out, err = _run(capsys, [command, "--config", cfg])
+        assert (code, out) == (4, "")
+        assert err == "divergence: every mark is zero, so the level never crosses the threshold\n"
+
     def test_runaway_simulation_maps_to_4(self, capsys, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
             raise RunawaySimulationError("epoch cap exceeded")

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from crosswatch import closedform, montecarlo, timedomain
-from crosswatch.errors import ConfigError, DomainError, UnsupportedLawError
+from crosswatch.errors import ConfigError, DivergenceError, DomainError, UnsupportedLawError
 from crosswatch.model import (
     DegenerateZero,
     Exponential,
@@ -138,6 +138,19 @@ class TestProcessModel:
             ProcessModel(rate=1.0, marks=Geometric(0.5), observation=obs, threshold=True)
         with pytest.raises(UnsupportedLawError, match="mark law"):
             ProcessModel(rate=1.0, marks=object(), observation=obs, threshold=3)
+
+    @pytest.mark.parametrize("pmf", [[1.0], [1.0, 0.0, 0.0]])
+    def test_all_zero_marks_refused(self, pmf):
+        obs = ObservationLaw(initial=DegenerateZero(), recurring=Exponential(1.0))
+        with pytest.raises(DivergenceError, match="every mark is zero"):
+            ProcessModel(rate=1.0, marks=GeneralDiscrete(pmf), observation=obs, threshold=3)
+        raw = {"schema_version": 1, "lambda": 1.0, "marks": {"pmf": pmf}, "obs": {"mu": 1.0, "initial": "zero"},
+               "threshold": 3}
+        with pytest.raises(DivergenceError, match="every mark is zero"):  # not a ConfigError
+            load_model(raw)
+        # a nonzero mark, however rare, moves the level
+        rare = ProcessModel(rate=1.0, marks=GeneralDiscrete([1.0 - 1e-12, 1e-12]), observation=obs, threshold=3)
+        assert timedomain._moving_rate(rare) > 0.0
 
     def test_zero_threshold_allowed(self):
         obs = ObservationLaw(initial=DegenerateZero(), recurring=Exponential(1.0))

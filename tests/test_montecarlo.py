@@ -416,16 +416,22 @@ class TestSampleCount:
         assert [row[0] for row in rows] == list(fresh)
         assert [float(row[1]) for row in rows] == [float(f"{est.mean:.11e}") for est in fresh.values()]
 
-    def test_tagged_simulate_draws_two_samples(self, tmp_path, monkeypatch, capsys):
+    def test_tagged_simulate_draws_one_sample(self, std_model, tmp_path, monkeypatch, capsys):
         model = {"lambda": 1.0, "marks": {"geometric": {"a": 0.5}}, "obs": {"mu": 1.0, "initial": "zero"},
                  "threshold": 3}
         config = tmp_path / "sim.json"
-        config.write_text(json.dumps({"schema_version": 1, "model": model, "n_paths": 5_000,
-                                      "args": {"theta": 1.0, "y": 0.8}}))
+        args = {"theta": 1.0, "y": 0.8}
+        config.write_text(json.dumps({"schema_version": 1, "model": model, "n_paths": 5_000, "args": args}))
         calls = _count_samples(monkeypatch)
         assert cli.main(["simulate", "--config", str(config)]) == 0
-        assert [line.split(",")[0] for line in capsys.readouterr().out.splitlines()[-3:]] == ["G1", "G2", "G"]
-        assert calls == [5_000, 5_000]
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert calls == [5_000]
+        # the summary rows and G1, G2 and G all come from the tagged sample of that seed
+        sample = mc._crossing_sample(std_model, 5_000, 0, 1.0, 0.8)
+        assert [row[0] for row in rows[6:]] == ["G1", "G2", "G"]
+        assert float(rows[0][1]) == float(f"{sample['nu'].mean():.11e}")
+        fresh = estimate_functionals(std_model, TransformArgs(**args), 5_000, 0)
+        assert [float(row[1]) for row in rows[6:]] == [float(f"{est.mean:.11e}") for est in fresh.values()]
 
     def test_functional_draws_no_sample(self, tmp_path, monkeypatch, capsys):
         # its Monte Carlo check is `simulate` on the same args

@@ -132,14 +132,21 @@ def _mp_cross_quad(model, t):
     return mpmath.exp(-mu * t) + mpmath.quad(integrand, knots)
 
 
+def _mp_visits(model, jumps):
+    """Expected looks at the levels 0..M from a zero start, by the renewal recursion of the looks
+    over ``jumps``, the law of the mark total over one gap through at least M."""
+    visits = []
+    for k in range(model.threshold + 1):
+        inflow = mpmath.fdot(jumps[1 : k + 1], visits[::-1]) if k else 0
+        visits.append(((1 if k == 0 else 0) + inflow) / (1 - jumps[0]))
+    return visits
+
+
 def _mp_levels_crossed(model, r_max):
     """P{A_nu = r} for r = 0..r_max by the renewal recursion of the looks."""
     m = model.threshold
     jumps = _mp_gap(model, model.observation.recurring.rate, r_max + 1)
-    visits = []
-    for k in range(m + 1):
-        inflow = mpmath.fdot(jumps[1 : k + 1], visits[::-1]) if k else 0
-        visits.append(((1 if k == 0 else 0) + inflow) / (1 - jumps[0]))
+    visits = _mp_visits(model, jumps)
     return [0] * (m + 1) + [mpmath.fdot(visits, jumps[r - m : r + 1][::-1]) for r in range(m + 1, r_max + 1)]
 
 
@@ -196,6 +203,56 @@ class TestAgainstHighPrecision:
             assert abs(overshoot - mean_exact) <= 1e-12 * mean_exact
 
 
+class TestExactProducts:
+    """Every head is taken at the exact product rate t, so an inexact rate costs no digits."""
+
+    @pytest.mark.parametrize("m", [3, 60, 300, 1000])
+    @pytest.mark.parametrize("rate", [0.7, 1.3])
+    def test_equal_inexact_rates(self, rate, m):
+        model = _model(m, 0.5, rate, rate)
+        mean = timedomain._mean_cross_time(model)
+        times = [100.0, 500.0, 900.0] + [f * mean for f in (0.5, 2.0, 3.0)]
+        pre, cross = timedomain._survival_laws(model, times)
+        with mpmath.workdps(40):
+            sum_cdf = _exact_sum_cdf(model)
+            _assert_close(pre, [_mp_pre(model, t) for t in times], 1e-14, "pre")
+            _assert_close(cross, [_mp_cross_equal_rates(model, t, sum_cdf) for t in times], 1e-14, "cross")
+
+    @pytest.mark.parametrize("first", [None, 0.4])
+    def test_times_past_the_split_range(self, first):
+        # 2^27 t overflows past t = 1.3e300: the exact product is nan there, and its row is zero anyway
+        model = _model(60, 0.5, 0.7, 0.7, first)
+        pre, cross = timedomain._survival_laws(model, [1e305, 1.5e308])
+        assert pre.tolist() == [0.0, 0.0] and cross.tolist() == [0.0, 0.0]
+
+
+class TestVisits:
+    @pytest.mark.parametrize("m", [3, 60, 300])
+    @pytest.mark.parametrize("lam, mu", [(0.7, 1.3), (1.3, 0.4), (1.0, 1.0)])
+    @pytest.mark.parametrize("pmf", [(0.1, 0.5, 0.3, 0.1), PMF, (0.3, 0.2, 0.2, 0.3)])
+    def test_match_the_renewal_recursion(self, pmf, lam, mu, m):
+        model = _model(m, pmf, lam, mu)
+        got = timedomain._visits(model)
+        with mpmath.workdps(40):
+            exact = _mp_visits(model, _mp_gap(model, mu, m + 1))
+            _assert_close(got, exact, 2e-14, (pmf, lam, mu))
+
+
+class TestFarTail:
+    @pytest.mark.parametrize("m", [1, 3, 60, 300, 1000])
+    def test_far_factor_matches_the_regularized_gamma(self, m, monkeypatch):
+        # lam' = 2, mu = 1: rho = g = 1/2 exactly and y = t.  With no head, F_M = 1 and the other F_n
+        # zero, and the factor g^{-(M+1)} e^{-mu t} taken as 1, the last look is rho P{Poisson(y) >= M + 2}
+        monkeypatch.setattr(timedomain, "_exp_less", lambda s, rate, grid: np.ones(grid.size))
+        ys = np.linspace(m + 2.0, 20.0 * (m + 2) + 100.0, 61)
+        tails = np.zeros(m + 1)
+        tails[-1] = 1.0
+        got = 2.0 * timedomain._last_look(np.zeros((ys.size, m + 2)), tails, 2.0, 1.0, ys)
+        with mpmath.workdps(40):
+            exact = [mpmath.gammainc(m + 2, 0, y, regularized=True) for y in ys.tolist()]
+            _assert_close(got, exact, 1e-15, m)
+
+
 class TestAgainstSimulation:
     @pytest.mark.parametrize("first", [1.6, 4.0])
     def test_exponential_start_with_unequal_rates(self, first):
@@ -225,6 +282,20 @@ class TestClosedFormFamily:
         exact = np.array([(1.0 - c) * c ** (r - m - 1) if r > m else 0.0 for r in range(m + 201)])
         assert np.all(np.abs(law - exact) <= 1e-13 * exact)
         assert abs(mean - 1.0 / (1.0 - c)) <= 1e-13 * mean
+
+    @pytest.mark.parametrize("lam, marks", [(1e-11, 0.5), (0.7, (1.0 - 2.0**-40, 2.0**-40))])
+    def test_a_slow_moving_level_keeps_its_law(self, lam, marks):
+        # lam' = lam (1 - f0) is below 1e-10: slow arrivals, or a nonzero mark in 2^40; each level
+        # is seen about 1 / lam' times, and lam D - lam N would cancel to that size
+        model = _model(5, marks, lam)
+        law, mean = timedomain.crossing_level_law(model, 60)
+        with mpmath.workdps(40):
+            exact = _mp_levels_crossed(model, 60)
+            _assert_close(law, exact, 1e-13, marks)
+            mean_exact = mpmath.fsum((r - 5) * p for r, p in enumerate(exact))
+            assert abs(mean - mean_exact) <= 1e-13 * mean_exact
+            looks = mpmath.fsum(_mp_visits(model, _mp_gap(model, 1.0, 6)))
+            assert abs(timedomain._mean_cross_time(model) - looks) <= 1e-13 * looks
 
     def test_exponential_start_at_the_gap_rate_keeps_the_laws(self):
         zero, late = _model(40, PMF, 1.3, 0.8), _model(40, PMF, 1.3, 0.8, first=0.8)
@@ -265,13 +336,10 @@ class TestEdges:
         assert math.exp(-mu * 1e7 / lam) <= cross[0] <= 2.0 * math.exp(-mu * 1e7 / lam)
 
     def test_all_zero_marks_diverge(self):
-        for model in (_model(3, (1.0,)), _model(3, (1.0, 0.0))):
-            for call in (lambda: timedomain.survival_pre(model, [1.0]),
-                         lambda: timedomain.survival_cross(model, [1.0]),
-                         lambda: timedomain._survival_laws(model, [1.0]),
-                         lambda: timedomain.crossing_level_law(model, 10)):
-                with pytest.raises(DivergenceError):
-                    call()
+        # the model refuses marks that never move the level, so no law is ever asked for
+        for marks in ((1.0,), (1.0, 0.0)):
+            with pytest.raises(DivergenceError, match="every mark is zero"):
+                _model(3, marks)
 
 
 def _count_sum_cdf(monkeypatch) -> list:
@@ -484,10 +552,9 @@ class TestOneWindowPerTime:
             assert np.allclose(xs, rate * grid, rtol=1e-15, atol=0.0), (rate, xs)
         if looks == 1:  # lam' = mu: the head is the whole Poisson work
             assert uppers == [] and len(heads) == 1
-        else:  # kappa > mu: one upper tail, and its head, for the times with (kappa - mu) t >= M + 2 = 62
+        else:  # kappa > mu: the upper tail is one more head, at (kappa - mu) t for the times where it is >= M + 2 = 62
             y = 2.5 * grid
-            assert len(uppers) == 1 and uppers[0][1] == 62 and np.allclose(uppers[0][0], y[y >= 62.0])
-            assert len(heads) == 3 and np.allclose(heads[2], y[y >= 62.0])
+            assert uppers == [] and len(heads) == 3 and np.allclose(heads[2], y[y >= 62.0])
         heads.clear(), calls.clear()
         timedomain.survival_pre(model, grid)
         assert len(heads) == 1 and calls == []
