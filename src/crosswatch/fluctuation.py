@@ -28,10 +28,9 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError
+from .errors import DomainError
 from .model import ProcessModel, TransformArgs, _mark_pgf_rational
 from .series import series_from_rational
-from .transforms import SINGULARITY_TOL
 
 __all__ = [
     "g1_star",
@@ -47,47 +46,49 @@ __all__ = [
 # For an Exp(r) gap, L(kappa + lam(1 - g(c s))) = r R(r + kappa + lam, c)
 # with R(alpha, c) = 1 / (alpha - lam g(c s)), and the divided difference
 # of L between two such arguments is r R(.) R(.): the two R denominators
-# differ by exactly the vanishing denominator.  For admissible arguments
-# Re alpha >= lam and |c| <= 1, so every R has bounded coefficients.
+# differ by exactly the vanishing denominator.  R is expanded from its excess
+# alpha - lam = r + kappa over B = (alpha D - lam N) / lam, free of the time
+# unit, where Re B(0) >= 1 - f0 > 0 for Re kappa >= 0, as the model refuses
+# f0 = 1 (see _r_series).  With |c| <= 1 every R has bounded coefficients.
 # gamma(v, x) - gamma(v s, x) in G1 and Gamma0, Gamma in G2 have the form
 # F(1) - F(s) = (1 - s) T(s) with T the tail sums of F; the partial sum at
 # order M of (1 - s) X is X_M, one coefficient of a product, so no value
 # is formed by cancelling F(1) against a partial sum of F.
 
 
-def _r_series(model: ProcessModel, alpha: complex, c: complex, order: int, parts: str = "r"):
+def _r_series(model: ProcessModel, excess: complex, c: complex, order: int, parts: str = "r"):
     """Coefficients through ``order`` of R(alpha, c) ("r"), (R(1), T) ("tail") or (R, R(1), T).
 
-    With g = N/D, R = 1/alpha + (lam/alpha) N / (alpha D - lam N) at c s,
-    which keeps the small pole-zero gap of a large alpha that D / (alpha D
-    - lam N) loses to rounding.  T = (R(1) - R(s)) / (1 - s) uses
-    R(1) - R(s) = lam (g(c) - g(c s)) R(1) R(s), where the mark difference
-    over 1 - s has tail-sum coefficients over D(c) D(c s).
+    ``excess`` is alpha - lam.  With g = N/D at c s, alpha D - lam N = lam B for B = (excess / lam) D
+    + (D - N), which no change of time unit moves, and R = (1 + N / B) / alpha with 1 / alpha applied
+    after the expansion: a large alpha keeps the small pole-zero gap that D / (alpha D - lam N) loses
+    to rounding, and excess 0 expands D - N unscaled.  For Re excess >= 0, B(0) cannot vanish:
+    Re B(0) = Re excess / lam + 1 - f0 >= 1 - f0 > 0, as the model refuses f0 = 1.
+    T = (R(1) - R(s)) / (1 - s) uses R(1) - R(s) = lam (g(c) - g(c s)) R(1) R(s), where the
+    mark difference over 1 - s has tail-sum coefficients over D(c) D(c s).
     """
-    lam, c = model.rate, complex(c)
-    num, den = _mark_pgf_rational(model.marks)
+    lam, c, (num, den) = model.rate, complex(c), _mark_pgf_rational(model.marks)
     n_s = [p * c**k for k, p in enumerate(num)]
     d_s = [q * c**k for k, q in enumerate(den)]
-    bottom = [alpha * q - lam * p for p, q in zip_longest(n_s, d_s, fillvalue=0.0)]
-    if abs(bottom[0]) < SINGULARITY_TOL:
-        raise DivergenceError("resolvent 1/(alpha - lam*g(c s)) has a pole at s = 0")
+    scale = excess / lam
+    bottom = [scale * q + (q - p) for p, q in zip_longest(n_s, d_s, fillvalue=0.0)]
     if parts == "r":
-        r = series_from_rational([lam / alpha * p for p in n_s], bottom, order)
-        r[0] += 1.0 / alpha
-        return r
-    inv = series_from_rational([1.0], bottom, order)
-    n_1, d_1 = sum(n_s), sum(d_s)
-    # n_1 D(c s) - d_1 N(c s) is zero at s = 1; its quotient by 1 - s has minus its tail sums
-    tails = [0j]
-    for p, q in list(zip_longest(n_s, d_s, fillvalue=0.0))[:0:-1]:
-        tails.append(tails[-1] + (n_1 * q - d_1 * p))
-    total = sum(bottom)
-    tail = (d_1 / total, (lam / total) * _mul(-np.array(tails[::-1]), inv, order))
-    if parts == "tail":
-        return tail
-    r = (lam / alpha) * _mul(n_s, inv, order)
-    r[0] += 1.0 / alpha
-    return (r, *tail)
+        r = series_from_rational(n_s, bottom, order)
+    else:
+        inv = series_from_rational([1.0], bottom, order)
+        n_1, d_1 = sum(n_s), sum(d_s)
+        # n_1 D(c s) - d_1 N(c s) is zero at s = 1; its quotient by 1 - s has minus its tail sums
+        tails = [0j]
+        for p, q in list(zip_longest(n_s, d_s, fillvalue=0.0))[:0:-1]:
+            tails.append(tails[-1] + (n_1 * q - d_1 * p))
+        total = lam * sum(bottom)
+        tail = (d_1 / total, (1.0 / total) * _mul(-np.array(tails[::-1]), inv, order))
+        if parts == "tail":
+            return tail
+        r = _mul(n_s, inv, order)
+    r[0] += 1.0
+    r *= 1.0 / (lam + excess)
+    return r if parts == "r" else (r, *tail)
 
 
 def _mul(a, b, order: int) -> np.ndarray:
@@ -101,33 +102,34 @@ def _exp_gap_factors(model: ProcessModel, args: TransformArgs, thetas: list, whi
     factors that do not depend on theta are expanded once, and one list of parts is yielded
     per entry of ``thetas``.
     """
-    lam, obs = model.rate, model.observation
-    mu = obs.recurring.rate
+    mu = model.observation.recurring.rate
     u, v, y = complex(args.u), complex(args.v), complex(args.y)
-    w, x = complex(args.w), complex(args.x)
+    # a real part in TransformArgs' slack below 0 counts as 0, so every R below has Re excess >= 0
+    w, x = (complex(max(z.real, 0.0), z.imag) for z in (complex(args.w), complex(args.x)))
     uv, uvy = u * v, u * v * y
     rho = model.first_rate
-    # gamma(v s, x) = mu R(mu + lam + x, v), also the first factor of Gamma
-    recurring_a = _r_series(model, mu + lam + x, v, order, "tail")
+    # gamma(v s, x) = mu R(lam + mu + x, v), also the first factor of Gamma
+    recurring_a = _r_series(model, mu + x, v, order, "tail")
     if which != "g2":
-        left_h, r2 = mu * recurring_a[1], _r_series(model, lam + w, uv, order)
-        p2 = None if rho is None else rho * _r_series(model, rho + lam + w, uv, order)
-    initial_a = None if rho is None or which == "g1" else _r_series(model, rho + lam + x, v, order, "tail")
+        left_h, r2 = mu * recurring_a[1], _r_series(model, w, uv, order)
+        p2 = None if rho is None else rho * _r_series(model, rho + w, uv, order)
+    initial_a = None if rho is None or which == "g1" else _r_series(model, rho + x, v, order, "tail")
 
     def gamma_tail(rate: float, a_terms: tuple, theta: complex) -> np.ndarray:
         # Gamma of an Exp(rate) gap is F(1) - F(s) with F = rate R_a R_b
         ra_1, ta = a_terms
-        rb, _, tb = _r_series(model, rate + lam + theta + x, v * y, order, "r+tail")
+        rb, _, tb = _r_series(model, rate + theta + x, v * y, order, "r+tail")
         return rate * (ra_1 * tb + _mul(ta, rb, order))
 
     for theta in thetas:
+        theta = complex(max(theta.real, 0.0), theta.imag)
         # K = 1 / (1 - L) = 1 + mu / eta at eta3 = theta + w + lam(1 - g(uvys))
-        r3 = _r_series(model, lam + theta + w, uvy, order)
+        r3 = _r_series(model, theta + w, uvy, order)
         if which != "g1" or rho is not None:
             k3 = mu * r3
             k3[0] += 1.0
         # the initial gap's R at eta3, in H and in B3
-        p3 = None if rho is None else _r_series(model, rho + lam + theta + w, uvy, order)
+        p3 = None if rho is None else _r_series(model, rho + theta + w, uvy, order)
         parts = []
         if which != "g2":
             # H = L0 K divided between eta2 and eta3 by the product rule

@@ -164,7 +164,7 @@ def delay_lst(law: DelayLaw, z: complex) -> complex:
         return 1.0 + 0.0j
     if isinstance(law, Exponential):
         denom = law.rate + z
-        if abs(denom) < _UNIT_TOL:
+        if abs(denom) < _UNIT_TOL * law.rate:
             raise DomainError("exponential LST evaluated at its pole z = -rate")
         return law.rate / denom
     raise UnsupportedLawError(f"unknown delay law {type(law).__name__}")

@@ -47,7 +47,6 @@ and P{A_nu = r} = iota(r) + sum_{k <= M} v(k) P0(r - k) for r > M.
 from __future__ import annotations
 
 import math
-from itertools import zip_longest
 from typing import Sequence
 
 import numpy as np
@@ -55,7 +54,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .fluctuation import _r_series
 from .model import Geometric, ProcessModel, _level_bound, _mark_pgf_rational, _times, mark_mean
-from .series import series_from_rational
 
 __all__ = ["survival_pre", "survival_cross", "crossing_level_law"]
 
@@ -282,18 +280,14 @@ def _reciprocal_means(y: float, size: int) -> np.ndarray:
 
 
 def _gap_law(model: ProcessModel, rate: float, order: int) -> np.ndarray:
-    """P{mark total over one Exp(rate) gap = j}, j = 0..order: rate R(rate + lam, 1)."""
-    return rate * _r_series(model, rate + model.rate, 1.0, order).real
+    """P{mark total over one Exp(rate) gap = j}, j = 0..order: rate R(lam + rate, 1)."""
+    return rate * _r_series(model, rate, 1.0, order).real
 
 
 def _visits(model: ProcessModel) -> np.ndarray:
     """Expected number of looks that see level k, k = 0..M."""
-    lam, mu, m = model.rate, model.observation.recurring.rate, model.threshold
-    num, den = _mark_pgf_rational(model.marks)
-    # pi = 1 + mu R(lam, 1) = 1 + (mu / lam) D / (D - N), not from R's lam D - lam N, which cancels where
-    # few marks are nonzero; D - N is unscaled, so no rounding of lam enters the series' recurrence
-    diff = [q - p for p, q in zip_longest(num, den, fillvalue=0.0)]
-    pi = mu / lam * series_from_rational(den, diff, m).real
+    m = model.threshold
+    pi = model.observation.recurring.rate * _r_series(model, 0.0, 1.0, m).real  # pi = 1 + mu R(lam, 1)
     pi[0] += 1.0
     eta = model.first_rate
     if eta is None:
@@ -312,7 +306,7 @@ def survival_pre(model: ProcessModel, t_grid: Sequence[float] | np.ndarray) -> n
     t + E, E ~ Exp(mu); an Exp(eta) first gap still pending at t (chance
     e^{-eta t}) puts it at t + Exp(eta) instead.
     """
-    return _survival_laws(model, t_grid, cross=False)[0]
+    return _pre_law(model, *_law_inputs(model, t_grid))
 
 
 def survival_cross(model: ProcessModel, t_grid: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -324,31 +318,38 @@ def survival_cross(model: ProcessModel, t_grid: Sequence[float] | np.ndarray) ->
     e^{-eta u}, the same kernel for arrivals at rate lam' + eta with the
     n-th term scaled by (lam' / (lam' + eta))^n.
     """
-    return _survival_laws(model, t_grid)[1]
+    return _cross_law(model, *_law_inputs(model, t_grid))
 
 
-def _survival_laws(model: ProcessModel, t_grid: Sequence[float] | np.ndarray,
-                   cross: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """(P{tau_pre > t}, P{tau_cross > t}), or without cross only the first, from one
-    computation of F_n and one Poisson(lam' t) head for the whole grid."""
-    grid, tails = _times(t_grid), _sum_cdf(model)
-    lam, mu, eta = _moving_rate(model), model.observation.recurring.rate, model.first_rate
-    late = eta is not None and eta != mu  # an Exp(eta) first gap unlike the recurring ones
-    heads = _grid_heads(lam, grid, tails.size)
+def _survival_laws(model: ProcessModel, t_grid: Sequence[float] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P{tau_pre > t}, P{tau_cross > t}), sharing F_n and the grid's one Poisson(lam' t) head."""
+    inputs = _law_inputs(model, t_grid)
+    return _pre_law(model, *inputs), _cross_law(model, *inputs)
+
+
+def _law_inputs(model: ProcessModel, t_grid: Sequence[float] | np.ndarray) -> tuple:
+    """What both laws read: the grid, F_n, lam' and the head P{N'(t) = n}, n <= M + 1."""
+    grid, tails, lam = _times(t_grid), _sum_cdf(model), _moving_rate(model)
+    return grid, tails, lam, _grid_heads(lam, grid, tails.size)
+
+
+def _pre_law(model: ProcessModel, grid: np.ndarray, tails: np.ndarray, lam: float, heads: np.ndarray) -> np.ndarray:
+    mu, eta = model.observation.recurring.rate, model.first_rate
     pre = heads[:, :-1] @ _smoothing(tails, lam / (lam + mu))
-    if late:
+    if eta is not None and eta != mu:  # an Exp(eta) first gap unlike the recurring ones
         pre = (_exp_less(0.0, eta, grid) * (heads[:, :-1] @ _smoothing(tails, lam / (lam + eta)))
                - np.expm1(-eta * grid) * pre)
-    pre = np.minimum(pre, 1.0)  # rounding can exceed 1 when all of N'(t)'s mass is <= M
-    if not cross:
-        return pre, None
+    return np.minimum(pre, 1.0)  # rounding can exceed 1 when all of N'(t)'s mass is <= M
+
+
+def _cross_law(model: ProcessModel, grid: np.ndarray, tails: np.ndarray, lam: float, heads: np.ndarray) -> np.ndarray:
+    mu, eta = model.observation.recurring.rate, model.first_rate
     out = _exp_less(0.0, mu if eta is None else eta, grid) + _last_look(heads, tails, lam, mu, grid)
-    if late:
+    if eta is not None and eta != mu:
         kappa = lam + eta
         scaled = tails * (lam / kappa) ** np.arange(tails.size)
-        heads = _grid_heads(kappa, grid, tails.size)
-        out += (eta - mu) / mu * _last_look(heads, scaled, kappa, mu, grid)
-    return pre, np.clip(out, 0.0, 1.0)
+        out += (eta - mu) / mu * _last_look(_grid_heads(kappa, grid, tails.size), scaled, kappa, mu, grid)
+    return np.clip(out, 0.0, 1.0)
 
 
 def crossing_level_law(model: ProcessModel, r_max: int) -> tuple[np.ndarray, float]:

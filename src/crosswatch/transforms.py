@@ -33,10 +33,6 @@ from .model import (
 
 __all__ = ["phi", "gamma", "f1_star", "f2_star"]
 
-# Below this (scaled) magnitude a vanishing denominator is treated as
-# removable and replaced by an analytic limit.
-SINGULARITY_TOL = 1e-10
-
 
 def phi(model: ProcessModel, z: complex, s: float) -> complex:
     """PGF of the mark total on a window of length ``s``: E[z**A(s)].
@@ -105,7 +101,7 @@ def resolvent_divided_diff(model: ProcessModel, eta: complex, d: complex) -> com
 
     def resolvent(e: complex) -> complex:
         denom = 1.0 - delay_lst(obs.recurring, e)
-        if abs(denom) < SINGULARITY_TOL:
+        if denom == 0.0:
             raise DivergenceError("resolvent 1/(1 - L) evaluated at L = 1")
         return 1.0 / denom
 

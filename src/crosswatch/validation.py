@@ -303,10 +303,10 @@ def _blocks_at(model: ProcessModel, args: TransformArgs, s: complex) -> _BlockVa
 
     denom = theta + lam * (g(uvs) - g(uvys))
     numer = transforms.gamma(model, "recurring", v, x) - transforms.gamma(model, "recurring", v * s, x)
-    if abs(denom) >= transforms.SINGULARITY_TOL:
+    if denom != 0.0:
         b1 = numer / denom
     else:
-        b1 = complex(math.inf) if abs(numer) >= transforms.SINGULARITY_TOL else complex(0.0)
+        b1 = complex(math.inf) if numer != 0.0 else complex(0.0)
 
     zeta1 = x + lam * (1.0 - g(v))
     d1 = theta + lam * (g(v) - g(v * y))

@@ -45,12 +45,23 @@ class TestPublicApi:
                 assert name not in module.__all__
                 assert not hasattr(module, name), f"{module.__name__}.{name}"
 
-    def test_simulator_imports_only_the_model(self):
-        # the battery's independent oracle shares no code with the analytic layers
-        probe = "import sys, crosswatch.montecarlo; print(sorted(m for m in sys.modules if m.startswith('crosswatch.')))"
+    @staticmethod
+    def _loaded_by(module: str) -> str:
+        """The sorted list of crosswatch modules a fresh interpreter holds after importing ``module``, printed."""
+        probe = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith('crosswatch.')))"
         env = {**os.environ, "PYTHONPATH": str(Path(crosswatch.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
-        assert out.strip() == str(["crosswatch.errors", "crosswatch.model", "crosswatch.montecarlo"])
+        return out.strip()
+
+    def test_simulator_imports_only_the_model(self):
+        # the battery's independent oracle shares no code with the analytic layers
+        assert self._loaded_by("crosswatch.montecarlo") == str(["crosswatch.errors", "crosswatch.model",
+                                                                "crosswatch.montecarlo"])
+
+    def test_series_engine_imports_no_pointwise_oracle(self):
+        # the battery's pointwise blocks in transforms check the series engine, so it may not lean on them
+        assert self._loaded_by("crosswatch.fluctuation") == str(["crosswatch.errors", "crosswatch.fluctuation",
+                                                                 "crosswatch.model", "crosswatch.series"])
 
     def test_benchmark_tracer_wraps_and_restores(self, tmp_path, capsys):
         # the benchmark's tracer wraps every layer's __all__ (and fails on a

@@ -110,6 +110,14 @@ class TestDelayLaws:
         # E[e^{-zT}] = rate / (rate + z)
         assert delay_lst(Exponential(2.0), 3.0) == pytest.approx(0.4)
 
+    def test_exponential_pole_test_is_relative_to_the_rate(self):
+        # a slow gap is no nearer its pole: the LST at z = 0 is 1 in every time unit
+        for rate in (1e-13, 2.0**-60, 1e6):
+            assert delay_lst(Exponential(rate), 0.0) == 1.0
+            assert delay_lst(Exponential(rate), 1e-3 * rate) == pytest.approx(1.0 / 1.001, rel=1e-15)
+            with pytest.raises(DomainError):
+                delay_lst(Exponential(rate), -rate)
+
     def test_exponential_rejects_nonpositive_rate(self):
         with pytest.raises(DomainError):
             Exponential(0.0)

@@ -359,6 +359,20 @@ class TestOneSumCdfPerCall:
         assert len(calls) == 1
         assert np.array_equal(both[0], pre) and np.array_equal(both[1], cross)
 
+    @pytest.mark.parametrize("model", [_model(40), _model(40, first=2.5), _model(30, 0.5, 2.0, 0.7)])
+    def test_each_public_law_does_only_its_own_work(self, model, monkeypatch):
+        times = np.array([0.0, 3.0, 30.0])
+        pre, cross = timedomain._survival_laws(model, times)
+
+        def refuse(*args):
+            raise AssertionError("the other law's work")
+
+        monkeypatch.setattr(timedomain, "_smoothing", refuse)
+        assert np.array_equal(timedomain.survival_cross(model, times), cross)
+        monkeypatch.undo()
+        monkeypatch.setattr(timedomain, "_last_look", refuse)
+        assert np.array_equal(timedomain.survival_pre(model, times), pre)
+
     @pytest.mark.parametrize("command, keys", [("survival", {"t_grid": [0.5, 2.0]}),
                                                ("predict", {"horizon": 2.0, "t_steps": 3})])
     def test_commands_compute_the_mark_sums_once(self, command, keys, tmp_path, monkeypatch, capsys):
