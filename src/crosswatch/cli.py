@@ -42,8 +42,8 @@ from .errors import (
     TableInvariantError,
     UnsupportedLawError,
 )
-from .model import (_MODEL_KEYS, ProcessModel, TransformArgs, _config_number, _level_bound, _schema_version,
-                    _section, _table_times, load_model)
+from .model import (_MODEL_KEYS, ProcessModel, TransformArgs, _built, _config_number, _level_bound,
+                    _schema_version, _section, _table_times, load_model)
 from .validation import run_battery
 
 __all__ = ["main"]
@@ -148,10 +148,7 @@ def _resolve_grid(config: Mapping) -> np.ndarray:
     raw = config["t_grid"]
     if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)) or not raw:
         raise ConfigError("t_grid must be a nonempty array of times")
-    try:
-        return _table_times([_config_number(v, "each t_grid entry") for v in raw])
-    except DomainError as exc:
-        raise ConfigError(f"bad t_grid: {exc}") from exc
+    return _built("t_grid", _table_times, [_config_number(v, "each t_grid entry") for v in raw])
 
 
 def _count(config: Mapping, key: str, default: int) -> int:

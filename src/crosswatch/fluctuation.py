@@ -11,7 +11,9 @@ functionals computed here are Laplace transforms in the running time t of
 and their sum G (window t < tau_cross).  Each transform is a partial
 coefficient sum, at order M, of an explicit function of the level-tagging
 variable s built from three resolvent blocks (B1, B2, B3) and two
-difference blocks (Gamma0, Gamma).
+difference blocks (Gamma0, Gamma).  One engine pass gives both windows at
+every theta; G1, G2, G and the two marginal LSTs each read their value
+from it.
 
 The s-coefficients come from one route, exact series: every model has
 zero or exponential gaps, so every block is rational in s (see the engine
@@ -95,25 +97,22 @@ def _mul(a, b, order: int) -> np.ndarray:
     return np.convolve(a, b)[: order + 1]
 
 
-def _exp_gap_factors(model: ProcessModel, args: TransformArgs, thetas: list, which: str, order: int):
-    """Arrays (left, right, head) per window part of ``which`` ("g1", "g2" or "g"), per theta.
+def _exp_gap_factors(model: ProcessModel, args: TransformArgs, thetas: list, order: int):
+    """Arrays (left, right, head) of the G1 part and of the G2 part, per theta.
 
     A part's integrand is (1 - s)(head + left * right); head is None when it vanishes.  The
-    factors that do not depend on theta are expanded once, and one list of parts is yielded
+    factors that do not depend on theta are expanded once, and one pair of parts is yielded
     per entry of ``thetas``.
     """
     mu = model.observation.recurring.rate
-    u, v, y = complex(args.u), complex(args.v), complex(args.y)
-    # a real part in TransformArgs' slack below 0 counts as 0, so every R below has Re excess >= 0
-    w, x = (complex(max(z.real, 0.0), z.imag) for z in (complex(args.w), complex(args.x)))
+    u, v, w, x, y = (complex(z) for z in (args.u, args.v, args.w, args.x, args.y))
     uv, uvy = u * v, u * v * y
     rho = model.first_rate
     # gamma(v s, x) = mu R(lam + mu + x, v), also the first factor of Gamma
     recurring_a = _r_series(model, mu + x, v, order, "tail")
-    if which != "g2":
-        left_h, r2 = mu * recurring_a[1], _r_series(model, w, uv, order)
-        p2 = None if rho is None else rho * _r_series(model, rho + w, uv, order)
-    initial_a = None if rho is None or which == "g1" else _r_series(model, rho + x, v, order, "tail")
+    left_h, r2 = mu * recurring_a[1], _r_series(model, w, uv, order)
+    p2 = None if rho is None else rho * _r_series(model, rho + w, uv, order)
+    initial_a = None if rho is None else _r_series(model, rho + x, v, order, "tail")
 
     def gamma_tail(rate: float, a_terms: tuple, theta: complex) -> np.ndarray:
         # Gamma of an Exp(rate) gap is F(1) - F(s) with F = rate R_a R_b
@@ -122,72 +121,48 @@ def _exp_gap_factors(model: ProcessModel, args: TransformArgs, thetas: list, whi
         return rate * (ra_1 * tb + _mul(ta, rb, order))
 
     for theta in thetas:
-        theta = complex(max(theta.real, 0.0), theta.imag)
         # K = 1 / (1 - L) = 1 + mu / eta at eta3 = theta + w + lam(1 - g(uvys))
         r3 = _r_series(model, theta + w, uvy, order)
-        if which != "g1" or rho is not None:
-            k3 = mu * r3
-            k3[0] += 1.0
-        # the initial gap's R at eta3, in H and in B3
-        p3 = None if rho is None else _r_series(model, rho + theta + w, uvy, order)
-        parts = []
-        if which != "g2":
-            # H = L0 K divided between eta2 and eta3 by the product rule
-            h_dd = mu * _mul(r2, r3, order)
-            if rho is not None:
-                h_dd = _mul(p2, h_dd + _mul(p3, k3, order), order)
-            parts.append((left_h, h_dd, None))
-        if which != "g1":
-            gamma = gamma_tail(mu, recurring_a, theta)
-            if rho is None:
-                parts.append((gamma, k3, None))
-            else:
-                parts.append((gamma, _mul(rho * p3, k3, order), gamma_tail(rho, initial_a, theta)))
-        yield parts
+        k3 = mu * r3
+        k3[0] += 1.0
+        # H = L0 K divided between eta2 and eta3 by the product rule
+        h_dd = mu * _mul(r2, r3, order)
+        gamma = gamma_tail(mu, recurring_a, theta)
+        if rho is None:
+            yield (left_h, h_dd, None), (gamma, k3, None)
+        else:
+            # the initial gap's R at eta3, in H and in B3
+            p3 = _r_series(model, rho + theta + w, uvy, order)
+            yield ((left_h, _mul(p2, h_dd + _mul(p3, k3, order), order), None),
+                   (gamma, _mul(rho * p3, k3, order), gamma_tail(rho, initial_a, theta)))
 
 
 # ---------------------------------------------------------------------------
-# public transforms
+# public transforms: each reads its value from the one pass of _g_parts
 
 
-def _crossing_series(model: ProcessModel, args: TransformArgs, which: str, order: int) -> np.ndarray:
-    """Coefficients 0..order of the G1 (``"g1"``) or G2 (``"g2"``) integrand in s, per theta."""
+def _crossing_series(model: ProcessModel, args: TransformArgs, order: int) -> np.ndarray:
+    """Coefficients 0..order of the G1 and the G2 integrand in s, shaped theta.shape + (2, order + 1)."""
     theta = np.asarray(args.theta, dtype=complex)
-    out = np.array([
-        _mul(left, right, order) + (0.0 if head is None else head)
-        for [(left, right, head)] in _exp_gap_factors(model, args, theta.reshape(-1).tolist(), which, order)
-    ])
-    out[:, 1:] = np.diff(out)
-    return out.reshape(theta.shape + (order + 1,))
+    out = np.array([[_mul(left, right, order) + (0.0 if head is None else head) for left, right, head in parts]
+                    for parts in _exp_gap_factors(model, args, theta.reshape(-1).tolist(), order)])
+    out[..., 1:] = np.diff(out)
+    return out.reshape(theta.shape + (2, order + 1))
 
 
-def _part_sums(model: ProcessModel, args: TransformArgs, which: str) -> tuple[np.ndarray, list[list[complex]]]:
-    """theta as an array, and per entry the values of the window parts of ``which``."""
+def _g_parts(model: ProcessModel, args: TransformArgs) -> np.ndarray:
+    """G1 and G2 at each theta from one pass, shaped theta.shape + (2,)."""
     order = model.threshold
     theta = np.asarray(args.theta, dtype=complex)
     # the partial sum of (1 - s) X at the order is X_order
     sums = [[complex(left @ right[::-1] + (0.0 if head is None else head[order])) for left, right, head in parts]
-            for parts in _exp_gap_factors(model, args, theta.reshape(-1).tolist(), which, order)]
-    return theta, sums
+            for parts in _exp_gap_factors(model, args, theta.reshape(-1).tolist(), order)]
+    return np.array(sums).reshape(theta.shape + (2,))
 
 
-def _window(model: ProcessModel, args: TransformArgs, which: str, lst: bool = False) -> complex | np.ndarray:
-    """The window transform ``which``, or with ``lst`` 1 - theta times it, at each theta.
-
-    A scalar theta is a batch of one and gives a complex; an ndarray gives an array of its shape.
-    """
-    theta, per_theta = _part_sums(model, args, which)
-    values = []
-    for q, sums in zip(theta.reshape(-1).tolist(), per_theta):
-        g = sum(sums[1:], sums[0])
-        values.append(1.0 - q * g if lst else g)
-    return values[0] if theta.ndim == 0 else np.array(values).reshape(theta.shape)
-
-
-def _g_parts(model: ProcessModel, args: TransformArgs) -> tuple[complex, complex]:
-    """(G1, G2) at a scalar theta from one pass of ``g``: the values of ``g1_star`` and ``g2_star``."""
-    [(g1, g2)] = _part_sums(model, args, "g")[1]
-    return g1, g2
+def _shaped(values: np.ndarray) -> complex | np.ndarray:
+    """A complex for a scalar theta, else the array of theta's shape."""
+    return complex(values) if values.ndim == 0 else values
 
 
 def g1_star(model: ProcessModel, args: TransformArgs) -> complex | np.ndarray:
@@ -196,7 +171,7 @@ def g1_star(model: ProcessModel, args: TransformArgs) -> complex | np.ndarray:
     Partial coefficient sum, at the threshold order, of
     ``b1 * (b2 - b3)`` in the level-tagging variable.
     """
-    return _window(model, args, "g1")
+    return _shaped(_g_parts(model, args)[..., 0])
 
 
 def g2_star(model: ProcessModel, args: TransformArgs) -> complex | np.ndarray:
@@ -204,18 +179,25 @@ def g2_star(model: ProcessModel, args: TransformArgs) -> complex | np.ndarray:
 
     Partial coefficient sum of ``gamma0 + gamma * b3``.
     """
-    return _window(model, args, "g2")
+    return _shaped(_g_parts(model, args)[..., 1])
 
 
 def g_star(model: ProcessModel, args: TransformArgs) -> complex | np.ndarray:
     """Transform on the full pre-crossing window t < tau_cross (sum of the two parts)."""
-    return _window(model, args, "g")
+    parts = _g_parts(model, args)
+    return _shaped(parts[..., 0] + parts[..., 1])
 
 
-def _lst(model: ProcessModel, theta, which: str, name: str) -> complex | np.ndarray:
+def _lst(model: ProcessModel, theta, name: str) -> np.ndarray:
+    """(1 - theta G1, 1 - theta G) at each theta and the all-ones tagging point, shaped theta.shape + (2,)."""
     if min(np.ravel(theta).real.tolist()) <= 0.0:
         raise DomainError(f"{name} requires Re theta > 0")
-    return _window(model, TransformArgs(theta=theta), which, lst=True)
+    args = TransformArgs(theta=theta)
+    theta = np.asarray(args.theta, dtype=complex)
+    # entry by entry in Python complex arithmetic, as a scalar theta is
+    values = [(1.0 - q * g1, 1.0 - q * (g1 + g2))
+              for q, (g1, g2) in zip(theta.reshape(-1).tolist(), _g_parts(model, args).reshape(-1, 2).tolist())]
+    return np.array(values).reshape(theta.shape + (2,))
 
 
 def lst_tau_pre(model: ProcessModel, theta) -> complex | np.ndarray:
@@ -224,9 +206,9 @@ def lst_tau_pre(model: ProcessModel, theta) -> complex | np.ndarray:
     Uses the identity ``theta * G1(theta; 1,1,0,0,1) = 1 - LST`` that the
     window t < tau_pre yields at the all-ones tagging point.  Re theta > 0.
     """
-    return _lst(model, theta, "g1", "lst_tau_pre")
+    return _shaped(_lst(model, theta, "lst_tau_pre")[..., 0])
 
 
 def lst_tau_cross(model: ProcessModel, theta) -> complex | np.ndarray:
     """LST E[exp(-theta * tau_cross)] of the first inspection above the threshold."""
-    return _lst(model, theta, "g", "lst_tau_cross")
+    return _shaped(_lst(model, theta, "lst_tau_cross")[..., 1])

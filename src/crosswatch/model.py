@@ -279,7 +279,8 @@ class TransformArgs:
 
     Validity is checked on construction, with :class:`DomainError` for a
     breach: |u|, |v|, |y| <= 1, theta, w and x finite with nonnegative real
-    parts (a slack of 1e-12 on each bound), and no NaN anywhere.
+    parts (a slack of 1e-12 on each bound, where a real part below 0 is
+    stored as 0), and no NaN anywhere.
     """
 
     theta: complex = 0.0
@@ -309,6 +310,10 @@ class TransformArgs:
                 raise DomainError(f"{name} must be finite, got {val}")
             if not val.real >= -_UNIT_TOL:
                 raise DomainError(f"Re {name} must be >= 0, got {val.real}")
+        for name, values in (("theta", thetas), ("w", [self.w]), ("x", [self.x])):
+            if any(z.real < 0.0 for z in values):  # read as 0, so no layer evaluates in the slack; the type is kept
+                value = getattr(self, name)
+                object.__setattr__(self, name, value - np.minimum(np.real(value), 0.0))
 
 
 # ---------------------------------------------------------------------------

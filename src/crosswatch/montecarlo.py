@@ -332,7 +332,7 @@ def _real_args(args: TransformArgs) -> tuple[float, float, float, float, float, 
         val = complex(getattr(args, name))
         if abs(val.imag) > 0.0:
             raise DomainError(f"Monte Carlo estimation needs real arguments; {name} has an imaginary part")
-        if val.real < 0.0:
+        if val.real < 0.0:  # a tag u, v or y: TransformArgs stores theta, w and x at >= 0
             raise DomainError(f"Monte Carlo estimation needs nonnegative arguments; {name} is {val.real}")
         vals.append(val.real)
     return tuple(vals)

@@ -364,9 +364,9 @@ def _check_series_paths(ctx: _Context) -> tuple[float, str]:
     # on a fixed circle loses accuracy at high order.
     order = model.threshold
     lead = min(order, 16)
-    for which, integrand in (("g1", _g1_integrand), ("g2", _g2_integrand)):
+    series = fluctuation._crossing_series(model, args, order)
+    for exact, integrand in zip(series[:, : lead + 1], (_g1_integrand, _g2_integrand)):
         sampled = _coeffs_by_sampling(partial(integrand, model, args), lead)
-        exact = fluctuation._crossing_series(model, args, which, order)[: lead + 1]
         worst = max(worst, float(np.max(np.abs(sampled - exact))) / max(1.0, float(np.max(np.abs(exact)))))
     return worst, ("pointwise blocks vs the pole-crossed G1 integrand; exact series vs "
                    f"FFT contour sampling on coefficients 0..{lead}")

@@ -63,6 +63,12 @@ class TestPublicApi:
         assert self._loaded_by("crosswatch.fluctuation") == str(["crosswatch.errors", "crosswatch.fluctuation",
                                                                  "crosswatch.model", "crosswatch.series"])
 
+    def test_time_domain_imports_no_pointwise_oracle(self):
+        # the survival laws are checked against closedform, transforms and laplace, so they may not lean on them
+        assert self._loaded_by("crosswatch.timedomain") == str(["crosswatch.errors", "crosswatch.fluctuation",
+                                                                "crosswatch.model", "crosswatch.series",
+                                                                "crosswatch.timedomain"])
+
     def test_benchmark_tracer_wraps_and_restores(self, tmp_path, capsys):
         # the benchmark's tracer wraps every layer's __all__ (and fails on a
         # missing EXTRA name), so a cut to a public list must keep it working

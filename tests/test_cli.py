@@ -497,6 +497,16 @@ class TestSimulate:
         _, second, _ = _run(capsys, ["simulate", "--config", cfg, "--seed", "12"])
         assert first != second
 
+    def test_a_rate_argument_in_the_slack_below_zero_is_read_as_zero(self, capsys, tmp_path):
+        # the analytic transform and its Monte Carlo check take the same args object
+        at_zero = {"theta": 0.5, "v": 0.9, "w": 0.0}
+        in_slack = {**at_zero, "w": -1e-13}
+        code, _, _ = _run(capsys, ["functional", "--config", _config(tmp_path, args=in_slack)])
+        assert code == 0
+        _, want, _ = _run(capsys, ["simulate", "--config", _config(tmp_path, n_paths=3000, args=at_zero)])
+        code, got, _ = _run(capsys, ["simulate", "--config", _config(tmp_path, n_paths=3000, args=in_slack)])
+        assert code == 0 and got == want
+
     @pytest.mark.parametrize("args, name", [({"theta": 1.0, "v": 1.5}, "v"), ({"theta": 1.0, "u": -0.5}, "u")])
     def test_bad_args_refused_before_sampling(self, capsys, tmp_path, monkeypatch, args, name):
         def sample(*_, **__):

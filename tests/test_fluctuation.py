@@ -218,7 +218,7 @@ class TestGStar:
         model = ProcessModel(rate=1.0, marks=marks, observation=ObservationLaw(initial, Exponential(1.0)),
                              threshold=m)
         args = TransformArgs(theta=0.7, u=0.9, v=0.8, w=0.2, x=0.1, y=0.7)
-        assert fl._g_parts(model, args) == (g1_star(model, args), g2_star(model, args))
+        assert tuple(fl._g_parts(model, args)) == (g1_star(model, args), g2_star(model, args))
 
     def test_partition_identity(self, exp_initial_model):
         for model in (_std(), exp_initial_model):
@@ -280,10 +280,10 @@ class TestSeriesOrder:
         args = TransformArgs(theta=0.9, u=0.95, v=0.55, w=0.05, x=0.1, y=0.8)
         for model in (_std(), _pmf()):
             m = model.threshold
-            for which in ("g1", "g2"):
-                lo = fl._crossing_series(model, args, which, m)
-                hi = fl._crossing_series(model, args, which, m + 5)
-                assert abs(d_inverse(lo, m) - d_inverse(hi, m)) < 1e-12
+            lo = fl._crossing_series(model, args, m)
+            hi = fl._crossing_series(model, args, m + 5)
+            for part in (0, 1):  # G1, then G2
+                assert abs(d_inverse(lo[part], m) - d_inverse(hi[part], m)) < 1e-12
 
     def test_sampling_path_truncation_is_exact(self):
         model = _std()

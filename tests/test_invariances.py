@@ -18,7 +18,7 @@ import json
 import numpy as np
 import pytest
 
-from crosswatch import cli, fluctuation, timedomain
+from crosswatch import cli, fluctuation, montecarlo, timedomain
 from crosswatch.model import (
     DegenerateZero,
     Exponential,
@@ -102,6 +102,27 @@ class TestTimeUnit:
             _same(over, want_over, c, 1e-13)
 
 
+@pytest.mark.parametrize("marks", MARKS)
+@pytest.mark.parametrize("eta", [None, 0.4])
+@pytest.mark.parametrize("tagged", [False, True], ids=["untagged", "tagged"])
+class TestTimeUnitSimulator:
+    """The simulator draws the same paths in any unit: at c = 2^+-40 the counts are bit-identical and
+    every time and window integral is the base value over c, exactly."""
+
+    def test_crossing_sample(self, marks, eta, tagged):
+        def sample(c):
+            windows = (0.3 * c, 0.8) if tagged else ()  # theta scales with the rates; y = 0.8 tags the level
+            return montecarlo._crossing_sample(_model(marks, 0.7, 1.3, eta, c=c), 2_000, 5, *windows)
+
+        want = sample(1.0)
+        for c in POWERS_OF_TWO:
+            got = sample(c)
+            assert got.keys() == want.keys()
+            for key, column in got.items():
+                scale = 1.0 if key in ("a_pre", "a_cross", "nu") else c
+                assert np.array_equal(column * scale, want[key]), (key, c)
+
+
 def _run(tmp_path, capsys, command, model, **keys):
     config = tmp_path / f"{command}.json"
     config.write_text(json.dumps({"schema_version": 1, "model": model, **keys}))
@@ -159,6 +180,22 @@ class TestTimeUnitCommands:
         want = values(1.0)
         for c in UNITS:
             _same(values(c), want, c, 1e-14)
+
+    @pytest.mark.parametrize("tags", [{"theta": 0.3}, TAGS[0]], ids=["untagged", "tagged"])
+    def test_simulate(self, tags, tmp_path, capsys):
+        def rows(c):
+            args = {k: v * c if k in ("theta", "w", "x") else v for k, v in tags.items()}
+            return _rows(_run(tmp_path, capsys, "simulate", _config("pmf", 0.7, 1.3, "exp", 10, c), args=args,
+                              n_paths=3_000))
+
+        want = rows(1.0)
+        for c in POWERS_OF_TWO:
+            got = rows(c)
+            assert [row[::3] for row in got] == [row[::3] for row in want]  # the quantities and the counts
+            for row, base in zip(got, want):
+                scale = c if row[0] in ("tau_pre", "tau_cross", "G1", "G2", "G") else 1.0
+                # both are rounded to 12 digits
+                _agree([float(row[1]) * scale, float(row[2]) * scale], [float(base[1]), float(base[2])], 1e-11)
 
     def test_slow_models_are_not_refused(self, tmp_path, capsys):
         # rates of 1e-11 and 1e-13 are a change of unit, not a pole of the transforms or of the gap LST
