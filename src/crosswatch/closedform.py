@@ -2,10 +2,10 @@
 
 The family is the :class:`~crosswatch.model.ProcessModel` with geometric
 marks (success parameter a, b = 1 - a), exponential inspection gaps of
-rate mu, the first inspection at time 0 and a threshold M >= 1.  Every
-public function here takes such a model and refuses any other with
-:class:`DomainError`.  For this family everything reduces to rational
-functions and Poisson/binomial tails:
+rate mu, the first inspection at time 0 and a threshold M >= 1 (the table
+also takes an Exp(mu) first gap and M = 0).  Every public function here
+refuses any other model with :class:`DomainError`.  For this family
+everything reduces to rational functions and Poisson/binomial tails:
 
 * :func:`g1_star_special` -- the pre-crossing window transform in closed
   form (no series extraction, no numerical inversion), at a theta or at
@@ -132,12 +132,14 @@ def _g1_star(model: ProcessModel, theta: np.ndarray, v: complex) -> np.ndarray:
     # Complex theta left of the axis is fine.  A 1-D theta rounds alike at every size.
     if np.any(theta.real <= 0.0) and abs(v) >= 1.0 - 1e-12:
         raise DivergenceError("need Re theta > 0 or |v| < 1 for the window integral")
-    small = np.abs(theta) < 1e-7
-    if small.any():  # linear extrapolation toward theta from theta + h and theta + 2h, h = 1e-5
-        out = _g1_star(model, np.where(small, theta + 1e-5, theta), v)
-        out[small] = 2.0 * out[small] - _g1_star(model, theta[small] + 1e-5 + 1e-5, v)
-        return out
     lam, mu, b, big_m = model.rate, model.observation.recurring.rate, model.marks.b, model.threshold
+    scale = max(lam, mu)  # the floor and the step are rates, in the unit of the fastest rate
+    small = np.abs(theta) < 1e-7 * scale
+    if small.any():  # linear extrapolation toward theta from theta + h and theta + 2h, h = 1e-5 * scale
+        h = 1e-5 * scale
+        out = _g1_star(model, np.where(small, theta + h, theta), v)
+        out[small] = 2.0 * out[small] - _g1_star(model, theta[small] + h + h, v)
+        return out
 
     gv0 = mu / (mu + lam - lam * (model.marks.a * v) / (1.0 - b * v))
     f_mu = _pole(mu, v, model)
@@ -213,7 +215,10 @@ def dist_table(model: ProcessModel, t_grid: Sequence[float] | np.ndarray, r_max:
     formula is wrong for this model (a bug), so the offending cells are
     collected and raised, not returned.
     """
-    _family(model)
+    # at any threshold, a first look at 0 or after an Exp(mu) gap makes every crossing gap an Exp(mu) one
+    if not isinstance(model.marks, Geometric) or model.first_rate not in (None, model.observation.recurring.rate):
+        raise DomainError("the joint table needs geometric marks and the first look at time zero or after an "
+                          "Exp(mu) gap; use `functional` for general models")
     grid, r_max = _table_times(t_grid), _level_bound(r_max)
 
     r_range = np.arange(r_max + 1)

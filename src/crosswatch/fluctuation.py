@@ -141,15 +141,6 @@ def _exp_gap_factors(model: ProcessModel, args: TransformArgs, thetas: list, ord
 # public transforms: each reads its value from the one pass of _g_parts
 
 
-def _crossing_series(model: ProcessModel, args: TransformArgs, order: int) -> np.ndarray:
-    """Coefficients 0..order of the G1 and the G2 integrand in s, shaped theta.shape + (2, order + 1)."""
-    theta = np.asarray(args.theta, dtype=complex)
-    out = np.array([[_mul(left, right, order) + (0.0 if head is None else head) for left, right, head in parts]
-                    for parts in _exp_gap_factors(model, args, theta.reshape(-1).tolist(), order)])
-    out[..., 1:] = np.diff(out)
-    return out.reshape(theta.shape + (2, order + 1))
-
-
 def _g_parts(model: ProcessModel, args: TransformArgs) -> np.ndarray:
     """G1 and G2 at each theta from one pass, shaped theta.shape + (2,)."""
     order = model.threshold

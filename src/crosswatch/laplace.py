@@ -38,8 +38,9 @@ _A, _N, _M, _N_MAX = 25.0, 25, 11, 400
 _EULER = np.array([math.comb(_M, j) for j in range(_M + 1)]) / 2.0**_M
 # Error-estimate gate, absolute below 1 and relative above.
 _TOL = 1e-6
-# LST argument standing in for +infinity when extracting the atom at 0.
-_ATOM_ABSCISSA = 1e12
+# The atom at 0 is read at theta = 2^k, k = -208, -200, ..., 208: rates from
+# about 2^-150 to 2^150, and a change of unit by 2^(8j) keeps these abscissae.
+_ATOM_EXPONENTS, _ATOM_STEP = np.arange(-208.0, 209.0, 8.0), 1e-15
 
 
 def invert(transform: Callable, t: float | Sequence[float] | np.ndarray) -> float | np.ndarray:
@@ -78,18 +79,34 @@ def invert(transform: Callable, t: float | Sequence[float] | np.ndarray) -> floa
     return float(values[0]) if times.ndim == 0 else values
 
 
+def _atom(lst: Callable) -> float:
+    """P{X = 0} = lim lst(theta) as theta -> infinity, from one call at the abscissae 2^k.
+
+    Going up in k the values leave 1 and settle on the atom wherever the time unit puts the move:
+    past the first step of more than 1e-15, the first step of at most 1e-15 reaches the atom.
+    """
+    values = np.real(lst(2.0**_ATOM_EXPONENTS))
+    steps = np.abs(np.diff(values))
+    moved = np.flatnonzero(steps > _ATOM_STEP)
+    first = moved[0] if moved.size else 0  # values that never move are the atom already
+    settled = first + np.flatnonzero(steps[first:] <= _ATOM_STEP)
+    if not settled.size:
+        raise InversionError(f"the LST still moves at theta = 2^{_ATOM_EXPONENTS[-1]:.0f}; no atom at 0 is read")
+    return float(values[settled[0] + 1])
+
+
 def survival_curve(lst: Callable, t_grid: Sequence[float] | np.ndarray) -> np.ndarray:
     """P{X > t} over a grid, from the LST of a nonnegative variable X.
 
     Inverts theta -> (1 - lst(theta)) / theta, which is the transform of
     the survival function itself (the CDF transforms to lst/theta), in one
     :func:`invert` call over the grid's positive times, so ``lst`` receives
-    ndarrays.  t = 0 is reported analytically as 1 minus the atom at zero
-    (the LST limit at a huge abscissa), never inverted numerically.
+    ndarrays.  t = 0 is reported as 1 minus the atom at zero, the LST's limit
+    read by :func:`_atom` in one more call, never inverted numerically.
     """
     grid = _times(t_grid)
     out = np.empty(grid.size)
     at_zero = grid == 0.0
-    out[at_zero] = 1.0 - float(np.real(lst(_ATOM_ABSCISSA))) if at_zero.any() else 0.0
+    out[at_zero] = 1.0 - _atom(lst) if at_zero.any() else 0.0
     out[~at_zero] = invert(lambda theta: (1.0 - lst(theta)) / theta, grid[~at_zero])
     return np.clip(out, 0.0, 1.0)

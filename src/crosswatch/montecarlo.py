@@ -20,8 +20,9 @@ already in time order, so no sort or rescaling enters; at y = 1 the
 windows are closed forms of the crossing times.
 Estimates carry standard errors so agreement tests can use honest
 confidence bands.  One crossing sample gives G1, G2 and G, and one
-two-stage sample gives f1 and f2; the public estimators return them
-keyed by name, and the caller selects one.
+two-stage sample gives f1 and f2; ``_sample_functionals`` and
+``estimate_window_pair`` return them keyed by name, and the caller
+selects one.
 
 Reproducibility contract: every estimator splits its workload into
 fixed-size chunks, each driven by a child of ``SeedSequence(seed)``, runs
@@ -55,7 +56,6 @@ from .model import (
 __all__ = [
     "EstimateWithCI",
     "estimate_joint",
-    "estimate_functionals",
     "estimate_window_pair",
 ]
 
@@ -363,16 +363,6 @@ def _sample_functionals(sample: dict, args: TransformArgs) -> dict[str, Estimate
     g1, g2, total = _estimate(i1), _estimate(i2), _estimate(i1 + i2)
     g = EstimateWithCI(mean=g1.mean + g2.mean, std_error=total.std_error, n_samples=total.n_samples)
     return {"G1": g1, "G2": g2, "G": g}
-
-
-def estimate_functionals(
-    model: ProcessModel, args: TransformArgs, n_paths: int = 100_000, seed: int = 0
-) -> dict[str, EstimateWithCI]:
-    """Monte Carlo G1, G2 and their sum G, keyed by name, from one simulated sample.
-
-    At y = 1 that sample is the plain crossing sample of ``seed``.
-    """
-    return _sample_functionals(_functional_sample(model, args, n_paths, seed), args)
 
 
 def _functional_sample(model: ProcessModel, args: TransformArgs, n_paths: int, seed: int) -> dict:

@@ -36,7 +36,8 @@ class TestPublicApi:
             series: ("TruncatedSeries", "d_op_indicator"),
             closedform: ("SpecialModel", "crossing_level_pmf", "JointDistTable", "f_of", "reg_gamma_p",
                          "coeff_g", "coeff_h", "joint_dist"),
-            montecarlo: ("estimate_functional", "estimate_f1_star", "estimate_f2_star", "JointEstimate"),
+            montecarlo: ("estimate_functional", "estimate_f1_star", "estimate_f2_star", "JointEstimate",
+                         "estimate_functionals"),
             validation: ("ANALYTIC_OPS", "CLOSED_FORM_OPS"),
             transforms: ("psi", "ConvolutionSpec", "gamma_is_contractive"),
         }

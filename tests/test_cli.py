@@ -135,7 +135,8 @@ class TestUsageErrors:
         assert "r_max" in err
 
     def test_dist_rejects_general_model(self, capsys, tmp_path):
-        cfg = _config(tmp_path, model=GENERAL_MODEL, t_grid=[0.0, 1.0], r_max=5)
+        # an exp start on geometric marks is served (the first gap is an Exp(mu) one); pmf marks are not
+        cfg = _config(tmp_path, model={**GENERAL_MODEL, "marks": {"pmf": [0.0, 0.5, 0.5]}}, t_grid=[0.0, 1.0], r_max=5)
         code, _, err = _run(capsys, ["dist", "--config", cfg])
         assert code == 64
         assert "functional" in err

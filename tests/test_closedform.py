@@ -32,8 +32,17 @@ from crosswatch.closedform import (
 from crosswatch.errors import DivergenceError, DomainError, TableInvariantError
 from crosswatch.fluctuation import g_star, lst_tau_pre
 from crosswatch.laplace import invert
-from crosswatch.model import MAX_THRESHOLD, GeneralDiscrete, ProcessModel, TransformArgs
-from crosswatch.montecarlo import _crossing_sample
+from crosswatch.model import (
+    MAX_THRESHOLD,
+    DegenerateZero,
+    Exponential,
+    GeneralDiscrete,
+    Geometric,
+    ObservationLaw,
+    ProcessModel,
+    TransformArgs,
+)
+from crosswatch.montecarlo import _crossing_sample, estimate_joint
 from crosswatch.series import d_inverse_double_geometric
 from crosswatch.timedomain import _poisson_tails, crossing_level_law
 from crosswatch.validation import _check_pgf_extraction, _Context, run_battery
@@ -103,13 +112,15 @@ class TestSpecialModel:
     def test_closed_forms_refuse_models_outside_the_family(self, std_model, exp_initial_model):
         pmf_marks = ProcessModel(rate=1.0, marks=GeneralDiscrete([0.0, 0.5, 0.5]),
                                  observation=std_model.observation, threshold=3)
-        calls = (
+        transforms = (
             lambda m: g1_star_special(m, 1.0, 0.5),
             lambda m: ev_v_anu_before(m, 0.5, 1.0),
-            lambda m: dist_table(m, [0.0, 1.0], 6),
         )
-        for model, reason in ((pmf_marks, "geometric marks"), (exp_initial_model, "time zero"),
-                              (geometric_model(m=0), "threshold")):
+        table = lambda m: dist_table(m, [0.0, 1.0], 6)
+        # the table needs no threshold of 1 (see TestJointDist), and an Exp(2) first gap is not an Exp(mu) one
+        for model, reason, calls in ((pmf_marks, "geometric marks", (*transforms, table)),
+                                     (exp_initial_model, "time zero", (*transforms, table)),
+                                     (geometric_model(m=0), "threshold", transforms)):
             for call in calls:
                 with pytest.raises(DomainError, match=reason) as exc:
                     call(model)
@@ -349,6 +360,15 @@ class TestJointDist:
             hits = np.mean((rec["a_cross"] == r) & (rec["tau_pre"] > t))
             se = math.sqrt(max(hits * (1.0 - hits), 1e-12) / n)
             assert abs(dist_table(std_model, [t], r)[0, r] - hits) < 4 * se
+
+    @pytest.mark.parametrize("m, initial", [(0, DegenerateZero()), (0, Exponential(1.3)), (3, Exponential(1.3))])
+    def test_exp_mu_start_and_zero_threshold_against_simulation(self, m, initial):
+        # the crossing gap is an Exp(mu) gap whatever came before, so the table still factorises
+        model = ProcessModel(0.7, Geometric(0.5), ObservationLaw(initial, Exponential(1.3)), m)
+        grid, r_max, n = [0.0, 0.5, 1.0, 2.0, 4.0], m + 8, 200_000
+        freq, _ = estimate_joint(model, r_max, grid, n, seed=2)
+        table = dist_table(model, grid, r_max)
+        assert np.all(np.abs(freq - table) <= 5.0 * np.sqrt(table * (1.0 - table) / n) + 1.0 / n)
 
     def test_level_validation(self, std_model):
         with pytest.raises(DomainError):

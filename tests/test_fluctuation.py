@@ -33,7 +33,7 @@ from crosswatch.model import (
     ProcessModel,
     TransformArgs,
 )
-from crosswatch.montecarlo import _crossing_sample, estimate_functionals
+from crosswatch.montecarlo import _crossing_sample, _functional_sample, _sample_functionals
 from crosswatch.series import d_inverse
 from crosswatch.validation import _blocks_at, _coeffs_by_sampling, _g1_integrand, _g2_integrand
 
@@ -276,15 +276,6 @@ class TestMarginalLsts:
 
 
 class TestSeriesOrder:
-    def test_exact_path_truncation_is_exact(self):
-        args = TransformArgs(theta=0.9, u=0.95, v=0.55, w=0.05, x=0.1, y=0.8)
-        for model in (_std(), _pmf()):
-            m = model.threshold
-            lo = fl._crossing_series(model, args, m)
-            hi = fl._crossing_series(model, args, m + 5)
-            for part in (0, 1):  # G1, then G2
-                assert abs(d_inverse(lo[part], m) - d_inverse(hi[part], m)) < 1e-12
-
     def test_sampling_path_truncation_is_exact(self):
         model = _std()
         args = TransformArgs(theta=0.9, u=0.95, v=0.55, w=0.05, x=0.1, y=0.8)
@@ -325,7 +316,7 @@ class TestExactSeriesEngine:
     def test_undamped_tagged_window_matches_simulation(self):
         model = _std(threshold=50)
         args = TransformArgs(theta=0.0, y=0.9)
-        estimates = estimate_functionals(model, args, n_paths=20_000, seed=3)
+        estimates = _sample_functionals(_functional_sample(model, args, 20_000, 3), args)
         for which, f in (("G1", g1_star), ("G2", g2_star)):
             est = estimates[which]
             assert abs(f(model, args).real - est.mean) < 5 * est.std_error, which

@@ -18,7 +18,7 @@ import json
 import numpy as np
 import pytest
 
-from crosswatch import cli, fluctuation, montecarlo, timedomain
+from crosswatch import cli, closedform, fluctuation, laplace, montecarlo, timedomain
 from crosswatch.model import (
     DegenerateZero,
     Exponential,
@@ -101,6 +101,55 @@ class TestTimeUnit:
             _same(law, want_law, c, 1e-13)
             _same(over, want_over, c, 1e-13)
 
+    def test_laws_at_a_large_threshold_keep_their_values(self, marks, lam, mu, eta):
+        # at M = 300 the fixed TIMES see both laws near 1, so the times are in the model's unit
+        base = _model(marks, lam, mu, eta, m=300)
+        times = timedomain._mean_cross_time(base) * np.array([0.0, 0.5, 1.0, 1.5, 2.0])
+        want_g = [fluctuation._g_parts(base, _args(tags)) for tags in TAGS]
+        want_laws = timedomain._survival_laws(base, times)
+        want_law, want_over = timedomain.crossing_level_law(base, 340)
+        for c in UNITS:
+            scaled = _model(marks, lam, mu, eta, m=300, c=c)
+            _same(np.array([fluctuation._g_parts(scaled, _args(tags, c)) for tags in TAGS]) * c, want_g, c, 1e-13)
+            _same(timedomain._survival_laws(scaled, times / c), want_laws, c, 1e-13)
+            law, over = timedomain.crossing_level_law(scaled, 340)
+            _same(law, want_law, c, 1e-13)
+            _same(over, want_over, c, 1e-13)
+
+    def test_survival_curve_reads_the_atom_at_zero_in_any_unit(self, marks, lam, mu, eta):
+        # the atom is lst's limit at infinite theta; a fixed abscissa would be a time unit
+        def at_zero(model):
+            return [laplace.survival_curve(lambda q: f(model, q), [0.0])[0]
+                    for f in (fluctuation.lst_tau_pre, fluctuation.lst_tau_cross)]
+
+        base = _model(marks, lam, mu, eta)
+        want = at_zero(base)
+        exact = [law[0] for law in timedomain._survival_laws(base, [0.0])]
+        assert np.all(np.abs(np.subtract(want, exact)) <= 1e-14)
+        for c in UNITS:
+            got = at_zero(_model(marks, lam, mu, eta, c=c))
+            if c in POWERS_OF_TWO:
+                assert got == want, c
+            else:
+                assert np.all(np.abs(np.subtract(got, want)) <= 2e-15), c
+
+    def test_closed_form_window_transform_scales_by_the_unit(self, marks, lam, mu, eta):
+        if marks != "geometric" or eta is not None:
+            pytest.skip("the closed forms need geometric marks and a first look at 0")
+        base = _model(marks, lam, mu, eta)
+        # both sides of the small-theta floor, in the unit of the fastest rate
+        thetas = np.array([0.3, 0.05, 2e-7, 5e-8, 1e-8]) * max(lam, mu)
+        want = closedform.g1_star_special(base, thetas, 0.6)
+        for c in UNITS:
+            scaled = _model(marks, lam, mu, eta, c=c)
+            got = closedform.g1_star_special(scaled, thetas * c, 0.6) * c
+            if c in POWERS_OF_TWO:
+                assert np.array_equal(got, want), c
+            # the closed form cancels terms of order one near theta = 0, so it holds the
+            # engine's value only to its cancellation floor (an absolute floor was 93% off)
+            engine = np.array([fluctuation.g1_star(scaled, _args({"theta": q, "v": 0.6})) for q in thetas * c]) * c
+            _agree(got, engine, 1e-4)
+
 
 @pytest.mark.parametrize("marks", MARKS)
 @pytest.mark.parametrize("eta", [None, 0.4])
@@ -157,7 +206,8 @@ class TestTimeUnitCommands:
 
     @pytest.mark.parametrize("command, marks, initial", [
         ("survival", "geometric", "zero"), ("survival", "pmf", "exp"), ("predict", "geometric", "zero"),
-        ("predict", "pmf", "exp"), ("dist", "geometric", "zero"),  # closed forms need geometric marks
+        ("predict", "pmf", "exp"), ("dist", "geometric", "zero"),
+        ("dist", "geometric", "exp"),  # the table needs geometric marks
     ])
     def test_curves_and_tables(self, command, marks, initial, tmp_path, capsys):
         keys = {"survival": lambda c: {"t_grid": (TIMES / c).tolist()},
@@ -223,14 +273,20 @@ class TestTimeUnitCommands:
             assert got == want, (key, value)
 
 
-@pytest.mark.parametrize("m", [3, 10, 60])
+def _times_of(model):
+    """TIMES and 0.5, 1 and 2 x E[tau_cross]: at M = 300 the fixed TIMES see both laws near 1."""
+    return np.concatenate([TIMES, timedomain._mean_cross_time(model) * np.array([0.5, 1.0, 2.0])])
+
+
+@pytest.mark.parametrize("m", [3, 10, 60, 300])
 @pytest.mark.parametrize("eta", [None, 0.4])
 class TestExactRelations:
     def test_zero_marks_thin_the_arrivals(self, m, eta):
         with_zeros = _model(GeneralDiscrete([0.1, 0.5, 0.3, 0.1]), 1.0, 1.3, eta, m)
         thinned = _model(GeneralDiscrete([0.0, 5 / 9, 3 / 9, 1 / 9]), 0.9, 1.3, eta, m)
+        times = _times_of(with_zeros)
         for f in (timedomain.survival_pre, timedomain.survival_cross):
-            _agree(f(with_zeros, TIMES), f(thinned, TIMES), 1e-13)
+            _agree(f(with_zeros, times), f(thinned, times), 1e-13)
         (law, over), (want_law, want_over) = (timedomain.crossing_level_law(x, m + 30) for x in (with_zeros, thinned))
         _agree(law, want_law, 1e-13)
         # the mean overshoot is E[A_nu] - M, so it keeps E[A_nu]'s absolute error, not its relative one
@@ -246,8 +302,9 @@ class TestExactRelations:
         pmf[1 : m + 1] = a * (1.0 - a) ** np.arange(m)
         pmf[m + 1] = (1.0 - a) ** m
         lumped = _model(GeneralDiscrete(pmf), 0.7, 1.3, eta, m)
+        times = _times_of(geometric)
         for f in (timedomain.survival_pre, timedomain.survival_cross):
-            _agree(f(geometric, TIMES), f(lumped, TIMES), 1e-13)
+            _agree(f(geometric, times), f(lumped, times), 1e-13)
         _agree(timedomain._mean_cross_time(geometric), timedomain._mean_cross_time(lumped), 1e-13)
         # v = 1: the crossing level itself is what lumping changes
         args = _args({**TAGS[0], "v": 1.0})

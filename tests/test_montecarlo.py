@@ -28,12 +28,16 @@ from crosswatch.model import (
 from crosswatch.montecarlo import (
     EstimateWithCI,
     _crossing_sample,
-    estimate_functionals,
     estimate_joint,
     estimate_window_pair,
 )
 from crosswatch.transforms import f1_star, f2_star
 from crosswatch.validation import run_battery
+
+
+def _functionals(model, args, n_paths=100_000, seed=0):
+    """G1, G2 and G from the sample ``simulate`` draws at ``args``."""
+    return mc._sample_functionals(mc._functional_sample(model, args, n_paths, seed), args)
 
 
 def _slow_model():
@@ -201,22 +205,22 @@ class TestEstimateJoint:
 
 class TestEstimateFunctional:
     def test_returns_the_three_windows(self, std_model):
-        both = estimate_functionals(std_model, TransformArgs(theta=0.9, v=0.7, y=0.8), 20_000, 6)
+        both = _functionals(std_model, TransformArgs(theta=0.9, v=0.7, y=0.8), 20_000, 6)
         assert list(both) == ["G1", "G2", "G"]
 
     def test_additivity_is_bitwise(self, std_model):
-        est = estimate_functionals(std_model, TransformArgs(theta=0.5, v=0.7), n_paths=20_000, seed=11)
+        est = _functionals(std_model, TransformArgs(theta=0.5, v=0.7), n_paths=20_000, seed=11)
         assert est["G"].mean == est["G1"].mean + est["G2"].mean
 
     def test_deterministic_per_seed(self, std_model):
         args = TransformArgs(theta=0.5, v=0.7)
-        a = estimate_functionals(std_model, args, n_paths=20_000, seed=2)
-        b = estimate_functionals(std_model, args, n_paths=20_000, seed=2)
+        a = _functionals(std_model, args, n_paths=20_000, seed=2)
+        b = _functionals(std_model, args, n_paths=20_000, seed=2)
         assert a == b
 
     def test_matches_analytic_unit_tag(self, std_model):
         args = TransformArgs(theta=0.5, v=0.7)
-        estimates = estimate_functionals(std_model, args, n_paths=100_000, seed=3)
+        estimates = _functionals(std_model, args, n_paths=100_000, seed=3)
         for which, exact_fn in (("G1", g1_star), ("G2", g2_star), ("G", g_star)):
             est = estimates[which]
             exact = exact_fn(std_model, args).real
@@ -225,7 +229,7 @@ class TestEstimateFunctional:
     def test_matches_analytic_running_tag(self, std_model):
         # y < 1 exercises the arrival-resolution path
         args = TransformArgs(theta=0.5, v=0.7, y=0.8)
-        estimates = estimate_functionals(std_model, args, n_paths=30_000, seed=7)
+        estimates = _functionals(std_model, args, n_paths=30_000, seed=7)
         for which, exact_fn in (("G1", g1_star), ("G2", g2_star)):
             est = estimates[which]
             exact = exact_fn(std_model, args).real
@@ -234,14 +238,14 @@ class TestEstimateFunctional:
     def test_undamped_window_matches_analytic(self, std_model):
         # theta = 0 needs no time cut-off: every window ends at a finite crossing
         for args in (TransformArgs(theta=0.0, v=0.7), TransformArgs(theta=0.0, v=0.7, y=0.9)):
-            est = estimate_functionals(std_model, args, n_paths=50_000, seed=5)["G1"]
+            est = _functionals(std_model, args, n_paths=50_000, seed=5)["G1"]
             exact = g1_star(std_model, args).real
             assert abs(est.mean - exact) < 4 * est.std_error
 
     def test_unit_tags_integrate_the_damped_crossing_time(self, std_model):
         # with u = v = y = 1 and w = x = 0, G integrates e^{-theta t} over [0, tau_cross)
         theta = 0.7
-        est = estimate_functionals(std_model, TransformArgs(theta=theta), n_paths=50_000, seed=4)["G"]
+        est = _functionals(std_model, TransformArgs(theta=theta), n_paths=50_000, seed=4)["G"]
         tau_cross = _crossing_sample(std_model, 50_000, 4)["tau_cross"]
         closed = float(np.mean(-np.expm1(-theta * tau_cross) / theta))
         assert abs(est.mean - closed) <= 1e-12 * closed
@@ -249,13 +253,13 @@ class TestEstimateFunctional:
     def test_argument_validation(self, std_model, monkeypatch):
         calls = _count_samples(monkeypatch)
         with pytest.raises(DomainError):
-            estimate_functionals(std_model, TransformArgs(theta=1.0, v=0.5 + 0.1j))
+            _functionals(std_model, TransformArgs(theta=1.0, v=0.5 + 0.1j))
         with pytest.raises(DomainError):
-            estimate_functionals(std_model, TransformArgs(theta=1.0, u=1.5))
+            _functionals(std_model, TransformArgs(theta=1.0, u=1.5))
         with pytest.raises(DomainError):
-            estimate_functionals(std_model, TransformArgs(theta=-1.0))
+            _functionals(std_model, TransformArgs(theta=-1.0))
         with pytest.raises(DomainError):
-            estimate_functionals(std_model, TransformArgs(theta=1.0), n_paths=0)
+            _functionals(std_model, TransformArgs(theta=1.0), n_paths=0)
         assert calls == []  # rejected before any path is drawn
 
 
@@ -340,7 +344,7 @@ class TestManyArrivalsPerGap:
     @pytest.mark.parametrize("marks", MARK_LAWS, ids=["geometric", "pmf"])
     def test_tagged_functionals_match_exact_transforms(self, marks):
         model = _busy_model(marks)
-        est = estimate_functionals(model, self.ARGS, n_paths=20_000, seed=1)
+        est = _functionals(model, self.ARGS, n_paths=20_000, seed=1)
         for name, exact_fn in (("G1", g1_star), ("G2", g2_star)):
             exact = exact_fn(model, self.ARGS).real
             assert abs(est[name].mean - exact) < 5 * est[name].std_error
@@ -395,11 +399,12 @@ class TestSampleCount:
     """Guards against re-drawing a sample that was already drawn."""
 
     def test_battery_draws_three_samples(self, std_model, monkeypatch):
-        # the shared crossing sample, which also gives the y = 1
-        # functionals, the pair-window sample, and the tagged functional sample
+        # three samples of paths: the shared crossing sample, which also gives the y = 1
+        # functionals, the pair-window sample, and the tagged functional sample; beside them
+        # one sample of single gaps per random gap law, here the recurring one
         calls = _count_samples(monkeypatch)
         assert run_battery(std_model, n_paths=5_000)["all_passed"]
-        assert len(calls) == 3
+        assert calls == [400_000, 100_000, 5_000, 10_000]
 
     def test_unit_tag_simulate_draws_one_sample(self, std_model, tmp_path, monkeypatch, capsys):
         model = {"lambda": 1.0, "marks": {"geometric": {"a": 0.5}}, "obs": {"mu": 1.0, "initial": "zero"},
@@ -412,7 +417,7 @@ class TestSampleCount:
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[-3:]]
         assert calls == [5_000]
         # the same G1, G2 and G as a fresh functional sample of that seed
-        fresh = estimate_functionals(std_model, TransformArgs(**args), 5_000, 6)
+        fresh = _functionals(std_model, TransformArgs(**args), 5_000, 6)
         assert [row[0] for row in rows] == list(fresh)
         assert [float(row[1]) for row in rows] == [float(f"{est.mean:.11e}") for est in fresh.values()]
 
@@ -430,7 +435,7 @@ class TestSampleCount:
         sample = mc._crossing_sample(std_model, 5_000, 0, 1.0, 0.8)
         assert [row[0] for row in rows[6:]] == ["G1", "G2", "G"]
         assert float(rows[0][1]) == float(f"{sample['nu'].mean():.11e}")
-        fresh = estimate_functionals(std_model, TransformArgs(**args), 5_000, 0)
+        fresh = _functionals(std_model, TransformArgs(**args), 5_000, 0)
         assert [float(row[1]) for row in rows[6:]] == [float(f"{est.mean:.11e}") for est in fresh.values()]
 
     def test_functional_draws_no_sample(self, tmp_path, monkeypatch, capsys):
