@@ -1,16 +1,18 @@
 """Batch command-line front end.
 
-Commands map one-to-one onto the package layers: ``dist`` tabulates
-the closed-form joint law, ``survival`` sums the exact time-domain
-survival laws of the crossing times, ``functional`` evaluates the
+Commands map one-to-one onto the package layers, and each handler imports its
+own: ``dist`` tabulates the closed-form joint law, ``survival`` sums the exact
+time-domain survival laws of the crossing times, ``functional`` evaluates the
 windowed crossing transforms, ``simulate`` runs the Monte Carlo oracle,
-``validate`` runs the full oracle-agreement battery, and ``predict``
-packages the crash-forecast outputs (the same survival laws and the exact
-crossing-level law).  Each command is declared once, with its help line and
-its config keys, and every input has one source.  One flat parser (a
-``COMMAND`` positional plus four options, in any order) serves them all; it
-is built once per process and reused by every :func:`main` call.  Only
-``simulate`` and ``validate`` draw samples, so only they read ``--seed``;
+``validate`` runs the full oracle-agreement battery, and ``predict`` packages
+the crash-forecast outputs (the same survival laws and the exact crossing-level
+law).  So ``--help`` and usage errors load only ``cli``, ``errors`` and
+``model``, and ``survival``, ``predict`` and ``functional`` never load the
+battery, the simulator or the closed forms.  Each command is declared once,
+with its help line and its config keys, and every input has one source.  One
+flat parser (a ``COMMAND`` positional plus four options, in any order) serves
+them all; it is built once per process and reused by every :func:`main` call.
+Only ``simulate`` and ``validate`` draw samples, so only they read ``--seed``;
 ``--perturb-c`` belongs to ``validate`` and is refused elsewhere.
 
 Conventions shared by every command: JSON configs carry a
@@ -32,7 +34,6 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from . import closedform, fluctuation, montecarlo, timedomain
 from .errors import (
     ConfigError,
     DivergenceError,
@@ -44,7 +45,6 @@ from .errors import (
 )
 from .model import (_MODEL_KEYS, ProcessModel, TransformArgs, _built, _config_number, _level_bound,
                     _schema_version, _section, _table_times, load_model)
-from .validation import run_battery
 
 __all__ = ["main"]
 
@@ -176,6 +176,7 @@ def _write_output(ns, text: str) -> None:
 
 @_command("dist", "closed-form joint table P{A_nu=r, tau_pre>t}", "t_grid", "r_max")
 def cmd_dist(ns, config: dict, model: ProcessModel) -> int:
+    from . import closedform
     grid = _resolve_grid(config)
     r_max = _level_bound(config["r_max"])
     table = closedform.dist_table(model, grid, r_max)
@@ -190,6 +191,7 @@ def cmd_dist(ns, config: dict, model: ProcessModel) -> int:
 
 @_command("survival", "exact survival curves of tau_pre and tau_cross", "t_grid")
 def cmd_survival(ns, config: dict, model: ProcessModel) -> int:
+    from . import timedomain
     grid = _resolve_grid(config)
     pre, cross = timedomain._survival_laws(model, grid)
     lines = ["t,survival_pre,survival_cross"]
@@ -207,6 +209,7 @@ def _complex_json(value: complex) -> dict:
 
 @_command("functional", "windowed crossing transforms G1/G2/G", "args")
 def cmd_functional(ns, config: dict, model: ProcessModel) -> int:
+    from . import fluctuation
     args = _parse_args_section(config["args"])
     g1, g2 = fluctuation._g_parts(model, args)
     values = {"G1": g1, "G2": g2, "G": g1 + g2}
@@ -226,6 +229,7 @@ def cmd_functional(ns, config: dict, model: ProcessModel) -> int:
 
 @_command("simulate", "Monte Carlo crossing estimates", "args", "n_paths", optional=("args", "n_paths"))
 def cmd_simulate(ns, config: dict, model: ProcessModel) -> int:
+    from . import montecarlo
     n_paths = _count(config, "n_paths", 100_000)
     args = _parse_args_section(config["args"]) if "args" in config else None
     sample = montecarlo._functional_sample(model, args or TransformArgs(), n_paths, ns.seed)
@@ -245,6 +249,7 @@ def cmd_simulate(ns, config: dict, model: ProcessModel) -> int:
 
 @_command("validate", "oracle-agreement battery", "n_paths", optional=("n_paths",))
 def cmd_validate(ns, config: dict, model: ProcessModel) -> int:
+    from .validation import run_battery
     n_paths = _count(config, "n_paths", 100_000)
     shift = 0.0 if ns.perturb_c is None else _config_number(ns.perturb_c, "--perturb-c")
     report = run_battery(model, seed=ns.seed, c_shift=shift, n_paths=n_paths)
@@ -259,6 +264,7 @@ def cmd_validate(ns, config: dict, model: ProcessModel) -> int:
 @_command("predict", "exact crash-forecast curves and crossing-level law", "horizon", "t_steps",
           optional=("t_steps",))
 def cmd_predict(ns, config: dict, model: ProcessModel) -> int:
+    from . import timedomain
     horizon = _config_number(config["horizon"], "horizon")
     if horizon < 0.0:
         raise ConfigError(f"horizon must be a nonnegative number, got {horizon!r}")

@@ -1,4 +1,12 @@
-"""Shared fixtures: the reference model and hypothesis settings."""
+"""Shared fixtures: the reference model, hypothesis settings and a fresh-interpreter probe."""
+
+import functools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from typing import NamedTuple
 
 import hypothesis
 import pytest
@@ -58,3 +66,39 @@ def exp_initial_model() -> ProcessModel:
         observation=ObservationLaw(initial=Exponential(2.0), recurring=Exponential(1.0)),
         threshold=2,
     )
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# Runs ``statement``, then writes the crosswatch, scipy and mpmath modules it left
+# loaded to stderr behind a NUL, apart from anything the statement printed.
+_PROBE = """\
+import json, sys
+try:
+    {statement}
+finally:
+    sys.stderr.write("\\0" + json.dumps([m for m in sys.modules if m.split(".")[0] in ("crosswatch", "scipy", "mpmath")]))
+"""
+
+
+class Spawn(NamedTuple):
+    returncode: int
+    out: str
+    err: str
+    modules: frozenset[str]
+
+
+@functools.cache
+def fresh_interpreter(statement: str) -> Spawn:
+    """Run the one-line ``statement`` in a fresh interpreter with ``src`` on the path.
+
+    Cached per statement, so the tests that read the ``--help`` run share one spawn."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _PROBE.format(statement=statement)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    err, _, report = proc.stderr.rpartition("\0")
+    return Spawn(proc.returncode, proc.stdout, err, frozenset(json.loads(report)))
+
+
+def fresh_cli(*argv: str) -> Spawn:
+    """``crosswatch.cli.main(argv)`` in a fresh interpreter, which exits with its code."""
+    return fresh_interpreter(f"import crosswatch.cli; sys.exit(crosswatch.cli.main({list(argv)!r}))")

@@ -1,13 +1,13 @@
-"""The package's public names: each module's ``__all__``, and nothing at the root."""
+"""The package's public names (each module's ``__all__``, and nothing at the root) and what a start loads."""
 
 import importlib
 import importlib.util
 import json
-import os
 import pkgutil
-import subprocess
-import sys
 from pathlib import Path
+
+import pytest
+from conftest import fresh_cli, fresh_interpreter
 
 import crosswatch
 from crosswatch import cli, closedform, fluctuation, model, montecarlo, series, transforms, validation
@@ -46,30 +46,6 @@ class TestPublicApi:
                 assert name not in module.__all__
                 assert not hasattr(module, name), f"{module.__name__}.{name}"
 
-    @staticmethod
-    def _loaded_by(module: str) -> str:
-        """The sorted list of crosswatch modules a fresh interpreter holds after importing ``module``, printed."""
-        probe = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith('crosswatch.')))"
-        env = {**os.environ, "PYTHONPATH": str(Path(crosswatch.__file__).parents[1])}
-        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
-        return out.strip()
-
-    def test_simulator_imports_only_the_model(self):
-        # the battery's independent oracle shares no code with the analytic layers
-        assert self._loaded_by("crosswatch.montecarlo") == str(["crosswatch.errors", "crosswatch.model",
-                                                                "crosswatch.montecarlo"])
-
-    def test_series_engine_imports_no_pointwise_oracle(self):
-        # the battery's pointwise blocks in transforms check the series engine, so it may not lean on them
-        assert self._loaded_by("crosswatch.fluctuation") == str(["crosswatch.errors", "crosswatch.fluctuation",
-                                                                 "crosswatch.model", "crosswatch.series"])
-
-    def test_time_domain_imports_no_pointwise_oracle(self):
-        # the survival laws are checked against closedform, transforms and laplace, so they may not lean on them
-        assert self._loaded_by("crosswatch.timedomain") == str(["crosswatch.errors", "crosswatch.fluctuation",
-                                                                "crosswatch.model", "crosswatch.series",
-                                                                "crosswatch.timedomain"])
-
     def test_benchmark_tracer_wraps_and_restores(self, tmp_path, capsys):
         # the benchmark's tracer wraps every layer's __all__ (and fails on a
         # missing EXTRA name), so a cut to a public list must keep it working
@@ -91,3 +67,41 @@ class TestPublicApi:
         capsys.readouterr()
         assert "model.load_model" in {span.name for span in tracer.spans}
         assert fluctuation.g1_star is original
+
+
+GEOMETRIC = {"lambda": 1.0, "marks": {"geometric": {"a": 0.5}}, "obs": {"mu": 1.0, "initial": "zero"}, "threshold": 3}
+CLI = {"cli", "errors", "model"}
+SURVIVAL_LAWS = {"timedomain", "fluctuation", "series"}
+
+
+# The battery's simulator shares no code with the analytic layers; the series engine and
+# the survival laws lean on none of the pointwise oracles (transforms, laplace, closedform)
+# that check them; and a command loads only the layers it runs.
+@pytest.mark.parametrize("start, keys, code, err, loads", [
+    pytest.param("crosswatch.montecarlo", None, 0, "", {"errors", "model", "montecarlo"}, id="montecarlo"),
+    pytest.param("crosswatch.fluctuation", None, 0, "", {"errors", "fluctuation", "model", "series"},
+                 id="fluctuation"),
+    pytest.param("crosswatch.timedomain", None, 0, "", {"errors", "model"} | SURVIVAL_LAWS, id="timedomain"),
+    pytest.param("--help", None, 0, "", CLI, id="help"),
+    pytest.param("predict", {"horizon": 1.0, "n_paths": 1_000}, 64,
+                 "error: unknown config key(s) ['n_paths'] in config for command 'predict'\n", CLI,
+                 id="usage-error"),
+    pytest.param("dist", {"t_grid": [0.0, 1.0], "r_max": 5}, 0, "", CLI | SURVIVAL_LAWS | {"closedform"},
+                 id="dist"),
+    pytest.param("survival", {"t_grid": [0.0, 1.0]}, 0, "", CLI | SURVIVAL_LAWS, id="survival"),
+    pytest.param("predict", {"horizon": 1.0, "t_steps": 3}, 0, "", CLI | SURVIVAL_LAWS, id="predict"),
+    pytest.param("functional", {"args": {"theta": 1.0}}, 0, "", CLI | {"fluctuation", "series"}, id="functional"),
+    pytest.param("simulate", {"n_paths": 1_000}, 0, "", CLI | {"montecarlo"}, id="simulate"),
+    pytest.param("validate", {"n_paths": 10_000}, 0, "", set(MODULES), id="validate"),
+])
+def test_a_fresh_start_loads_only_what_it_runs(tmp_path, start, keys, code, err, loads):
+    if start.startswith("crosswatch."):
+        run = fresh_interpreter(f"import {start}")
+    elif keys is None:
+        run = fresh_cli(start)
+    else:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"schema_version": 1, "model": GEOMETRIC, **keys}))
+        run = fresh_cli(start, "--config", str(config))
+    assert (run.returncode, run.err) == (code, err)
+    assert run.modules == {"crosswatch"} | {f"crosswatch.{name}" for name in loads}

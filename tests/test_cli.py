@@ -6,16 +6,14 @@ import argparse
 import copy
 import json
 import math
-import os
-import subprocess
-import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import fresh_cli
 
-from crosswatch import cli
+from crosswatch import cli, closedform, fluctuation, montecarlo, timedomain, validation
 from crosswatch.errors import (
     DivergenceError,
     InversionError,
@@ -375,14 +373,10 @@ class TestParser:
         assert paths[0].read_text() == paths[1].read_text()
 
     def test_help_lists_every_command(self):
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "crosswatch.cli", "--help"], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        run = fresh_cli("--help")
+        assert run.returncode == 0, run.err
         for command in cli._COMMANDS:
-            assert f"\n  {command} " in proc.stdout
+            assert f"\n  {command} " in run.out
 
 
 class TestDist:
@@ -513,7 +507,7 @@ class TestSimulate:
         def sample(*_, **__):
             raise AssertionError("paths drawn before the args were checked")
 
-        monkeypatch.setattr(cli.montecarlo, "_crossing_sample", sample)
+        monkeypatch.setattr(montecarlo, "_crossing_sample", sample)
         cfg = _config(tmp_path, n_paths=200_000, args=args)
         code, out, err = _run(capsys, ["simulate", "--config", cfg])
         assert code == 64 and out == ""
@@ -636,7 +630,7 @@ class TestFailureExitCodes:
         def boom(*args, **kwargs):
             raise TableInvariantError("negative mass", cells=[(0, 1), (2, 3)])
 
-        monkeypatch.setattr(cli.closedform, "dist_table", boom)
+        monkeypatch.setattr(closedform, "dist_table", boom)
         cfg = _config(tmp_path, t_grid=[0.0, 1.0], r_max=4)
         code, _, err = _run(capsys, ["dist", "--config", cfg])
         assert code == 2
@@ -648,7 +642,7 @@ class TestFailureExitCodes:
             raise InversionError("self-check diverged")
 
         # survival sums exact laws; the battery is what still inverts transforms
-        monkeypatch.setattr(cli, "run_battery", boom)
+        monkeypatch.setattr(validation, "run_battery", boom)
         cfg = _config(tmp_path, n_paths=1000)
         code, _, err = _run(capsys, ["validate", "--config", cfg])
         assert code == 3
@@ -658,7 +652,7 @@ class TestFailureExitCodes:
         def boom(*args, **kwargs):
             raise DivergenceError("outside the contraction region")
 
-        monkeypatch.setattr(cli.fluctuation, "_g_parts", boom)
+        monkeypatch.setattr(fluctuation, "_g_parts", boom)
         cfg = _config(tmp_path, args={"theta": 1.0})
         code, _, err = _run(capsys, ["functional", "--config", cfg])
         assert code == 4
@@ -699,7 +693,7 @@ class TestFailureExitCodes:
         def boom(*args, **kwargs):
             raise RunawaySimulationError("epoch cap exceeded")
 
-        monkeypatch.setattr(cli.montecarlo, "_crossing_sample", boom)
+        monkeypatch.setattr(montecarlo, "_crossing_sample", boom)
         cfg = _config(tmp_path, n_paths=1000)
         code, _, err = _run(capsys, ["simulate", "--config", cfg])
         assert code == 4
@@ -707,8 +701,8 @@ class TestFailureExitCodes:
 
 
     @pytest.mark.parametrize("command, target, keys", [
-        ("simulate", (cli.montecarlo, "_crossing_sample"), {"n_paths": 1_000}),
-        ("predict", (cli.timedomain, "_survival_laws"), {"horizon": 1.0, "t_steps": 3}),
+        ("simulate", (montecarlo, "_crossing_sample"), {"n_paths": 1_000}),
+        ("predict", (timedomain, "_survival_laws"), {"horizon": 1.0, "t_steps": 3}),
     ], ids=["simulate", "predict"])
     def test_out_of_memory_maps_to_64(self, capsys, tmp_path, monkeypatch, command, target, keys):
         # stands in for an oversized size key; whether a huge request fails at
@@ -726,15 +720,9 @@ class TestFailureExitCodes:
 class TestRuntimeDependencies:
     def test_cli_import_loads_no_scipy(self):
         # scipy would add about a second to every CLI start; mpmath is a test tool too
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-        probe = ("import sys, crosswatch.cli; "
-                 "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))")
-        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        run = fresh_cli("--help")
+        assert run.returncode == 0, run.err
+        assert {name for name in run.modules if name.split(".")[0] != "crosswatch"} == set()
 
     def test_scipy_is_only_a_test_dependency(self):
         tomllib = pytest.importorskip("tomllib")
