@@ -237,10 +237,11 @@ def cmd_simulate(ns, config: dict, model: ProcessModel) -> int:
     def row(name: str, est: montecarlo.EstimateWithCI) -> str:
         return f"{name},{_fmt(est.mean)},{_fmt(est.std_error)},{est.n_samples}"
 
-    columns = dict(sample, overshoot=sample["a_cross"] - model.threshold)
-    lines = ["quantity,mean,std_error,n"]
-    for key in ("nu", "a_pre", "a_cross", "overshoot", "tau_pre", "tau_cross"):
-        lines.append(row(key, montecarlo._estimate(columns[key])))
+    estimates = {key: montecarlo._estimate(sample[key]) for key in ("nu", "a_pre", "a_cross")}
+    cross = estimates["a_cross"]  # the overshoot A_nu - M is the same draws, shifted
+    estimates["overshoot"] = montecarlo.EstimateWithCI(cross.mean - model.threshold, cross.std_error, cross.n_samples)
+    estimates.update((key, montecarlo._estimate(sample[key])) for key in ("tau_pre", "tau_cross"))
+    lines = ["quantity,mean,std_error,n"] + [row(key, est) for key, est in estimates.items()]
     if args is not None:
         lines += [row(which, est) for which, est in montecarlo._sample_functionals(sample, args).items()]
     _write_output(ns, "\n".join(lines) + "\n")

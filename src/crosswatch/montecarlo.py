@@ -25,8 +25,10 @@ two-stage sample gives f1 and f2; ``_sample_functionals`` and
 selects one.
 
 Reproducibility contract: every estimator splits its workload into
-fixed-size chunks, each driven by a child of ``SeedSequence(seed)``, runs
-them in order and merges per-chunk results in chunk order.  Results are
+fixed-size chunks of ``_CHUNK`` = 50,000 paths, each driven by a child of
+``SeedSequence(seed)``, runs them in order and merges per-chunk results in
+chunk order.  The size bounds one wave's working set, the live arrays of
+a chunk's active paths, to about 5 MB, whatever the sample size.  Results are
 therefore bit-identical for a given (model, arguments, seed).  A crossing
 sample is allocated once and each chunk fills its own slice; within a
 chunk the records come in completion order (paths that cross at an
@@ -59,8 +61,8 @@ __all__ = [
     "estimate_window_pair",
 ]
 
-_CHUNK = 100_000
-_EPOCH_CAP = 100_000_000
+_CHUNK = 50_000
+_EPOCH_CAP = 1_000 * _CHUNK  # a chunk's inspection epochs: 1000 per path of a full chunk
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ beyond sampling noise.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,7 +129,7 @@ class TestSimulatePath:
         assert np.all(np.abs(freq - exact) <= band)
 
     def test_every_record_of_a_partial_last_chunk_is_filled(self, std_model):
-        n = 230_000  # two full chunks and a partial one
+        n = 230_000  # four full chunks and a partial one
         assert n % mc._CHUNK
         rec = _crossing_sample(std_model, n, 3)
         assert all(col.size == n for col in rec.values())
@@ -380,6 +381,40 @@ class TestManyArrivalsPerGap:
             assert got_offset[0] == 0.0
             assert np.all(np.abs(got_offset - ref_offset) <= 1e-12 * ref_offset)
             assert abs(gap[i] - math.fsum(run)) <= 1e-12 * gap[i]
+
+
+def _traced_peak(draw) -> tuple[object, int]:
+    """What ``draw()`` returns and the most memory it held at once, in bytes, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        return draw(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """A wave keeps one chunk's arrays live, so a draw's work beyond its output is bounded by the chunk.
+
+    Both bounds sit halfway between 100k-path chunks (a window pair peaked at
+    19.2-20.0 MB, a sample's work beyond its records at 10.0-10.2 MB) and
+    50k-path chunks (10.4-11.2 MB and 5.0-5.1 MB).
+    """
+
+    @pytest.mark.parametrize("marks", MARK_LAWS, ids=["geometric", "pmf"])
+    def test_window_pair(self, marks):
+        model = ProcessModel(1.0, marks, ObservationLaw(DegenerateZero(), Exponential(1.0)), 3)
+        args = TransformArgs(theta=0.8, u=0.7, v=0.9, w=0.2, x=0.3, y=0.6)  # the battery's pair
+        _, peak = _traced_peak(
+            lambda: estimate_window_pair(model, Exponential(1.0), Exponential(1.0), args, 100_000, 5))
+        assert peak < 15e6
+
+    @pytest.mark.parametrize("marks", MARK_LAWS, ids=["geometric", "pmf"])
+    def test_crossing_sample_beyond_its_records(self, marks):
+        model = ProcessModel(1.0, marks, ObservationLaw(DegenerateZero(), Exponential(1.0)), 3)
+        sample, peak = _traced_peak(lambda: _crossing_sample(model, 200_000, 0))
+        records = sum(col.nbytes for col in sample.values())  # one 8 MB block, shared by the columns
+        assert records == 5 * 200_000 * 8
+        assert peak - records < 7.5e6
 
 
 def _count_samples(monkeypatch) -> list:

@@ -19,17 +19,28 @@ finite pmf.  The one check that reads the level law,
 1e-4.  ``_visits`` fails on geometric marks only through ``dist_table``,
 which the battery checks on the geometric family alone.
 
+Two simulator mutants must each fail a Monte Carlo check of the battery
+at its default 100k paths, on both mark laws at M = 3:
+
+* a crossing at >= M instead of > M: the chunk worker of
+  ``montecarlo._crossing_sample`` sees the threshold M - 1;
+* a gap's arrival count off by one: ``montecarlo._arrivals`` recompiled
+  with one more arrival in every Exp gap.
+
 A measurement that comes out NaN fails its check as well, reported as
 ``null``: a bare ``max`` fold drops a NaN, and a survival law above 1 made
 the binomial band a NaN that way.
 """
 
+import __future__
+import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from crosswatch import fluctuation, timedomain, validation
+from crosswatch import fluctuation, montecarlo, timedomain, validation
 from crosswatch.model import DegenerateZero, Exponential, GeneralDiscrete, Geometric, ObservationLaw, ProcessModel
 from crosswatch.validation import run_battery
 
@@ -47,6 +58,30 @@ def _scaled(function, factor):
         return tuple(part * factor for part in out) if isinstance(out, tuple) else out * factor
 
     return mutant
+
+
+def _lower_threshold(worker):
+    """The chunk worker run on the model with threshold M - 1: a path crosses at >= M."""
+    def mutant(model, *args):
+        return worker(dataclasses.replace(model, threshold=model.threshold - 1), *args)
+
+    return mutant
+
+
+def _recompiled(function, old, new):
+    """``function`` compiled from its own source with the one ``old`` replaced by ``new``."""
+    source = inspect.getsource(function)
+    assert source.count(old) == 1
+    module = inspect.getmodule(function)
+    code = compile(source.replace(old, new), module.__file__, "exec", __future__.annotations.compiler_flag, True)
+    namespace = dict(vars(module))
+    exec(code, namespace)
+    return namespace[function.__name__]
+
+
+def _count_plus_one(arrivals):
+    """``_arrivals`` with one more arrival in every Exp gap."""
+    return _recompiled(arrivals, "counts = draws.astype(np.int64)", "counts = draws.astype(np.int64) + 1")
 
 
 def _checks(report):
@@ -76,6 +111,26 @@ def test_a_scaled_entry_point_fails_its_checks(module, name, error, marks, must_
     report = run_battery(_model(marks), seed=0, n_paths=20_000)
     assert must_fail <= set(report["failed_checks"])
     assert not report["all_passed"]
+
+
+@pytest.mark.parametrize("name, mutate, marks, must_fail", [
+    pytest.param("_crossing_wave_chunk", _lower_threshold, "geometric",
+                 {"survival-vs-mc", "overshoot-pmf-vs-mc", "functional-vs-mc", "mc-joint-agreement"},
+                 id="crossing-at-m-geometric"),
+    pytest.param("_crossing_wave_chunk", _lower_threshold, "pmf",
+                 {"survival-vs-mc", "overshoot-pmf-vs-mc", "functional-vs-mc"}, id="crossing-at-m-pmf"),
+    pytest.param("_arrivals", _count_plus_one, "geometric",
+                 {"increment-transform-vs-mc", "window-transforms-vs-mc", "survival-vs-mc", "functional-vs-mc",
+                  "mc-joint-agreement"}, id="count-plus-one-geometric"),
+    pytest.param("_arrivals", _count_plus_one, "pmf",
+                 {"increment-transform-vs-mc", "window-transforms-vs-mc", "survival-vs-mc", "functional-vs-mc"},
+                 id="count-plus-one-pmf"),
+])
+def test_a_simulator_mutant_fails_a_monte_carlo_check(name, mutate, marks, must_fail, monkeypatch):
+    monkeypatch.setattr(montecarlo, name, mutate(getattr(montecarlo, name)))
+    report = run_battery(_model(marks), seed=0)  # at the default 100k paths
+    assert report["n_paths"] == 100_000
+    assert must_fail <= set(report["failed_checks"])
 
 
 @pytest.mark.parametrize("marks", MARKS)
