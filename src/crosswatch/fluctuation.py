@@ -58,8 +58,23 @@ __all__ = [
 # is formed by cancelling F(1) against a partial sum of F.
 
 
-def _r_series(model: ProcessModel, excess: complex, c: complex, order: int, parts: str = "r"):
-    """Coefficients through ``order`` of R(alpha, c) ("r"), (R(1), T) ("tail") or (R, R(1), T).
+def _tag(model: ProcessModel, c: complex) -> tuple:
+    """The factors of R(alpha, c) free of alpha, built once per tag c: N(c s), the terms of N(c s)
+    and D(c s) in pairs, D(c) and the tail sums that T reads."""
+    c, (num, den) = complex(c), _mark_pgf_rational(model.marks)
+    n_s = [p * c**k for k, p in enumerate(num)]
+    d_s = [q * c**k for k, q in enumerate(den)]
+    pairs = list(zip_longest(n_s, d_s, fillvalue=0.0))
+    n_1, d_1 = sum(n_s), sum(d_s)
+    # n_1 D(c s) - d_1 N(c s) is zero at s = 1; its quotient by 1 - s has minus its tail sums
+    tails = [0j]
+    for p, q in pairs[:0:-1]:
+        tails.append(tails[-1] + (n_1 * q - d_1 * p))
+    return n_s, pairs, d_1, tails
+
+
+def _r_series(model: ProcessModel, excess: complex, tag: tuple, order: int, parts: str = "r"):
+    """Coefficients through ``order`` of R(alpha, c) ("r"), (R(1), T) ("tail") or (R, R(1), T); ``tag`` is _tag of c.
 
     ``excess`` is alpha - lam.  With g = N/D at c s, alpha D - lam N = lam B for B = (excess / lam) D
     + (D - N), which no change of time unit moves, and R = (1 + N / B) / alpha with 1 / alpha applied
@@ -69,20 +84,13 @@ def _r_series(model: ProcessModel, excess: complex, c: complex, order: int, part
     T = (R(1) - R(s)) / (1 - s) uses R(1) - R(s) = lam (g(c) - g(c s)) R(1) R(s), where the
     mark difference over 1 - s has tail-sum coefficients over D(c) D(c s).
     """
-    lam, c, (num, den) = model.rate, complex(c), _mark_pgf_rational(model.marks)
-    n_s = [p * c**k for k, p in enumerate(num)]
-    d_s = [q * c**k for k, q in enumerate(den)]
+    lam, (n_s, pairs, d_1, tails) = model.rate, tag
     scale = excess / lam
-    bottom = [scale * q + (q - p) for p, q in zip_longest(n_s, d_s, fillvalue=0.0)]
+    bottom = [scale * q + (q - p) for p, q in pairs]
     if parts == "r":
         r = series_from_rational(n_s, bottom, order)
     else:
         inv = series_from_rational([1.0], bottom, order)
-        n_1, d_1 = sum(n_s), sum(d_s)
-        # n_1 D(c s) - d_1 N(c s) is zero at s = 1; its quotient by 1 - s has minus its tail sums
-        tails = [0j]
-        for p, q in list(zip_longest(n_s, d_s, fillvalue=0.0))[:0:-1]:
-            tails.append(tails[-1] + (n_1 * q - d_1 * p))
         total = lam * sum(bottom)
         tail = (d_1 / total, (1.0 / total) * _mul(-np.array(tails[::-1]), inv, order))
         if parts == "tail":
@@ -101,28 +109,29 @@ def _exp_gap_factors(model: ProcessModel, args: TransformArgs, thetas: list, ord
     """Arrays (left, right, head) of the G1 part and of the G2 part, per theta.
 
     A part's integrand is (1 - s)(head + left * right); head is None when it vanishes.  The
-    factors that do not depend on theta are expanded once, and one pair of parts is yielded
-    per entry of ``thetas``.
+    factors that do not depend on theta, each tag's among them, are built once, and one pair
+    of parts is yielded per entry of ``thetas``.
     """
     mu = model.observation.recurring.rate
     u, v, w, x, y = (complex(z) for z in (args.u, args.v, args.w, args.x, args.y))
-    uv, uvy = u * v, u * v * y
     rho = model.first_rate
+    uv, vy, uvy = u * v, v * y, u * v * y
+    tag = {c: _tag(model, c) for c in {v, vy, uv, uvy}}  # tags that coincide are built once
     # gamma(v s, x) = mu R(lam + mu + x, v), also the first factor of Gamma
-    recurring_a = _r_series(model, mu + x, v, order, "tail")
-    left_h, r2 = mu * recurring_a[1], _r_series(model, w, uv, order)
-    p2 = None if rho is None else rho * _r_series(model, rho + w, uv, order)
-    initial_a = None if rho is None else _r_series(model, rho + x, v, order, "tail")
+    recurring_a = _r_series(model, mu + x, tag[v], order, "tail")
+    left_h, r2 = mu * recurring_a[1], _r_series(model, w, tag[uv], order)
+    p2 = None if rho is None else rho * _r_series(model, rho + w, tag[uv], order)
+    initial_a = None if rho is None else _r_series(model, rho + x, tag[v], order, "tail")
 
     def gamma_tail(rate: float, a_terms: tuple, theta: complex) -> np.ndarray:
         # Gamma of an Exp(rate) gap is F(1) - F(s) with F = rate R_a R_b
         ra_1, ta = a_terms
-        rb, _, tb = _r_series(model, rate + theta + x, v * y, order, "r+tail")
+        rb, _, tb = _r_series(model, rate + theta + x, tag[vy], order, "r+tail")
         return rate * (ra_1 * tb + _mul(ta, rb, order))
 
     for theta in thetas:
         # K = 1 / (1 - L) = 1 + mu / eta at eta3 = theta + w + lam(1 - g(uvys))
-        r3 = _r_series(model, theta + w, uvy, order)
+        r3 = _r_series(model, theta + w, tag[uvy], order)
         k3 = mu * r3
         k3[0] += 1.0
         # H = L0 K divided between eta2 and eta3 by the product rule
@@ -132,7 +141,7 @@ def _exp_gap_factors(model: ProcessModel, args: TransformArgs, thetas: list, ord
             yield (left_h, h_dd, None), (gamma, k3, None)
         else:
             # the initial gap's R at eta3, in H and in B3
-            p3 = _r_series(model, rho + theta + w, uvy, order)
+            p3 = _r_series(model, rho + theta + w, tag[uvy], order)
             yield ((left_h, _mul(p2, h_dd + _mul(p3, k3, order), order), None),
                    (gamma, _mul(rho * p3, k3, order), gamma_tail(rho, initial_a, theta)))
 

@@ -120,7 +120,11 @@ def mark_mean(law: MarkLaw) -> float:
 
 
 def mark_sample(law: MarkLaw, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw ``size`` iid marks; a geometric mark is floor(E / -ln b) + 1, E unit exponential."""
+    """Draw ``size`` iid marks; a geometric mark is floor(E / -ln b) + 1, E unit exponential.
+
+    A pmf mark counts the cdf steps at or below one uniform (sequential-search inversion): the index
+    ``Generator.choice(p=pmf)`` draws from the same generator state, so a seed keeps its marks' bits.
+    It makes one pass per support point, so past a few dozen points it is slower than a binary search."""
     if isinstance(law, Geometric):
         if law.b == 0.0:
             return np.ones(size, dtype=np.int64)
@@ -130,7 +134,12 @@ def mark_sample(law: MarkLaw, rng: np.random.Generator, size: int) -> np.ndarray
         marks += 1
         return marks
     if isinstance(law, GeneralDiscrete):
-        return rng.choice(law.pmf.size, p=law.pmf, size=size)
+        cdf, uniform = law.pmf.cumsum(), rng.random(size)
+        cdf /= cdf[-1]
+        marks = np.zeros(size, dtype=np.int64)
+        for step in cdf[:-1].tolist():  # the last step is 1, above every uniform
+            marks += uniform >= step
+        return marks
     raise UnsupportedLawError(f"unknown mark law {type(law).__name__}")
 
 

@@ -29,8 +29,11 @@ fixed-size chunks of ``_CHUNK`` = 50,000 paths, each driven by a child of
 ``SeedSequence(seed)``, runs them in order and merges per-chunk results in
 chunk order.  The size bounds one wave's working set, the live arrays of
 a chunk's active paths, to about 5 MB, whatever the sample size.  Results are
-therefore bit-identical for a given (model, arguments, seed).  A crossing
-sample is allocated once and each chunk fills its own slice; within a
+therefore bit-identical for a given (model, arguments, seed), and they keep
+the bits of ``Generator.choice`` marks and ``**`` powers: a pmf mark counts the
+cdf steps at or below one uniform (``model.mark_sample``), and a level power
+u^A, v^A, y^A or z^S is looked up in ``base ** arange(top + 1)`` (``_powers``).
+A crossing sample is allocated once and each chunk fills its own slice; within a
 chunk the records come in completion order (paths that cross at an
 earlier look come first), and no estimator depends on the path order.
 """
@@ -97,6 +100,14 @@ def _damped_length(theta: float, start: np.ndarray, length: np.ndarray) -> np.nd
     if theta == 0.0:
         return length
     return np.exp(-theta * start) * -np.expm1(-theta * length) / theta
+
+
+def _powers(base: float, levels: np.ndarray) -> np.ndarray:
+    """``base ** levels`` at integer levels >= 0, looked up in ``base ** arange(top + 1)``: the bits of ``**``."""
+    top = int(levels.max(initial=0))
+    if top >= levels.size:  # a table is never longer than the levels it serves
+        return base ** levels.astype(float)
+    return (base ** np.arange(top + 1.0))[levels]
 
 
 def _arrivals(
@@ -181,7 +192,7 @@ def _gap_step(
     # segment q of gap i follows the marks first[i] .. q - i - 1
     after = (level - running[first])[owner] + running[np.arange(owner.size) - owner]
     seg = _damped_length(theta, start[owner] + offset, length)
-    integral = np.bincount(owner, weights=y ** after.astype(float) * seg, minlength=level.size)
+    integral = np.bincount(owner, weights=_powers(y, after) * seg, minlength=level.size)
     return gap, end_level, integral
 
 
@@ -355,11 +366,8 @@ def _sample_functionals(sample: dict, args: TransformArgs) -> dict[str, Estimate
         window_cross = _damped_length(theta, tau_pre, tau_cross - tau_pre)
     else:
         window_pre, window_cross = sample["window_pre"], sample["window_cross"]
-    weight = (
-        u ** sample["a_pre"].astype(float)
-        * v ** sample["a_cross"].astype(float)
-        * np.exp(-w * tau_pre - x * (tau_cross - tau_pre))
-    )
+    weight = _powers(u, sample["a_pre"]) * _powers(v, sample["a_cross"])
+    weight *= np.exp(-w * tau_pre - x * (tau_cross - tau_pre))
     i1 = weight * window_pre
     i2 = weight * window_cross
     g1, g2, total = _estimate(i1), _estimate(i2), _estimate(i1 + i2)
@@ -404,7 +412,7 @@ def estimate_window_pair(
         d_val, a_td, in_d = _gap_step(model, delta_law, a_t, t_val, rng, *tag)
         if not tag:  # the y = 1 windows are closed forms of T and Delta
             in_t, in_d = _damped_length(theta, 0.0, t_val), _damped_length(theta, t_val, d_val)
-        weight = u ** a_t.astype(float) * v ** a_td.astype(float) * np.exp(-w * t_val - x * d_val)
+        weight = _powers(u, a_t) * _powers(v, a_td) * np.exp(-w * t_val - x * d_val)
         return weight * in_t, weight * in_d
 
     f1, f2 = zip(*_run_chunked(n_samples, seed, worker))

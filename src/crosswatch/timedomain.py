@@ -52,7 +52,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .fluctuation import _r_series
+from .fluctuation import _r_series, _tag
 from .model import Geometric, ProcessModel, _level_bound, _mark_pgf_rational, _times, mark_mean
 
 __all__ = ["survival_pre", "survival_cross", "crossing_level_law"]
@@ -281,13 +281,13 @@ def _reciprocal_means(y: float, size: int) -> np.ndarray:
 
 def _gap_law(model: ProcessModel, rate: float, order: int) -> np.ndarray:
     """P{mark total over one Exp(rate) gap = j}, j = 0..order: rate R(lam + rate, 1)."""
-    return rate * _r_series(model, rate, 1.0, order).real
+    return rate * _r_series(model, rate, _tag(model, 1.0), order).real
 
 
 def _visits(model: ProcessModel) -> np.ndarray:
     """Expected number of looks that see level k, k = 0..M."""
     m = model.threshold
-    pi = model.observation.recurring.rate * _r_series(model, 0.0, 1.0, m).real  # pi = 1 + mu R(lam, 1)
+    pi = model.observation.recurring.rate * _r_series(model, 0.0, _tag(model, 1.0), m).real  # pi = 1 + mu R(lam, 1)
     pi[0] += 1.0
     eta = model.first_rate
     if eta is None:

@@ -184,7 +184,7 @@ def _check_increment_transform_mc(ctx: _Context) -> tuple[float, str]:
         def draws(rows: slice, rng: np.random.Generator, law=law) -> np.ndarray:
             size = rows.stop - rows.start
             gaps, sums, _ = montecarlo._gap_step(model, law, np.zeros(size, dtype=np.int64), np.zeros(size), rng)
-            return z ** sums.astype(float) * np.exp(-theta * gaps)
+            return montecarlo._powers(z, sums) * np.exp(-theta * gaps)
         est = montecarlo._estimate(np.concatenate(montecarlo._run_chunked(400_000, ctx.seed + salt, draws)))
         worst = _worst(worst, abs(est.mean - exact) / (5.0 * est.std_error + 1e-6))
     return worst, "per-gap joint transform vs sample average (normalized to 5 sigma)"

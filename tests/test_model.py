@@ -25,6 +25,13 @@ from crosswatch.model import (
 )
 
 
+def _with_zeros(n: int) -> list[float]:
+    """A pmf on n points with zero entries first, in the middle and last."""
+    weights = 1.0 + np.arange(n) % 7
+    weights[[0, n // 2, n - 1]] = 0.0
+    return (weights / weights.sum()).tolist()
+
+
 class TestMarkLaws:
     def test_geometric_pgf_closed_form(self):
         # P{X=k} = a b^{k-1}, k >= 1, so E[z^X] = a z / (1 - b z)
@@ -86,6 +93,21 @@ class TestMarkLaws:
         freq = np.bincount(np.minimum(draws, top) - 1, minlength=top) / n
         band = 5.0 * np.sqrt(exact * (1.0 - exact) / n) + 1.0 / n
         assert np.all(np.abs(freq - exact) <= band)
+
+    @pytest.mark.parametrize("pmf", [
+        [0.0, 1.0], [0.25, 0.75], [1.0, 0.0],
+        [0.0, 0.5, 0.3, 0.2], [0.5, 0.0, 0.3, 0.2], [0.5, 0.3, 0.2, 0.0],
+        [0.5, 0.5, 1e-18],  # the cdf reaches 1 a step early
+        *map(_with_zeros, (16, 17, 64, 65, 1000)),
+    ], ids=lambda pmf: f"support-{len(pmf)}")
+    @pytest.mark.parametrize("size", [0, 1, 20_000])
+    def test_pmf_marks_are_the_indices_choice_draws(self, pmf, size):
+        law = GeneralDiscrete(pmf)
+        mine, theirs = np.random.default_rng(21), np.random.default_rng(21)
+        marks = mark_sample(law, mine, size)
+        expected = theirs.choice(law.pmf.size, p=law.pmf, size=size)
+        assert marks.dtype == expected.dtype and np.array_equal(marks, expected)
+        assert mine.random() == theirs.random()  # the same state after the draw
 
     @given(
         a=st.floats(0.05, 1.0),

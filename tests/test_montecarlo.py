@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crosswatch import cli, timedomain
+from crosswatch import cli, timedomain, validation
 from crosswatch import montecarlo as mc
 from crosswatch.errors import DomainError, RunawaySimulationError
 from crosswatch.fluctuation import g1_star, g2_star, g_star
@@ -25,10 +25,12 @@ from crosswatch.model import (
     ObservationLaw,
     ProcessModel,
     TransformArgs,
+    mark_sample,
 )
 from crosswatch.montecarlo import (
     EstimateWithCI,
     _crossing_sample,
+    _estimate,
     estimate_joint,
     estimate_window_pair,
 )
@@ -383,6 +385,101 @@ class TestManyArrivalsPerGap:
             assert abs(gap[i] - math.fsum(run)) <= 1e-12 * gap[i]
 
 
+def _power_op(base, levels):
+    """Level powers by ``**``, as they were drawn before the table lookup."""
+    return base ** levels.astype(float)
+
+
+def _choice_marks(law, rng, size):
+    """Marks by ``Generator.choice(p=pmf)``, as they were drawn before step counting."""
+    if isinstance(law, GeneralDiscrete):
+        return rng.choice(law.pmf.size, p=law.pmf, size=size)
+    return mark_sample(law, rng, size)
+
+
+def _estimated(monkeypatch, draw) -> list[bytes]:
+    """The bytes of every array ``draw()`` hands to ``_estimate``, in call order."""
+    seen = []
+
+    def recording(values):
+        seen.append(values.tobytes())
+        return _estimate(values)
+
+    monkeypatch.setattr(mc, "_estimate", recording)
+    draw()
+    return seen
+
+
+class TestTablePowers:
+    """``_powers`` looks level powers up in a table of the same numpy powers: the bits of ``**``."""
+
+    @pytest.mark.parametrize("base", [0.0, 0.37, 1.0])
+    @pytest.mark.parametrize("levels", [
+        [], [0], [7], np.random.default_rng(2).geometric(0.2, 5_000) - 1, [0, 3, 10_000],
+    ], ids=["empty", "zero", "one-level", "geometric-levels", "beyond-the-size"])
+    def test_the_bits_of_pow(self, base, levels):
+        levels = np.asarray(levels, dtype=np.int64)
+        powers = mc._powers(base, levels)
+        assert powers.dtype == np.float64 and powers.tobytes() == _power_op(base, levels).tobytes()
+
+    def test_a_table_never_outgrows_its_levels(self):
+        levels = np.array([10**7, 3])
+        powers, peak = _traced_peak(lambda: mc._powers(0.5, levels))
+        assert powers.tobytes() == _power_op(0.5, levels).tobytes()
+        assert peak < 1e4  # no 80 MB table
+
+
+class TestSameDraws:
+    """Each draw keeps the bits it had with ``choice`` marks and ``**`` powers."""
+
+    @pytest.fixture
+    def as_drawn_before(self, monkeypatch):
+        def restore():
+            monkeypatch.setattr(mc, "mark_sample", _choice_marks)
+            monkeypatch.setattr(mc, "_powers", _power_op)
+
+        return restore
+
+    @pytest.mark.parametrize("tag", [(), (0.8, 0.6)], ids=["untagged", "tagged"])
+    @pytest.mark.parametrize("initial", [DegenerateZero(), Exponential(0.4)], ids=["zero-start", "exp-start"])
+    @pytest.mark.parametrize("marks", MARK_LAWS, ids=["geometric", "pmf"])
+    def test_crossing_sample(self, marks, initial, tag, as_drawn_before, monkeypatch):
+        # four full chunks and a partial one, as 230k paths make in chunks of 50k, at a tenth of the cost
+        monkeypatch.setattr(mc, "_CHUNK", 5_000)
+        model = ProcessModel(1.0, marks, ObservationLaw(initial, Exponential(1.0)), 3)
+        self._same_sample(model, 23_000, tag, as_drawn_before)
+
+    def test_crossing_sample_in_full_chunks(self, as_drawn_before):
+        model = ProcessModel(1.0, MARK_LAWS[1], ObservationLaw(Exponential(0.4), Exponential(1.0)), 3)
+        self._same_sample(model, 230_000, (0.8, 0.6), as_drawn_before)
+
+    @staticmethod
+    def _same_sample(model, n, tag, as_drawn_before):
+        sample = _crossing_sample(model, n, 7, *tag)
+        as_drawn_before()
+        before = _crossing_sample(model, n, 7, *tag)
+        assert {key: col.tobytes() for key, col in sample.items()} == {key: col.tobytes() for key, col in before.items()}
+
+    @pytest.mark.parametrize("y", [1.0, 0.6])
+    @pytest.mark.parametrize("marks", MARK_LAWS, ids=["geometric", "pmf"])
+    def test_window_pair(self, marks, y, monkeypatch, as_drawn_before):
+        model = ProcessModel(1.0, marks, ObservationLaw(DegenerateZero(), Exponential(1.0)), 3)
+        args = TransformArgs(theta=0.8, u=0.7, v=0.9, w=0.2, x=0.3, y=y)
+        draw = lambda: estimate_window_pair(model, Exponential(1.0), Exponential(0.4), args, 60_000, 5)
+        arrays = _estimated(monkeypatch, draw)
+        as_drawn_before()
+        assert len(arrays) == 2 and arrays == _estimated(monkeypatch, draw)
+
+    @pytest.mark.parametrize("marks", MARK_LAWS, ids=["geometric", "pmf"])
+    def test_increment_check(self, marks, monkeypatch, as_drawn_before):
+        # a zero first gap: the check draws one sample, of recurring gaps
+        model = ProcessModel(1.0, marks, ObservationLaw(DegenerateZero(), Exponential(1.0)), 3)
+        draw = lambda: validation._check_increment_transform_mc(validation._Context(model, None, 3, 1_000))
+        arrays = _estimated(monkeypatch, draw)
+        as_drawn_before()
+        assert len(arrays) == 1 and arrays == _estimated(monkeypatch, draw)
+
+
 def _traced_peak(draw) -> tuple[object, int]:
     """What ``draw()`` returns and the most memory it held at once, in bytes, under tracemalloc."""
     tracemalloc.start()
@@ -415,6 +512,23 @@ class TestWorkingSet:
         records = sum(col.nbytes for col in sample.values())  # one 8 MB block, shared by the columns
         assert records == 5 * 200_000 * 8
         assert peak - records < 7.5e6
+
+    def test_window_pair_at_levels_in_the_thousands(self, monkeypatch):
+        model = ProcessModel(1.0, Geometric(1e-3), ObservationLaw(DegenerateZero(), Exponential(1.0)), 3)
+        args = TransformArgs(theta=0.8, u=0.7, v=0.9, w=0.2, x=0.3, y=0.6)
+        draw = lambda: estimate_window_pair(model, Exponential(1.0), Exponential(1.0), args, 100_000, 5)
+        tops, powers = [], mc._powers
+
+        def recording(base, levels):
+            tops.append(levels.max(initial=0))
+            return powers(base, levels)
+
+        monkeypatch.setattr(mc, "_powers", recording)
+        est, peak = _traced_peak(draw)
+        assert peak < 15e6
+        assert 1e3 <= max(tops)
+        monkeypatch.setattr(mc, "_powers", _power_op)
+        assert draw() == est
 
 
 def _count_samples(monkeypatch) -> list:

@@ -19,13 +19,22 @@ finite pmf.  The one check that reads the level law,
 1e-4.  ``_visits`` fails on geometric marks only through ``dist_table``,
 which the battery checks on the geometric family alone.
 
-Two simulator mutants must each fail a Monte Carlo check of the battery
+Four simulator mutants must each fail a Monte Carlo check of the battery
 at its default 100k paths, on both mark laws at M = 3:
 
 * a crossing at >= M instead of > M: the chunk worker of
   ``montecarlo._crossing_sample`` sees the threshold M - 1;
 * a gap's arrival count off by one: ``montecarlo._arrivals`` recompiled
-  with one more arrival in every Exp gap.
+  with one more arrival in every Exp gap;
+* a level power one level high: ``montecarlo._powers`` gives
+  base^(k + 1) for base^k;
+* marks drawn from their pmf with the entries of marks 1 and 2 swapped:
+  ``montecarlo.mark_sample`` relabels 1 <-> 2, which draws from that pmf.
+
+One simulator mutant survives, pinned as a strict expected failure: the
+window integrals alone, ``montecarlo._damped_length`` x (1 + 1e-2).  Only
+``functional-vs-mc`` and ``window-transforms-vs-mc`` read them, and their
+5-sigma bands at 100k paths are wider than 1e-2 of the windows.
 
 A measurement that comes out NaN fails its check as well, reported as
 ``null``: a bare ``max`` fold drops a NaN, and a survival law above 1 made
@@ -84,6 +93,20 @@ def _count_plus_one(arrivals):
     return _recompiled(arrivals, "counts = draws.astype(np.int64)", "counts = draws.astype(np.int64) + 1")
 
 
+def _one_level_high(powers):
+    """``_powers`` with every level one higher: base^(k + 1) for base^k."""
+    return lambda base, levels: powers(base, levels + 1)
+
+
+def _marks_one_two_swapped(mark_sample):
+    """``mark_sample`` with marks 1 and 2 relabelled: a draw from the pmf with those two entries swapped."""
+    def mutant(law, rng, size):
+        marks = mark_sample(law, rng, size)
+        return np.where(marks == 1, 2, np.where(marks == 2, 1, marks))
+
+    return mutant
+
+
 def _checks(report):
     return {check["name"]: check for check in report["checks"]}
 
@@ -125,12 +148,36 @@ def test_a_scaled_entry_point_fails_its_checks(module, name, error, marks, must_
     pytest.param("_arrivals", _count_plus_one, "pmf",
                  {"increment-transform-vs-mc", "window-transforms-vs-mc", "survival-vs-mc", "functional-vs-mc"},
                  id="count-plus-one-pmf"),
+    pytest.param("_powers", _one_level_high, "geometric",
+                 {"increment-transform-vs-mc", "window-transforms-vs-mc", "functional-vs-mc"},
+                 id="power-one-level-high-geometric"),
+    pytest.param("_powers", _one_level_high, "pmf",
+                 {"increment-transform-vs-mc", "window-transforms-vs-mc", "functional-vs-mc"},
+                 id="power-one-level-high-pmf"),
+    pytest.param("mark_sample", _marks_one_two_swapped, "geometric",
+                 {"increment-transform-vs-mc", "window-transforms-vs-mc", "survival-vs-mc", "overshoot-pmf-vs-mc",
+                  "functional-vs-mc", "mc-joint-agreement"}, id="marks-swapped-geometric"),
+    pytest.param("mark_sample", _marks_one_two_swapped, "pmf",
+                 {"increment-transform-vs-mc", "window-transforms-vs-mc", "survival-vs-mc", "overshoot-pmf-vs-mc",
+                  "functional-vs-mc"}, id="marks-swapped-pmf"),
 ])
 def test_a_simulator_mutant_fails_a_monte_carlo_check(name, mutate, marks, must_fail, monkeypatch):
     monkeypatch.setattr(montecarlo, name, mutate(getattr(montecarlo, name)))
     report = run_battery(_model(marks), seed=0)  # at the default 100k paths
     assert report["n_paths"] == 100_000
     assert must_fail <= set(report["failed_checks"])
+
+
+# a survivor of the simulator mutants: no Monte Carlo band resolves 1e-2 of the windows
+SURVIVES_MC = pytest.mark.xfail(strict=True, reason="ROADMAP item 11")
+
+
+@pytest.mark.parametrize("marks", [pytest.param(marks, marks=SURVIVES_MC) for marks in MARKS])
+def test_a_window_integral_mutant_fails_a_monte_carlo_check(marks, monkeypatch):
+    # functional-vs-mc observes 0.74 (geometric) and 0.78 (pmf), window-transforms-vs-mc 0.86 and 0.91
+    monkeypatch.setattr(montecarlo, "_damped_length", _scaled(montecarlo._damped_length, 1.0 + 1e-2))
+    report = run_battery(_model(marks), seed=0)
+    assert {"functional-vs-mc", "window-transforms-vs-mc"} & set(report["failed_checks"])
 
 
 @pytest.mark.parametrize("marks", MARKS)
