@@ -12,10 +12,16 @@ arrival count is one inverted unit exponential, its marks are summed in
 one int64 running sum, and its length is the sum of its count + 1
 spacings.  The crossing records draw counts and marks wave by wave and
 each path's two times once at the end, as Gamma sums of its spacings
-before and at the crossing.  The window integrals of
-``e^{-theta t} y^{A(t)}`` are exact: A is constant between arrival epochs
-and ``e^{-theta t}`` integrates in closed form, so no time grid or
-truncation enters.  With y < 1 a gap's spacings are drawn one by one,
+before and at the crossing.  A look after a gap without arrivals repeats
+a level already seen, so after the first gap a wave skips the run of
+empty gaps before a path's next busy one (a gap is busy when it holds an
+arrival): the run is geometric, P{k >= j} = (mu / (lam + mu))^j, and the
+busy gap's count is the merged stream's, conditioned on at least one
+arrival.  The skipped looks count towards the crossing index nu and the
+runaway cap, and their k spacings towards the crossing times.  The
+window integrals of ``e^{-theta t} y^{A(t)}`` are exact: A is constant
+between arrival epochs and ``e^{-theta t}`` integrates in closed form, so
+no time grid or truncation enters.  With y < 1 a gap's spacings are drawn one by one,
 already in time order, so no sort or rescaling enters; at y = 1 the
 windows are closed forms of the crossing times.
 Estimates carry standard errors so agreement tests can use honest
@@ -34,8 +40,10 @@ the bits of ``Generator.choice`` marks and ``**`` powers: a pmf mark counts the
 cdf steps at or below one uniform (``model.mark_sample``), and a level power
 u^A, v^A, y^A or z^S is looked up in ``base ** arange(top + 1)`` (``_powers``).
 A crossing sample is allocated once and each chunk fills its own slice; within a
-chunk the records come in completion order (paths that cross at an
-earlier look come first), and no estimator depends on the path order.
+chunk the records come in wave order, which is not nu order (a wave ends at
+each path's next busy gap, however many looks it skips), except that the
+paths that cross in the first gap come first; no estimator depends on the
+path order.
 """
 
 from __future__ import annotations
@@ -65,7 +73,7 @@ __all__ = [
 ]
 
 _CHUNK = 50_000
-_EPOCH_CAP = 1_000 * _CHUNK  # a chunk's inspection epochs: 1000 per path of a full chunk
+_EPOCH_CAP = 1_000 * _CHUNK  # a chunk's inspection epochs, skipped ones included: 1000 per path of a full chunk
 
 
 @dataclass(frozen=True)
@@ -110,21 +118,61 @@ def _powers(base: float, levels: np.ndarray) -> np.ndarray:
     return (base ** np.arange(top + 1.0))[levels]
 
 
+def _skip_empty_gaps(
+    model: ProcessModel,
+    law: Exponential,
+    level: np.ndarray,
+    nu: np.ndarray,
+    clock: np.ndarray,
+    window: np.ndarray | None,
+    rng: np.random.Generator,
+    theta: float | None,
+    y: float,
+) -> int:
+    """Advance each path, in place, across its run k of empty Exp gaps from ``law`` before its next busy one.
+
+    Each gap is empty, its look before any arrival, with probability
+    mu / (lam + mu), so P{k >= j} = (mu / (lam + mu))^j and k is
+    floor(E / log1p(lam / mu)) for one unit exponential E.  The k looks join
+    ``nu``.  Untagged, the ``clock`` counts spacings and gains k; tagged, it
+    is the time and gains the run's length, Gamma(k) / (lam + mu), and the
+    ``window`` gains its integral at the constant level.  Returns the total
+    of k, for the epoch cap; a run longer than ``_EPOCH_CAP`` is cut there,
+    since it exceeds the cap all the same.
+    """
+    draws = rng.standard_exponential(level.size)
+    draws /= math.log1p(model.rate / law.rate)
+    np.minimum(draws, _EPOCH_CAP, out=draws)
+    skipped = draws.astype(np.int64)
+    nu += skipped
+    if theta is None:
+        stretch = skipped
+    else:
+        stretch = rng.standard_gamma(skipped.astype(float)) / (model.rate + law.rate)
+        window += _powers(y, level) * _damped_length(theta, clock, stretch)
+    clock += stretch
+    return int(skipped.sum())
+
+
 def _arrivals(
-    model: ProcessModel, law: Exponential, level: np.ndarray, rng: np.random.Generator
+    model: ProcessModel, law: Exponential, level: np.ndarray, rng: np.random.Generator, busy: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Arrivals of one Exp gap drawn from ``law`` for paths at ``level``.
 
     Up to the look, the arrivals and the look form one Poisson stream of
     rate lam + r in which each event is an arrival with probability
     q = lam / (lam + r), so the count c has P{c >= k} = q^k and is
-    floor(E / -ln q) for one unit exponential E.  Returns the counts, each
-    gap's first index into ``running`` (the running sum of its marks,
-    one int64 entry per arrival) and the levels at the look.
+    floor(E / -ln q) for one unit exponential E.  A ``busy`` gap holds at
+    least one arrival: given c >= 1, c - 1 has the law of c, so its count
+    is that draw plus one.  Returns the counts, each gap's first index into
+    ``running`` (the running sum of its marks, one int64 entry per arrival)
+    and the levels at the look.
     """
     draws = rng.standard_exponential(level.size)
     draws /= math.log1p(law.rate / model.rate)
     counts = draws.astype(np.int64)
+    if busy:
+        counts += 1
     ends = np.zeros(level.size + 1, dtype=np.int64)  # each gap's first index, then the total
     np.cumsum(counts, out=ends[1:])
     running = np.zeros(ends[-1] + 1, dtype=np.int64)
@@ -167,6 +215,7 @@ def _gap_step(
     rng: np.random.Generator,
     theta: float | None = None,
     y: float = 1.0,
+    busy: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Advance paths at ``level`` from time ``start`` across one gap drawn from ``law``.
 
@@ -179,11 +228,12 @@ def _gap_step(
     spacings are drawn one by one (see ``_segments``), and the integrand is
     constant on each, at the level after the marks before it.  At y = 1
     callers pass no theta and take the windows as closed forms of the gap
-    times.
+    times.  A ``busy`` gap is drawn given at least one arrival (see
+    ``_arrivals``).
     """
     if isinstance(law, DegenerateZero):  # no time passes: no arrivals, an empty window
         return np.zeros(level.size), level, None if theta is None else np.zeros(level.size)
-    counts, first, running, end_level = _arrivals(model, law, level, rng)
+    counts, first, running, end_level = _arrivals(model, law, level, rng, busy)
     rate = model.rate + law.rate
     if theta is None:
         return rng.standard_gamma(counts + 1.0) / rate, end_level, None
@@ -202,48 +252,59 @@ def _crossing_wave_chunk(
     """Fill the records in ``out``, one chunk's slice of the sample, with independent crossings.
 
     ``rng`` is the chunk's own child of the sample's ``SeedSequence``, so
-    the slice is bit-identical for a given (model, arguments, seed).  Each
-    wave advances the still-active paths, kept compact, across one
-    inspection gap; a zero first look sees level 0 <= M, so it advances
-    nobody.  The paths that cross in a wave take the next rows of ``out``,
-    so records come in completion order (``nu`` never decreases down the
-    rows).  With ``theta`` given, a gap's window integral joins the G1
-    window (t < tau_pre) of the paths that stay at or below the threshold
-    and is the G2 window (tau_pre <= t < tau_cross) of the paths that cross.
-    Without it, a wave draws arrival counts and marks only, and a path's
-    clock counts its Exp(lam + mu) spacings since the first gap; its two
-    times are drawn once, at the end, as Gamma sums of those before and at
-    the crossing.  An Exp first gap runs at its own rate, so its time is
-    drawn as it is sampled and carried with the path.
+    the slice is bit-identical for a given (model, arguments, seed).  The
+    first wave advances every path across the first gap, and a zero first
+    look sees level 0 <= M, so it advances nobody.  Each later wave
+    advances the still-active paths, kept compact, to the look after their
+    next busy gap: it skips a run of k empty gaps (``_skip_empty_gaps``), whose
+    looks see the level already known, then draws the busy gap.  A path's
+    ``nu`` counts its looks, the skipped ones included, so it no longer
+    equals the wave.  The paths that cross in a wave take the next rows of
+    ``out``, so the first gap's crossers come first and later rows come in
+    wave order, not nu order.  With ``theta`` given, the skipped gaps add
+    one stretch at a constant level, of length Gamma(k) / (lam + mu), to
+    the G1 window (t < tau_pre); a busy gap's window integral joins it for
+    the paths that stay at or below the threshold and is the G2 window
+    (tau_pre <= t < tau_cross) of the paths that cross.  Without it, a wave
+    draws arrival counts and marks only, and a path's clock counts its
+    Exp(lam + mu) spacings since the first gap, k for a skipped run; its
+    two times are drawn once, at the end, as Gamma sums of those before and
+    at the crossing.  An Exp first gap runs at its own rate, so its time
+    is drawn as it is sampled and carried with the path.
     """
     m = model.threshold
     tagged = theta is not None
     n = out["nu"].size
     level = np.zeros(n, dtype=np.int64)
+    nu = np.zeros(n, dtype=np.int64)  # the look that ends the current gap
     clock = np.zeros(n)  # the time, or untagged the spacing count, before the current gap
-    window = np.zeros(n)
+    window = np.zeros(n) if tagged else None
     first_gap = lead = None  # an untagged Exp first gap's time, per active path and per record
     law = model.observation.initial
+    recurring = model.observation.recurring
 
     budget = _EPOCH_CAP
-    wave = done = 0
+    done = 0
+    busy = False  # the first gap is drawn as it comes, every later one busy
     while level.size:
         budget -= level.size
+        if busy:
+            budget -= _skip_empty_gaps(model, law, level, nu, clock, window, rng, theta, y)
         if budget < 0:
             raise RunawaySimulationError(
-                f"crossing simulation exceeded {_EPOCH_CAP} inspection epochs; "
-                "the threshold may be unreachable for this mark law"
+                f"crossing simulation exceeded {_EPOCH_CAP} inspection epochs; the cap counts every "
+                "look of a chunk's paths, the looks after skipped empty gaps included"
             )
         if isinstance(law, DegenerateZero):
-            law = model.observation.recurring
-            wave += 1
+            law, busy = recurring, True
+            nu += 1
             continue
         if tagged:
-            step, new_level, integral = _gap_step(model, law, level, clock, rng, theta, y)
+            step, new_level, integral = _gap_step(model, law, level, clock, rng, theta, y, busy)
         else:
-            counts, _, _, new_level = _arrivals(model, law, level, rng)
+            counts, _, _, new_level = _arrivals(model, law, level, rng, busy)
             step = counts + 1.0
-            if wave == 0:  # an Exp first gap: the clock starts after it
+            if not busy:  # an Exp first gap: the clock starts after it
                 first_gap, lead = rng.standard_gamma(step) / (model.rate + law.rate), np.empty(n)
                 step[:] = 0.0
         crossed = new_level > m
@@ -252,7 +313,7 @@ def _crossing_wave_chunk(
         done += hit.size
         out["a_pre"][rows] = level[hit]
         out["a_cross"][rows] = new_level[hit]
-        out["nu"][rows] = wave
+        out["nu"][rows] = nu[hit]
         out["tau_pre"][rows] = clock[hit]
         out["tau_cross"][rows] = step[hit]
         if tagged:
@@ -263,12 +324,12 @@ def _crossing_wave_chunk(
             lead[rows] = first_gap[hit]
             first_gap = first_gap[keep]
         clock += step
-        level, clock = new_level[keep], clock[keep]
-        law = model.observation.recurring
-        wave += 1
+        level, clock, nu = new_level[keep], clock[keep], nu[keep] + 1
+        law, busy = recurring, True
+        del new_level, step, crossed, hit, keep  # freed before the next wave draws its marks
 
     if not tagged:
-        rate = model.rate + model.observation.recurring.rate
+        rate = model.rate + recurring.rate
         for key in ("tau_pre", "tau_cross"):
             rng.standard_gamma(out[key], out=out[key])
             out[key] /= rate

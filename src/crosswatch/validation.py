@@ -625,6 +625,36 @@ def _check_functional_mc(ctx: _Context) -> tuple[float, str]:
     return worst, "; ".join(details)
 
 
+@_check("crossing-index-vs-mc", 1.0, "timedomain._visits")
+def _check_crossing_index_mc(ctx: _Context) -> tuple[float, str]:
+    """E[nu] = sum_k v(k), since the looks tau_0 .. tau_{nu-1} each see a level k <= M, against the
+    shared sample's mean nu, to 5 SE + 1/n."""
+    exact = float(timedomain._visits(ctx.model).sum())
+    est = montecarlo._estimate(ctx.crossing_sample["nu"])
+    return (abs(est.mean - exact) / (5.0 * est.std_error + 1.0 / ctx.n_paths),
+            f"E[nu]: exact {exact:.6f}, mc {est.mean:.6f} +/- {est.std_error:.2e} (normalized to 5 SE + 1/n)")
+
+
+@_check("window-tiling-identity", 1e-12)
+def _check_window_tiling(ctx: _Context) -> tuple[float, str]:
+    """The y = 1 windows of a small tagged sample against closed forms of its own crossing times.
+
+    Per path, window_pre = (1 - e^{-theta tau_pre}) / theta and window_pre +
+    window_cross = (1 - e^{-theta tau_cross}) / theta, to 1e-12 relative.  The
+    simulator sums the windows stretch by stretch, over runs of skipped empty
+    gaps and the arrivals of busy ones, so a stretch left out, counted twice
+    or misplaced in time breaks the tiling.
+    """
+    theta = 0.8
+    sample = montecarlo._crossing_sample(ctx.model, 2_000, ctx.seed + 23, theta, 1.0)
+    worst = 0.0
+    for got, tau in ((sample["window_pre"], sample["tau_pre"]),
+                     (sample["window_pre"] + sample["window_cross"], sample["tau_cross"])):
+        exact = -np.expm1(-theta * tau) / theta
+        worst = _worst(worst, float(np.max(np.abs(got - exact) / np.maximum(exact, np.finfo(float).tiny))))
+    return worst, f"2000 tagged paths at y = 1, theta = {theta}: windows vs closed forms of their crossing times"
+
+
 def _model_echo(model: ProcessModel) -> dict:
     if isinstance(model.marks, Geometric):
         marks = {"geometric": {"a": model.marks.a}}

@@ -146,6 +146,70 @@ class TestSimulatePath:
         with pytest.raises(RunawaySimulationError):
             _crossing_sample(_slow_model(), 1_000, 0)
 
+    def test_epoch_cap_counts_the_skipped_looks(self, monkeypatch):
+        # unit marks at lam / mu = 0.01: six arrivals cross, in at most 7 waves but about 600 looks a path,
+        # so 1000 paths pass 50,000 looks only by their skipped ones
+        model = ProcessModel(rate=0.01, marks=Geometric(1.0),
+                             observation=ObservationLaw(DegenerateZero(), Exponential(1.0)), threshold=5)
+        assert _crossing_sample(model, 1_000, 0)["nu"].mean() > 300
+        monkeypatch.setattr(mc, "_EPOCH_CAP", 50_000)
+        with pytest.raises(RunawaySimulationError, match="skipped"):
+            _crossing_sample(model, 1_000, 0)
+
+
+class TestSkippedEmptyGaps:
+    """A wave skips the empty gaps before a path's next busy one; every recorded law stays exact.
+
+    The rates span gaps mostly empty (0.7, 1.3), half empty (1, 1) and nearly
+    always busy (2, 0.05); the pmf has f0 > 0, so a busy gap can leave the
+    level where it was.  Each law is held to 5 standard errors.
+    """
+
+    pytestmark = [
+        pytest.mark.parametrize("marks", [Geometric(0.5), GeneralDiscrete([0.1, 0.5, 0.3, 0.1])],
+                                ids=["geometric", "pmf"]),
+        pytest.mark.parametrize("initial", [DegenerateZero(), Exponential(0.4)], ids=["zero-start", "exp-start"]),
+        pytest.mark.parametrize("lam, mu", [(0.7, 1.3), (1.0, 1.0), (2.0, 0.05)]),
+    ]
+    ARGS = TransformArgs(theta=0.5, u=0.9, v=0.8, w=0.1, x=0.2, y=0.7)
+
+    @staticmethod
+    def _model(lam, mu, initial, marks):
+        return ProcessModel(lam, marks, ObservationLaw(initial, Exponential(mu)), 3)
+
+    def test_crossing_records_follow_the_exact_laws(self, lam, mu, initial, marks):
+        model = self._model(lam, mu, initial, marks)
+        n, m = 40_000, model.threshold
+        rec = _crossing_sample(model, n, 12)
+        band = lambda p: 5.0 * np.sqrt(p * (1.0 - p) / n) + 1.0 / n
+
+        visits = timedomain._visits(model)
+        nu = rec["nu"].astype(float)
+        assert abs(nu.mean() - visits.sum()) <= 5.0 * nu.std(ddof=1) / math.sqrt(n)
+
+        # P{A_pre = k, A_nu = r} = v(k) P0(r - k), plus the first gap's own law at k = 0 after an Exp start
+        top = m + 60
+        exact = np.array([v * timedomain._gap_law(model, mu, top)[m + 1 - k : top + 1 - k]
+                          for k, v in enumerate(visits)])
+        if isinstance(initial, Exponential):
+            exact[0] += timedomain._gap_law(model, initial.rate, top)[m + 1 :]
+        seen = rec["a_cross"] <= top
+        cells = rec["a_pre"][seen] * (top - m) + rec["a_cross"][seen] - (m + 1)
+        freq = np.bincount(cells, minlength=exact.size).reshape(exact.shape) / n
+        assert np.all(np.abs(freq - exact) <= band(exact))
+
+        grid = timedomain._mean_cross_time(model) * np.array([0.1, 0.3, 0.6, 1.0, 1.5, 2.5, 4.0])
+        for key, exact in zip(("tau_pre", "tau_cross"), timedomain._survival_laws(model, grid)):
+            freq = np.mean(rec[key][:, None] > grid, axis=0)
+            assert np.all(np.abs(freq - exact) <= band(exact)), key
+
+    def test_tagged_windows_follow_the_exact_transforms(self, lam, mu, initial, marks):
+        # y < 1: a skipped run is one stretch at a constant level in the G1 window
+        model = self._model(lam, mu, initial, marks)
+        est = _functionals(model, self.ARGS, n_paths=10_000, seed=12)
+        for name, exact_fn in (("G1", g1_star), ("G2", g2_star)):
+            assert abs(est[name].mean - exact_fn(model, self.ARGS).real) <= 5.0 * est[name].std_error, name
+
 
 class TestEstimateJoint:
     def test_rejects_small_samples(self, std_model):
@@ -547,13 +611,14 @@ def _count_samples(monkeypatch) -> list:
 class TestSampleCount:
     """Guards against re-drawing a sample that was already drawn."""
 
-    def test_battery_draws_three_samples(self, std_model, monkeypatch):
-        # three samples of paths: the shared crossing sample, which also gives the y = 1
-        # functionals, the pair-window sample, and the tagged functional sample; beside them
-        # one sample of single gaps per random gap law, here the recurring one
+    def test_battery_draws_four_samples(self, std_model, monkeypatch):
+        # four samples of paths: the shared crossing sample, which also gives the y = 1
+        # functionals and the mean nu, the pair-window sample, the tagged functional sample and
+        # the small tagged sample of the window tiling; beside them one sample of single gaps
+        # per random gap law, here the recurring one
         calls = _count_samples(monkeypatch)
         assert run_battery(std_model, n_paths=5_000)["all_passed"]
-        assert calls == [400_000, 100_000, 5_000, 10_000]
+        assert calls == [400_000, 100_000, 5_000, 10_000, 2_000]
 
     def test_unit_tag_simulate_draws_one_sample(self, std_model, tmp_path, monkeypatch, capsys):
         model = {"lambda": 1.0, "marks": {"geometric": {"a": 0.5}}, "obs": {"mu": 1.0, "initial": "zero"},

@@ -19,7 +19,7 @@ finite pmf.  The one check that reads the level law,
 1e-4.  ``_visits`` fails on geometric marks only through ``dist_table``,
 which the battery checks on the geometric family alone.
 
-Four simulator mutants must each fail a Monte Carlo check of the battery
+Eight simulator mutants must each fail a Monte Carlo check of the battery
 at its default 100k paths, on both mark laws at M = 3:
 
 * a crossing at >= M instead of > M: the chunk worker of
@@ -29,12 +29,14 @@ at its default 100k paths, on both mark laws at M = 3:
 * a level power one level high: ``montecarlo._powers`` gives
   base^(k + 1) for base^k;
 * marks drawn from their pmf with the entries of marks 1 and 2 swapped:
-  ``montecarlo.mark_sample`` relabels 1 <-> 2, which draws from that pmf.
-
-One simulator mutant survives, pinned as a strict expected failure: the
-window integrals alone, ``montecarlo._damped_length`` x (1 + 1e-2).  Only
-``functional-vs-mc`` and ``window-transforms-vs-mc`` read them, and their
-5-sigma bands at 100k paths are wider than 1e-2 of the windows.
+  ``montecarlo.mark_sample`` relabels 1 <-> 2, which draws from that pmf;
+* the window integrals alone off by 1e-2: ``montecarlo._damped_length``
+  x (1 + 1e-2), which the exact ``window-tiling-identity`` check reads
+  (the Monte Carlo bands of ``functional-vs-mc`` and
+  ``window-transforms-vs-mc`` at 100k paths are wider than 1e-2 of a window);
+* the looks of skipped empty gaps left out of nu;
+* a busy gap drawn without its condition of at least one arrival;
+* the time of a run of skipped empty gaps dropped.
 
 A measurement that comes out NaN fails its check as well, reported as
 ``null``: a bare ``max`` fold drops a NaN, and a survival law above 1 made
@@ -93,6 +95,21 @@ def _count_plus_one(arrivals):
     return _recompiled(arrivals, "counts = draws.astype(np.int64)", "counts = draws.astype(np.int64) + 1")
 
 
+def _skips_left_out_of_nu(skip):
+    """``_skip_empty_gaps`` with the looks of the skipped gaps left out of nu."""
+    return _recompiled(skip, "nu += skipped", "pass")
+
+
+def _busy_unconditioned(arrivals):
+    """``_arrivals`` with a busy gap's count drawn without its condition c >= 1."""
+    return _recompiled(arrivals, "counts += 1", "pass")
+
+
+def _skipped_time_dropped(skip):
+    """``_skip_empty_gaps`` with the time of each run of skipped gaps dropped."""
+    return _recompiled(skip, "clock += stretch", "pass")
+
+
 def _one_level_high(powers):
     """``_powers`` with every level one higher: base^(k + 1) for base^k."""
     return lambda base, levels: powers(base, levels + 1)
@@ -138,16 +155,17 @@ def test_a_scaled_entry_point_fails_its_checks(module, name, error, marks, must_
 
 @pytest.mark.parametrize("name, mutate, marks, must_fail", [
     pytest.param("_crossing_wave_chunk", _lower_threshold, "geometric",
-                 {"survival-vs-mc", "overshoot-pmf-vs-mc", "functional-vs-mc", "mc-joint-agreement"},
-                 id="crossing-at-m-geometric"),
+                 {"survival-vs-mc", "overshoot-pmf-vs-mc", "functional-vs-mc", "mc-joint-agreement",
+                  "crossing-index-vs-mc"}, id="crossing-at-m-geometric"),
     pytest.param("_crossing_wave_chunk", _lower_threshold, "pmf",
-                 {"survival-vs-mc", "overshoot-pmf-vs-mc", "functional-vs-mc"}, id="crossing-at-m-pmf"),
+                 {"survival-vs-mc", "overshoot-pmf-vs-mc", "functional-vs-mc", "crossing-index-vs-mc"},
+                 id="crossing-at-m-pmf"),
     pytest.param("_arrivals", _count_plus_one, "geometric",
                  {"increment-transform-vs-mc", "window-transforms-vs-mc", "survival-vs-mc", "functional-vs-mc",
-                  "mc-joint-agreement"}, id="count-plus-one-geometric"),
+                  "mc-joint-agreement", "crossing-index-vs-mc"}, id="count-plus-one-geometric"),
     pytest.param("_arrivals", _count_plus_one, "pmf",
-                 {"increment-transform-vs-mc", "window-transforms-vs-mc", "survival-vs-mc", "functional-vs-mc"},
-                 id="count-plus-one-pmf"),
+                 {"increment-transform-vs-mc", "window-transforms-vs-mc", "survival-vs-mc", "functional-vs-mc",
+                  "crossing-index-vs-mc"}, id="count-plus-one-pmf"),
     pytest.param("_powers", _one_level_high, "geometric",
                  {"increment-transform-vs-mc", "window-transforms-vs-mc", "functional-vs-mc"},
                  id="power-one-level-high-geometric"),
@@ -156,28 +174,34 @@ def test_a_scaled_entry_point_fails_its_checks(module, name, error, marks, must_
                  id="power-one-level-high-pmf"),
     pytest.param("mark_sample", _marks_one_two_swapped, "geometric",
                  {"increment-transform-vs-mc", "window-transforms-vs-mc", "survival-vs-mc", "overshoot-pmf-vs-mc",
-                  "functional-vs-mc", "mc-joint-agreement"}, id="marks-swapped-geometric"),
+                  "functional-vs-mc", "mc-joint-agreement", "crossing-index-vs-mc"}, id="marks-swapped-geometric"),
     pytest.param("mark_sample", _marks_one_two_swapped, "pmf",
                  {"increment-transform-vs-mc", "window-transforms-vs-mc", "survival-vs-mc", "overshoot-pmf-vs-mc",
-                  "functional-vs-mc"}, id="marks-swapped-pmf"),
+                  "functional-vs-mc", "crossing-index-vs-mc"}, id="marks-swapped-pmf"),
+    pytest.param("_damped_length", lambda damped: _scaled(damped, 1.0 + 1e-2), "geometric",
+                 {"window-tiling-identity"}, id="window-integral-geometric"),
+    pytest.param("_damped_length", lambda damped: _scaled(damped, 1.0 + 1e-2), "pmf",
+                 {"window-tiling-identity"}, id="window-integral-pmf"),
+    pytest.param("_skip_empty_gaps", _skips_left_out_of_nu, "geometric", {"crossing-index-vs-mc"},
+                 id="skips-left-out-of-nu-geometric"),
+    pytest.param("_skip_empty_gaps", _skips_left_out_of_nu, "pmf", {"crossing-index-vs-mc"},
+                 id="skips-left-out-of-nu-pmf"),
+    pytest.param("_arrivals", _busy_unconditioned, "geometric",
+                 {"survival-vs-mc", "functional-vs-mc", "mc-joint-agreement", "crossing-index-vs-mc"},
+                 id="busy-gap-unconditioned-geometric"),
+    pytest.param("_arrivals", _busy_unconditioned, "pmf",
+                 {"survival-vs-mc", "functional-vs-mc", "crossing-index-vs-mc"}, id="busy-gap-unconditioned-pmf"),
+    pytest.param("_skip_empty_gaps", _skipped_time_dropped, "geometric",
+                 {"survival-vs-mc", "functional-vs-mc", "mc-joint-agreement", "window-tiling-identity"},
+                 id="skipped-time-dropped-geometric"),
+    pytest.param("_skip_empty_gaps", _skipped_time_dropped, "pmf",
+                 {"survival-vs-mc", "functional-vs-mc", "window-tiling-identity"}, id="skipped-time-dropped-pmf"),
 ])
 def test_a_simulator_mutant_fails_a_monte_carlo_check(name, mutate, marks, must_fail, monkeypatch):
     monkeypatch.setattr(montecarlo, name, mutate(getattr(montecarlo, name)))
     report = run_battery(_model(marks), seed=0)  # at the default 100k paths
     assert report["n_paths"] == 100_000
     assert must_fail <= set(report["failed_checks"])
-
-
-# a survivor of the simulator mutants: no Monte Carlo band resolves 1e-2 of the windows
-SURVIVES_MC = pytest.mark.xfail(strict=True, reason="ROADMAP item 11")
-
-
-@pytest.mark.parametrize("marks", [pytest.param(marks, marks=SURVIVES_MC) for marks in MARKS])
-def test_a_window_integral_mutant_fails_a_monte_carlo_check(marks, monkeypatch):
-    # functional-vs-mc observes 0.74 (geometric) and 0.78 (pmf), window-transforms-vs-mc 0.86 and 0.91
-    monkeypatch.setattr(montecarlo, "_damped_length", _scaled(montecarlo._damped_length, 1.0 + 1e-2))
-    report = run_battery(_model(marks), seed=0)
-    assert {"functional-vs-mc", "window-transforms-vs-mc"} & set(report["failed_checks"])
 
 
 @pytest.mark.parametrize("marks", MARKS)

@@ -26,6 +26,7 @@ from crosswatch.validation import run_battery
 ALL_CHECKS = [
     "contraction-bound",
     "coverage-complete",
+    "crossing-index-vs-mc",
     "crossing-series-path-agreement",
     "dist-table-invariants",
     "functional-vs-mc",
@@ -43,6 +44,7 @@ ALL_CHECKS = [
     "time-domain-inversion-agreement",
     "time-domain-law-agreement",
     "transform-chain-agreement",
+    "window-tiling-identity",
     "window-transforms-vs-mc",
 ]
 
